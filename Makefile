@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race vet lint check verify golden golden-check bench-json bench-check scale-smoke devirt-smoke
+.PHONY: build test race vet lint check verify golden golden-check bench-json bench-check bench-smoke scale-smoke devirt-smoke
 
 build:
 	$(GO) build ./...
@@ -57,6 +57,13 @@ devirt-smoke:
 bench-check:
 	$(GO) run ./cmd/benchjson -check
 
+# Compile and smoke-run the repository benchmark (bench/, its own Go
+# module), which the root `go build/test ./...` never see, so an API
+# change cannot break it unnoticed. Not under -race: race-instrumented
+# lint workers overrun the smoke's per-file deadline.
+bench-smoke:
+	cd bench && $(GO) test ./...
+
 # Regenerate the CLI golden transcripts in internal/cli/testdata/golden.
 golden:
 	$(GO) test ./internal/cli -run Goldens -update
@@ -68,5 +75,6 @@ golden-check: golden
 check: build vet test lint
 
 # Everything CI runs: build, vet, the full test suite, the example
-# lint gate, and golden/benchmark-snapshot staleness.
-verify: build vet test lint golden-check bench-check
+# lint gate, golden/benchmark-snapshot staleness, and the repository
+# benchmark's smoke test.
+verify: build vet test lint golden-check bench-check bench-smoke

@@ -12,8 +12,8 @@
 // allocs/op and bytes/op, alongside the analytic work profile and the
 // batched-over-eager / batched-over-naive speedups. For the
 // edit-relookup family it records the same timing triple per serving
-// strategy, the warm-carry speedups over cold rebuild and the legacy
-// map cache, and the fraction of the warm cache surviving each carry.
+// strategy, the warm-carry speedup over cold rebuild, and the fraction
+// of the warm cache surviving each carry.
 // For the lint-relint family it records the timing triple per
 // re-analysis strategy, the cone-over-full speedup, and the per-edit
 // bucket re-evaluation counts of the cone strategy. For the
@@ -75,7 +75,6 @@ type configResult struct {
 	// Edit-relookup metrics (absent for the table-build family).
 	CacheSurvival     float64 `json:"cache_survival,omitempty"`
 	CarrySpeedupCold  float64 `json:"carry_speedup_vs_cold,omitempty"`
-	CarrySpeedupMap   float64 `json:"carry_speedup_vs_map_cache,omitempty"`
 	CarriedEntries    int     `json:"carried_entries,omitempty"`
 	InvalidatedConeSz int     `json:"invalidated_cone_entries,omitempty"`
 
@@ -297,7 +296,6 @@ func editRelookupReport() report {
 			fmt.Fprintf(os.Stderr, "%s/%s: %d ns/op (%d iters)\n", cfg.Name, s.Name, r.NsPerOp(), r.N)
 		}
 		cr.CarrySpeedupCold = ratio(cr.Strategies["cold-rebuild"].NsPerOp, cr.Strategies["warm-carry"].NsPerOp)
-		cr.CarrySpeedupMap = ratio(cr.Strategies["map-cache"].NsPerOp, cr.Strategies["warm-carry"].NsPerOp)
 		rep.Configs = append(rep.Configs, cr)
 	}
 	return rep

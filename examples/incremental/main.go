@@ -1,13 +1,15 @@
 // incremental simulates an IDE editing session: the hierarchy is
 // built class by class, members are added and removed between
-// queries, and the incremental workspace keeps lookup answers valid
-// while recomputing only what each edit can affect.
+// queries, and each edit is republished through the engine, which
+// carries every cached answer the edit cannot have changed into the
+// new snapshot and recomputes only the edit's invalidation cone.
 package main
 
 import (
 	"fmt"
 
 	"cpplookup/internal/chg"
+	"cpplookup/internal/engine"
 	"cpplookup/internal/incremental"
 )
 
@@ -29,22 +31,29 @@ func main() {
 	}
 	shape := must(ws.AddClass("Shape", []incremental.BaseDecl{{Class: object}}))
 	circle := must(ws.AddClass("Circle", []incremental.BaseDecl{{Class: shape}}))
-	square := must(ws.AddClass("Square", []incremental.BaseDecl{{Class: shape}}))
+	must(ws.AddClass("Square", []incremental.BaseDecl{{Class: shape}}))
+
+	// The editor's language server serves lookups from the engine; each
+	// Sync publishes the edits made since the last one.
+	bind, _, err := engine.New().BindWorkspace("editor", ws)
+	if err != nil {
+		panic(err)
+	}
 
 	show := func(when string) {
+		snap := must(bind.Sync())
+		filled := snap.CachedEntries()
 		fmt.Printf("%s:\n", when)
-		for _, c := range []chg.ClassID{circle, square} {
-			r := ws.Lookup(c, "describe")
-			name := map[chg.ClassID]string{circle: "Circle", square: "Square"}[c]
-			if r.Found() {
-				owner := map[chg.ClassID]string{object: "Object", shape: "Shape", circle: "Circle", square: "Square"}[r.Class()]
-				fmt.Printf("  %s.describe() -> %s::describe\n", name, owner)
+		for _, name := range []string{"Circle", "Square"} {
+			if r := snap.LookupByName(name, "describe"); r.Found() {
+				fmt.Printf("  %s.describe() -> %s::describe\n", name, snap.Graph().Name(r.Class()))
 			} else {
 				fmt.Printf("  %s.describe() -> ambiguous or missing\n", name)
 			}
 		}
-		s := ws.Stats()
-		fmt.Printf("  cache: %d hits, %d misses, %d invalidations\n\n", s.Hits, s.Misses, s.Invalidations)
+		st := snap.Carry()
+		fmt.Printf("  carry: %d cells carried, %d invalidated; %d cells refilled\n\n",
+			st.Carried, st.Invalidated, snap.CachedEntries()-filled)
 	}
 
 	show("initial (both inherit Object::describe)")

@@ -14,7 +14,7 @@ import (
 // Thread-safety contract: the lazy memo is deliberately
 // unsynchronized, so an Analyzer must be confined to a single
 // goroutine (or externally serialized) while Lookup is in use. The
-// Table returned by BuildTable/BuildTableBatched is immutable once
+// Table returned by BuildTable or BuildSemTable is immutable once
 // built and safe for any number of concurrent readers, as is the
 // underlying Kernel. To serve lookups from many goroutines without a
 // table build, use internal/engine's Snapshot, which drives the same

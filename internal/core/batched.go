@@ -2,9 +2,6 @@ package core
 
 import (
 	"math/bits"
-	"runtime"
-	"sync"
-	"sync/atomic"
 
 	"cpplookup/internal/bitset"
 	"cpplookup/internal/chg"
@@ -15,81 +12,10 @@ import (
 // uint64 mask probe.
 const blockBits = 64
 
-// BuildTableBatched builds the same table as BuildTable with the
-// support-pruned, word-batched pass (≤ 0 workers means GOMAXPROCS).
-func (a *Analyzer) BuildTableBatched(workers int) *Table { return a.k.BuildTableBatched(workers) }
-
-// BuildTableBatched is the kernel-level batched tabulation. Member
-// names are grouped into blocks of 64 — one word of the membership
-// matrix of Figure 8 lines [6]–[9]. Each block is filled by one walk
-// of the shared topological order: at class C the block's mask word
-// row[C].Word(b) says, in one load, which of the 64 members are in
-// Members[C]; a zero mask skips C entirely, so a member defined in a
-// small cone never drags the pass across the rest of the hierarchy.
-// Per-entry cost is proportional to Σ|supp(m)| (plus one mask probe
-// per class per block) instead of the member-major |M|·|N|.
-//
-// Workers claim whole blocks from an atomic counter (work stealing —
-// a worker stuck on a dense block doesn't hold up the rest), and each
-// carries its own reusable scratch: 64 result columns for O(1) base
-// lookups and the resolve temporaries, so steady-state filling does
-// no per-member allocation. Distinct blocks write disjoint table
-// entries and the payload pool is concurrency-safe, so workers share
-// the kernel freely.
-func (k *Kernel) BuildTableBatched(workers int) *Table {
-	g := k.g
-	n := g.NumClasses()
-	t := &Table{
-		g:       g,
-		pool:    k.pool,
-		results: make([][]Cell, n),
-	}
-	var mm, decl *bitset.Matrix
-	t.members, mm, decl = memberUniverse(g)
-	for c := 0; c < n; c++ {
-		t.results[c] = make([]Cell, len(t.members[c]))
-	}
-	nb := (g.NumMemberNames() + blockBits - 1) / blockBits
-	if nb == 0 {
-		return t
-	}
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > nb {
-		workers = nb
-	}
-	if workers <= 1 {
-		sc := newBlockScratch(n)
-		for b := 0; b < nb; b++ {
-			k.fillBlock(t, mm, decl, b, sc, 0)
-		}
-		return t
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			sc := newBlockScratch(n)
-			for {
-				b := int(next.Add(1)) - 1
-				if b >= nb {
-					return
-				}
-				k.fillBlock(t, mm, decl, b, sc, 0)
-			}
-		}()
-	}
-	wg.Wait()
-	return t
-}
-
-// blockScratch is one worker's reusable state: 64 packed-cell columns
-// (column j holds this block's member j results per class, zero =
-// not filled / undefined), the touched-class list for sparse clearing
-// between blocks, and the resolve temporaries.
+// blockScratch is one fill worker's reusable state: 64 packed-cell
+// columns (column j holds the block's member j results per class, zero
+// = not filled / undefined), the touched-class list for sparse
+// clearing between blocks, and the resolve temporaries.
 type blockScratch struct {
 	cols    []Cell // column j is cols[j*n : (j+1)*n]
 	touched []chg.ClassID
@@ -101,14 +27,24 @@ func newBlockScratch(n int) *blockScratch {
 }
 
 // fillBlock fills every table entry of member block b (member ids
-// [64b, 64b+64)) in one topological walk. Because the block's members
-// occupy a contiguous run of each class's sorted member list, the set
-// bits of the mask word map one-to-one onto consecutive result slots
-// starting at the run's lower bound — no per-member search.
+// [64b, 64b+64)) in one walk of the shared topological order. At class
+// C the block's mask word says, in one load, which of the 64 members
+// are in Members[C]; a zero mask skips C entirely, so a member defined
+// in a small cone never drags the walk across the rest of the
+// hierarchy, and per-entry cost is proportional to Σ|supp(m)| (plus
+// one mask probe per class per block) instead of the member-major
+// |M|·|N|. Because the block's members occupy a contiguous run of each
+// class's sorted member list, the set bits of the mask word map
+// one-to-one onto consecutive result slots starting at the run's lower
+// bound — no per-member search. The scratch's columns make a base's
+// result an O(1) read and its resolve temporaries make steady-state
+// filling allocation-free. Distinct blocks write disjoint table
+// entries and the payload pool is concurrency-safe, so workers holding
+// their own scratch fill blocks of one table concurrently.
 //
-// wordOff is the block index of mm/decl's first word: 0 when the
-// matrices cover the whole member universe (the batched build), b0
-// when they are a streaming chunk's window [64·b0, 64·b1).
+// mm and decl hold the membership and declaration bits of a chunk
+// window starting at block wordOff: block b is word b−wordOff of each
+// row.
 func (k *Kernel) fillBlock(t *Table, mm, decl *bitset.Matrix, b int, sc *blockScratch, wordOff int) {
 	g := k.g
 	n := g.NumClasses()

@@ -50,7 +50,7 @@ func TestBatchedMatchesBuildTableOnRandom(t *testing.T) {
 			unpruned := NewKernel(g, opts...).BuildTableUnpruned()
 			cellsEqual(t, g, want, unpruned, "unpruned")
 			for _, workers := range []int{0, 1, 2, 7} {
-				got := NewKernel(g, opts...).BuildTableBatched(workers)
+				got := BuildSemTable(NewKernel(g, opts...), workers)
 				cellsEqual(t, g, want, got, "batched")
 				_ = oi
 			}
@@ -73,7 +73,7 @@ func TestBatchedOnFigures(t *testing.T) {
 		{"realistic", hiergen.Realistic(3, 2)},
 	} {
 		want := NewKernel(tc.g, WithStaticRule(), WithTrackPaths()).BuildTable()
-		got := NewKernel(tc.g, WithStaticRule(), WithTrackPaths()).BuildTableBatched(3)
+		got := BuildSemTable(NewKernel(tc.g, WithStaticRule(), WithTrackPaths()), 3)
 		cellsEqual(t, tc.g, want, got, tc.name)
 	}
 }
@@ -85,7 +85,7 @@ func TestBatchedOnSparseMembers(t *testing.T) {
 		g := hiergen.SparseMembers(80, 200, 3, seed)
 		want := NewKernel(g).BuildTable()
 		for _, workers := range []int{1, 4} {
-			got := NewKernel(g).BuildTableBatched(workers)
+			got := BuildSemTable(NewKernel(g), workers)
 			cellsEqual(t, g, want, got, "sparse")
 		}
 	}
@@ -100,7 +100,7 @@ func TestBatchedMatchesOracle(t *testing.T) {
 			Classes: 4 + rng.Intn(12), MaxBases: 3, VirtualProb: 0.4,
 			MemberNames: 4, MemberProb: 0.4, Seed: rng.Int63(),
 		})
-		table := NewKernel(g).BuildTableBatched(2)
+		table := BuildSemTable(NewKernel(g), 2)
 		for c := 0; c < g.NumClasses(); c++ {
 			for m := 0; m < g.NumMemberNames(); m++ {
 				cid, mid := chg.ClassID(c), chg.MemberID(m)
@@ -143,7 +143,7 @@ func TestBatchedConcurrentSharedKernel(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			tables[i] = k.BuildTableBatched(2 + i%3)
+			tables[i] = BuildSemTable(k, 2+i%3)
 		}(i)
 	}
 	wg.Wait()
@@ -159,7 +159,7 @@ func TestBatchedNoMembers(t *testing.T) {
 	c := b.Class("C")
 	b.Base(c, a, chg.NonVirtual)
 	g := b.MustBuild()
-	table := NewKernel(g).BuildTableBatched(0)
+	table := BuildSemTable(NewKernel(g), 0)
 	if table.Entries() != 0 {
 		t.Fatalf("Entries = %d, want 0", table.Entries())
 	}
@@ -171,7 +171,7 @@ func TestBatchedNoMembers(t *testing.T) {
 func TestMeasureTableBuildWork(t *testing.T) {
 	g := hiergen.SparseMembers(100, 300, 3, 5)
 	w := MeasureTableBuildWork(g)
-	table := NewKernel(g).BuildTableBatched(0)
+	table := BuildSemTable(NewKernel(g), 0)
 	if w.Entries != table.Entries() {
 		t.Errorf("Entries = %d, table has %d", w.Entries, table.Entries())
 	}

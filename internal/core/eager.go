@@ -1,8 +1,6 @@
 package core
 
 import (
-	"sort"
-
 	"cpplookup/internal/bitset"
 	"cpplookup/internal/chg"
 )
@@ -47,10 +45,9 @@ func (k *Kernel) BuildTable() *Table {
 	t := &Table{
 		g:       g,
 		pool:    k.pool,
-		members: make([][]chg.MemberID, n),
+		members: memberUniverse(g),
 		results: make([][]Cell, n),
 	}
-	t.members, _, _ = memberUniverse(g)
 	for _, c := range g.Topo() {
 		ms := t.members[c]
 		rs := make([]Cell, len(ms))
@@ -62,48 +59,32 @@ func (k *Kernel) BuildTable() *Table {
 	return t
 }
 
-// memberMatrices computes two classes × member-names bit matrices in
-// one topological sweep: decl's row C is the set of names C itself
-// declares (Figure 8's M[C]), and mm's row C is Members[C] = M[C] ∪
-// ⋃ Members[X] over direct bases X (lines [6]–[9]) — each class ors
-// in its declared row and then its bases' rows, 64 names per word.
-// Column m of mm is exactly supp(m) = {C : m ∈ Members[C]}, the
-// support cone the batched table build prunes with; decl gives the
-// build its line-[12] "declared here" test as a bit probe instead of
-// a map lookup per entry.
-func memberMatrices(g *chg.Graph) (mm, decl *bitset.Matrix) {
-	n := g.NumClasses()
-	mm = bitset.NewMatrixRect(n, g.NumMemberNames())
-	decl = bitset.NewMatrixRect(n, g.NumMemberNames())
+// MemberMatrix computes the membership matrix of Figure 8 lines
+// [6]–[9] in one topological sweep: row C is Members[C] = M[C] ∪
+// ⋃ Members[X] over direct bases X — each class sets the names it
+// declares and ors in its bases' rows, 64 names per word. Column m is
+// exactly supp(m) = {C : m ∈ Members[C]}, the support cone the block
+// fill prunes with.
+func MemberMatrix(g *chg.Graph) *bitset.Matrix {
+	mm := bitset.NewMatrixRect(g.NumClasses(), g.NumMemberNames())
 	for _, c := range g.Topo() {
-		drow := decl.Row(int(c))
+		row := mm.Row(int(c))
 		for _, mem := range g.DeclaredMembers(c) {
 			id, _ := g.MemberID(mem.Name)
-			drow.Add(int(id))
+			row.Add(int(id))
 		}
-		row := mm.Row(int(c))
-		row.UnionWith(drow)
 		for _, e := range g.DirectBases(c) {
 			mm.OrRow(int(c), int(e.Base))
 		}
 	}
-	return mm, decl
-}
-
-// MemberMatrix computes the membership matrix of Figure 8 lines
-// [6]–[9] word-parallel: row C is the bit set {m : m ∈ Members[C]}
-// over the member-name universe.
-func MemberMatrix(g *chg.Graph) *bitset.Matrix {
-	mm, _ := memberMatrices(g)
 	return mm
 }
 
-// memberUniverse is the one shared Members[C] construction used by
-// every eager build (BuildTable, BuildTableBatched, and the unpruned
-// baseline): the membership matrices plus the expansion of Members[C]
-// into the per-class sorted member lists the Table stores.
-func memberUniverse(g *chg.Graph) ([][]chg.MemberID, *bitset.Matrix, *bitset.Matrix) {
-	mm, decl := memberMatrices(g)
+// memberUniverse expands Members[C] into the per-class sorted member
+// lists the Table stores — the construction the paper-literal builds
+// (BuildTable and the unpruned baseline) share.
+func memberUniverse(g *chg.Graph) [][]chg.MemberID {
+	mm := MemberMatrix(g)
 	members := make([][]chg.MemberID, g.NumClasses())
 	for c := range members {
 		row := mm.Row(c)
@@ -111,7 +92,7 @@ func memberUniverse(g *chg.Graph) ([][]chg.MemberID, *bitset.Matrix, *bitset.Mat
 		row.ForEach(func(i int) { ms = append(ms, chg.MemberID(i)) })
 		members[c] = ms
 	}
-	return members, mm, decl
+	return members
 }
 
 // Lookup returns lookup[c,m]; Undefined when m ∉ Members[c].
@@ -119,9 +100,7 @@ func (t *Table) Lookup(c chg.ClassID, m chg.MemberID) Result {
 	if !t.g.Valid(c) {
 		return UndefinedResult()
 	}
-	ms := t.members[c]
-	i := sort.Search(len(ms), func(k int) bool { return ms[k] >= m })
-	if i < len(ms) && ms[i] == m {
+	if i := memberIndex(t.members[c], m); i >= 0 {
 		return t.pool.View(t.results[c][i])
 	}
 	return UndefinedResult()

@@ -44,25 +44,25 @@ func TestParallelMatchesSerial(t *testing.T) {
 		})
 		for _, workers := range []int{0, 1, 2, 7} {
 			serial := New(g).BuildTable()
-			parallel := New(g).BuildTableParallel(workers)
+			parallel := BuildSemTable(NewKernel(g), workers)
 			tablesEqual(t, g, serial, parallel, fmt.Sprintf("iter %d workers %d", i, workers))
 		}
 		// With options on.
 		serial := New(g, WithStaticRule(), WithTrackPaths()).BuildTable()
-		parallel := New(g, WithStaticRule(), WithTrackPaths()).BuildTableParallel(4)
+		parallel := BuildSemTable(NewKernel(g, WithStaticRule(), WithTrackPaths()), 4)
 		tablesEqual(t, g, serial, parallel, fmt.Sprintf("iter %d opts", i))
 	}
 }
 
 func TestParallelOnFigures(t *testing.T) {
 	for _, g := range []*chg.Graph{hiergen.Figure1(), hiergen.Figure2(), hiergen.Figure3(), hiergen.Figure9()} {
-		tablesEqual(t, g, New(g).BuildTable(), New(g).BuildTableParallel(3), "figure")
+		tablesEqual(t, g, New(g).BuildTable(), BuildSemTable(NewKernel(g), 3), "figure")
 	}
 }
 
 func TestParallelMoreWorkersThanMembers(t *testing.T) {
 	g := hiergen.Figure1() // one member name
-	tablesEqual(t, g, New(g).BuildTable(), New(g).BuildTableParallel(16), "overprovisioned")
+	tablesEqual(t, g, New(g).BuildTable(), BuildSemTable(NewKernel(g), 16), "overprovisioned")
 }
 
 func TestMemberIndex(t *testing.T) {
@@ -77,7 +77,7 @@ func TestMemberIndex(t *testing.T) {
 	}
 }
 
-func BenchmarkBuildTableParallel(b *testing.B) {
+func BenchmarkBuildSemTableWorkers(b *testing.B) {
 	g := hiergen.Random(hiergen.RandomConfig{
 		Classes: 800, MaxBases: 3, VirtualProb: 0.3,
 		MemberNames: 64, MemberProb: 0.25, Seed: 5,
@@ -85,7 +85,7 @@ func BenchmarkBuildTableParallel(b *testing.B) {
 	for _, workers := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				New(g).BuildTableParallel(workers)
+				BuildSemTable(NewKernel(g), workers)
 			}
 		})
 	}

@@ -12,10 +12,6 @@ package core
 // warm carry — serves any backend unchanged.
 
 import (
-	"runtime"
-	"sync"
-	"sync/atomic"
-
 	"cpplookup/internal/chg"
 )
 
@@ -70,8 +66,8 @@ type Semantics interface {
 // answers for one class are cheap to produce together (C3 resolves
 // every member by one scan of the class's linearization; gxx amortizes
 // one subobject graph per context class) implements it, and
-// BuildSemTable fills tables class-parallel through it instead of
-// entry-by-entry.
+// BuildSemTableStreamed fills tables class-parallel through it instead
+// of entry-by-entry.
 type ClassResolver interface {
 	Semantics
 	// ResolveClass fills out[i] with the packed cell of
@@ -83,80 +79,3 @@ type ClassResolver interface {
 // ID identifies the kernel as the dominance backend, completing the
 // Semantics interface (Graph, Pool, and Resolve predate it).
 func (k *Kernel) ID() SemanticsID { return SemDominance }
-
-// BuildSemTable eagerly tabulates lookup[C,m] for every class C and
-// m ∈ Members[C] under any backend, with up to workers goroutines
-// (0 means GOMAXPROCS). The Table it returns is identical in shape,
-// cell packing, and read path to the dominance tables — one packed
-// Cell per entry over the backend's pool.
-//
-// Dominance kernels take the support-pruned word-batched fast path
-// (BuildTableBatched), so a dominance table built through this
-// function is cell-for-cell the table built directly. ClassResolver
-// backends fill class-parallel (their classes are independent). Any
-// other backend falls back to a sequential topological walk, handing
-// Resolve its bases' finished rows.
-func BuildSemTable(s Semantics, workers int) *Table {
-	if k, ok := s.(*Kernel); ok {
-		return k.BuildTableBatched(workers)
-	}
-	g := s.Graph()
-	t := &Table{
-		g:       g,
-		pool:    s.Pool(),
-		results: make([][]Cell, g.NumClasses()),
-	}
-	t.members, _, _ = memberUniverse(g)
-	if cr, ok := s.(ClassResolver); ok {
-		semParallelFor(g.NumClasses(), workers, func(i int) {
-			c := chg.ClassID(i)
-			ms := t.members[c]
-			rs := make([]Cell, len(ms))
-			cr.ResolveClass(c, ms, rs)
-			t.results[c] = rs
-		})
-		return t
-	}
-	for _, c := range g.Topo() {
-		ms := t.members[c]
-		rs := make([]Cell, len(ms))
-		for i, m := range ms {
-			rs[i] = s.Resolve(c, m, func(x chg.ClassID) Result { return t.Lookup(x, m) }).Cell()
-		}
-		t.results[c] = rs
-	}
-	return t
-}
-
-// semParallelFor runs f(0..n-1) over a bounded worker pool, stealing
-// indices from a shared counter (the lint engine's scheduling shape).
-func semParallelFor(n, workers int, f func(i int)) {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			f(i)
-		}
-		return
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				f(i)
-			}
-		}()
-	}
-	wg.Wait()
-}

@@ -1,43 +1,43 @@
 package core
 
 import (
-	"runtime"
-	"sort"
-	"sync"
-	"sync/atomic"
+	"slices"
 	"time"
 
 	"cpplookup/internal/bitset"
 	"cpplookup/internal/chg"
+	"cpplookup/internal/par"
 )
 
-// Streaming table construction: the batched build of Figure 8 with a
+// Whole-table construction. Every eager build except the paper-literal
+// BuildTable oracle and the E14 unpruned ablation runs here: Figure 8
+// tabulated member-major in word-batched 64-member blocks, with a
 // bounded working set.
 //
-// BuildTableBatched materializes the full classes × member-names
-// membership and declaration matrices before filling a single entry —
-// 2·|N|·|M|/8 bytes of transient bits, which is 2.5 GB at 100k classes
-// × 100k member names and dwarfs the table it is building. The
-// streaming build slices the member universe into chunks of whole
-// 64-member blocks sized to a caller-set memory budget, and for each
-// chunk (1) re-runs the lines [6]–[9] membership sweep restricted to
-// the chunk's column window, reusing one pair of chunk-wide matrices
-// across all chunks, (2) extends each class's member list and result
-// row (chunks ascend by member id, so the lists stay sorted), and
-// (3) fills the chunk's blocks through the same fillBlock walk the
-// batched build uses, with the block index offset into the chunk
+// Materializing the full classes × member-names membership and
+// declaration matrices before filling a single entry costs
+// 2·|N|·|M|/8 bytes of transient bits — 2.5 GB at 100k classes × 100k
+// member names, dwarfing the table being built. The build instead
+// slices the member universe into chunks of whole 64-member blocks
+// sized to a memory budget, and for each chunk (1) re-runs the lines
+// [6]–[9] membership sweep restricted to the chunk's column window,
+// reusing one pair of chunk-wide matrices across all chunks, (2)
+// extends each class's member list and result row (chunks ascend by
+// member id, so the lists stay sorted), and (3) fills the chunk's
+// blocks through fillBlock, with the block index offset into the chunk
 // window. The recurrence Members[C] = M[C] ∪ ⋃ Members[X] is
 // column-independent, so restricting it to a window is exact, and the
-// total sweep cost across all chunks equals the monolithic sweep
-// (each edge ors the same number of words either way) — the budget
-// buys flat memory, not extra asymptotic work.
+// total sweep cost across all chunks equals one monolithic sweep (each
+// edge ors the same number of words either way) — the budget buys flat
+// memory, not extra asymptotic work. Below giant scale the default
+// budget holds every block, and the build is a single chunk.
 
-// DefaultStreamBudget is the working-set budget BuildTableStreamed
-// uses when StreamOptions.MemoryBudget is unset: enough for ~250
-// blocks of chunk matrices at 100k classes after one worker's scratch.
+// DefaultStreamBudget is the working-set budget a build uses when
+// StreamOptions.MemoryBudget is unset: enough for ~250 blocks of chunk
+// matrices at 100k classes after one worker's scratch.
 const DefaultStreamBudget int64 = 64 << 20
 
-// StreamOptions configures a streaming table build.
+// StreamOptions configures a whole-table build.
 type StreamOptions struct {
 	// Workers is the fill parallelism (≤ 0 means GOMAXPROCS). The
 	// membership sweeps are serial either way — they are a small
@@ -52,7 +52,7 @@ type StreamOptions struct {
 	MemoryBudget int64
 }
 
-// StreamStats reports what a streaming build did, per phase.
+// StreamStats reports what a whole-table build did, per phase.
 type StreamStats struct {
 	Classes int // |N|
 	Members int // |M| (member-name universe)
@@ -70,24 +70,26 @@ type StreamStats struct {
 	FillTime  time.Duration // total block-fill time
 }
 
-// BuildTableStreamed builds the same table as BuildTableBatched —
-// cell-for-cell, over the same pool — holding only a budget-bounded
-// slice of the membership matrices at a time.
-func (k *Kernel) BuildTableStreamed(opts StreamOptions) (*Table, StreamStats) {
-	return buildStreamed(k, opts)
+// BuildSemTable eagerly tabulates lookup[C,m] for every class C and
+// m ∈ Members[C] under any backend, with up to workers goroutines
+// (≤ 0 means GOMAXPROCS) and the default working-set budget: it is
+// BuildSemTableStreamed without the stats.
+func BuildSemTable(s Semantics, workers int) *Table {
+	t, _ := BuildSemTableStreamed(s, StreamOptions{Workers: workers})
+	return t
 }
 
-// BuildSemTableStreamed is the streaming form of BuildSemTable: any
-// backend's whole table, built chunk-by-chunk under the same memory
-// budget. Dominance kernels fill through the word-batched block walk;
-// ClassResolver backends (C3, gxx) resolve each class's chunk-window
-// members in one call; any other backend falls back to a chunked
-// topological walk over Resolve.
+// BuildSemTableStreamed builds any backend's whole table chunk by
+// chunk under opts' memory budget. Dominance kernels fill through the
+// word-batched block walk, workers stealing blocks; ClassResolver
+// backends (C3, gxx) resolve each class's chunk-window members in one
+// call, workers stealing classes; any other backend falls back to a
+// chunked topological walk over Resolve, handing it its bases' finished
+// rows. The Table is identical in shape, cell packing and read path
+// for every backend — one packed Cell per entry over the backend's
+// pool — and, whatever the budget and worker count, cell-for-cell the
+// table BuildTable computes.
 func BuildSemTableStreamed(s Semantics, opts StreamOptions) (*Table, StreamStats) {
-	return buildStreamed(s, opts)
-}
-
-func buildStreamed(s Semantics, opts StreamOptions) (*Table, StreamStats) {
 	g := s.Graph()
 	n := g.NumClasses()
 	t := &Table{
@@ -105,12 +107,12 @@ func buildStreamed(s Semantics, opts StreamOptions) (*Table, StreamStats) {
 	k, isKernel := s.(*Kernel)
 	cr, isCR := s.(ClassResolver)
 
-	workers := opts.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > nb {
-		workers = nb
+	workers := 1
+	switch {
+	case isKernel:
+		workers = par.Workers(nb, opts.Workers)
+	case isCR:
+		workers = par.Workers(n, opts.Workers)
 	}
 	budget := opts.MemoryBudget
 	if budget <= 0 {
@@ -129,12 +131,7 @@ func buildStreamed(s Semantics, opts StreamOptions) (*Table, StreamStats) {
 		}
 	}
 	cb := int((budget - int64(workers)*perWorker) / perBlock)
-	if cb < 1 {
-		cb = 1
-	}
-	if cb > nb {
-		cb = nb
-	}
+	cb = min(max(cb, 1), nb)
 	stats.ChunkBlocks = cb
 	stats.Workers = workers
 	stats.BudgetBytes = budget
@@ -144,8 +141,6 @@ func buildStreamed(s Semantics, opts StreamOptions) (*Table, StreamStats) {
 	mm := bitset.NewMatrixRect(n, chunkBits)
 	decl := bitset.NewMatrixRect(n, chunkBits)
 	declIDs := sortedDeclIDs(g)
-	prevLen := make([]int, n)
-	zeros := make([]Cell, chunkBits)
 	var scs []*blockScratch
 	if isKernel {
 		scs = make([]*blockScratch, workers)
@@ -155,10 +150,7 @@ func buildStreamed(s Semantics, opts StreamOptions) (*Table, StreamStats) {
 	}
 
 	for b0 := 0; b0 < nb; b0 += cb {
-		b1 := b0 + cb
-		if b1 > nb {
-			b1 = nb
-		}
+		b1 := min(b0+cb, nb)
 		firstID := chg.MemberID(b0 * blockBits)
 		lastID := chg.MemberID(b1 * blockBits)
 		start := time.Now()
@@ -184,38 +176,42 @@ func buildStreamed(s Semantics, opts StreamOptions) (*Table, StreamStats) {
 			}
 		}
 		// Extend the member lists and result rows with this window's
-		// entries. Windows ascend by member id, so appending keeps
-		// each class's list sorted.
+		// entries, each grown once to its exact new length. Windows
+		// ascend by member id, so appending keeps each list sorted.
 		for c := 0; c < n; c++ {
-			prevLen[c] = len(t.members[c])
-			cnt := 0
-			mm.Row(c).ForEach(func(i int) {
-				t.members[c] = append(t.members[c], firstID+chg.MemberID(i))
-				cnt++
-			})
-			if cnt > 0 {
-				t.results[c] = append(t.results[c], zeros[:cnt]...)
-				stats.Entries += cnt
+			row := mm.Row(c)
+			cnt := row.Count()
+			if cnt == 0 {
+				continue
 			}
+			ms := slices.Grow(t.members[c], cnt)
+			row.ForEach(func(i int) { ms = append(ms, firstID+chg.MemberID(i)) })
+			t.members[c] = ms
+			t.results[c] = append(t.results[c], make([]Cell, cnt)...)
+			stats.Entries += cnt
 		}
 		stats.SweepTime += time.Since(start)
 
+		// Fill the window's entries: in each class's lists they start at
+		// the first member id ≥ firstID.
 		start = time.Now()
 		switch {
 		case isKernel:
-			fillChunkBlocks(k, t, mm, decl, b0, b1, workers, scs)
+			par.For(b1-b0, workers, func(w, i int) {
+				k.fillBlock(t, mm, decl, b0+i, scs[w], b0)
+			})
 		case isCR:
-			semParallelFor(n, workers, func(i int) {
-				ms := t.members[i][prevLen[i]:]
-				if len(ms) == 0 {
-					return
+			par.For(n, workers, func(_, i int) {
+				lo := memberLowerBound(t.members[i], firstID)
+				if ms := t.members[i][lo:]; len(ms) > 0 {
+					cr.ResolveClass(chg.ClassID(i), ms, t.results[i][lo:])
 				}
-				cr.ResolveClass(chg.ClassID(i), ms, t.results[i][prevLen[i]:])
 			})
 		default:
 			for _, c := range g.Topo() {
-				ms := t.members[c][prevLen[c]:]
-				rs := t.results[c][prevLen[c]:]
+				lo := memberLowerBound(t.members[c], firstID)
+				ms := t.members[c][lo:]
+				rs := t.results[c][lo:]
 				for i, m := range ms {
 					rs[i] = s.Resolve(c, m, func(x chg.ClassID) Result { return t.Lookup(x, m) }).Cell()
 				}
@@ -227,55 +223,25 @@ func buildStreamed(s Semantics, opts StreamOptions) (*Table, StreamStats) {
 	return t, stats
 }
 
-// fillChunkBlocks runs the batched block fill over the chunk's block
-// range [b0, b1), stealing blocks from an atomic counter exactly like
-// BuildTableBatched, against window-offset matrices.
-func fillChunkBlocks(k *Kernel, t *Table, mm, decl *bitset.Matrix, b0, b1, workers int, scs []*blockScratch) {
-	if workers > b1-b0 {
-		workers = b1 - b0
-	}
-	if workers <= 1 {
-		for b := b0; b < b1; b++ {
-			k.fillBlock(t, mm, decl, b, scs[0], b0)
-		}
-		return
-	}
-	var next atomic.Int64
-	next.Store(int64(b0))
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(sc *blockScratch) {
-			defer wg.Done()
-			for {
-				b := int(next.Add(1)) - 1
-				if b >= b1 {
-					return
-				}
-				k.fillBlock(t, mm, decl, b, sc, b0)
-			}
-		}(scs[w])
-	}
-	wg.Wait()
-}
-
 // sortedDeclIDs returns each class's directly declared member ids in
-// ascending order — the per-window declaration source the streaming
-// sweep binary-searches instead of re-walking DeclaredMembers per
-// chunk.
+// ascending order — the per-window declaration source the sweep
+// binary-searches instead of re-walking DeclaredMembers per chunk. The
+// lists share one arena, so the build allocates for them once, not
+// once per declaring class.
 func sortedDeclIDs(g *chg.Graph) [][]chg.MemberID {
 	out := make([][]chg.MemberID, g.NumClasses())
+	total := 0
 	for c := range out {
-		mems := g.DeclaredMembers(chg.ClassID(c))
-		if len(mems) == 0 {
-			continue
+		total += len(g.DeclaredMembers(chg.ClassID(c)))
+	}
+	arena := make([]chg.MemberID, 0, total)
+	for c := range out {
+		start := len(arena)
+		for _, m := range g.DeclaredMembers(chg.ClassID(c)) {
+			arena = append(arena, g.MustMemberID(m.Name))
 		}
-		ids := make([]chg.MemberID, len(mems))
-		for i, m := range mems {
-			ids[i] = g.MustMemberID(m.Name)
-		}
-		sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-		out[c] = ids
+		out[c] = arena[start:len(arena):len(arena)]
+		slices.Sort(out[c])
 	}
 	return out
 }

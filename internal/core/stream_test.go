@@ -39,7 +39,7 @@ func TestStreamedMatchesBuildTableOnRandom(t *testing.T) {
 			want := NewKernel(g, opts...).BuildTable()
 			for _, budget := range streamBudgets(g) {
 				for _, workers := range []int{1, 3} {
-					got, st := NewKernel(g, opts...).BuildTableStreamed(StreamOptions{
+					got, st := BuildSemTableStreamed(NewKernel(g, opts...), StreamOptions{
 						Workers: workers, MemoryBudget: budget,
 					})
 					cellsEqual(t, g, want, got, "streamed")
@@ -70,9 +70,9 @@ func TestStreamedOnFigures(t *testing.T) {
 		{"realistic", hiergen.Realistic(3, 2)},
 		{"diamondchain", hiergen.DiamondChain(6, chg.Virtual)},
 	} {
-		want := NewKernel(tc.g).BuildTableBatched(1)
+		want := NewKernel(tc.g).BuildTable()
 		for _, budget := range streamBudgets(tc.g) {
-			got, _ := NewKernel(tc.g).BuildTableStreamed(StreamOptions{Workers: 2, MemoryBudget: budget})
+			got, _ := BuildSemTableStreamed(NewKernel(tc.g), StreamOptions{Workers: 2, MemoryBudget: budget})
 			cellsEqual(t, tc.g, want, got, tc.name)
 		}
 	}
@@ -82,8 +82,8 @@ func TestStreamedOnFigures(t *testing.T) {
 // worker's scratch, WorkingSetBytes reporting the overrun honestly.
 func TestStreamedBudgetFloor(t *testing.T) {
 	g := hiergen.SparseMembers(80, 200, 3, 11)
-	want := NewKernel(g).BuildTableBatched(1)
-	got, st := NewKernel(g).BuildTableStreamed(StreamOptions{Workers: 4, MemoryBudget: 1})
+	want := NewKernel(g).BuildTable()
+	got, st := BuildSemTableStreamed(NewKernel(g), StreamOptions{Workers: 4, MemoryBudget: 1})
 	cellsEqual(t, g, want, got, "floor")
 	if st.ChunkBlocks != 1 {
 		t.Errorf("ChunkBlocks = %d, want 1 at the floor", st.ChunkBlocks)
@@ -102,7 +102,7 @@ func TestStreamedWorkingSetWithinBudget(t *testing.T) {
 	// Two workers' scratch (2·64·8·n) plus five blocks of chunk
 	// matrices (5·16·n): forces ⌈15/5⌉ = 3 chunks.
 	budget := int64(2*64*8*100 + 5*16*100)
-	_, st := NewKernel(g).BuildTableStreamed(StreamOptions{Workers: 2, MemoryBudget: budget})
+	_, st := BuildSemTableStreamed(NewKernel(g), StreamOptions{Workers: 2, MemoryBudget: budget})
 	if st.WorkingSetBytes > budget {
 		t.Errorf("WorkingSetBytes = %d > budget %d", st.WorkingSetBytes, budget)
 	}
@@ -117,7 +117,7 @@ func TestStreamedNoMembers(t *testing.T) {
 	c := b.Class("C")
 	b.Base(c, a, chg.NonVirtual)
 	g := b.MustBuild()
-	tab, st := NewKernel(g).BuildTableStreamed(StreamOptions{})
+	tab, st := BuildSemTableStreamed(NewKernel(g), StreamOptions{})
 	if st.Chunks != 0 || st.Entries != 0 {
 		t.Errorf("empty-universe stats = %+v", st)
 	}
@@ -131,13 +131,13 @@ func TestStreamedNoMembers(t *testing.T) {
 func TestStreamedConcurrentSharedKernel(t *testing.T) {
 	g := hiergen.SparseMembers(60, 150, 3, 33)
 	k := NewKernel(g, WithStaticRule())
-	want := k.BuildTableBatched(1)
+	want := k.BuildTable()
 	var wg sync.WaitGroup
 	for i := 0; i < 4; i++ {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			got, _ := k.BuildTableStreamed(StreamOptions{
+			got, _ := BuildSemTableStreamed(k, StreamOptions{
 				Workers: 1 + i%2, MemoryBudget: int64(1+i) * 24 * int64(g.NumClasses()),
 			})
 			cellsEqual(t, g, want, got, "concurrent")
@@ -160,14 +160,14 @@ func TestStreamedSparseClosureMode(t *testing.T) {
 	}
 	chg.DenseClosureLimit = 1 << 14
 	dense := mk()
-	want := NewKernel(dense).BuildTableBatched(0)
+	want := NewKernel(dense).BuildTable()
 
 	chg.DenseClosureLimit = 4
 	sparse := mk()
 	if !sparse.SparseClosures() {
 		t.Fatal("expected sparse-closure graph")
 	}
-	got, _ := NewKernel(sparse).BuildTableStreamed(StreamOptions{Workers: 2, MemoryBudget: 24 * 70})
+	got, _ := BuildSemTableStreamed(NewKernel(sparse), StreamOptions{Workers: 2, MemoryBudget: 24 * 70})
 	// Tables are over different graphs/pools; compare by name-level
 	// lookup through each graph's own ids.
 	for c := 0; c < dense.NumClasses(); c++ {

@@ -4,25 +4,6 @@ import (
 	"cpplookup/internal/chg"
 )
 
-// BuildTableParallel builds the same table as BuildTable using up to
-// `workers` goroutines (≤ 0 means GOMAXPROCS).
-//
-// The parallel decomposition falls directly out of the algorithm's
-// structure: Figure 8's per-member computations are independent — the
-// entry lookup[C,m] reads only entries lookup[X,m] for the *same*
-// member name m at C's bases — so member names partition the table
-// into disjoint dataflow problems. Since PR 4 this is a thin alias of
-// the batched support-pruned build: workers claim 64-member blocks
-// instead of static member shares, and each block's topological pass
-// skips classes outside the block's support cones.
-func (a *Analyzer) BuildTableParallel(workers int) *Table { return a.k.BuildTableParallel(workers) }
-
-// BuildTableParallel is the kernel-level parallel tabulation. The
-// kernel is stateless, so the per-block workers share it freely.
-func (k *Kernel) BuildTableParallel(workers int) *Table {
-	return k.BuildTableBatched(workers)
-}
-
 // BuildTableUnpruned is the pre-pruning member-major tabulation kept
 // as the ablation baseline for experiment E14: one full topological
 // pass over *all* classes per member name — the literal
@@ -35,10 +16,9 @@ func (k *Kernel) BuildTableUnpruned() *Table {
 	t := &Table{
 		g:       g,
 		pool:    k.pool,
-		members: make([][]chg.MemberID, n),
+		members: memberUniverse(g),
 		results: make([][]Cell, n),
 	}
-	t.members, _, _ = memberUniverse(g)
 	for c := 0; c < n; c++ {
 		t.results[c] = make([]Cell, len(t.members[c]))
 	}
@@ -65,17 +45,8 @@ func (k *Kernel) fillMember(t *Table, m chg.MemberID) {
 
 // memberIndex finds m in a sorted member list, or -1.
 func memberIndex(ms []chg.MemberID, m chg.MemberID) int {
-	lo, hi := 0, len(ms)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if ms[mid] < m {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	if lo < len(ms) && ms[lo] == m {
-		return lo
+	if i := memberLowerBound(ms, m); i < len(ms) && ms[i] == m {
+		return i
 	}
 	return -1
 }

@@ -26,12 +26,12 @@ import (
 	"runtime"
 	"sort"
 	"sync"
-	"sync/atomic"
 
 	"cpplookup/internal/bitset"
 	"cpplookup/internal/chg"
 	"cpplookup/internal/core"
 	"cpplookup/internal/engine"
+	"cpplookup/internal/par"
 )
 
 // Site is one virtual call site: a member called on a receiver whose
@@ -338,52 +338,26 @@ func (r *Resolver) ResolveBatch(sites []Site, out []Resolution) []Resolution {
 			workers = p
 		}
 	}
-	resolveGroup := func(sc *resolveScratch, gr group) {
-		res := r.resolveOne(sc, chg.ClassID(gr.key%nc), chg.MemberID(gr.key/nc), 1)
-		for k := gr.lo; k < gr.hi; k++ {
-			dst[perm[k]] = res
-		}
-	}
-	if workers <= 1 {
-		for _, gr := range groups {
-			resolveGroup(sc, gr)
-		}
-		return out
-	}
-
 	// Work-stealing over small contiguous chunks of groups. Each
 	// group writes a disjoint set of dst positions, so workers never
 	// race on results; cell fills race benignly under the engine's
-	// shard locks.
+	// shard locks. Worker 0 reuses the batch's own scratch, whose sort
+	// buffers resolveOne never touches.
 	const chunk = 8
 	chunks := (len(groups) + chunk - 1) / chunk
-	if workers > chunks {
-		workers = chunks
+	scs := make([]*resolveScratch, par.Workers(chunks, max(workers, 1)))
+	scs[0] = sc
+	for i := 1; i < len(scs); i++ {
+		scs[i] = r.scratch.Get().(*resolveScratch)
+		defer r.scratch.Put(scs[i])
 	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			wsc := r.scratch.Get().(*resolveScratch)
-			defer r.scratch.Put(wsc)
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= chunks {
-					return
-				}
-				lo := i * chunk
-				hi := lo + chunk
-				if hi > len(groups) {
-					hi = len(groups)
-				}
-				for _, gr := range groups[lo:hi] {
-					resolveGroup(wsc, gr)
-				}
+	par.For(chunks, len(scs), func(w, i int) {
+		for _, gr := range groups[i*chunk : min((i+1)*chunk, len(groups))] {
+			res := r.resolveOne(scs[w], chg.ClassID(gr.key%nc), chg.MemberID(gr.key/nc), 1)
+			for k := gr.lo; k < gr.hi; k++ {
+				dst[perm[k]] = res
 			}
-		}()
-	}
-	wg.Wait()
+		}
+	})
 	return out
 }

@@ -30,6 +30,7 @@ import (
 
 	"cpplookup/internal/chg"
 	"cpplookup/internal/core"
+	"cpplookup/internal/par"
 )
 
 // Query is one (class, member) lookup request in a batch.
@@ -116,29 +117,18 @@ func (s *Snapshot) LookupBatchSemWorkers(id core.SemanticsID, qs []Query, out []
 	// stripe's disjoint sub-slices of qs and dst, so no result write
 	// races another. Cell publications race benignly — both writers
 	// store the same packed word under the member's shard lock.
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			sc := batchScratchPool.Get().(*core.BatchScratch)
-			defer batchScratchPool.Put(sc)
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= stripes {
-					return
-				}
-				lo := i * batchStripe
-				hi := lo + batchStripe
-				if hi > len(qs) {
-					hi = len(qs)
-				}
-				s.lookupBatchRange(col, qs[lo:hi], dst[lo:hi], sc)
-			}
-		}()
+	scs := make([]*core.BatchScratch, workers)
+	for i := range scs {
+		scs[i] = batchScratchPool.Get().(*core.BatchScratch)
 	}
-	wg.Wait()
+	par.For(stripes, workers, func(w, i int) {
+		lo := i * batchStripe
+		hi := min(lo+batchStripe, len(qs))
+		s.lookupBatchRange(col, qs[lo:hi], dst[lo:hi], scs[w])
+	})
+	for _, sc := range scs {
+		batchScratchPool.Put(sc)
+	}
 	return out, true
 }
 

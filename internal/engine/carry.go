@@ -3,12 +3,12 @@ package engine
 import (
 	"fmt"
 	"runtime"
-	"sync"
 	"sync/atomic"
 
 	"cpplookup/internal/bitset"
 	"cpplookup/internal/chg"
 	"cpplookup/internal/core"
+	"cpplookup/internal/par"
 	"cpplookup/internal/semantics"
 )
 
@@ -216,18 +216,14 @@ func carriedSnapshot(name string, version uint64, g *chg.Graph, opts []core.Opti
 	if total := g.NumClasses() * newM; workers > 1 && total >= carryParallelFloor {
 		colWorkers = workers
 	}
+	clearWorkers := colWorkers
+	if !distinctMembers {
+		clearWorkers = 1
+	}
 	carryColumn := func(src []uint64) (cells []uint64, carried, invalidated int) {
 		cells = make([]uint64, g.NumClasses()*newM)
-		if colWorkers > 1 {
-			carried = carryCopyStriped(src, cells, oldN, oldM, newM, colWorkers)
-		} else {
-			carried = carryCopySerial(src, cells, oldN, oldM, newM)
-		}
-		if colWorkers > 1 && distinctMembers && len(cone) > 1 {
-			invalidated = coneClearStriped(cells, cone, oldN, newM, colWorkers)
-		} else {
-			invalidated = coneClearSerial(cells, cone, oldN, oldM, newM)
-		}
+		carried = carryCopy(src, cells, oldN, oldM, newM, colWorkers)
+		invalidated = coneClear(cells, cone, oldN, newM, clearWorkers)
 		carried -= invalidated
 		return cells, carried, invalidated
 	}
@@ -312,127 +308,66 @@ func carriedSnapshot(name string, version uint64, g *chg.Graph, opts []core.Opti
 	}, true
 }
 
-// carryCopySerial copies every nonzero predecessor cell into the
-// successor column (rows re-strided from oldM to newM words) and
-// returns the count. Source reads are atomic — the predecessor is
-// still serving.
-func carryCopySerial(src, cells []uint64, oldN, oldM, newM int) int {
-	carried := 0
-	for c := 0; c < oldN; c++ {
-		srow, dst := src[c*oldM:(c+1)*oldM], cells[c*newM:]
-		for m := range srow {
-			if w := atomic.LoadUint64(&srow[m]); w != 0 {
-				dst[m] = w
-				carried++
+// carryCopy copies every nonzero predecessor cell into the successor
+// column (rows re-strided from oldM to newM words) and returns the
+// count, with workers stealing carryCopyStripe-sized class ranges.
+// Rows are partitioned by class, so workers write disjoint cells.
+// Source reads are atomic — the predecessor is still serving.
+func carryCopy(src, cells []uint64, oldN, oldM, newM, workers int) int {
+	stripes := (oldN + carryCopyStripe - 1) / carryCopyStripe
+	counts := make([]int, par.Workers(stripes, workers))
+	par.For(stripes, workers, func(w, i int) {
+		n := 0
+		for c := i * carryCopyStripe; c < min((i+1)*carryCopyStripe, oldN); c++ {
+			srow, dst := src[c*oldM:(c+1)*oldM], cells[c*newM:]
+			for m := range srow {
+				if v := atomic.LoadUint64(&srow[m]); v != 0 {
+					dst[m] = v
+					n++
+				}
 			}
 		}
-	}
-	return carried
+		counts[w] += n
+	})
+	return sum(counts)
 }
 
-// carryCopyStriped is carryCopySerial fanned out over workers stealing
-// carryCopyStripe-sized class ranges from an atomic counter. Rows are
-// partitioned by class, so workers write disjoint cells.
-func carryCopyStriped(src, cells []uint64, oldN, oldM, newM, workers int) int {
-	var next, carried atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			local := 0
-			for {
-				c0 := int(next.Add(carryCopyStripe)) - carryCopyStripe
-				if c0 >= oldN {
-					break
-				}
-				c1 := c0 + carryCopyStripe
-				if c1 > oldN {
-					c1 = oldN
-				}
-				for c := c0; c < c1; c++ {
-					srow, dst := src[c*oldM:(c+1)*oldM], cells[c*newM:]
-					for m := range srow {
-						if w := atomic.LoadUint64(&srow[m]); w != 0 {
-							dst[m] = w
-							local++
-						}
-					}
-				}
-			}
-			carried.Add(int64(local))
-		}()
-	}
-	wg.Wait()
-	return int(carried.Load())
-}
-
-// coneClearSerial zeroes the invalidation cone — for each entry, the
+// coneClear zeroes the invalidation cone — for each entry, the
 // member's cells at every cone class — and returns how many live cells
-// it cleared.
-func coneClearSerial(cells []uint64, cone []ConeEntry, oldN, oldM, newM int) int {
-	invalidated := 0
-	for _, ce := range cone {
-		m := int(ce.Member)
-		if m >= oldM || ce.Classes == nil {
-			continue
+// it cleared, with workers stealing whole entries. A bulk edit batch
+// arrives as one entry per edited member (InvalidationConeSince unions
+// the batch's cones per member first) and distinct members own
+// disjoint cells, so the caller passes workers > 1 only when the
+// entries' members are pairwise distinct. Entries whose member the
+// predecessor didn't know (ce.Member ≥ oldM) clear nothing: the copy
+// never wrote those cells.
+func coneClear(cells []uint64, cone []ConeEntry, oldN, newM, workers int) int {
+	counts := make([]int, par.Workers(len(cone), workers))
+	par.For(len(cone), workers, func(w, i int) {
+		ce := cone[i]
+		if ce.Classes == nil {
+			return
 		}
+		m := int(ce.Member)
+		n := 0
 		ce.Classes.ForEach(func(c int) {
 			if c >= oldN {
 				return
 			}
-			if i := c*newM + m; cells[i] != 0 {
-				cells[i] = 0
-				invalidated++
+			if j := c*newM + m; cells[j] != 0 {
+				cells[j] = 0
+				n++
 			}
 		})
-	}
-	return invalidated
+		counts[w] += n
+	})
+	return sum(counts)
 }
 
-// coneClearStriped zeroes the cone with workers stealing whole entries
-// from an atomic counter: a bulk edit batch arrives as one entry per
-// edited member (InvalidationConeSince unions the batch's cones per
-// member first), and distinct members own disjoint cells, so entries
-// parallelize without coordination. The caller guarantees member
-// distinctness. Entries whose member the predecessor didn't know
-// (ce.Member ≥ oldM) still clear nothing of value — the copy never
-// wrote those cells — but walking them is harmless, so no oldM guard
-// is needed beyond the class bound.
-func coneClearStriped(cells []uint64, cone []ConeEntry, oldN, newM, workers int) int {
-	var next, invalidated atomic.Int64
-	var wg sync.WaitGroup
-	if workers > len(cone) {
-		workers = len(cone)
+func sum(xs []int) int {
+	t := 0
+	for _, x := range xs {
+		t += x
 	}
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			local := 0
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(cone) {
-					break
-				}
-				ce := cone[i]
-				if ce.Classes == nil {
-					continue
-				}
-				m := int(ce.Member)
-				ce.Classes.ForEach(func(c int) {
-					if c >= oldN {
-						return
-					}
-					if j := c*newM + m; cells[j] != 0 {
-						cells[j] = 0
-						local++
-					}
-				})
-			}
-			invalidated.Add(int64(local))
-		}()
-	}
-	wg.Wait()
-	return int(invalidated.Load())
+	return t
 }

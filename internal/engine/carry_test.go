@@ -33,7 +33,7 @@ func randomEditableWorkspace(rng *rand.Rand, classes int) (*incremental.Workspac
 	for i := 0; i < classes; i++ {
 		var bases []incremental.BaseDecl
 		if len(ids) > 0 {
-			n := rng.Intn(min3(3, len(ids)) + 1)
+			n := rng.Intn(min(3, len(ids)) + 1)
 			perm := rng.Perm(len(ids))
 			for j := 0; j < n; j++ {
 				bases = append(bases, incremental.BaseDecl{
@@ -49,13 +49,6 @@ func randomEditableWorkspace(rng *rand.Rand, classes int) (*incremental.Workspac
 		ids = append(ids, id)
 	}
 	return w, ids
-}
-
-func min3(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }
 
 // randomMemberEdit applies one add/remove of a member declaration,
@@ -82,12 +75,12 @@ func warmSnapshot(s *Snapshot) {
 }
 
 // diffAgainstColdBuild pins every entry of the snapshot cell-for-cell
-// against a cold BuildTableBatched of the same graph with the same
+// against a cold BuildTable of the same graph with the same
 // options — carried snapshots must be indistinguishable from cold ones.
 func diffAgainstColdBuild(t *testing.T, label string, s *Snapshot, opts []core.Option) {
 	t.Helper()
 	g := s.Graph()
-	table := core.NewKernel(g, opts...).BuildTableBatched(0)
+	table := core.NewKernel(g, opts...).BuildTable()
 	for c := 0; c < g.NumClasses(); c++ {
 		for m := 0; m < g.NumMemberNames(); m++ {
 			got := s.Lookup(chg.ClassID(c), chg.MemberID(m))

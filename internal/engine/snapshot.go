@@ -171,11 +171,11 @@ func (s *Snapshot) LookupByName(class, member string) core.Result {
 }
 
 // Table returns the snapshot's eagerly tabulated lookup function,
-// building it on first use. The build runs the kernel's support-pruned
-// batched tabulation once (all available workers); the resulting Table
-// is immutable and shared by all callers.
+// building it on first use. The build runs core.BuildSemTable over the
+// kernel once (all available workers); the resulting Table is
+// immutable and shared by all callers.
 func (s *Snapshot) Table() *core.Table {
-	s.tableOnce.Do(func() { s.table = s.k.BuildTableBatched(0) })
+	s.tableOnce.Do(func() { s.table = core.BuildSemTable(s.k, 0) })
 	return s.table
 }
 

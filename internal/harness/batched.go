@@ -9,9 +9,10 @@ package harness
 //   - eager:   the entry-major pass of core.BuildTable — already
 //     Σ|supp(m)|-proportional, but paying a per-entry closure, a
 //     binary-search base lookup, and fresh resolve buffers;
-//   - batched: core.BuildTableBatched — 64-member blocks over the
+//   - batched: core.BuildSemTable — 64-member blocks over the
 //     membership bit matrix, one topo walk per block with zero-mask
-//     skipping, per-worker reusable scratch, and O(1) column reads.
+//     skipping, per-worker reusable scratch, and O(1) column reads (at
+//     these sizes the default budget holds every block in one chunk).
 //
 // Alongside wall-clock it reports the analytic work profile
 // (core.MeasureTableBuildWork): how many (class, block) slots the
@@ -61,8 +62,8 @@ func TableBuildStrategies() []TableBuildStrategy {
 	return []TableBuildStrategy{
 		{"naive", func(k *core.Kernel) *core.Table { return k.BuildTableUnpruned() }},
 		{"eager", func(k *core.Kernel) *core.Table { return k.BuildTable() }},
-		{"batched-1", func(k *core.Kernel) *core.Table { return k.BuildTableBatched(1) }},
-		{"batched-n", func(k *core.Kernel) *core.Table { return k.BuildTableBatched(0) }},
+		{"batched-1", func(k *core.Kernel) *core.Table { return core.BuildSemTable(k, 1) }},
+		{"batched-n", func(k *core.Kernel) *core.Table { return core.BuildSemTable(k, 0) }},
 	}
 }
 

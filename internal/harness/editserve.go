@@ -2,18 +2,14 @@ package harness
 
 // E15 measures the edit→serve hot path: a single-member edit on a
 // large warm hierarchy, followed by a republish and a full requery of
-// the served table. Three serving strategies compete:
+// the served table. Two serving strategies compete:
 //
 //   - warm-carry:   engine.WorkspaceBinding.Sync — the workspace's
 //     edit log yields the exact invalidation cone and UpdateCarried
 //     seeds the new snapshot with every surviving packed cell, so
 //     only cone entries refill;
-//   - cold-rebuild: freeze + engine.Update — the pre-PR5 path, every
-//     entry of the new snapshot refills lazily from scratch;
-//   - map-cache:    the legacy incremental design, reconstructed here
-//     for comparison — a map[(class,member)]Result cache invalidated
-//     by a recursive walk over direct-derived edges, misses resolved
-//     against a fresh analyzer per freeze.
+//   - cold-rebuild: freeze + engine.Update — every entry of the new
+//     snapshot refills lazily from scratch.
 //
 // Alongside wall-clock per edit→requery round it reports the fraction
 // of the warm cache that survives each carry (CarryStats), the axis
@@ -25,7 +21,6 @@ import (
 	"time"
 
 	"cpplookup/internal/chg"
-	"cpplookup/internal/core"
 	"cpplookup/internal/engine"
 	"cpplookup/internal/hiergen"
 	"cpplookup/internal/incremental"
@@ -104,7 +99,6 @@ func EditRelookupStrategies() []EditRelookupStrategy {
 	return []EditRelookupStrategy{
 		{"warm-carry", setupWarmCarry},
 		{"cold-rebuild", setupColdRebuild},
-		{"map-cache", setupMapCache},
 	}
 }
 
@@ -166,70 +160,6 @@ func setupColdRebuild(g *chg.Graph) (*EditRelookupSession, error) {
 	}, nil
 }
 
-// setupMapCache reconstructs the pre-PR5 incremental cache: results
-// keyed by (class, member) in a Go map, an edit invalidated by
-// recursively deleting the member's entry for the edited class and
-// every transitive derived class (no descendant sets — the walk
-// rediscovers reachability through direct-derived edges each time),
-// and misses resolved against an analyzer over the latest freeze.
-// Member ids are freeze-stable, so cache keys survive republishes
-// exactly as they did in the old workspace.
-func setupMapCache(g *chg.Graph) (*EditRelookupSession, error) {
-	w, err := incremental.FromGraph(g)
-	if err != nil {
-		return nil, err
-	}
-	type key struct {
-		c chg.ClassID
-		m chg.MemberID
-	}
-	cache := map[key]core.Result{}
-	cur, err := w.Snapshot()
-	if err != nil {
-		return nil, err
-	}
-	resolver := core.New(cur)
-	serve := func() {
-		for c := 0; c < cur.NumClasses(); c++ {
-			for m := 0; m < cur.NumMemberNames(); m++ {
-				k := key{chg.ClassID(c), chg.MemberID(m)}
-				if _, ok := cache[k]; ok {
-					continue
-				}
-				cache[k] = resolver.Lookup(k.c, k.m)
-			}
-		}
-	}
-	var invalidate func(c chg.ClassID, m chg.MemberID)
-	invalidate = func(c chg.ClassID, m chg.MemberID) {
-		delete(cache, key{c, m})
-		for _, d := range cur.DirectDerived(c) {
-			invalidate(d, m)
-		}
-	}
-	serve()
-	c, name := editTarget(g)
-	present := declaresName(g, c, name)
-	return &EditRelookupSession{
-		Step: func() {
-			present = toggleMember(w, c, name, present)
-			g2, err := w.Snapshot()
-			if err != nil {
-				panic(err)
-			}
-			cur = g2
-			resolver = core.New(cur)
-			mid, ok := cur.MemberID(name)
-			if !ok {
-				panic("edit-relookup: toggled member name vanished from the freeze")
-			}
-			invalidate(c, mid)
-			serve()
-		},
-		Carry: func() engine.CarryStats { return engine.CarryStats{} },
-	}, nil
-}
-
 // toggleMember flips the presence of a Method declaration and returns
 // the new presence.
 func toggleMember(w *incremental.Workspace, c chg.ClassID, name string, present bool) bool {
@@ -259,12 +189,10 @@ func RunE15(w io.Writer) error {
 	fmt.Fprintln(w, "Edit→serve hot path: one member edit on a fully warm hierarchy, then")
 	fmt.Fprintln(w, "republish and requery the whole served table. warm-carry copies every")
 	fmt.Fprintln(w, "surviving packed cell into the new snapshot and refills only the")
-	fmt.Fprintln(w, "invalidation cone; cold-rebuild refills everything; map-cache is the")
-	fmt.Fprintln(w, "reconstructed pre-carry design (hash-map entries, recursive edge-walk")
-	fmt.Fprintln(w, "invalidation).")
+	fmt.Fprintln(w, "invalidation cone; cold-rebuild refills everything.")
 	fmt.Fprintln(w)
 
-	t := newTable("hierarchy", "|N|", "|M|", "warm-carry", "cold-rebuild", "map-cache", "vs cold", "vs map", "survival")
+	t := newTable("hierarchy", "|N|", "|M|", "warm-carry", "cold-rebuild", "vs cold", "survival")
 	for _, cfg := range EditRelookupConfigs() {
 		g := cfg.Make()
 		times := map[string]time.Duration{}
@@ -281,9 +209,8 @@ func RunE15(w io.Writer) error {
 			}
 		}
 		t.add(cfg.Name, g.NumClasses(), g.NumMemberNames(),
-			times["warm-carry"], times["cold-rebuild"], times["map-cache"],
+			times["warm-carry"], times["cold-rebuild"],
 			fmt.Sprintf("%.2fx", float64(times["cold-rebuild"])/float64(times["warm-carry"])),
-			fmt.Sprintf("%.2fx", float64(times["map-cache"])/float64(times["warm-carry"])),
 			fmt.Sprintf("%.1f%%", 100*survival))
 	}
 	t.write(w)

@@ -116,10 +116,3 @@ func TestGenSourceRoundTrips(t *testing.T) {
 		t.Errorf("round-tripped classes = %d, want %d", u.Graph.NumClasses(), g.NumClasses())
 	}
 }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}

@@ -17,6 +17,7 @@ import (
 	"cpplookup/internal/core"
 	"cpplookup/internal/cpp/parser"
 	"cpplookup/internal/cpp/sema"
+	"cpplookup/internal/engine"
 	"cpplookup/internal/gxx"
 	"cpplookup/internal/hiergen"
 	"cpplookup/internal/incremental"
@@ -400,9 +401,10 @@ func RunA3(w io.Writer) error {
 	return nil
 }
 
-// RunA4 measures the incremental-maintenance extension
-// (internal/incremental): after an edit, how much is recomputed and
-// how does edit+relookup compare to a batch rebuild.
+// RunA4 measures the incremental-maintenance extension: after an edit
+// to a workspace (internal/incremental) bound to an engine, how much
+// of the warm snapshot the carried republish keeps and refills, and
+// how edit+relookup compares to a batch rebuild.
 func RunA4(w io.Writer) error {
 	const depth = 200
 	build := func() (*incremental.Workspace, []chg.ClassID) {
@@ -426,41 +428,57 @@ func RunA4(w io.Writer) error {
 		return ws, ids
 	}
 
-	// Recomputation cone: edit at depth d → depth-d entries recomputed.
-	ws, ids := build()
-	for _, c := range ids {
-		ws.Lookup(c, "m")
+	// relookup queries m at every class of the chain and returns how
+	// many cells the queries filled.
+	relookup := func(s *engine.Snapshot, ids []chg.ClassID) int {
+		before := s.CachedEntries()
+		m := s.Graph().MustMemberID("m")
+		for _, c := range ids {
+			s.Lookup(c, m)
+		}
+		return s.CachedEntries() - before
 	}
-	t := newTable("edit at depth", "entries invalidated", "entries recomputed")
+	sync := func(b *engine.WorkspaceBinding) *engine.Snapshot {
+		s, err := b.Sync()
+		if err != nil {
+			panic(err)
+		}
+		return s
+	}
+
+	// Recomputation cone: edit at depth d → depth-d entries refilled,
+	// the rest carried warm.
+	ws, ids := build()
+	b, snap, err := engine.New().BindWorkspace("a4", ws)
+	if err != nil {
+		return err
+	}
+	relookup(snap, ids)
+	t := newTable("edit at depth", "entries carried", "entries invalidated", "entries refilled")
 	for _, d := range []int{50, 150, 199} {
-		before := ws.Stats()
 		if err := ws.AddMember(ids[d], chg.Member{Name: "m", Kind: chg.Method}); err != nil {
 			return err
 		}
-		for _, c := range ids {
-			ws.Lookup(c, "m")
-		}
-		mid := ws.Stats()
-		t.add(d, mid.Invalidations-before.Invalidations, mid.Misses-before.Misses)
+		snap = sync(b)
+		st := snap.Carry()
+		t.add(d, st.Carried, st.Invalidated, relookup(snap, ids))
 		if err := ws.RemoveMember(ids[d], "m"); err != nil {
 			return err
 		}
-		for _, c := range ids {
-			ws.Lookup(c, "m")
-		}
+		relookup(sync(b), ids)
 	}
 	t.write(w)
 
 	// Throughput: toggle an override at depth 150 and re-query all.
 	incT := timePerOp(measureBudget, func() {
 		w2, ids2 := build()
-		for _, c := range ids2 {
-			w2.Lookup(c, "m")
+		b2, s, err := engine.New().BindWorkspace("a4", w2)
+		if err != nil {
+			panic(err)
 		}
+		relookup(s, ids2)
 		w2.AddMember(ids2[150], chg.Member{Name: "m", Kind: chg.Method})
-		for _, c := range ids2 {
-			w2.Lookup(c, "m")
-		}
+		relookup(sync(b2), ids2)
 	})
 	batchT := timePerOp(measureBudget, func() {
 		w2, ids2 := build()
@@ -485,16 +503,9 @@ func RunA4(w io.Writer) error {
 		}
 	})
 	t2 := newTable("strategy", "build + edit + relookup")
-	t2.add("incremental workspace", incT)
+	t2.add("incremental workspace + warm carry", incT)
 	t2.add("batch rebuild per edit", batchT)
 	t2.write(w)
-	fmt.Fprintln(w, "  → an edit recomputes only its descendant cone for that member name; batch rebuilds pay the whole hierarchy.")
+	fmt.Fprintln(w, "  → an edit refills only its descendant cone for that member name; batch rebuilds pay the whole hierarchy.")
 	return nil
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -3,8 +3,9 @@ package harness
 // E19 measures the 100k-class scale jump: whole-table construction
 // and bulk-edit serving sessions on hiergen.Giant hierarchies.
 //
-// Build side: the streaming builder (core.BuildTableStreamed) against
-// the monolithic batched build. Both produce cell-for-cell identical
+// Build side: the streaming builder (core.BuildSemTableStreamed under
+// the default budget) against the monolithic batched build (the same
+// builder with an unbounded budget). Both produce cell-for-cell identical
 // tables; the axis is transient memory — the batched build
 // materializes 2·|N|·|M|/8 bytes of membership matrices (quadratic
 // when |M| tracks |N|), the streamed build holds a fixed
@@ -23,6 +24,7 @@ package harness
 import (
 	"fmt"
 	"io"
+	"math"
 	"math/rand"
 	"runtime"
 	"time"
@@ -157,10 +159,11 @@ func measureBuild(g *chg.Graph, strategy string) ScaleBuildResult {
 	var st core.StreamStats
 	switch strategy {
 	case "streamed-build":
-		tab, st = core.NewKernel(g).BuildTableStreamed(core.StreamOptions{})
+		tab, st = core.BuildSemTableStreamed(core.NewKernel(g), core.StreamOptions{})
 	case "batched-build":
-		tab = core.NewKernel(g).BuildTableBatched(1)
-		st.Entries = tab.Entries()
+		// The unbounded budget holds every block in one chunk: the
+		// monolithic build, membership matrices materialized whole.
+		tab, st = core.BuildSemTableStreamed(core.NewKernel(g), core.StreamOptions{Workers: 1, MemoryBudget: math.MaxInt64})
 	default:
 		panic("unknown scale build strategy " + strategy)
 	}

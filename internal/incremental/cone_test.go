@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"cpplookup/internal/chg"
-	"cpplookup/internal/core"
 )
 
 // The incrementally maintained descendant sets must agree with the
@@ -126,123 +125,6 @@ func TestInvalidationConeSince(t *testing.T) {
 	if cones, ok = w.InvalidationConeSince(recent); !ok || len(cones) != 1 {
 		t.Errorf("recent window after trim: got %v, %v", cones, ok)
 	}
-}
-
-// A 10k-edit session with heavy payload churn must keep the pool
-// bounded: invalidated blue sets become garbage, and freeze-time
-// compaction chains to a fresh pool before the garbage outgrows the
-// threshold regime. Without compaction the pool would grow with the
-// number of distinct blue sets ever produced (thousands here).
-func TestPoolBoundedAcrossLongEditSession(t *testing.T) {
-	w := New()
-	const roots = 16
-	var rs []chg.ClassID
-	var decls []BaseDecl
-	for i := 0; i < roots; i++ {
-		r, err := w.AddClass(fmt.Sprintf("R%d", i), nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		rs = append(rs, r)
-		decls = append(decls, BaseDecl{Class: r, Virtual: true})
-	}
-	leaf, err := w.AddClass("Leaf", decls)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	rng := rand.New(rand.NewSource(7))
-	declared := make([]bool, roots)
-	method := chg.Member{Name: "m", Kind: chg.Method}
-	for edit := 0; edit < 10000; edit++ {
-		i := rng.Intn(roots)
-		if declared[i] {
-			if err := w.RemoveMember(rs[i], "m"); err != nil {
-				t.Fatal(err)
-			}
-		} else {
-			if err := w.AddMember(rs[i], method); err != nil {
-				t.Fatal(err)
-			}
-		}
-		declared[i] = !declared[i]
-		w.Lookup(leaf, "m") // produce (and cache) a blue/red payload
-		if edit%64 == 0 {
-			if _, err := w.Snapshot(); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	if _, err := w.Snapshot(); err != nil {
-		t.Fatal(err)
-	}
-
-	st := w.Stats()
-	if st.PoolCompactions == 0 {
-		t.Fatalf("no pool compaction happened in 10k edits (pool size %d)", w.PoolSize())
-	}
-	total := w.PoolSize() + st.PoolPayloadsDropped
-	if total < 1000 {
-		t.Fatalf("session generated only %d distinct payloads; churn too low to test boundedness", total)
-	}
-	// Retained payloads stay bounded by the compaction regime: the
-	// live set plus at most the garbage accumulated since the last
-	// freeze window. 10k edits with ~64 edits between freezes keeps
-	// this far below the thousands of payloads produced overall.
-	if w.PoolSize() > 1000 {
-		t.Errorf("pool retained %d payloads after 10k edits (dropped %d, compactions %d); not bounded",
-			w.PoolSize(), st.PoolPayloadsDropped, st.PoolCompactions)
-	}
-	checkAgainstBatch(t, w, "after 10k-edit session")
-}
-
-// Compacting the pool must not change any cached answer.
-func TestPoolCompactionPreservesResults(t *testing.T) {
-	old := poolCompactMinGarbage
-	poolCompactMinGarbage = 1
-	defer func() { poolCompactMinGarbage = old }()
-
-	w := New()
-	const roots = 10
-	var rs []chg.ClassID
-	var decls []BaseDecl
-	for i := 0; i < roots; i++ {
-		r, _ := w.AddClass(fmt.Sprintf("A%d", i), nil)
-		rs = append(rs, r)
-		decls = append(decls, BaseDecl{Class: r, Virtual: true})
-	}
-	d, _ := w.AddClass("D", decls)
-	method := chg.Member{Name: "m", Kind: chg.Method}
-	w.AddMember(rs[0], method)
-	w.AddMember(rs[1], method)
-	if r := w.Lookup(d, "m"); r.Kind() != core.BlueKind {
-		t.Fatalf("lookup(D, m) = %v, want blue", r)
-	}
-
-	// Churn distinct payloads into garbage: each round declares a
-	// member in a different pair of virtual roots, so each blue set
-	// {R_i, R_i+1} is a distinct interned payload, then invalidates it.
-	for i := 0; i+1 < roots; i++ {
-		name := fmt.Sprintf("x%d", i)
-		mem := chg.Member{Name: name, Kind: chg.Method}
-		w.AddMember(rs[i], mem)
-		w.AddMember(rs[i+1], mem)
-		w.Lookup(d, name)
-		w.RemoveMember(rs[i], name)
-		w.RemoveMember(rs[i+1], name)
-	}
-	before := w.Lookup(d, "m")
-	if _, err := w.Snapshot(); err != nil {
-		t.Fatal(err)
-	}
-	if w.Stats().PoolCompactions == 0 {
-		t.Fatal("expected a compaction with threshold 1")
-	}
-	after := w.Lookup(d, "m")
-	if !after.Equal(before) {
-		t.Fatalf("compaction changed the answer: %v vs %v", after, before)
-	}
-	checkAgainstBatch(t, w, "after forced compaction")
 }
 
 func TestEditsSinceAndDeclaresName(t *testing.T) {

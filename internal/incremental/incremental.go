@@ -1,35 +1,31 @@
-// Package incremental maintains member-lookup results across class
-// hierarchy edits — the "lookup table maintenance" a compiler driver
-// or IDE needs when declarations are added and removed between
-// queries. The paper computes its table for a fixed hierarchy; this
-// package extends the algorithm with the dependency structure needed
-// to keep answers valid under edits, re-deriving only what an edit
-// can affect.
+// Package incremental holds a class hierarchy that changes between
+// queries — the declarations a compiler driver or IDE adds and removes
+// — together with the dependency structure that says which lookup
+// results each edit can change. It answers no lookups itself:
+// engine.BindWorkspace freezes the workspace into snapshots and serves
+// every lookup through the one Figure 8 kernel, carrying each cached
+// result an edit cannot have changed warm into the next snapshot.
 //
-// The key observation is the same one that makes Figure 8 a single
-// topological pass: lookup[C, m] depends only on the declarations of
-// the *same* member name m in C and C's ancestors. Hence:
+// The dependency structure is the same observation that makes Figure 8
+// a single topological pass: lookup[C, m] depends only on the
+// declarations of the *same* member name m in C and C's ancestors.
+// Hence:
 //
 //   - adding a class (C++ classes are closed at definition, so edges
 //     never appear later) invalidates nothing;
 //   - adding or removing a declaration of m in class X invalidates
 //     exactly the entries (D, m) with D = X or D a descendant of X.
 //
-// That cone is materialised directly: the workspace maintains the
-// strict-descendant set of every class as an internal/bitset word
-// vector (AddClass unions the new class into each ancestor's set),
-// and the result cache is a per-member-name column of packed
-// core.Cell words gated by a "filled" bitset over the same universe.
-// A cache hit is an index and a word load; an edit at (X, m) clears
-// the cone with O(|N|/64) word operations — filled[m] &^= desc[X] —
-// instead of hashing and deleting entries one by one.
+// The workspace maintains the strict-descendant set of every class as
+// an internal/bitset word vector (AddClass unions the new class into
+// each ancestor's set) and logs every edit; InvalidationConeSince
+// replays the log into the exact per-member cones between two
+// generations, which is what the engine's warm carry clears.
 //
-// A Workspace keeps this mutable state single-writer; Snapshot
-// freezes the current hierarchy into an immutable chg.Graph (with
-// class and member ids stable across freezes) so results can be
-// cross-checked against the batch algorithm (internal/core) and
-// served through internal/engine, whose warm-cache carry-over builds
-// on the same cone via InvalidationConeSince.
+// A Workspace is single-writer; Snapshot freezes the current hierarchy
+// into an immutable chg.Graph with class and member ids stable across
+// freezes, so the engine can copy cached cells between successive
+// snapshots by (class, member) index.
 package incremental
 
 import (
@@ -38,7 +34,6 @@ import (
 
 	"cpplookup/internal/bitset"
 	"cpplookup/internal/chg"
-	"cpplookup/internal/core"
 )
 
 // BaseDecl names one direct base in an AddClass call.
@@ -47,42 +42,18 @@ type BaseDecl struct {
 	Virtual bool
 }
 
-// Stats counts cache and pool behaviour; the benchmarks report these.
-type Stats struct {
-	Hits          int // Lookup answered from cache
-	Misses        int // Lookup computed (including recursive fills)
-	Invalidations int // cache entries dropped by edits
-
-	// Pool lifecycle counters. Dropped cache entries leave their
-	// interned payloads behind (a core.Pool only grows); when that
-	// garbage exceeds the compaction threshold at freeze time the
-	// workspace chains to a fresh pool, re-interning only the payloads
-	// live cache entries still reference.
-	PoolCompactions     int // times the payload pool was chained + compacted
-	PoolPayloadsDropped int // garbage payloads shed by those compactions
-}
-
 // Edit-log sizing: the log lets a publisher (engine.WorkspaceBinding)
 // ask for the exact invalidation cone between two generations. It is
 // bounded; when trimmed past a publisher's last generation the
 // publisher falls back to a cold republish.
 const maxEditLog = 8192
 
-// Pool compaction thresholds (vars so tests can force the path).
-// Compaction runs at freeze time when the garbage both exceeds the
-// floor and outnumbers the live payloads — re-interning is O(live),
-// so this keeps amortised compaction cost below the interning work
-// that produced the garbage.
-var (
-	poolCompactMinGarbage = 128
-)
-
 // LazyConeLimit is the class count past which a workspace stops
 // maintaining dense per-class ancestor/descendant bitsets — 2·n²/64
 // words, ~2.5 GB at 100k classes, quadratic against the linear table
 // it guards — and switches to computing invalidation cones on demand
 // with a BFS over the derived lists. The BFS costs O(|cone| · degree)
-// per edit instead of O(n/64) words, which at scale is far smaller:
+// per cone instead of O(n/64) words, which at scale is far smaller:
 // real cones are tiny fractions of the hierarchy. Crossing the limit
 // frees the dense sets; a var so tests can force either mode.
 var LazyConeLimit = 1 << 14
@@ -135,7 +106,7 @@ type MemberCone struct {
 	Classes *bitset.Set
 }
 
-// Workspace is a mutable hierarchy with memoized lookups.
+// Workspace is a mutable hierarchy with a bounded edit log.
 type Workspace struct {
 	names   []string
 	byName  map[string]chg.ClassID
@@ -146,10 +117,6 @@ type Workspace struct {
 	memberNames []string
 	memberIDs   map[string]chg.MemberID
 
-	// vbases[c] is the set of virtual bases of c, maintained
-	// incrementally with the same recurrence chg.Builder uses.
-	vbases []map[chg.ClassID]bool
-
 	// univ is the shared bitset universe (class-id capacity, grown by
 	// doubling); anc[c] / desc[c] are the strict ancestor/descendant
 	// sets of c, maintained incrementally: AddClass(D) computes
@@ -157,29 +124,13 @@ type Workspace struct {
 	// desc[a] for each ancestor a. desc[X] is exactly the paper-given
 	// invalidation cone of an edit in X (minus X itself).
 	// Past LazyConeLimit classes, lazy flips on: anc/desc are freed
-	// and cones are computed per edit by coneFrom's BFS over derived,
-	// reusing coneScratch and bfsQueue across edits.
-	univ        int
-	anc         []*bitset.Set
-	desc        []*bitset.Set
-	lazy        bool
-	coneScratch *bitset.Set
-	bfsQueue    []chg.ClassID
-
-	// The result cache: cols[m] is a packed-cell column indexed by
-	// class id, filled[m] the set of classes whose entry is valid.
-	// Both are nil until member name m is first cached. Invalidation
-	// clears filled bits word-parallel and leaves the stale cells in
-	// place — the filled gate makes them unreachable.
-	cols   [][]core.Cell
-	filled []*bitset.Set
-
-	// pool interns the rare payloads (blue sets) of the workspace's
-	// own results; cached entries are packed views over it. Entries
-	// dropped by invalidation keep their interned payloads until a
-	// freeze-time compaction chains to a fresh pool.
-	pool  *core.Pool
-	stats Stats
+	// and cones are computed by coneFrom's BFS over derived, reusing
+	// bfsQueue across calls.
+	univ     int
+	anc      []*bitset.Set
+	desc     []*bitset.Set
+	lazy     bool
+	bfsQueue []chg.ClassID
 
 	// editLog records hierarchy edits so a publisher can compute the
 	// exact cone (and consumers the edit kinds) between two
@@ -204,33 +155,11 @@ func New() *Workspace {
 	return &Workspace{
 		byName:    make(map[string]chg.ClassID),
 		memberIDs: make(map[string]chg.MemberID),
-		pool:      core.NewPool(),
 	}
 }
 
 // NumClasses returns the number of classes defined so far.
 func (w *Workspace) NumClasses() int { return len(w.names) }
-
-// Stats returns cache counters.
-func (w *Workspace) Stats() Stats { return w.stats }
-
-// PoolSize returns the number of distinct payloads the current pool
-// holds — live plus not-yet-compacted garbage. The pool-boundedness
-// tests watch this across long edit sessions.
-func (w *Workspace) PoolSize() int { return w.pool.Len() }
-
-// CachedEntries returns how many (class, member) results the cache
-// currently holds — the survivor count the carry-over experiments
-// report.
-func (w *Workspace) CachedEntries() int {
-	n := 0
-	for _, f := range w.filled {
-		if f != nil {
-			n += f.Count()
-		}
-	}
-	return n
-}
 
 // Generation counts the edits applied so far (class additions, member
 // additions and removals). Publishers — e.g. an engine workspace
@@ -265,40 +194,19 @@ func (w *Workspace) Descendants(c chg.ClassID) *bitset.Set {
 // descendant sets.
 func (w *Workspace) LazyCones() bool { return w.lazy }
 
-// ensureUniv grows the shared bitset universe (and every structure
-// indexed by class id over it) to hold at least n classes. Doubling
-// keeps the amortised cost of growth linear.
+// ensureUniv grows the shared bitset universe (and every set over it)
+// to hold at least n classes. Doubling keeps the amortised cost of
+// growth linear.
 func (w *Workspace) ensureUniv(n int) {
 	if n <= w.univ {
 		return
 	}
-	nu := w.univ * 2
-	if nu < 64 {
-		nu = 64
-	}
-	if nu < n {
-		nu = n
-	}
+	nu := max(w.univ*2, 64, n)
 	for _, s := range w.anc {
 		s.Grow(nu)
 	}
 	for _, s := range w.desc {
 		s.Grow(nu)
-	}
-	for _, f := range w.filled {
-		if f != nil {
-			f.Grow(nu)
-		}
-	}
-	for m, col := range w.cols {
-		if col != nil {
-			nc := make([]core.Cell, nu)
-			copy(nc, col)
-			w.cols[m] = nc
-		}
-	}
-	if w.coneScratch != nil {
-		w.coneScratch.Grow(nu)
 	}
 	w.univ = nu
 }
@@ -308,8 +216,8 @@ func (w *Workspace) ensureUniv(n int) {
 // definition time, so no existing lookup result can change: nothing
 // is invalidated. The class's ancestor set is computed here and the
 // class is unioned into every ancestor's descendant set — the
-// incremental maintenance that keeps edit-time cone clearing a pure
-// bitset operation.
+// incremental maintenance that keeps cone computation a pure bitset
+// operation.
 func (w *Workspace) AddClass(name string, bases []BaseDecl) (chg.ClassID, error) {
 	if name == "" {
 		return 0, fmt.Errorf("incremental: empty class name")
@@ -331,22 +239,17 @@ func (w *Workspace) AddClass(name string, bases []BaseDecl) (chg.ClassID, error)
 	w.names = append(w.names, name)
 	w.byName[name] = id
 	w.ensureUniv(len(w.names))
-	vb := map[chg.ClassID]bool{}
 	var a *bitset.Set
 	if !w.lazy {
 		a = bitset.New(w.univ)
 	}
-	var edges []chg.Edge
+	edges := make([]chg.Edge, 0, len(bases))
 	for _, b := range bases {
 		kind := chg.NonVirtual
 		if b.Virtual {
 			kind = chg.Virtual
-			vb[b.Class] = true
 		}
 		edges = append(edges, chg.Edge{Base: b.Class, Kind: kind})
-		for v := range w.vbases[b.Class] {
-			vb[v] = true
-		}
 		w.derived[b.Class] = append(w.derived[b.Class], id)
 		if a != nil {
 			a.Add(int(b.Class))
@@ -356,7 +259,6 @@ func (w *Workspace) AddClass(name string, bases []BaseDecl) (chg.ClassID, error)
 	w.bases = append(w.bases, edges)
 	w.derived = append(w.derived, nil)
 	w.members = append(w.members, map[chg.MemberID]chg.Member{})
-	w.vbases = append(w.vbases, vb)
 	if a != nil {
 		w.anc = append(w.anc, a)
 		w.desc = append(w.desc, bitset.New(w.univ))
@@ -370,7 +272,6 @@ func (w *Workspace) AddClass(name string, bases []BaseDecl) (chg.ClassID, error)
 		}
 	}
 	w.logEdit(EditAddClass, id, 0)
-	w.edited()
 	return id, nil
 }
 
@@ -398,24 +299,7 @@ func (w *Workspace) coneFrom(out *bitset.Set, seeds ...chg.ClassID) {
 	w.bfsQueue = q[:0]
 }
 
-// scratchCone returns the reusable, cleared cone scratch set.
-func (w *Workspace) scratchCone() *bitset.Set {
-	if w.coneScratch == nil {
-		w.coneScratch = bitset.New(w.univ)
-	} else {
-		w.coneScratch.ClearWords(0, w.coneScratch.NumWords())
-	}
-	return w.coneScratch
-}
-
-// edited marks the hierarchy as changed since the last Snapshot.
-func (w *Workspace) edited() {
-	w.gen++
-	w.frozen = nil
-}
-
-// AddMember declares member m directly in class c, invalidating the
-// affected entries.
+// AddMember declares member m directly in class c.
 func (w *Workspace) AddMember(c chg.ClassID, m chg.Member) error {
 	if err := w.checkClass(c); err != nil {
 		return err
@@ -428,13 +312,11 @@ func (w *Workspace) AddMember(c chg.ClassID, m chg.Member) error {
 		return fmt.Errorf("incremental: %s::%s already declared", w.names[c], m.Name)
 	}
 	w.members[c][id] = m
-	w.invalidate(EditAddMember, c, id)
-	w.edited()
+	w.logEdit(EditAddMember, c, id)
 	return nil
 }
 
-// RemoveMember deletes the direct declaration of name in c,
-// invalidating the affected entries.
+// RemoveMember deletes the direct declaration of name in c.
 func (w *Workspace) RemoveMember(c chg.ClassID, name string) error {
 	if err := w.checkClass(c); err != nil {
 		return err
@@ -447,45 +329,16 @@ func (w *Workspace) RemoveMember(c chg.ClassID, name string) error {
 		return fmt.Errorf("incremental: %s does not declare %s", w.names[c], name)
 	}
 	delete(w.members[c], id)
-	w.invalidate(EditRemoveMember, c, id)
-	w.edited()
+	w.logEdit(EditRemoveMember, c, id)
 	return nil
 }
 
-// invalidate drops cache entries (d, m) for c and every descendant d:
-// one word-parallel subtraction of the maintained descendant set from
-// the member's filled set. Stale cells stay in the column — the
-// filled gate is what makes an entry live — so nothing is hashed,
-// walked, or freed per entry. The edit is logged so publishers can
-// reconstruct the cone later.
-func (w *Workspace) invalidate(kind EditKind, c chg.ClassID, m chg.MemberID) {
-	if f := w.filled[m]; f != nil {
-		if w.lazy {
-			cone := w.scratchCone()
-			w.coneFrom(cone, c)
-			if n := f.CountAnd(cone); n > 0 {
-				w.stats.Invalidations += n
-				f.DifferenceWith(cone)
-			}
-		} else {
-			n := f.CountAnd(w.desc[c])
-			if f.Has(int(c)) {
-				n++
-			}
-			if n > 0 {
-				w.stats.Invalidations += n
-				f.DifferenceWith(w.desc[c])
-				f.Remove(int(c))
-			}
-		}
-	}
-	w.logEdit(kind, c, m)
-}
-
-// logEdit appends the edit (taking effect at generation gen+1 —
-// edited() runs after the invalidation) and bounds the log.
+// logEdit records an applied edit as the next generation, bounds the
+// log, and drops the cached freeze.
 func (w *Workspace) logEdit(kind EditKind, c chg.ClassID, m chg.MemberID) {
-	w.editLog = append(w.editLog, Edit{gen: w.gen + 1, Kind: kind, Class: c, Member: m})
+	w.gen++
+	w.frozen = nil
+	w.editLog = append(w.editLog, Edit{gen: w.gen, Kind: kind, Class: c, Member: m})
 	if len(w.editLog) > maxEditLog {
 		drop := len(w.editLog) / 2
 		w.logFloor = w.editLog[drop-1].gen
@@ -570,142 +423,6 @@ func (w *Workspace) DeclaresName(c chg.ClassID, name string) bool {
 	return declared
 }
 
-// Lookup resolves member `name` in class c, reusing every cached
-// entry an edit has not touched.
-func (w *Workspace) Lookup(c chg.ClassID, name string) core.Result {
-	if err := w.checkClass(c); err != nil {
-		return core.UndefinedResult()
-	}
-	id, ok := w.memberIDs[name]
-	if !ok {
-		return core.UndefinedResult()
-	}
-	return w.lookup(c, id)
-}
-
-// cached reports whether entry (c, m) is currently live in the cache
-// (white-box introspection for the invalidation tests).
-func (w *Workspace) cached(c chg.ClassID, m chg.MemberID) bool {
-	f := w.filled[m]
-	return f != nil && f.Has(int(c))
-}
-
-// lookup is the cached entry point: a hit is a bitset probe and one
-// word load from the member's packed column — the same shape as the
-// engine snapshot's warm path.
-func (w *Workspace) lookup(c chg.ClassID, m chg.MemberID) core.Result {
-	if f := w.filled[m]; f != nil && f.Has(int(c)) {
-		w.stats.Hits++
-		return w.pool.View(w.cols[m][c])
-	}
-	w.stats.Misses++
-	r := w.resolve(c, m)
-	if w.cols[m] == nil {
-		w.cols[m] = make([]core.Cell, w.univ)
-		w.filled[m] = bitset.New(w.univ)
-	}
-	w.cols[m][c] = r.Cell()
-	w.filled[m].Add(int(c))
-	return r
-}
-
-// resolve is Figure 8's per-entry body against the mutable hierarchy
-// (without the static rule or path tracking; use the batch analyzer
-// for those).
-func (w *Workspace) resolve(c chg.ClassID, m chg.MemberID) core.Result {
-	if _, declared := w.members[c][m]; declared {
-		return w.pool.Red(core.Def{L: c, V: chg.Omega})
-	}
-	var blue []core.Def
-	addBlue := func(d core.Def) {
-		for _, e := range blue {
-			if e.V == d.V {
-				return
-			}
-		}
-		blue = append(blue, d)
-	}
-	nocandidate, found := true, false
-	var cand core.Def
-	for _, e := range w.bases[c] {
-		r := w.lookup(e.Base, m)
-		switch r.Kind() {
-		case core.Undefined:
-			continue
-		case core.RedKind:
-			found = true
-			rd := r.Def()
-			v := rd.V
-			if v == chg.Omega && e.Kind == chg.Virtual {
-				v = e.Base
-			}
-			d := core.Def{L: rd.L, V: v}
-			switch {
-			case nocandidate:
-				nocandidate, cand = false, d
-			case w.dominates(d, cand):
-				cand = d
-			case !w.dominates(cand, d):
-				addBlue(core.Def{L: chg.Omega, V: cand.V})
-				addBlue(core.Def{L: chg.Omega, V: d.V})
-				nocandidate = true
-			}
-		case core.BlueKind:
-			found = true
-			for _, bd := range r.Blue() {
-				v := bd.V
-				if v == chg.Omega && e.Kind == chg.Virtual {
-					v = e.Base
-				}
-				addBlue(core.Def{L: chg.Omega, V: v})
-			}
-		}
-	}
-	if !found {
-		return core.UndefinedResult()
-	}
-	if nocandidate {
-		sortBlue(blue)
-		return w.pool.Blue(blue)
-	}
-	var surviving []core.Def
-	for _, b := range blue {
-		if !w.dominates(cand, core.Def{L: chg.Omega, V: b.V}) {
-			surviving = append(surviving, b)
-		}
-	}
-	if len(surviving) == 0 {
-		return w.pool.Red(cand)
-	}
-	dup := false
-	for _, b := range surviving {
-		if b.V == cand.V {
-			dup = true
-		}
-	}
-	if !dup {
-		surviving = append(surviving, core.Def{L: chg.Omega, V: cand.V})
-	}
-	sortBlue(surviving)
-	return w.pool.Blue(surviving)
-}
-
-// dominates is Lemma 4 against the incremental virtual-base sets.
-func (w *Workspace) dominates(d1, d2 core.Def) bool {
-	if d2.V != chg.Omega && d1.L != chg.Omega && w.vbases[d1.L][d2.V] {
-		return true
-	}
-	return d1.V == d2.V && d1.V != chg.Omega
-}
-
-func sortBlue(ds []core.Def) {
-	for i := 1; i < len(ds); i++ {
-		for j := i; j > 0 && ds[j].V < ds[j-1].V; j-- {
-			ds[j], ds[j-1] = ds[j-1], ds[j]
-		}
-	}
-}
-
 func (w *Workspace) checkClass(c chg.ClassID) error {
 	if int(c) < 0 || int(c) >= len(w.names) {
 		return fmt.Errorf("incremental: invalid class id %d", c)
@@ -720,47 +437,7 @@ func (w *Workspace) internMember(name string) chg.MemberID {
 	id := chg.MemberID(len(w.memberNames))
 	w.memberNames = append(w.memberNames, name)
 	w.memberIDs[name] = id
-	w.cols = append(w.cols, nil)
-	w.filled = append(w.filled, nil)
 	return id
-}
-
-// maybeCompactPool chains the payload pool to a fresh one when the
-// garbage left behind by invalidations outweighs the live payloads:
-// every cell still gated live by a filled bit has its payload
-// re-interned (deduplicated) into the new pool and its packed word
-// rewritten. The old pool is not touched — results and frozen graphs
-// already handed out keep reading it — so the old garbage becomes
-// collectable exactly when the last old reader drops it.
-func (w *Workspace) maybeCompactPool() {
-	if w.pool.Len() < poolCompactMinGarbage {
-		return
-	}
-	lc := core.NewPoolLiveCounter()
-	for m, f := range w.filled {
-		if f == nil {
-			continue
-		}
-		col := w.cols[m]
-		f.ForEach(func(c int) { lc.Observe(col[c]) })
-	}
-	live := lc.Live()
-	garbage := w.pool.Len() - live
-	if garbage < poolCompactMinGarbage || garbage <= live {
-		return
-	}
-	np := core.NewPool()
-	mg := core.NewMigrator(w.pool, np)
-	for m, f := range w.filled {
-		if f == nil {
-			continue
-		}
-		col := w.cols[m]
-		f.ForEach(func(c int) { col[c] = mg.Migrate(col[c]) })
-	}
-	w.pool = np
-	w.stats.PoolCompactions++
-	w.stats.PoolPayloadsDropped += garbage
 }
 
 // Snapshot freezes the current hierarchy into an immutable chg.Graph.
@@ -775,13 +452,10 @@ func (w *Workspace) maybeCompactPool() {
 // The frozen graph is cached copy-on-write: while no edit intervenes,
 // repeated calls return the same graph, and an edit only drops the
 // cache — graphs already returned stay valid for their readers.
-// Freeze time is also when pool garbage is weighed and, past the
-// threshold, compacted away.
 func (w *Workspace) Snapshot() (*chg.Graph, error) {
 	if w.frozen != nil && w.frozenGen == w.gen {
 		return w.frozen, nil
 	}
-	w.maybeCompactPool()
 	b := chg.NewBuilder()
 	for i, name := range w.memberNames {
 		if id := b.MemberName(name); id != chg.MemberID(i) {

@@ -2,7 +2,6 @@ package incremental
 
 import (
 	"fmt"
-	"math/rand"
 	"testing"
 
 	"cpplookup/internal/chg"
@@ -11,130 +10,44 @@ import (
 
 func method(name string) chg.Member { return chg.Member{Name: name, Kind: chg.Method} }
 
-// checkAgainstBatch compares every (class, member) lookup in the
-// workspace against the batch algorithm on a snapshot.
-func checkAgainstBatch(t *testing.T, w *Workspace, label string) {
+// coneOf returns the classes in member name's invalidation cone since
+// generation since (nil when no edit of that name falls in the window).
+func coneOf(t *testing.T, w *Workspace, since uint64, name string) []int {
 	t.Helper()
-	g, err := w.Snapshot()
-	if err != nil {
-		t.Fatalf("%s: snapshot: %v", label, err)
+	cones, ok := w.InvalidationConeSince(since)
+	if !ok {
+		t.Fatalf("window since generation %d is unanswerable", since)
 	}
-	a := core.New(g)
-	for c := 0; c < w.NumClasses(); c++ {
-		for _, name := range w.memberNames {
-			got := w.Lookup(chg.ClassID(c), name)
-			var want core.Result
-			if mid, ok := g.MemberID(name); ok {
-				want = a.Lookup(chg.ClassID(c), mid)
-			}
-			if got.Kind() != want.Kind() {
-				t.Fatalf("%s: (%s, %s): incremental %s vs batch %s",
-					label, w.names[c], name, got.Format(g), want.Format(g))
-			}
-			if got.Kind() == core.RedKind && got.Def() != want.Def() {
-				t.Fatalf("%s: (%s, %s): defs differ: %s vs %s",
-					label, w.names[c], name, got.Format(g), want.Format(g))
-			}
-			if got.Kind() == core.BlueKind {
-				if len(got.Blue()) != len(want.Blue()) {
-					t.Fatalf("%s: (%s, %s): blue widths differ", label, w.names[c], name)
-				}
-				for i := range got.Blue() {
-					if got.Blue()[i].V != want.Blue()[i].V {
-						t.Fatalf("%s: (%s, %s): blue sets differ", label, w.names[c], name)
-					}
-				}
-			}
+	for _, mc := range cones {
+		if w.memberNames[mc.Member] == name {
+			return mc.Classes.Elems()
 		}
 	}
+	return nil
 }
 
-// Build Figure 2 incrementally, then edit it into Figure-1-like
-// ambiguity and back.
-func TestEditScriptFigure2(t *testing.T) {
-	w := New()
-	a, err := w.AddClass("A", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := w.AddMember(a, method("m")); err != nil {
-		t.Fatal(err)
-	}
-	b, _ := w.AddClass("B", []BaseDecl{{Class: a}})
-	c, _ := w.AddClass("C", []BaseDecl{{Class: b, Virtual: true}})
-	d, _ := w.AddClass("D", []BaseDecl{{Class: b, Virtual: true}})
-	if err := w.AddMember(d, method("m")); err != nil {
-		t.Fatal(err)
-	}
-	e, _ := w.AddClass("E", []BaseDecl{{Class: c}, {Class: d}})
-
-	r := w.Lookup(e, "m")
-	if r.Kind() != core.RedKind || r.Def().L != d {
-		t.Fatalf("lookup(E, m) = %+v, want D::m", r)
-	}
-	checkAgainstBatch(t, w, "after build")
-
-	// Remove D::m: now A::m is the only definition → resolves to A.
-	if err := w.RemoveMember(d, "m"); err != nil {
-		t.Fatal(err)
-	}
-	r = w.Lookup(e, "m")
-	if r.Kind() != core.RedKind || r.Def().L != a {
-		t.Fatalf("after removal: %+v, want A::m", r)
-	}
-	checkAgainstBatch(t, w, "after removal")
-
-	// Add C::m too: C and D are siblings... C::m dominates A::m via
-	// the shared virtual B; lookup resolves to C.
-	if err := w.AddMember(c, method("m")); err != nil {
-		t.Fatal(err)
-	}
-	r = w.Lookup(e, "m")
-	if r.Kind() != core.RedKind || r.Def().L != c {
-		t.Fatalf("after adding C::m: %+v, want C::m", r)
-	}
-	// Re-add D::m: now C::m vs D::m is a real ambiguity.
-	if err := w.AddMember(d, method("m")); err != nil {
-		t.Fatal(err)
-	}
-	if r = w.Lookup(e, "m"); r.Kind() != core.BlueKind {
-		t.Fatalf("after re-adding D::m: %+v, want ambiguous", r)
-	}
-	checkAgainstBatch(t, w, "final")
-}
-
-// Unrelated edits must not invalidate cached entries.
+// Unrelated edits must not invalidate B's entries.
 func TestCacheSurvivesUnrelatedEdits(t *testing.T) {
 	w := New()
 	a, _ := w.AddClass("A", nil)
 	w.AddMember(a, method("m"))
 	b, _ := w.AddClass("B", []BaseDecl{{Class: a}})
 	other, _ := w.AddClass("Other", nil)
+	since := w.Generation()
 
-	w.Lookup(b, "m") // fill cache
-	before := w.Stats()
-
-	// Edit an unrelated class with an unrelated member.
+	// Edit an unrelated class with an unrelated member, then with the
+	// same member name: neither cone reaches A or B.
 	if err := w.AddMember(other, method("x")); err != nil {
 		t.Fatal(err)
 	}
-	w.Lookup(b, "m")
-	after := w.Stats()
-	if after.Misses != before.Misses {
-		t.Errorf("unrelated edit caused recomputation: %+v → %+v", before, after)
-	}
-	if after.Hits != before.Hits+1 {
-		t.Errorf("expected a cache hit: %+v → %+v", before, after)
-	}
-
-	// Edit the same member name in an unrelated class: still no
-	// invalidation of B's entry.
 	if err := w.AddMember(other, method("m")); err != nil {
 		t.Fatal(err)
 	}
-	mid := w.memberIDs["m"]
-	if !w.cached(b, mid) {
-		t.Error("edit in unrelated class invalidated B's entry")
+	want := fmt.Sprint([]int{int(other)})
+	for _, name := range []string{"x", "m"} {
+		if got := coneOf(t, w, since, name); fmt.Sprint(got) != want {
+			t.Errorf("cone for %s = %v, want only Other %s (B is %d)", name, got, want, b)
+		}
 	}
 }
 
@@ -147,83 +60,26 @@ func TestInvalidationCone(t *testing.T) {
 	left, _ := w.AddClass("Left", []BaseDecl{{Class: root}})
 	right, _ := w.AddClass("Right", []BaseDecl{{Class: root}})
 	leaf, _ := w.AddClass("Leaf", []BaseDecl{{Class: left}})
+	since := w.Generation()
 
-	for _, c := range []chg.ClassID{root, left, right, leaf} {
-		w.Lookup(c, "m")
-		w.Lookup(c, "n")
-	}
-	// Override m in Left: (Left, m) and (Leaf, m) drop; Right and all
-	// n entries survive.
+	// Override m in Left: (Left, m) and (Leaf, m) are stale; Right and
+	// all n entries survive.
 	if err := w.AddMember(left, method("m")); err != nil {
 		t.Fatal(err)
 	}
-	mid, nid := w.memberIDs["m"], w.memberIDs["n"]
-	for _, tc := range []struct {
-		c      chg.ClassID
-		m      chg.MemberID
-		cached bool
-	}{
-		{root, mid, true}, {right, mid, true},
-		{left, mid, false}, {leaf, mid, false},
-		{root, nid, true}, {left, nid, true}, {right, nid, true}, {leaf, nid, true},
-	} {
-		ok := w.cached(tc.c, tc.m)
-		if ok != tc.cached {
-			t.Errorf("(%s, %s): cached = %v, want %v", w.names[tc.c], w.memberNames[tc.m], ok, tc.cached)
-		}
+	if got, want := fmt.Sprint(coneOf(t, w, since, "m")), fmt.Sprint([]int{int(left), int(leaf)}); got != want {
+		t.Errorf("cone for m = %s, want %s (Right is %d)", got, want, right)
 	}
-	// And the recomputed answers are right.
-	if r := w.Lookup(leaf, "m"); r.Kind() != core.RedKind || r.Def().L != left {
+	if got := coneOf(t, w, since, "n"); got != nil {
+		t.Errorf("cone for n = %v, want none", got)
+	}
+	// And the freeze answers the override.
+	g, err := w.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r := core.New(g).LookupByName("Leaf", "m"); r.Kind() != core.RedKind || r.Def().L != left {
 		t.Errorf("lookup(Leaf, m) after override = %+v", r)
-	}
-	if w.Stats().Invalidations != 2 {
-		t.Errorf("invalidations = %d, want 2", w.Stats().Invalidations)
-	}
-}
-
-// Randomized edit scripts: after every edit the workspace agrees with
-// the batch algorithm on a snapshot.
-func TestRandomEditScripts(t *testing.T) {
-	rng := rand.New(rand.NewSource(999))
-	memberPool := []string{"m0", "m1", "m2"}
-	for script := 0; script < 15; script++ {
-		w := New()
-		var ids []chg.ClassID
-		for step := 0; step < 25; step++ {
-			switch {
-			case len(ids) == 0 || rng.Float64() < 0.4:
-				var bases []BaseDecl
-				if len(ids) > 0 {
-					n := rng.Intn(min(3, len(ids)) + 1)
-					perm := rng.Perm(len(ids))
-					for i := 0; i < n; i++ {
-						bases = append(bases, BaseDecl{
-							Class:   ids[perm[i]],
-							Virtual: rng.Float64() < 0.4,
-						})
-					}
-				}
-				id, err := w.AddClass(fmt.Sprintf("K%d_%d", script, step), bases)
-				if err != nil {
-					t.Fatal(err)
-				}
-				ids = append(ids, id)
-			case rng.Float64() < 0.7:
-				c := ids[rng.Intn(len(ids))]
-				name := memberPool[rng.Intn(len(memberPool))]
-				// AddMember may fail on duplicates; ignore those.
-				_ = w.AddMember(c, method(name))
-			default:
-				c := ids[rng.Intn(len(ids))]
-				name := memberPool[rng.Intn(len(memberPool))]
-				_ = w.RemoveMember(c, name)
-			}
-			// Random interleaved queries to populate the cache.
-			for q := 0; q < 3; q++ {
-				w.Lookup(ids[rng.Intn(len(ids))], memberPool[rng.Intn(len(memberPool))])
-			}
-		}
-		checkAgainstBatch(t, w, fmt.Sprintf("script %d", script))
 	}
 }
 
@@ -259,19 +115,13 @@ func TestWorkspaceValidation(t *testing.T) {
 	if err := w.RemoveMember(b, "m"); err == nil {
 		t.Error("removing undeclared member should fail")
 	}
-	if r := w.Lookup(chg.ClassID(77), "m"); r.Kind() != core.Undefined {
-		t.Error("invalid class lookup should be undefined")
-	}
-	if r := w.Lookup(a, "ghost"); r.Kind() != core.Undefined {
-		t.Error("unknown member lookup should be undefined")
-	}
 	if id, ok := w.ID("A"); !ok || id != a {
 		t.Error("ID lookup wrong")
 	}
 }
 
 // Incremental advantage: after one member edit in a deep hierarchy,
-// only the touched cone is recomputed.
+// only the touched cone is stale.
 func TestRecomputationIsProportionalToCone(t *testing.T) {
 	w := New()
 	prev, _ := w.AddClass("C0", nil)
@@ -283,80 +133,16 @@ func TestRecomputationIsProportionalToCone(t *testing.T) {
 		all = append(all, cur)
 		prev = cur
 	}
-	for _, c := range all {
-		w.Lookup(c, "m")
-	}
-	base := w.Stats().Misses
-	// Override near the leaf: only 5 entries below C55 are invalid.
-	c55 := all[55]
-	if err := w.AddMember(c55, method("m")); err != nil {
+	since := w.Generation()
+	// Override near the leaf: only the 5 entries C55..C59 are stale.
+	if err := w.AddMember(all[55], method("m")); err != nil {
 		t.Fatal(err)
 	}
-	for _, c := range all {
-		w.Lookup(c, "m")
+	var want []int
+	for _, c := range all[55:] {
+		want = append(want, int(c))
 	}
-	recomputed := w.Stats().Misses - base
-	if recomputed != 5 {
-		t.Errorf("recomputed %d entries, want 5 (C55..C59)", recomputed)
+	if got := coneOf(t, w, since, "m"); fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Errorf("cone = %v, want %v (C55..C59)", got, want)
 	}
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func BenchmarkEditRelookup(b *testing.B) {
-	// A chain of 200 classes; each iteration toggles an override at
-	// depth 150 and re-queries everything: incremental vs full batch.
-	build := func() (*Workspace, []chg.ClassID) {
-		w := New()
-		prev, _ := w.AddClass("C0", nil)
-		w.AddMember(prev, method("m"))
-		ids := []chg.ClassID{prev}
-		for i := 1; i < 200; i++ {
-			cur, _ := w.AddClass(fmt.Sprintf("C%d", i), []BaseDecl{{Class: prev}})
-			ids = append(ids, cur)
-			prev = cur
-		}
-		return w, ids
-	}
-	b.Run("incremental", func(b *testing.B) {
-		w, ids := build()
-		for _, c := range ids {
-			w.Lookup(c, "m")
-		}
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if i%2 == 0 {
-				w.AddMember(ids[150], method("m"))
-			} else {
-				w.RemoveMember(ids[150], "m")
-			}
-			for _, c := range ids {
-				w.Lookup(c, "m")
-			}
-		}
-	})
-	b.Run("batch-rebuild", func(b *testing.B) {
-		w, ids := build()
-		for i := 0; i < b.N; i++ {
-			if i%2 == 0 {
-				w.AddMember(ids[150], method("m"))
-			} else {
-				w.RemoveMember(ids[150], "m")
-			}
-			g, err := w.Snapshot()
-			if err != nil {
-				b.Fatal(err)
-			}
-			a := core.New(g)
-			m, _ := g.MemberID("m")
-			for _, c := range ids {
-				a.Lookup(c, m)
-			}
-		}
-	})
 }

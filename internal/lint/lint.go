@@ -21,10 +21,7 @@ package lint
 
 import (
 	"fmt"
-	"runtime"
 	"strings"
-	"sync"
-	"sync/atomic"
 
 	"cpplookup/internal/chg"
 	"cpplookup/internal/core"
@@ -32,6 +29,7 @@ import (
 	"cpplookup/internal/diag"
 	"cpplookup/internal/engine"
 	"cpplookup/internal/mro"
+	"cpplookup/internal/par"
 )
 
 // Rule IDs, one per check.
@@ -244,11 +242,11 @@ func Run(snap *engine.Snapshot, opts Options) ([]diag.Diagnostic, error) {
 	// rules per class. Each task appends only to its own slot, so the
 	// workers never contend; the final sort erases scheduling order.
 	byMember := make([][]diag.Diagnostic, r.g.NumMemberNames())
-	parallelFor(len(byMember), opts.Workers, func(i int) {
+	par.For(len(byMember), opts.Workers, func(_, i int) {
 		byMember[i] = r.checkMember(chg.MemberID(i))
 	})
 	byClass := make([][]diag.Diagnostic, r.g.NumClasses())
-	parallelFor(len(byClass), opts.Workers, func(i int) {
+	par.For(len(byClass), opts.Workers, func(_, i int) {
 		byClass[i] = r.checkClass(chg.ClassID(i))
 	})
 
@@ -299,39 +297,6 @@ func ruleSet(ids []string) (map[string]bool, error) {
 		enabled[id] = true
 	}
 	return enabled, nil
-}
-
-// parallelFor runs f(0..n-1) over a bounded worker pool, stealing
-// indices from a shared counter.
-func parallelFor(n, workers int, f func(i int)) {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			f(i)
-		}
-		return
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				f(i)
-			}
-		}()
-	}
-	wg.Wait()
 }
 
 // runner holds the shared read-only state of one lint run. The lookup

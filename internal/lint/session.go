@@ -8,6 +8,7 @@ import (
 	"cpplookup/internal/engine"
 	"cpplookup/internal/incremental"
 	"cpplookup/internal/mro"
+	"cpplookup/internal/par"
 )
 
 // Session is the incremental lint engine: it holds per-rule diagnostic
@@ -213,21 +214,21 @@ func (s *Session) fullRelint() {
 	s.memberDiags = make([][]diag.Diagnostic, g.NumMemberNames())
 	if s.anyMemberRule() {
 		s.stats.MemberTasks += len(s.memberDiags)
-		parallelFor(len(s.memberDiags), s.opts.Workers, func(i int) {
+		par.For(len(s.memberDiags), s.opts.Workers, func(_, i int) {
 			s.memberDiags[i] = r.checkMember(chg.MemberID(i))
 		})
 	}
 	s.rowDiags = make([][]diag.Diagnostic, g.NumClasses())
 	if s.enabled[GxxDivergence] {
 		s.stats.RowTasks += len(s.rowDiags)
-		parallelFor(len(s.rowDiags), s.opts.Workers, func(i int) {
+		par.For(len(s.rowDiags), s.opts.Workers, func(_, i int) {
 			s.rowDiags[i] = r.checkClassRow(nil, chg.ClassID(i))
 		})
 	}
 	s.structDiags = make([][]diag.Diagnostic, g.NumClasses())
 	if s.anyStructuralRule() {
 		s.stats.StructuralTasks += len(s.structDiags)
-		parallelFor(len(s.structDiags), s.opts.Workers, func(i int) {
+		par.For(len(s.structDiags), s.opts.Workers, func(_, i int) {
 			s.structDiags[i] = r.checkClassStructural(nil, chg.ClassID(i))
 		})
 	}
@@ -272,7 +273,7 @@ func (s *Session) incrementalRelint(res engine.SyncResult) {
 		tasks := make([]chg.MemberID, 0, dirtyM.Count())
 		dirtyM.ForEach(func(i int) { tasks = append(tasks, chg.MemberID(i)) })
 		s.stats.MemberTasks += len(tasks)
-		parallelFor(len(tasks), s.opts.Workers, func(i int) {
+		par.For(len(tasks), s.opts.Workers, func(_, i int) {
 			s.memberDiags[tasks[i]] = r.checkMember(tasks[i])
 		})
 	}
@@ -290,7 +291,7 @@ func (s *Session) incrementalRelint(res engine.SyncResult) {
 		tasks := make([]chg.ClassID, 0, dirtyRows.Count())
 		dirtyRows.ForEach(func(i int) { tasks = append(tasks, chg.ClassID(i)) })
 		s.stats.RowTasks += len(tasks)
-		parallelFor(len(tasks), s.opts.Workers, func(i int) {
+		par.For(len(tasks), s.opts.Workers, func(_, i int) {
 			s.rowDiags[tasks[i]] = r.checkClassRow(nil, tasks[i])
 		})
 	}
@@ -304,7 +305,7 @@ func (s *Session) incrementalRelint(res engine.SyncResult) {
 		tasks := make([]chg.ClassID, 0, dirty.Count())
 		dirty.ForEach(func(i int) { tasks = append(tasks, chg.ClassID(i)) })
 		s.stats.StructuralTasks += len(tasks)
-		parallelFor(len(tasks), s.opts.Workers, func(i int) {
+		par.For(len(tasks), s.opts.Workers, func(_, i int) {
 			s.structDiags[tasks[i]] = r.checkClassStructural(nil, tasks[i])
 		})
 	}

@@ -9,10 +9,11 @@ import (
 	"cpplookup/internal/hiergen"
 )
 
-// The streaming build must agree cell-for-cell with BuildSemTable
-// under every registered backend — the dominance kernel through the
-// offset block fill, C3 and gxx through the per-chunk ResolveClass
-// path — across chunk regimes, on fixtures and seeded random graphs.
+// The whole-table build must agree cell-for-cell with per-entry lazy
+// resolution (core.NewFor's memoized Resolve) under every registered
+// backend — the dominance kernel through the offset block fill, C3 and
+// gxx through the per-chunk ResolveClass path — across chunk regimes,
+// on fixtures and seeded random graphs.
 func TestStreamedMatchesSemTableAllBackends(t *testing.T) {
 	type namedGraph struct {
 		name string
@@ -35,12 +36,13 @@ func TestStreamedMatchesSemTableAllBackends(t *testing.T) {
 	}
 	for _, tc := range graphs {
 		n := int64(tc.g.NumClasses())
+		entries := core.MeasureTableBuildWork(tc.g).Entries
 		for _, id := range IDs() {
 			s, err := New(id, tc.g, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
-			want := core.BuildSemTable(s, 1)
+			want := core.NewFor(s)
 			for _, budget := range []int64{1, 40 * n, core.DefaultStreamBudget} {
 				s2, err := New(id, tc.g, nil)
 				if err != nil {
@@ -49,8 +51,8 @@ func TestStreamedMatchesSemTableAllBackends(t *testing.T) {
 				got, st := core.BuildSemTableStreamed(s2, core.StreamOptions{
 					Workers: 2, MemoryBudget: budget,
 				})
-				if st.Entries != want.Entries() {
-					t.Fatalf("[%s/%s] streamed entries = %d, want %d", tc.name, id, st.Entries, want.Entries())
+				if st.Entries != entries {
+					t.Fatalf("[%s/%s] streamed entries = %d, want %d", tc.name, id, st.Entries, entries)
 				}
 				for c := 0; c < tc.g.NumClasses(); c++ {
 					for m := 0; m < tc.g.NumMemberNames(); m++ {
