@@ -240,20 +240,20 @@ func BenchmarkFrontendPipeline(b *testing.B) {
 			}
 		}
 	})
-	graphs := map[chg.ClassID]*subobject.Graph{}
+	scans := map[chg.ClassID]*gxx.Scan{}
 	for _, q := range qs {
-		if graphs[q.c] == nil {
+		if scans[q.c] == nil {
 			sg, err := subobject.Build(ug, q.c, 0)
 			if err != nil {
 				b.Fatal(err)
 			}
-			graphs[q.c] = sg
+			scans[q.c] = gxx.NewScan(sg)
 		}
 	}
 	b.Run("lookups-gxx-cached", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			for _, q := range qs {
-				gxx.Lookup(graphs[q.c], q.m)
+				scans[q.c].LookupTrace(q.m)
 			}
 		}
 	})

@@ -275,8 +275,12 @@ func (r *Resolver) resolveOne(sc *resolveScratch, c chg.ClassID, m chg.MemberID,
 // deduplicated first: each distinct pair's cone is traversed and
 // resolved once and the Resolution is shared by every duplicate
 // (Targets aliased; treat as immutable). Distinct pairs are resolved
-// member-major so consecutive cones read the same cache column, and
-// fan out over work-stealing workers when Workers allows.
+// member-major, each member's pairs in ascending class order, so
+// consecutive cone walks look up one member and their misses fill
+// under that member's shard lock; the snapshot's cells are
+// class-major, so those lookups are numMembers words apart, not one
+// cache column. Pairs fan out over work-stealing workers when Workers
+// allows.
 func (r *Resolver) ResolveBatch(sites []Site, out []Resolution) []Resolution {
 	need := len(out) + len(sites)
 	if cap(out) < need {

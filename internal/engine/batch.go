@@ -6,10 +6,12 @@ package engine
 // amortizes everything the one-at-a-time path pays per query:
 //
 //   - snapshot and column access happen once per batch, not per call;
-//   - queries are radix-sorted member-major (the same axis as the
-//     batched table build's layout), so warm cell reads walk each
-//     member's column in ascending class order — sequential strides
-//     through the dense cell array instead of cache-line-random hops;
+//   - queries are radix-sorted member-major, so each member's queries
+//     form one run in ascending class order. Cells are class-major
+//     (cells[c*numMembers+m]), so a run reads addresses numMembers
+//     words apart — 4 KiB at 512 member names — not neighbouring
+//     words; what the order buys is ascending addresses within a run,
+//     adjacent duplicates, and one shard lock per run of misses;
 //   - duplicate queries collapse to one cell read fanned back out
 //     through the sort permutation;
 //   - misses reuse one scratch stack across the whole batch (the
@@ -151,8 +153,9 @@ func (s *Snapshot) lookupBatchRange(col *semColumn, qs []Query, dst []core.Resul
 			continue
 		}
 		// Member-major: all queries for one member name are adjacent,
-		// ordered by class id — the sorted walk strides one column of
-		// the dense cell array front to back.
+		// ordered by class id, so the sorted walk reads that member's
+		// cells at ascending addresses, numMembers words apart, under
+		// one shard lock.
 		keys[i] = uint64(q.Member)*nc + uint64(q.Class)
 	}
 	sorted, perm := sc.Sort(len(qs), sentinel)

@@ -28,15 +28,16 @@ import (
 //	                    baseline is exponential in the subobject
 //	                    graph, and beyond the limit it has no answer
 //
-// Subobject graphs are built once per context class and cached, so a
-// whole table row costs one graph plus one scan per member.
+// Subobject graphs and their scan orders are built once per context
+// class and cached, so a whole table row costs one graph, one scan
+// order, and one walk along that order per member.
 type Backend struct {
 	g     *chg.Graph
 	pool  *core.Pool
 	limit int
 
-	mu  sync.Mutex
-	sgs map[chg.ClassID]*subobject.Graph // nil entry = over limit
+	mu    sync.Mutex
+	scans map[chg.ClassID]*Scan // nil entry = over limit
 }
 
 // NewBackend returns a g++ backend over g, packing results into pool
@@ -51,7 +52,7 @@ func NewBackend(g *chg.Graph, pool *core.Pool, limit int) *Backend {
 		g:     g,
 		pool:  pool,
 		limit: limit,
-		sgs:   map[chg.ClassID]*subobject.Graph{},
+		scans: map[chg.ClassID]*Scan{},
 	}
 }
 
@@ -64,21 +65,21 @@ func (b *Backend) Graph() *chg.Graph { return b.g }
 // Pool returns the payload pool results are packed over.
 func (b *Backend) Pool() *core.Pool { return b.pool }
 
-// graphFor returns c's cached subobject graph, building it on first
-// use; (nil, false) means the graph exceeded the limit. Building
+// scanFor returns c's cached subobject graph scan, building it on
+// first use; (nil, false) means the graph exceeded the limit. Building
 // under the mutex single-flights concurrent requests for one class.
-func (b *Backend) graphFor(c chg.ClassID) (*subobject.Graph, bool) {
+func (b *Backend) scanFor(c chg.ClassID) (*Scan, bool) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	if sg, ok := b.sgs[c]; ok {
-		return sg, sg != nil
+	if s, ok := b.scans[c]; ok {
+		return s, s != nil
 	}
-	sg, err := subobject.Build(b.g, c, b.limit)
-	if err != nil {
-		sg = nil
+	var s *Scan
+	if sg, err := subobject.Build(b.g, c, b.limit); err == nil {
+		s = NewScan(sg)
 	}
-	b.sgs[c] = sg
-	return sg, sg != nil
+	b.scans[c] = s
+	return s, s != nil
 }
 
 // pack converts one scan outcome into a packed result.
@@ -106,18 +107,18 @@ func (b *Backend) pack(r Result, tr Trace, sg *subobject.Graph) core.Result {
 // ignored: the baseline searches c's subobject graph directly rather
 // than recursing over direct bases.
 func (b *Backend) Resolve(c chg.ClassID, m chg.MemberID, _ func(chg.ClassID) core.Result) core.Result {
-	sg, ok := b.graphFor(c)
+	s, ok := b.scanFor(c)
 	if !ok {
 		return b.pool.Fail(c)
 	}
-	r, tr := LookupTrace(sg, m)
-	return b.pack(r, tr, sg)
+	r, tr := s.LookupTrace(m)
+	return b.pack(r, tr, s.Graph())
 }
 
 // ResolveClass fills a whole table row from one cached subobject
-// graph — the batched core.ClassResolver hook.
+// graph scan — the batched core.ClassResolver hook.
 func (b *Backend) ResolveClass(c chg.ClassID, ms []chg.MemberID, out []core.Cell) {
-	sg, ok := b.graphFor(c)
+	s, ok := b.scanFor(c)
 	if !ok {
 		cell := b.pool.Fail(c).Cell()
 		for i := range out {
@@ -126,7 +127,7 @@ func (b *Backend) ResolveClass(c chg.ClassID, ms []chg.MemberID, out []core.Cell
 		return
 	}
 	for i, m := range ms {
-		r, tr := LookupTrace(sg, m)
-		out[i] = b.pack(r, tr, sg).Cell()
+		r, tr := s.LookupTrace(m)
+		out[i] = b.pack(r, tr, s.Graph()).Cell()
 	}
 }

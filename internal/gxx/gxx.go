@@ -85,16 +85,59 @@ func Lookup(sg *subobject.Graph, m chg.MemberID) Result {
 }
 
 // LookupTrace is Lookup plus the witness trace of how the scan
-// arrived at its answer.
+// arrived at its answer. It builds the graph's scan order for this one
+// lookup; callers looking up several members in one graph should
+// build a Scan once and reuse it.
 func LookupTrace(sg *subobject.Graph, m chg.MemberID) (Result, Trace) {
+	return NewScan(sg).LookupTrace(m)
+}
+
+// Scan is the order in which g++'s breadth-first scan dequeues the
+// subobjects of one complete object. Only the scan's early exit
+// depends on the member looked up — the queue never does — so one
+// order serves every member of the context class: a lookup walks a
+// prefix of it.
+type Scan struct {
+	sg    *subobject.Graph
+	root  subobject.ID
+	order []subobject.ID // every subobject below the root, in dequeue order
+}
+
+// NewScan computes sg's breadth-first dequeue order: "if class X
+// itself does not have a member called m, the algorithm performs a
+// scan of all the subobjects of an X object, in breadth-first order",
+// enqueueing each subobject's directly contained subobjects once, in
+// containment order. A Scan is immutable and safe for concurrent use.
+func NewScan(sg *subobject.Graph) *Scan {
+	s := &Scan{sg: sg, root: sg.Root()}
+	enqueued := make([]bool, sg.NumSubobjects())
+	enqueue := func(from subobject.ID) {
+		for _, c := range sg.Subobject(from).Contains {
+			if !enqueued[c] {
+				enqueued[c] = true
+				s.order = append(s.order, c)
+			}
+		}
+	}
+	enqueue(s.root)
+	for head := 0; head < len(s.order); head++ {
+		enqueue(s.order[head])
+	}
+	return s
+}
+
+// Graph returns the subobject graph the scan walks.
+func (s *Scan) Graph() *subobject.Graph { return s.sg }
+
+// LookupTrace runs the g++ lookup of member m along the scan order.
+func (s *Scan) LookupTrace(m chg.MemberID) (Result, Trace) {
+	sg := s.sg
 	g := sg.CHG()
 	res := Result{Outcome: NotFound}
 	var tr Trace
 
-	root := sg.Root()
-	// "If class X itself does not have a member called m, the
-	// algorithm performs a scan of all the subobjects of an X object,
-	// in breadth-first order."
+	// A context class that declares m itself answers without a scan.
+	root := s.root
 	if g.Declares(sg.Class(root), m) {
 		res.Outcome = Resolved
 		res.Subobject = root
@@ -105,49 +148,30 @@ func LookupTrace(sg *subobject.Graph, m chg.MemberID) (Result, Trace) {
 		return res, tr
 	}
 
-	type state struct {
-		id subobject.ID
-	}
-	var queue []state
-	enqueued := make([]bool, sg.NumSubobjects())
-	for _, c := range sg.Subobject(root).Contains {
-		if !enqueued[c] {
-			enqueued[c] = true
-			queue = append(queue, state{c})
-		}
-	}
-
 	haveBest := false
 	var best subobject.ID
-	for len(queue) > 0 {
-		cur := queue[0].id
-		queue = queue[1:]
+	for _, cur := range s.order {
 		res.Visited++
-		if g.Declares(sg.Class(cur), m) {
-			tr.Seen = append(tr.Seen, cur)
-			switch {
-			case !haveBest:
-				haveBest = true
-				best = cur
-			case sg.Dominates(best, cur):
-				// keep best
-			case sg.Dominates(cur, best):
-				best = cur
-			default:
-				// The incorrect step: neither dominates the other →
-				// report ambiguity and quit, even though a dominator
-				// of both may still be waiting in the queue.
-				res.Outcome = ReportedAmbiguous
-				tr.Conflict = [2]subobject.ID{best, cur}
-				tr.Best, tr.HaveBest = best, true
-				return res, tr
-			}
+		if !g.Declares(sg.Class(cur), m) {
+			continue
 		}
-		for _, c := range sg.Subobject(cur).Contains {
-			if !enqueued[c] {
-				enqueued[c] = true
-				queue = append(queue, state{c})
-			}
+		tr.Seen = append(tr.Seen, cur)
+		switch {
+		case !haveBest:
+			haveBest = true
+			best = cur
+		case sg.Dominates(best, cur):
+			// keep best
+		case sg.Dominates(cur, best):
+			best = cur
+		default:
+			// The incorrect step: neither dominates the other →
+			// report ambiguity and quit, even though a dominator
+			// of both may still be waiting in the queue.
+			res.Outcome = ReportedAmbiguous
+			tr.Conflict = [2]subobject.ID{best, cur}
+			tr.Best, tr.HaveBest = best, true
+			return res, tr
 		}
 	}
 	if haveBest {

@@ -194,20 +194,21 @@ func RunE9(w io.Writer) error {
 			core.New(ug, core.WithStaticRule()).Lookup(q.c, q.m)
 		}
 	})
-	// g++ strategy: subobject graphs cached per context class.
-	graphs := map[chg.ClassID]*subobject.Graph{}
+	// g++ strategy: subobject graphs, with their scan orders, cached
+	// per context class.
+	scans := map[chg.ClassID]*gxx.Scan{}
 	for _, q := range qs {
-		if graphs[q.c] == nil {
+		if scans[q.c] == nil {
 			sg, err := subobject.Build(ug, q.c, 0)
 			if err != nil {
 				return err
 			}
-			graphs[q.c] = sg
+			scans[q.c] = gxx.NewScan(sg)
 		}
 	}
 	gxxT := timePerOp(measureBudget, func() {
 		for _, q := range qs {
-			gxx.Lookup(graphs[q.c], q.m)
+			scans[q.c].LookupTrace(q.m)
 		}
 	})
 

@@ -22,6 +22,7 @@ package lint
 import (
 	"fmt"
 	"strings"
+	"sync/atomic"
 
 	"cpplookup/internal/chg"
 	"cpplookup/internal/core"
@@ -29,7 +30,6 @@ import (
 	"cpplookup/internal/diag"
 	"cpplookup/internal/engine"
 	"cpplookup/internal/mro"
-	"cpplookup/internal/par"
 )
 
 // Rule IDs, one per check.
@@ -204,6 +204,16 @@ const (
 // the paper's Definition 16–17 treatment of static members; the cli
 // and facade constructors do this.
 func Run(snap *engine.Snapshot, opts Options) ([]diag.Diagnostic, error) {
+	r, err := tableRunner(snap, opts)
+	if err != nil {
+		return nil, err
+	}
+	return r.run(), nil
+}
+
+// tableRunner binds the rule implementations to the snapshot's eagerly
+// built table.
+func tableRunner(snap *engine.Snapshot, opts Options) (*runner, error) {
 	enabled, err := ruleSet(opts.Rules)
 	if err != nil {
 		return nil, err
@@ -237,28 +247,35 @@ func Run(snap *engine.Snapshot, opts Options) ([]diag.Diagnostic, error) {
 			r.c3look = c3.Lookup
 		}
 	}
+	return r, nil
+}
 
-	// Member-indexed rules fan out per member name, class-indexed
-	// rules per class. Each task appends only to its own slot, so the
-	// workers never contend; the final sort erases scheduling order.
-	byMember := make([][]diag.Diagnostic, r.g.NumMemberNames())
-	par.For(len(byMember), opts.Workers, func(_, i int) {
-		byMember[i] = r.checkMember(chg.MemberID(i))
-	})
-	byClass := make([][]diag.Diagnostic, r.g.NumClasses())
-	par.For(len(byClass), opts.Workers, func(_, i int) {
-		byClass[i] = r.checkClass(chg.ClassID(i))
-	})
-
+// run lints the whole hierarchy: member-indexed rules fan out per
+// member name, class-indexed rules per class, and the final sort
+// erases scheduling order.
+func (r *runner) run() []diag.Diagnostic {
+	classes := upTo[chg.ClassID](r.g.NumClasses())
 	var out []diag.Diagnostic
-	for _, ds := range byMember {
-		out = append(out, ds...)
-	}
-	for _, ds := range byClass {
-		out = append(out, ds...)
+	for _, pass := range [][][]diag.Diagnostic{
+		r.checkMembers(upTo[chg.MemberID](r.g.NumMemberNames())),
+		r.checkRows(classes),
+		r.checkStructure(classes),
+	} {
+		for _, ds := range pass {
+			out = append(out, ds...)
+		}
 	}
 	diag.Sort(out)
-	return out, nil
+	return out
+}
+
+// upTo returns the ids 0, 1, …, n-1.
+func upTo[ID ~int32](n int) []ID {
+	ids := make([]ID, n)
+	for i := range ids {
+		ids[i] = ID(i)
+	}
+	return ids
 }
 
 // gateSemantics drops the cross-semantics rules whose backend is not
@@ -315,6 +332,13 @@ type runner struct {
 
 	subLimit  int
 	pathLimit int
+
+	// enumerations and scanOrders count the run's member-independent
+	// witness work: classes whose CHG paths were enumerated for
+	// ambiguity witnesses, and g++ scan orders built. Each is at most
+	// one per class.
+	enumerations atomic.Int64
+	scanOrders   atomic.Int64
 
 	// lin and c3look are the C3 backend's view of the hierarchy,
 	// populated only when a cross-semantics rule is enabled.

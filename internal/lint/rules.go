@@ -2,7 +2,6 @@ package lint
 
 import (
 	"fmt"
-	"math/big"
 	"sort"
 	"strings"
 
@@ -11,6 +10,7 @@ import (
 	"cpplookup/internal/core"
 	"cpplookup/internal/diag"
 	"cpplookup/internal/gxx"
+	"cpplookup/internal/par"
 	"cpplookup/internal/subobject"
 )
 
@@ -27,17 +27,43 @@ func topoOrdered(g *chg.Graph, set *bitset.Set) []chg.ClassID {
 	return out
 }
 
+// checkMembers runs the member-indexed rules for each member name in
+// ms, in parallel, and returns each member's findings in ms order.
+// Each task appends only to its own slot, so the workers never
+// contend. Ambiguity witnesses, which depend on the class and not on
+// the member, are filled in afterwards by a class-major pass.
+func (r *runner) checkMembers(ms []chg.MemberID) [][]diag.Diagnostic {
+	findings := make([][]diag.Diagnostic, len(ms))
+	blues := make([][]blueCell, len(ms))
+	par.For(len(ms), r.opts.Workers, func(_, i int) {
+		findings[i], blues[i] = r.checkMember(ms[i])
+	})
+	var cells []blueCell
+	for i, bs := range blues {
+		for _, b := range bs {
+			b.slot = i
+			cells = append(cells, b)
+		}
+	}
+	r.witnessAmbiguities(findings, cells)
+	return findings
+}
+
 // checkMember runs the member-indexed rules for one member name over
-// every class, in topological order.
-func (r *runner) checkMember(m chg.MemberID) []diag.Diagnostic {
+// every class, in topological order. Its ambiguous-member findings
+// come back without witnesses, listed as Blue cells for
+// witnessAmbiguities.
+func (r *runner) checkMember(m chg.MemberID) ([]diag.Diagnostic, []blueCell) {
 	var out []diag.Diagnostic
+	var blues []blueCell
 	for _, c := range r.g.Topo() {
 		res := r.look(c, m)
 		if res.Kind() == core.Undefined {
 			continue
 		}
-		if r.enabled[AmbiguousMember] {
-			out = r.ambiguousMember(out, c, m, res)
+		if r.enabled[AmbiguousMember] && r.ambiguityFormed(c, m, res) {
+			blues = append(blues, blueCell{c: c, m: m, res: res, at: len(out)})
+			out = append(out, r.ambiguousMember(c, m, res))
 		}
 		if r.enabled[DominanceShadowing] {
 			out = r.dominanceShadowing(out, c, m)
@@ -49,17 +75,18 @@ func (r *runner) checkMember(m chg.MemberID) []diag.Diagnostic {
 			out = r.dominanceVsMroDivergence(out, c, m, res)
 		}
 	}
-	return out
+	return out, blues
 }
 
-// ambiguousMember fires where an ambiguity is *formed*: the cell is
-// Blue and at least two direct bases contribute a definition (the
-// merge of lines 25–27 / 43 of Figure 8 actually ran). A class that
-// merely inherits a Blue cell through a single base repeats its base's
-// ambiguity and is not reported again.
-func (r *runner) ambiguousMember(out []diag.Diagnostic, c chg.ClassID, m chg.MemberID, res core.Result) []diag.Diagnostic {
+// ambiguityFormed reports where the ambiguous-member rule fires: where
+// an ambiguity is *formed*. The cell is Blue and at least two direct
+// bases contribute a definition (the merge of lines 25–27 / 43 of
+// Figure 8 actually ran). A class that merely inherits a Blue cell
+// through a single base repeats its base's ambiguity and is not
+// reported again.
+func (r *runner) ambiguityFormed(c chg.ClassID, m chg.MemberID, res core.Result) bool {
 	if res.Kind() != core.BlueKind {
-		return out
+		return false
 	}
 	contributing := 0
 	for _, e := range r.g.DirectBases(c) {
@@ -67,13 +94,15 @@ func (r *runner) ambiguousMember(out []diag.Diagnostic, c chg.ClassID, m chg.Mem
 			contributing++
 		}
 	}
-	if contributing < 2 {
-		return out
-	}
-	w := r.ambiguityWitness(c, m, res)
+	return contributing >= 2
+}
+
+// ambiguousMember is the finding for a formed ambiguity, its witness
+// still to come.
+func (r *runner) ambiguousMember(c chg.ClassID, m chg.MemberID, res core.Result) diag.Diagnostic {
 	msg := fmt.Sprintf("member %s is ambiguous in %s: no definition dominates (%s)",
 		r.g.MemberName(m), r.g.Name(c), res.Format(r.g))
-	return append(out, r.diag(AmbiguousMember, r.classPos(c), c, r.g.MemberName(m), msg, w))
+	return r.diag(AmbiguousMember, r.classPos(c), c, r.g.MemberName(m), msg, nil)
 }
 
 // dominanceShadowing fires where a class redeclares a member that a
@@ -152,18 +181,21 @@ func (r *runner) deadMember(out []diag.Diagnostic, c chg.ClassID, m chg.MemberID
 	return append(out, r.diag(DeadMember, r.memberPos(c, m), c, r.g.MemberName(m), msg, w))
 }
 
-// checkClass runs the class-indexed rules with class c as the task
-// key: redundant edges of c, duplication of c as a repeated base, and
-// the g++ cross-check of every cell of c's table row.
-func (r *runner) checkClass(c chg.ClassID) []diag.Diagnostic {
-	out := r.checkClassStructural(nil, c)
-	return r.checkClassRow(out, c)
+// checkStructure runs the FootprintHierarchy rules for each task class
+// in cs, in parallel, and returns each class's findings in cs order.
+func (r *runner) checkStructure(cs []chg.ClassID) [][]diag.Diagnostic {
+	findings := make([][]diag.Diagnostic, len(cs))
+	par.For(len(cs), r.opts.Workers, func(_, i int) {
+		findings[i] = r.checkClassStructural(nil, cs[i])
+	})
+	return findings
 }
 
 // checkClassStructural runs the FootprintHierarchy rules for task
-// class c. Their findings depend only on the hierarchy's shape, which
-// for any given class is fixed at definition — a Session re-runs them
-// only when classes are added.
+// class c: redundant edges of c, duplication of c as a repeated base,
+// and c's C3 merge. Their findings depend only on the hierarchy's
+// shape, which for any given class is fixed at definition — a Session
+// re-runs them only when classes are added.
 func (r *runner) checkClassStructural(out []diag.Diagnostic, c chg.ClassID) []diag.Diagnostic {
 	if r.enabled[RedundantInheritanceEdge] {
 		out = r.redundantEdges(out, c)
@@ -177,14 +209,25 @@ func (r *runner) checkClassStructural(out []diag.Diagnostic, c chg.ClassID) []di
 	return out
 }
 
-// checkClassRow runs the FootprintClass rules for class c — the ones
-// that read lookup cells of row c, so a Session re-runs them for every
-// class an edit's cone touches.
-func (r *runner) checkClassRow(out []diag.Diagnostic, c chg.ClassID) []diag.Diagnostic {
-	if r.enabled[GxxDivergence] {
-		out = r.gxxDivergence(out, c)
+// checkRows runs the FootprintClass rules — the ones that read lookup
+// cells of one class's row, so a Session re-runs them for every class
+// an edit's cone touches — for each class in cs, in parallel, and
+// returns each class's findings in cs order. The g++ cross-check
+// skips classes whose subobject graph exceeds the limit: the baseline
+// is exponential, which is rather the paper's point. Subobject counts
+// for the guard come from one pass over the whole hierarchy.
+func (r *runner) checkRows(cs []chg.ClassID) [][]diag.Diagnostic {
+	findings := make([][]diag.Diagnostic, len(cs))
+	if !r.enabled[GxxDivergence] || len(cs) == 0 {
+		return findings
 	}
-	return out
+	counts := subobject.Counts(r.g, r.subLimit)
+	par.For(len(cs), r.opts.Workers, func(_, i int) {
+		if counts[cs[i]] <= r.subLimit {
+			findings[i] = r.gxxDivergence(nil, cs[i])
+		}
+	})
+	return findings
 }
 
 // redundantEdges flags each direct base of c that is already a base of
@@ -279,13 +322,6 @@ func (r *runner) diamondJoins(out []diag.Diagnostic, c chg.ClassID) []diag.Diagn
 	return out
 }
 
-// gxxDivergence cross-checks every cell of c's table row against the
-// g++ 2.7.2.1 baseline (internal/gxx), reproducing Figure 9 as a
-// diagnostic. Cells involving static-for-lookup declarations are
-// skipped — the baseline does not model Definition 17, so a
-// difference there is a rule difference, not the BFS bug. Classes
-// whose subobject graph exceeds the limit are skipped: the baseline
-// is exponential, which is rather the paper's point.
 // staticRuleApplies reports whether Definition 17 could be shaping
 // the paper's answer for this cell: the declaring class of the result
 // (or of any surviving blue def) declares the member
@@ -314,20 +350,25 @@ func (r *runner) staticRuleApplies(paper core.Result, m chg.MemberID) bool {
 	return false
 }
 
+// gxxDivergence cross-checks every cell of c's table row against the
+// g++ 2.7.2.1 baseline (internal/gxx), reproducing Figure 9 as a
+// diagnostic. Cells involving static-for-lookup declarations are
+// skipped — the baseline does not model Definition 17, so a
+// difference there is a rule difference, not the BFS bug. The scan
+// order is the same for every member, so it is built once per class.
 func (r *runner) gxxDivergence(out []diag.Diagnostic, c chg.ClassID) []diag.Diagnostic {
-	if subobject.Count(r.g, c).Cmp(big.NewInt(int64(r.subLimit))) > 0 {
-		return out
-	}
 	sg, err := subobject.Build(r.g, c, r.subLimit)
 	if err != nil {
 		return out
 	}
+	r.scanOrders.Add(1)
+	scan := gxx.NewScan(sg)
 	for _, m := range r.members(c) {
 		paper := r.look(c, m)
 		if r.staticRuleApplies(paper, m) {
 			continue
 		}
-		gres, tr := gxx.LookupTrace(sg, m)
+		gres, tr := scan.LookupTrace(m)
 		var msg string
 		w := &diag.Witness{Visited: gres.Visited}
 		switch {

@@ -8,7 +8,6 @@ import (
 	"cpplookup/internal/engine"
 	"cpplookup/internal/incremental"
 	"cpplookup/internal/mro"
-	"cpplookup/internal/par"
 )
 
 // Session is the incremental lint engine: it holds per-rule diagnostic
@@ -211,26 +210,21 @@ func (s *Session) fullRelint() {
 	g := s.snap.Graph()
 	s.stats.FullRelints++
 
+	classes := upTo[chg.ClassID](g.NumClasses())
 	s.memberDiags = make([][]diag.Diagnostic, g.NumMemberNames())
 	if s.anyMemberRule() {
 		s.stats.MemberTasks += len(s.memberDiags)
-		par.For(len(s.memberDiags), s.opts.Workers, func(_, i int) {
-			s.memberDiags[i] = r.checkMember(chg.MemberID(i))
-		})
+		s.memberDiags = r.checkMembers(upTo[chg.MemberID](g.NumMemberNames()))
 	}
 	s.rowDiags = make([][]diag.Diagnostic, g.NumClasses())
 	if s.enabled[GxxDivergence] {
 		s.stats.RowTasks += len(s.rowDiags)
-		par.For(len(s.rowDiags), s.opts.Workers, func(_, i int) {
-			s.rowDiags[i] = r.checkClassRow(nil, chg.ClassID(i))
-		})
+		s.rowDiags = r.checkRows(classes)
 	}
 	s.structDiags = make([][]diag.Diagnostic, g.NumClasses())
 	if s.anyStructuralRule() {
 		s.stats.StructuralTasks += len(s.structDiags)
-		par.For(len(s.structDiags), s.opts.Workers, func(_, i int) {
-			s.structDiags[i] = r.checkClassStructural(nil, chg.ClassID(i))
-		})
+		s.structDiags = r.checkStructure(classes)
 	}
 }
 
@@ -273,9 +267,9 @@ func (s *Session) incrementalRelint(res engine.SyncResult) {
 		tasks := make([]chg.MemberID, 0, dirtyM.Count())
 		dirtyM.ForEach(func(i int) { tasks = append(tasks, chg.MemberID(i)) })
 		s.stats.MemberTasks += len(tasks)
-		par.For(len(tasks), s.opts.Workers, func(_, i int) {
-			s.memberDiags[tasks[i]] = r.checkMember(tasks[i])
-		})
+		for i, ds := range r.checkMembers(tasks) {
+			s.memberDiags[tasks[i]] = ds
+		}
 	}
 
 	if s.enabled[GxxDivergence] {
@@ -291,9 +285,9 @@ func (s *Session) incrementalRelint(res engine.SyncResult) {
 		tasks := make([]chg.ClassID, 0, dirtyRows.Count())
 		dirtyRows.ForEach(func(i int) { tasks = append(tasks, chg.ClassID(i)) })
 		s.stats.RowTasks += len(tasks)
-		par.For(len(tasks), s.opts.Workers, func(_, i int) {
-			s.rowDiags[tasks[i]] = r.checkClassRow(nil, tasks[i])
-		})
+		for i, ds := range r.checkRows(tasks) {
+			s.rowDiags[tasks[i]] = ds
+		}
 	}
 
 	if s.anyStructuralRule() && len(added) > 0 {
@@ -305,9 +299,9 @@ func (s *Session) incrementalRelint(res engine.SyncResult) {
 		tasks := make([]chg.ClassID, 0, dirty.Count())
 		dirty.ForEach(func(i int) { tasks = append(tasks, chg.ClassID(i)) })
 		s.stats.StructuralTasks += len(tasks)
-		par.For(len(tasks), s.opts.Workers, func(_, i int) {
-			s.structDiags[tasks[i]] = r.checkClassStructural(nil, tasks[i])
-		})
+		for i, ds := range r.checkStructure(tasks) {
+			s.structDiags[tasks[i]] = ds
+		}
 	}
 }
 

@@ -87,7 +87,7 @@ func AllPathsTo(g *chg.Graph, to chg.ClassID, limit int) []Path {
 // enumerating them (a topological DP); this is the subobject count of
 // a `to` object under purely non-virtual inheritance and an upper
 // bound in general. Overflow-safe only up to int64; internal/subobject
-// provides a big.Int variant for the exponential families.
+// counts every class's paths at once, saturating at a limit.
 func CountPathsTo(g *chg.Graph, to chg.ClassID) int64 {
 	memo := make([]int64, g.NumClasses())
 	for i := range memo {
@@ -143,21 +143,22 @@ func (e EquivClass) Key() string { return e.Rep.Key() }
 // member named m. Classes are ordered by first appearance in the
 // deterministic path enumeration.
 func Defns(g *chg.Graph, c chg.ClassID, m chg.MemberID, limit int) []EquivClass {
-	var order []string
-	byKey := map[string]*EquivClass{}
-	for _, p := range DefnsPath(g, c, m, limit) {
-		k := p.Key()
-		ec, ok := byKey[k]
-		if !ok {
-			ec = &EquivClass{Rep: p}
-			byKey[k] = ec
-			order = append(order, k)
+	return Declaring(Subobjects(g, c, limit), m)
+}
+
+// Declaring returns the elements of subs whose least derived class
+// declares m, in order. Over Subobjects(g, C, limit) it is exactly
+// Defns(C, m), with the same members in the same order: fixed(α)
+// starts at ldc(α), so all paths of one ≈-class share their ldc and
+// the class passes or fails the filter as a whole. Callers that need
+// Defns for many members of one class enumerate its subobjects once
+// and filter per member.
+func Declaring(subs []EquivClass, m chg.MemberID) []EquivClass {
+	out := []EquivClass{}
+	for _, ec := range subs {
+		if ec.Rep.g.Declares(ec.Ldc(), m) {
+			out = append(out, ec)
 		}
-		ec.Members = append(ec.Members, p)
-	}
-	out := make([]EquivClass, len(order))
-	for i, k := range order {
-		out[i] = *byKey[k]
 	}
 	return out
 }

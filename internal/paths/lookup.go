@@ -44,16 +44,23 @@ func MostDominantPath(a []Path) (Path, bool) {
 }
 
 // Maximal returns maximal(A) (Definition 16): the elements not
-// strictly dominated by any other element.
+// strictly dominated by any other element. Each element's fixed part
+// is computed once, not once per pair.
 func Maximal(a []EquivClass) []EquivClass {
+	fixed := make([]Path, len(a))
+	for i, u := range a {
+		fixed[i] = u.Rep.Fixed()
+	}
 	var out []EquivClass
 	for i, u := range a {
 		dominated := false
 		for j, v := range a {
-			if i == j || u.Key() == v.Key() {
+			// Equal mdcs and fixed parts make v ≈ u (Definition 3):
+			// the same subobject, which does not strictly dominate u.
+			if i == j || v.Mdc() != u.Mdc() || fixed[j].Equal(fixed[i]) {
 				continue
 			}
-			if Dominates(v.Rep, u.Rep) {
+			if dominatesFixed(v.Rep, fixed[j], fixed[i]) {
 				dominated = true
 				break
 			}

@@ -13,6 +13,7 @@ package paths
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 
 	"cpplookup/internal/chg"
@@ -229,7 +230,12 @@ func Dominates(p, q Path) bool {
 	if p.Mdc() != q.Mdc() {
 		return false
 	}
-	fp, fq := p.Fixed(), q.Fixed()
+	return dominatesFixed(p, p.Fixed(), q.Fixed())
+}
+
+// dominatesFixed is Dominates for two paths p and q with the same mdc,
+// given their fixed parts fp and fq.
+func dominatesFixed(p, fp, fq Path) bool {
 	if fp.Equal(fq) {
 		return true // γ empty: p ≈ q and p hides itself
 	}
@@ -283,15 +289,16 @@ func (p Path) String() string {
 // are equal, so a Key names a subobject (Section 3).
 func (p Path) Key() string {
 	f := p.Fixed()
-	var b strings.Builder
+	b := make([]byte, 0, 4*len(f.nodes)+4)
 	for i, n := range f.nodes {
 		if i > 0 {
-			b.WriteByte(',')
+			b = append(b, ',')
 		}
-		fmt.Fprintf(&b, "%d", n)
+		b = strconv.AppendInt(b, int64(n), 10)
 	}
-	fmt.Fprintf(&b, "|%d", p.Mdc())
-	return b.String()
+	b = append(b, '|')
+	b = strconv.AppendInt(b, int64(p.Mdc()), 10)
+	return string(b)
 }
 
 // Extend is the paper's ∘ operator (Definition 15), the abstraction of

@@ -224,3 +224,76 @@ func TestQuickFixedInvariants(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// Defns(C, m) groups DefnsPath(C, m) into ≈-classes in order of first
+// appearance (Definition 7), with every class's paths in enumeration
+// order — whether it filters C's subobjects or groups the definition
+// paths directly.
+func TestQuickDefnsGroupsDefnsPath(t *testing.T) {
+	f := func(s hierarchySpec) bool {
+		g := s.build()
+		for c := 0; c < g.NumClasses(); c++ {
+			for m := 0; m < g.NumMemberNames(); m++ {
+				var want []EquivClass
+				for _, p := range DefnsPath(g, chg.ClassID(c), chg.MemberID(m), 1<<14) {
+					i := 0
+					for i < len(want) && !Equivalent(want[i].Rep, p) {
+						i++
+					}
+					if i == len(want) {
+						want = append(want, EquivClass{Rep: p})
+					}
+					want[i].Members = append(want[i].Members, p)
+				}
+				got := Defns(g, chg.ClassID(c), chg.MemberID(m), 1<<14)
+				if len(got) != len(want) {
+					return false
+				}
+				for i := range got {
+					if !reflect.DeepEqual(got[i].Members, want[i].Members) || !got[i].Rep.Equal(want[i].Rep) {
+						return false
+					}
+				}
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, quickCfg); err != nil {
+		t.Error(err)
+	}
+}
+
+// Maximal keeps exactly the elements no other ≈-class dominates
+// (Definition 16), on every class's full subobject set and on Defns.
+func TestQuickMaximalMatchesDefinition(t *testing.T) {
+	f := func(s hierarchySpec) bool {
+		g := s.build()
+		for c := 0; c < g.NumClasses(); c++ {
+			sets := [][]EquivClass{Subobjects(g, chg.ClassID(c), 1<<14)}
+			for m := 0; m < g.NumMemberNames(); m++ {
+				sets = append(sets, Defns(g, chg.ClassID(c), chg.MemberID(m), 1<<14))
+			}
+			for _, a := range sets {
+				var want []EquivClass
+				for _, u := range a {
+					dominated := false
+					for _, v := range a {
+						if !Equivalent(u.Rep, v.Rep) && Dominates(v.Rep, u.Rep) {
+							dominated = true
+						}
+					}
+					if !dominated {
+						want = append(want, u)
+					}
+				}
+				if !reflect.DeepEqual(Maximal(a), want) {
+					return false
+				}
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, quickCfg); err != nil {
+		t.Error(err)
+	}
+}

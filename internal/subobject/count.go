@@ -55,19 +55,57 @@ func CountDefns(g *chg.Graph, c chg.ClassID, m chg.MemberID) *big.Int {
 	return total
 }
 
-// CountPaths returns the exact number of CHG paths ending at c (the
-// subobject count in the absence of virtual inheritance, and the size
-// of the path enumeration in general), in big.Int.
-func CountPaths(g *chg.Graph, c chg.ClassID) *big.Int {
-	all := make([]*big.Int, g.NumClasses())
-	for _, x := range g.Topo() {
-		t := big.NewInt(1)
-		for _, e := range g.DirectBases(x) {
-			t.Add(t, all[e.Base])
-		}
-		all[x] = t
+// PathCounts returns, for every class c, the number of CHG paths
+// ending at c — the subobject count in the absence of virtual
+// inheritance, and the size of the path enumeration in general — from
+// one topological pass. Counts saturate at limit+1: any count above
+// limit reads as limit+1, so a "> limit" guard stays exact without
+// big integers however exponential the hierarchy. limit must be below
+// math.MaxInt.
+func PathCounts(g *chg.Graph, limit int) []int {
+	return cappedPathCounts(g, limit, false)
+}
+
+// Counts returns Count(g, c) for every class c, saturating at limit+1
+// as PathCounts does: the non-virtual path counts come from one
+// topological pass shared by every class.
+func Counts(g *chg.Graph, limit int) []int {
+	nv := cappedPathCounts(g, limit, true)
+	out := make([]int, len(nv))
+	for c := range out {
+		n := nv[c]
+		g.VirtualBases(chg.ClassID(c)).ForEach(func(x int) {
+			n = capAdd(n, nv[x], limit)
+		})
+		out[c] = n
 	}
-	return all[c]
+	return out
+}
+
+// cappedPathCounts runs the recurrence n(x) = 1 + Σ n(b) over the
+// direct bases b of x — only the non-virtual ones when nonVirtual is
+// set — in topological order, saturating at limit+1.
+func cappedPathCounts(g *chg.Graph, limit int, nonVirtual bool) []int {
+	n := make([]int, g.NumClasses())
+	for _, x := range g.Topo() {
+		t := 1
+		for _, e := range g.DirectBases(x) {
+			if !nonVirtual || e.Kind == chg.NonVirtual {
+				t = capAdd(t, n[e.Base], limit)
+			}
+		}
+		n[x] = t
+	}
+	return n
+}
+
+// capAdd returns a+b for counts a, b ≤ limit+1, saturating at limit+1
+// without overflowing.
+func capAdd(a, b, limit int) int {
+	if a > limit-b {
+		return limit + 1
+	}
+	return a + b
 }
 
 func nonVirtualPathCounts(g *chg.Graph) []*big.Int {

@@ -1,6 +1,7 @@
 package subobject
 
 import (
+	"math"
 	"math/big"
 	"math/rand"
 	"strings"
@@ -240,10 +241,39 @@ func TestCountDefnsMatchesOracle(t *testing.T) {
 
 func TestCountPathsMatchesEnumeration(t *testing.T) {
 	g := hiergen.Figure3()
+	counts := PathCounts(g, 1<<20)
 	for c := 0; c < g.NumClasses(); c++ {
-		want := int64(len(paths.AllPathsTo(g, chg.ClassID(c), 0)))
-		if got := CountPaths(g, chg.ClassID(c)); got.Cmp(big.NewInt(want)) != 0 {
-			t.Errorf("CountPaths(%s) = %v, want %d", g.Name(chg.ClassID(c)), got, want)
+		want := len(paths.AllPathsTo(g, chg.ClassID(c), 0))
+		if counts[c] != want {
+			t.Errorf("PathCounts[%s] = %d, want %d", g.Name(chg.ClassID(c)), counts[c], want)
+		}
+	}
+}
+
+// TestCappedCountsSaturate checks PathCounts and Counts against the
+// exact big-integer counts on the exponential diamond-chain family:
+// exact up to the limit, limit+1 beyond it — including limits the
+// counts overshoot by far more than 2x, and the largest int limit.
+func TestCappedCountsSaturate(t *testing.T) {
+	for _, kind := range []chg.Kind{chg.NonVirtual, chg.Virtual} {
+		g := hiergen.DiamondChain(40, kind)
+		for _, limit := range []int{1, 7, 100, 1 << 12, math.MaxInt - 1} {
+			pc, sc := PathCounts(g, limit), Counts(g, limit)
+			for c := 0; c < g.NumClasses(); c++ {
+				id := chg.ClassID(c)
+				capped := func(n *big.Int) int {
+					if n.Cmp(big.NewInt(int64(limit))) > 0 {
+						return limit + 1
+					}
+					return int(n.Int64())
+				}
+				if want := capped(big.NewInt(paths.CountPathsTo(g, id))); pc[c] != want {
+					t.Errorf("%v limit %d: PathCounts[%s] = %d, want %d", kind, limit, g.Name(id), pc[c], want)
+				}
+				if want := capped(Count(g, id)); sc[c] != want {
+					t.Errorf("%v limit %d: Counts[%s] = %d, want %d", kind, limit, g.Name(id), sc[c], want)
+				}
+			}
 		}
 	}
 }
