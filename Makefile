@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race vet lint check verify golden golden-check bench-json bench-check bench-smoke scale-smoke devirt-smoke
+.PHONY: build test race vet fmt-check lint check verify golden golden-check bench-json bench-check bench-smoke scale-smoke devirt-smoke
 
 build:
 	$(GO) build ./...
@@ -13,6 +13,11 @@ race:
 
 vet:
 	$(GO) vet ./...
+
+# Fail, listing the files, if any tracked Go file is not gofmt-clean.
+# Listing files with git skips the module cache under .bench_build/.
+fmt-check:
+	test -z "$$(gofmt -l $$(git ls-files '*.go') | tee /dev/stderr)"
 
 # The CI gate: lint every example hierarchy, failing on any
 # error-severity finding (the frontend's diagnostics; hierarchy rules
@@ -74,7 +79,7 @@ golden-check: golden
 
 check: build vet test lint
 
-# Everything CI runs: build, vet, the full test suite, the example
-# lint gate, golden/benchmark-snapshot staleness, and the repository
-# benchmark's smoke test.
-verify: build vet test lint golden-check bench-check bench-smoke
+# Everything CI runs: build, vet, gofmt, the full test suite, the
+# example lint gate, golden/benchmark-snapshot staleness, and the
+# repository benchmark's smoke test.
+verify: build vet fmt-check test lint golden-check bench-check bench-smoke

@@ -42,9 +42,9 @@ import (
 
 	"cpplookup/internal/cli"
 	"cpplookup/internal/core"
+	"cpplookup/internal/cpp/sema"
 	"cpplookup/internal/engine"
 	"cpplookup/internal/image"
-	"cpplookup/internal/cpp/sema"
 	"cpplookup/internal/semantics"
 )
 

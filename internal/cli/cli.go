@@ -149,31 +149,15 @@ func PrintLookupSem(w io.Writer, snap *engine.Snapshot, id core.SemanticsID, cla
 // PrintTable writes the whole lookup table, classes in topological
 // order.
 func PrintTable(w io.Writer, snap *engine.Snapshot) {
-	g := snap.Graph()
-	table := snap.Table()
-	for _, c := range g.Topo() {
-		ms := table.Members(c)
-		if len(ms) == 0 {
-			continue
-		}
-		fmt.Fprintf(w, "%s:\n", g.Name(c))
-		for _, m := range ms {
-			fmt.Fprintf(w, "  %-20s %s\n", g.MemberName(m), table.Lookup(c, m).Format(g))
-		}
-	}
+	_ = PrintTableSem(w, snap, core.SemDominance, false) // every snapshot serves dominance
 }
 
 // PrintTableSem writes the whole lookup table under the named
-// backend. The dominance id prints the classic PrintTable layout;
-// withHeader prefixes the dump with a backend banner for multi-
-// semantics runs.
+// backend, classes in topological order; withHeader prefixes the dump
+// with a backend banner for multi-semantics runs.
 func PrintTableSem(w io.Writer, snap *engine.Snapshot, id core.SemanticsID, withHeader bool) error {
 	if withHeader {
 		fmt.Fprintf(w, "== semantics: %s ==\n", id)
-	}
-	if id == core.SemDominance {
-		PrintTable(w, snap)
-		return nil
 	}
 	table, ok := snap.TableSem(id)
 	if !ok {

@@ -19,6 +19,9 @@ func allocQueries(g *chg.Graph) [][2]int {
 	return qs
 }
 
+// raceEnabled reports a -race build (set in race_test.go).
+var raceEnabled bool
+
 // TestWarmLookupZeroAllocs pins the core promise of the packed-cell
 // cache: once a cell is filled, answering it is an array index plus an
 // atomic word load — zero heap allocations per hit, for inline results
@@ -45,6 +48,67 @@ func TestWarmLookupZeroAllocs(t *testing.T) {
 			_ = sink
 			if avg != 0 {
 				t.Fatalf("warm Lookup allocated %.2f objects per %d-query sweep, want 0", avg, len(qs))
+			}
+		})
+	}
+}
+
+// TestColdFillAllocsPerSnapshot gates the miss path: cold-filling
+// every cell of a fresh snapshot allocates a small constant per
+// snapshot (payload-pool growth), not one or more objects per miss.
+// A single-call miss borrows pooled scratch frames and a batch threads
+// its own, and the dominance fill never hands its recursive closure to
+// an interface, so nothing escapes per miss. Both paths are checked,
+// the batch on a dominance-only snapshot and on one that also serves
+// C3 and gxx.
+func TestColdFillAllocsPerSnapshot(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector makes sync.Pool drop a random share of Puts, so pooled scratch reallocates")
+	}
+	const runs = 20
+	// maxAllocs is far below the number of misses: a fill allocating
+	// per miss blows through it by two orders of magnitude.
+	const maxAllocs = 8
+	g := hiergen.Realistic(8, 3)
+	qs := allocQueries(g)
+	batch := make([]Query, len(qs))
+	for i, q := range qs {
+		batch[i] = Query{Class: chg.ClassID(q[0]), Member: chg.MemberID(q[1])}
+	}
+	out := make([]core.Result, 0, len(batch))
+	fills := map[string]struct {
+		opts []core.Option
+		fill func(*Snapshot)
+	}{
+		"single": {nil, func(s *Snapshot) {
+			for _, q := range batch {
+				s.Lookup(q.Class, q.Member)
+			}
+		}},
+		"batch": {nil, func(s *Snapshot) { s.LookupBatch(batch, out[:0]) }},
+		"batch c3+gxx": {
+			[]core.Option{core.WithSemantics(core.SemC3, core.SemGxx)},
+			func(s *Snapshot) { s.LookupBatch(batch, out[:0]) },
+		},
+	}
+	for name, tc := range fills {
+		t.Run(name, func(t *testing.T) {
+			snaps := make([]*Snapshot, runs+1)
+			for i := range snaps {
+				snaps[i] = NewSnapshot(g, tc.opts...)
+			}
+			next := 0
+			avg := testing.AllocsPerRun(runs, func() {
+				tc.fill(snaps[next])
+				next++
+			})
+			for _, s := range snaps {
+				if got := s.CachedEntries(); got != len(batch) {
+					t.Fatalf("fill left %d of %d cells cached", got, len(batch))
+				}
+			}
+			if avg > maxAllocs {
+				t.Fatalf("cold fill of %d cells allocated %.1f objects per snapshot, want at most %d", len(batch), avg, maxAllocs)
 			}
 		})
 	}

@@ -14,10 +14,10 @@ package engine
 //     adjacent duplicates, and one shard lock per run of misses;
 //   - duplicate queries collapse to one cell read fanned back out
 //     through the sort permutation;
-//   - misses reuse one scratch stack across the whole batch (the
-//     one-at-a-time fill allocates per resolve call), and the member's
-//     shard lock is held across a whole run of same-member misses
-//     rather than being re-acquired per query;
+//   - misses reuse one scratch stack across the whole batch (a
+//     one-at-a-time miss borrows one from the pool per call), and the
+//     member's shard lock is held across a whole run of same-member
+//     misses rather than being re-acquired per query;
 //   - batches past batchParallelFloor fan out over work-stealing
 //     workers in contiguous stripes, like the carry path's cone
 //     clearing.
@@ -54,7 +54,7 @@ var batchParallelFloor = 1 << 16
 const batchStripe = 1 << 15
 
 // batchScratchPool recycles batch scratch across calls and workers so
-// steady-state batches are allocation-free.
+// steady-state batches, and single-call misses, are allocation-free.
 var batchScratchPool = sync.Pool{New: func() any { return new(core.BatchScratch) }}
 
 // LookupBatch resolves every query in qs under dominance semantics,
@@ -79,11 +79,9 @@ func (s *Snapshot) LookupBatchSem(id core.SemanticsID, qs []Query, out []core.Re
 // (batchParallelFloor) and stays serial otherwise; 1 forces serial; >1
 // forces that many workers regardless of batch size.
 func (s *Snapshot) LookupBatchSemWorkers(id core.SemanticsID, qs []Query, out []core.Result, workers int) ([]core.Result, bool) {
-	var col *semColumn
-	if id != core.SemDominance {
-		if col = s.column(id); col == nil {
-			return out, false
-		}
+	col := s.column(id)
+	if col == nil {
+		return out, false
 	}
 	need := len(out) + len(qs)
 	if cap(out) < need {
@@ -134,13 +132,13 @@ func (s *Snapshot) LookupBatchSemWorkers(id core.SemanticsID, qs []Query, out []
 	return out, true
 }
 
-// lookupBatchRange answers qs into dst (len(dst) == len(qs)) for one
-// backend: col == nil means the primary dominance cells. It sorts the
-// queries member-major, walks the sorted order reading warm cells
-// without locking, fills misses under the member's shard lock held
-// across the member's whole run, and scatters results back through the
-// sort permutation (duplicates share one cell read).
-func (s *Snapshot) lookupBatchRange(col *semColumn, qs []Query, dst []core.Result, sc *core.BatchScratch) {
+// lookupBatchRange answers qs into dst (len(dst) == len(qs)) from one
+// backend's column. It sorts the queries member-major, walks the
+// sorted order reading warm cells without locking, fills misses under
+// the member's shard lock held across the member's whole run, and
+// scatters results back through the sort permutation (duplicates share
+// one cell read).
+func (s *Snapshot) lookupBatchRange(col *column, qs []Query, dst []core.Result, sc *core.BatchScratch) {
 	g := s.k.Graph()
 	nc := uint64(g.NumClasses())
 	nm := uint64(s.numMembers)
@@ -160,12 +158,8 @@ func (s *Snapshot) lookupBatchRange(col *semColumn, qs []Query, dst []core.Resul
 	}
 	sorted, perm := sc.Sort(len(qs), sentinel)
 
-	cells := s.cells
-	locks := &s.fillLocks
-	if col != nil {
-		cells = col.cells
-		locks = &col.fillLocks
-	}
+	cells := col.cells
+	locks := &col.fillLocks
 
 	var held *sync.Mutex
 	lastM := chg.MemberID(-1)
@@ -197,7 +191,7 @@ func (s *Snapshot) lookupBatchRange(col *semColumn, qs []Query, dst []core.Resul
 					held = &locks[uint32(m)%shardCount]
 					held.Lock()
 				}
-				r = s.fillBatch(cells, col, c, m, &sc.Resolve)
+				r = s.fill(col, c, m, &sc.Resolve)
 			}
 		}
 		for ; i < j; i++ {
@@ -207,32 +201,4 @@ func (s *Snapshot) lookupBatchRange(col *semColumn, qs []Query, dst []core.Resul
 	if held != nil {
 		held.Unlock()
 	}
-}
-
-// fillBatch is fill/fillSem with the member's shard lock already held
-// by the batch walk and, on the dominance path, the batch's reusable
-// scratch stack threaded through the recursion (one frame per depth,
-// reused across every miss of the batch) instead of a fresh
-// allocation per resolve call.
-func (s *Snapshot) fillBatch(cells []uint64, col *semColumn, c chg.ClassID, m chg.MemberID, st *core.ScratchStack) core.Result {
-	depth := 0
-	var lookup func(x chg.ClassID) core.Result
-	lookup = func(x chg.ClassID) core.Result {
-		cell := &cells[int(x)*s.numMembers+int(m)]
-		if w := atomic.LoadUint64(cell); w != 0 {
-			return s.pool.View(core.Cell(w))
-		}
-		var r core.Result
-		if col == nil {
-			rs := st.At(depth)
-			depth++
-			r = s.k.ResolveWith(x, m, lookup, rs)
-			depth--
-		} else {
-			r = col.sem.Resolve(x, m, lookup)
-		}
-		atomic.StoreUint64(cell, uint64(r.Cell()))
-		return r
-	}
-	return lookup(c)
 }

@@ -9,7 +9,6 @@ import (
 	"cpplookup/internal/chg"
 	"cpplookup/internal/core"
 	"cpplookup/internal/par"
-	"cpplookup/internal/semantics"
 )
 
 // Warm-cache carry-over. An engine Update normally publishes a
@@ -63,9 +62,9 @@ type ConeEntry struct {
 
 // CarryStats reports what a carried snapshot inherited — the
 // observability the benchmarks and experiments use to assert the
-// carry actually happened. Carried/Invalidated count the primary
-// (dominance) cells only, keeping the historical benchmark axes
-// stable; each extra backend column reports its own pair in Columns.
+// carry actually happened. Carried/Invalidated count column 0
+// (dominance) only, keeping the historical benchmark axes stable; each
+// extra backend column reports its own pair in Columns.
 type CarryStats struct {
 	Carried     int // predecessor cells surviving into this snapshot
 	Invalidated int // predecessor cells cleared by the cone
@@ -123,7 +122,7 @@ func (e *Engine) UpdateCarried(name string, g *chg.Graph, cone []ConeEntry) (*Sn
 	if snap, ok := carriedSnapshot(name, ent.version, g, ent.opts, ent.snap, cone, e.carryWorkers); ok {
 		ent.snap = snap
 	} else {
-		snap, err := newSnapshot(name, ent.version, core.NewKernel(g, ent.opts...))
+		snap, err := newSnapshot(name, ent.version, core.NewKernel(g, ent.opts...), nil)
 		if err != nil {
 			return nil, err
 		}
@@ -220,23 +219,20 @@ func carriedSnapshot(name string, version uint64, g *chg.Graph, opts []core.Opti
 	if !distinctMembers {
 		clearWorkers = 1
 	}
-	carryColumn := func(src []uint64) (cells []uint64, carried, invalidated int) {
-		cells = make([]uint64, g.NumClasses()*newM)
-		carried = carryCopy(src, cells, oldN, oldM, newM, colWorkers)
-		invalidated = coneClear(cells, cone, oldN, newM, clearWorkers)
-		carried -= invalidated
-		return cells, carried, invalidated
+	cells := make([]CellColumn, len(prev.cols))
+	perCol := make([]ColumnCarry, len(prev.cols))
+	invalidated := 0
+	for i, pcol := range prev.cols {
+		cc := make([]uint64, g.NumClasses()*newM)
+		carried := carryCopy(pcol.cells, cc, oldN, oldM, newM, colWorkers)
+		inval := coneClear(cc, cone, oldN, newM, clearWorkers)
+		cells[i] = CellColumn{ID: pcol.id, Cells: cc}
+		perCol[i] = ColumnCarry{ID: pcol.id, Carried: carried - inval, Invalidated: inval}
+		invalidated += inval
 	}
-
-	cells, carried, invalidated := carryColumn(prev.cells)
-	colCells := make([][]uint64, len(prev.sems))
-	colStats := make([]ColumnCarry, len(prev.sems))
-	totalInvalidated := invalidated
-	for i, pcol := range prev.sems {
-		cc, cCarried, cInval := carryColumn(pcol.cells)
-		colCells[i] = cc
-		colStats[i] = ColumnCarry{ID: pcol.id, Carried: cCarried, Invalidated: cInval}
-		totalInvalidated += cInval
+	stats := CarryStats{Carried: perCol[0].Carried, Invalidated: perCol[0].Invalidated, PoolShared: true, Workers: colWorkers}
+	if len(perCol) > 1 {
+		stats.Columns = perCol[1:]
 	}
 
 	// Pool lifetime: share the predecessor's pool (carried words keep
@@ -246,19 +242,14 @@ func carriedSnapshot(name string, version uint64, g *chg.Graph, opts []core.Opti
 	// the garbage accrued since the last weigh — new interning (pool
 	// growth) plus cone-cleared cells — cannot have reached the
 	// compaction floor; steady-state serving republishes pay nothing.
+	// Every column references the one shared pool, so liveness is the
+	// union of their referenced payloads.
 	pool := prev.pool
-	stats := CarryStats{Carried: carried, Invalidated: invalidated, PoolShared: true, Columns: colStats, Workers: colWorkers}
-	weighedLen, invalSince := prev.poolWeighedLen, prev.invalSinceWeigh+totalInvalidated
+	weighedLen, invalSince := prev.poolWeighedLen, prev.invalSinceWeigh+invalidated
 	if pool.Len()-weighedLen+invalSince >= carryCompactMinGarbage {
-		// Weigh (and, if compacting, migrate) across the primary cells
-		// and every backend column: they all reference the one shared
-		// pool, so liveness is the union of their referenced payloads.
 		lc := core.NewPoolLiveCounter()
-		for _, w := range cells {
-			lc.Observe(core.Cell(w))
-		}
-		for _, cc := range colCells {
-			for _, w := range cc {
+		for _, col := range cells {
+			for _, w := range col.Cells {
 				lc.Observe(core.Cell(w))
 			}
 		}
@@ -267,15 +258,10 @@ func carriedSnapshot(name string, version uint64, g *chg.Graph, opts []core.Opti
 		if carryShouldCompact(stats.PoolLive, stats.PoolGarbage) {
 			np := core.NewPool()
 			mg := core.NewMigrator(pool, np)
-			for i, w := range cells {
-				if w != 0 {
-					cells[i] = uint64(mg.Migrate(core.Cell(w)))
-				}
-			}
-			for _, cc := range colCells {
-				for i, w := range cc {
+			for _, col := range cells {
+				for i, w := range col.Cells {
 					if w != 0 {
-						cc[i] = uint64(mg.Migrate(core.Cell(w)))
+						col.Cells[i] = uint64(mg.Migrate(core.Cell(w)))
 					}
 				}
 			}
@@ -286,26 +272,13 @@ func carriedSnapshot(name string, version uint64, g *chg.Graph, opts []core.Opti
 	}
 
 	kopts := append(append([]core.Option(nil), opts...), core.WithPool(pool))
-	cols := make([]*semColumn, len(prev.sems))
-	for i, pcol := range prev.sems {
-		sem, err := semantics.New(pcol.id, g, pool)
-		if err != nil {
-			return nil, false
-		}
-		cols[i] = &semColumn{id: pcol.id, sem: sem, cells: colCells[i]}
+	snap, err := newSnapshot(name, version, core.NewKernel(g, kopts...), cells)
+	if err != nil {
+		return nil, false
 	}
-	return &Snapshot{
-		name:            name,
-		version:         version,
-		k:               core.NewKernel(g, kopts...),
-		pool:            pool,
-		numMembers:      newM,
-		cells:           cells,
-		sems:            cols,
-		carry:           stats,
-		poolWeighedLen:  weighedLen,
-		invalSinceWeigh: invalSince,
-	}, true
+	snap.carry = stats
+	snap.poolWeighedLen, snap.invalSinceWeigh = weighedLen, invalSince
+	return snap, true
 }
 
 // carryCopy copies every nonzero predecessor cell into the successor

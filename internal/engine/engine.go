@@ -4,13 +4,14 @@
 // propagation step (core.Kernel) from memoization policy; this
 // package supplies the policy a server needs: an Engine registers
 // named hierarchies and publishes immutable, versioned Snapshots.
-// Each Snapshot pairs a chg.Graph with a concurrency-safe memoized
-// lookup cache — sharded by member name, readers lock-free via an
-// atomically published map, writers filling each miss once under a
-// per-shard lock. Updating a name swaps in a new Snapshot atomically:
-// in-flight readers keep answering against the version they hold,
-// which is how an edit-heavy producer (internal/incremental) and
-// many query goroutines coexist without a stop-the-world.
+// Each Snapshot pairs a chg.Graph with one concurrency-safe memoized
+// lookup cache per resolution backend — dense packed cells, readers
+// lock-free via one atomic word load per hit, writers filling each
+// miss once under a per-member-name shard lock. Updating a name swaps
+// in a new Snapshot atomically: in-flight readers keep answering
+// against the version they hold, which is how an edit-heavy producer
+// (internal/incremental) and many query goroutines coexist without a
+// stop-the-world.
 package engine
 
 import (
@@ -76,7 +77,7 @@ func (e *Engine) Register(name string, g *chg.Graph, opts ...core.Option) (*Snap
 		return nil, fmt.Errorf("engine: hierarchy %q already registered (use Update to publish a new version)", name)
 	}
 	ent := &entry{opts: opts, version: 1}
-	snap, err := newSnapshot(name, 1, core.NewKernel(g, opts...))
+	snap, err := newSnapshot(name, 1, core.NewKernel(g, opts...), nil)
 	if err != nil {
 		return nil, err
 	}
@@ -102,7 +103,7 @@ func (e *Engine) Update(name string, g *chg.Graph) (*Snapshot, error) {
 		return nil, fmt.Errorf("engine: hierarchy %q is not registered", name)
 	}
 	ent.version++
-	snap, err := newSnapshot(name, ent.version, core.NewKernel(g, ent.opts...))
+	snap, err := newSnapshot(name, ent.version, core.NewKernel(g, ent.opts...), nil)
 	if err != nil {
 		return nil, err
 	}

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"slices"
 	"testing"
 
 	"cpplookup/internal/chg"
@@ -359,5 +360,54 @@ func TestSyncDetailExposesConeAndEdits(t *testing.T) {
 	}
 	if again.Republished || again.Snapshot != res.Snapshot {
 		t.Fatalf("post-sync SyncDetail = %+v, want no-op", again)
+	}
+}
+
+// TestSnapshotFromPartsColumns pins the image loader's column
+// contract: exactly one column per served backend, dominance first,
+// each of the snapshot's size. A repeated backend would be unreachable
+// through LookupSem yet copied into every later image, so it is
+// rejected like any other malformed column set; a well-formed set
+// serves every backend straight from the given cells.
+func TestSnapshotFromPartsColumns(t *testing.T) {
+	g := hiergen.Figure9()
+	src := NewSnapshot(g, core.WithSemantics(core.SemC3, core.SemGxx))
+	src.WarmAll()
+	cols := src.CopyColumns()
+	domCol, c3Col, gxxCol := cols[0], cols[1], cols[2]
+	bad := map[string][]CellColumn{
+		"no columns":          {},
+		"repeated backend":    {domCol, c3Col, c3Col},
+		"repeated dominance":  {domCol, domCol},
+		"dominance not first": {c3Col, domCol},
+		"short column":        {domCol, {ID: core.SemC3, Cells: c3Col.Cells[1:]}},
+		"unknown backend":     {domCol, {ID: "no-such-backend", Cells: c3Col.Cells}},
+	}
+	for name, cs := range bad {
+		if s, err := NewSnapshotFromParts(g, src.Pool(), cs, false, false); err == nil {
+			t.Errorf("%s: accepted, serving %v", name, s.Semantics())
+		}
+	}
+
+	got, err := NewSnapshotFromParts(g, src.Pool(), []CellColumn{domCol, c3Col, gxxCol}, false, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(got.Semantics(), src.Semantics()) {
+		t.Fatalf("Semantics() = %v, want %v", got.Semantics(), src.Semantics())
+	}
+	for _, id := range got.Semantics() {
+		if n, want := got.SemCachedEntries(id), len(domCol.Cells); n != want {
+			t.Fatalf("%s column holds %d cells, want the %d it was given", id, n, want)
+		}
+		for c := 0; c < g.NumClasses(); c++ {
+			for m := 0; m < g.NumMemberNames(); m++ {
+				r, _ := got.LookupSem(id, chg.ClassID(c), chg.MemberID(m))
+				want, _ := src.LookupSem(id, chg.ClassID(c), chg.MemberID(m))
+				if !r.Equal(want) {
+					t.Fatalf("%s %s::%s = %s, want %s", id, g.Name(chg.ClassID(c)), g.MemberName(chg.MemberID(m)), r.Format(g), want.Format(g))
+				}
+			}
+		}
 	}
 }

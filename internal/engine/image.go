@@ -17,7 +17,6 @@ import (
 
 	"cpplookup/internal/chg"
 	"cpplookup/internal/core"
-	"cpplookup/internal/semantics"
 )
 
 // CellColumn is one resolution backend's dense cell array, in the
@@ -35,17 +34,13 @@ type CellColumn struct {
 // pooled payload a copied word references is already fully interned
 // (cells publish after their payloads).
 func (s *Snapshot) CopyColumns() []CellColumn {
-	copyCol := func(src []uint64) []uint64 {
-		dst := make([]uint64, len(src))
-		for i := range src {
-			dst[i] = atomic.LoadUint64(&src[i])
+	out := make([]CellColumn, len(s.cols))
+	for i, col := range s.cols {
+		cells := make([]uint64, len(col.cells))
+		for j := range cells {
+			cells[j] = atomic.LoadUint64(&col.cells[j])
 		}
-		return dst
-	}
-	out := make([]CellColumn, 0, 1+len(s.sems))
-	out = append(out, CellColumn{ID: core.SemDominance, Cells: copyCol(s.cells)})
-	for _, col := range s.sems {
-		out = append(out, CellColumn{ID: col.id, Cells: copyCol(col.cells)})
+		out[i] = CellColumn{ID: col.id, Cells: cells}
 	}
 	return out
 }
@@ -56,10 +51,10 @@ func (s *Snapshot) CopyColumns() []CellColumn {
 // use (it is just lookups).
 func (s *Snapshot) WarmAll() {
 	g := s.k.Graph()
-	for _, id := range s.Semantics() {
+	for _, col := range s.cols {
 		for c := 0; c < g.NumClasses(); c++ {
 			for m := 0; m < s.numMembers; m++ {
-				s.LookupSem(id, chg.ClassID(c), chg.MemberID(m))
+				s.lookup(col, chg.ClassID(c), chg.MemberID(m))
 			}
 		}
 	}
@@ -67,11 +62,12 @@ func (s *Snapshot) WarmAll() {
 
 // NewSnapshotFromParts assembles a standalone snapshot (version 1, no
 // engine) around externally produced cache columns — the image
-// loader's constructor. The columns must be dominance-first, each of
-// length NumClasses×NumMemberNames, packed over pool; they are adopted
-// without copying, so mapped columns serve from the mapped bytes.
-// trackPaths/staticRule must match the flags the cells were resolved
-// under (the image header records them).
+// loader's constructor. The columns must be dominance-first, each
+// backend at most once, each of length NumClasses×NumMemberNames,
+// packed over pool; they are adopted without copying, so mapped
+// columns serve from the mapped bytes. trackPaths/staticRule must
+// match the flags the cells were resolved under (the image header
+// records them).
 func NewSnapshotFromParts(g *chg.Graph, pool *core.Pool, cols []CellColumn, trackPaths, staticRule bool) (*Snapshot, error) {
 	if g == nil {
 		return nil, fmt.Errorf("engine: snapshot from parts: nil graph")
@@ -79,44 +75,25 @@ func NewSnapshotFromParts(g *chg.Graph, pool *core.Pool, cols []CellColumn, trac
 	if pool == nil {
 		return nil, fmt.Errorf("engine: snapshot from parts: nil pool")
 	}
-	if len(cols) == 0 || cols[0].ID != core.SemDominance {
-		return nil, fmt.Errorf("engine: snapshot from parts: first column must be %q", core.SemDominance)
+	if len(cols) == 0 {
+		return nil, fmt.Errorf("engine: snapshot from parts: no columns")
 	}
-	numM := g.NumMemberNames()
-	want := g.NumClasses() * numM
-	opts := []core.Option{core.WithPool(pool)}
+	ids := make([]core.SemanticsID, len(cols))
+	for i, col := range cols {
+		ids[i] = col.ID
+	}
+	opts := []core.Option{core.WithPool(pool), core.WithSemantics(ids...)}
 	if trackPaths {
 		opts = append(opts, core.WithTrackPaths())
 	}
 	if staticRule {
 		opts = append(opts, core.WithStaticRule())
 	}
-	sems := make([]*semColumn, 0, len(cols)-1)
-	for i, col := range cols {
-		if len(col.Cells) != want {
-			return nil, fmt.Errorf("engine: snapshot from parts: column %q has %d cells, want %d", col.ID, len(col.Cells), want)
-		}
-		if i == 0 {
-			continue
-		}
-		if col.ID == core.SemDominance {
-			return nil, fmt.Errorf("engine: snapshot from parts: duplicate %q column", core.SemDominance)
-		}
-		sem, err := semantics.New(col.ID, g, pool)
-		if err != nil {
-			return nil, err
-		}
-		sems = append(sems, &semColumn{id: col.ID, sem: sem, cells: col.Cells})
-		opts = append(opts, core.WithSemantics(col.ID))
+	s, err := newSnapshot("", 1, core.NewKernel(g, opts...), cols)
+	if err != nil {
+		return nil, fmt.Errorf("engine: snapshot from parts: %w", err)
 	}
-	return &Snapshot{
-		version:    1,
-		k:          core.NewKernel(g, opts...),
-		pool:       pool,
-		numMembers: numM,
-		cells:      cols[0].Cells,
-		sems:       sems,
-	}, nil
+	return s, nil
 }
 
 // Adopt registers an existing snapshot (typically one loaded from a
@@ -143,17 +120,11 @@ func (e *Engine) Adopt(name string, s *Snapshot) error {
 	if k.StaticRule() {
 		opts = append(opts, core.WithStaticRule())
 	}
-	adopted := &Snapshot{
-		name:       name,
-		version:    1,
-		k:          s.k,
-		pool:       s.pool,
-		numMembers: s.numMembers,
-		cells:      s.cells,
-		sems:       s.sems,
-		carry:      s.carry,
-	}
-	e.entries[name] = &entry{opts: opts, version: 1, snap: adopted}
+	// The adopted copy shares s's columns, locks and tables included:
+	// both snapshots fill the same cells under the same shard locks.
+	adopted := *s
+	adopted.name, adopted.version = name, 1
+	e.entries[name] = &entry{opts: opts, version: 1, snap: &adopted}
 	e.order = append(e.order, name)
 	return nil
 }

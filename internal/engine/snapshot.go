@@ -1,11 +1,14 @@
 package engine
 
 import (
+	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 
 	"cpplookup/internal/chg"
 	"cpplookup/internal/core"
+	"cpplookup/internal/semantics"
 )
 
 // shardCount is the number of writer locks per snapshot. Misses are
@@ -17,24 +20,25 @@ import (
 const shardCount = 32
 
 // Snapshot is one immutable, versioned view of a hierarchy: a
-// chg.Graph plus a concurrency-safe memoized lookup cache driving the
-// shared core.Kernel. Any number of goroutines may call Lookup
-// concurrently; a snapshot never changes once published, so readers
-// holding one are isolated from later engine updates.
+// chg.Graph plus one concurrency-safe memoized lookup cache per
+// resolution backend, all packed over the kernel's one payload pool.
+// Any number of goroutines may call Lookup concurrently; a snapshot
+// never changes once published, so readers holding one are isolated
+// from later engine updates.
 //
-// The cache is a dense numClasses×numMemberNames array of packed
-// core.Cell words, read and written with sync/atomic word operations:
-// a warm hit is one array index and one atomic word load — no locking,
-// no hashing, no pointer chase, and no per-result allocation, since
-// the word itself encodes the common results and rare payloads live
-// interned in the kernel's per-snapshot pool. The zero word means "not
-// filled yet" (core never encodes a result as zero). Writers fill
-// misses under a per-member-name shard lock; each cell is computed and
-// published exactly once. The slice is plain []uint64 rather than
-// []atomic.Uint64 so that carry-over can stage a not-yet-published
-// successor with ordinary stores (publication through the engine's
-// mutex provides the happens-before edge) instead of paying an atomic
-// read-modify-write per carried cell.
+// Each backend's cache is one column, a dense numClasses×numMemberNames
+// array of packed core.Cell words, read and written with sync/atomic
+// word operations: a warm hit is one array index and one atomic word
+// load — no locking, no hashing, no pointer chase, and no per-result
+// allocation, since the word itself encodes the common results and
+// rare payloads live interned in the snapshot's pool. The zero word
+// means "not filled yet" (core never encodes a result as zero).
+// Writers fill misses under a per-member-name shard lock; each cell is
+// computed and published exactly once. The slice is plain []uint64
+// rather than []atomic.Uint64 so that carry-over can stage a
+// not-yet-published successor with ordinary stores (publication
+// through the engine's mutex provides the happens-before edge) instead
+// of paying an atomic read-modify-write per carried cell.
 type Snapshot struct {
 	name    string
 	version uint64
@@ -42,13 +46,11 @@ type Snapshot struct {
 	pool    *core.Pool
 
 	numMembers int
-	cells      []uint64
-	fillLocks  [shardCount]sync.Mutex
 
-	// sems holds one cache column per extra resolution backend the
-	// snapshot was built to serve (core.WithSemantics); nil for
-	// dominance-only snapshots. See semantics.go.
-	sems []*semColumn
+	// cols holds one cache column per backend the snapshot serves:
+	// dominance (the kernel itself) first, then every backend
+	// core.WithSemantics requested, in that order.
+	cols []*column
 
 	// carry records what UpdateCarried seeded this snapshot with; the
 	// zero value for cold snapshots.
@@ -63,7 +65,20 @@ type Snapshot struct {
 	// entirely.
 	poolWeighedLen  int
 	invalSinceWeigh int
+}
 
+// column is one backend's cache: its cells, the shard locks its misses
+// fill under, and its eager table, built on first use. Every column
+// follows the same discipline — atomic warm reads, per-member shard
+// locks, zero word = unfilled — because Figure 8's lookup[C,m] reads
+// only entries for the same m at C's bases, whatever the backend; so
+// lock-free hits, fill-once, immutability after publish and warm carry
+// across republishes hold per backend.
+type column struct {
+	id        core.SemanticsID
+	sem       core.Semantics
+	cells     []uint64
+	fillLocks [shardCount]sync.Mutex
 	tableOnce sync.Once
 	table     *core.Table
 }
@@ -72,19 +87,37 @@ type Snapshot struct {
 // It panics if g is nil (with the same message as core.NewKernel) or
 // if WithSemantics named a backend the registry does not know.
 func NewSnapshot(g *chg.Graph, opts ...core.Option) *Snapshot {
-	s, err := newSnapshot("", 1, core.NewKernel(g, opts...))
+	s, err := newSnapshot("", 1, core.NewKernel(g, opts...), nil)
 	if err != nil {
 		panic("engine: " + err.Error())
 	}
 	return s
 }
 
-func newSnapshot(name string, version uint64, k *core.Kernel) (*Snapshot, error) {
+// newSnapshot assembles a snapshot around k, deriving its columns from
+// the kernel: dominance (k itself) first, then one backend per
+// k.ExtraSemantics, each resolving into k's pool. cells, when non-nil,
+// must supply those columns' cells in that order; they are adopted
+// without copying. nil allocates zeroed (cold) columns.
+func newSnapshot(name string, version uint64, k *core.Kernel, cells []CellColumn) (*Snapshot, error) {
 	g := k.Graph()
 	numM := g.NumMemberNames()
-	cols, err := newColumns(k)
-	if err != nil {
+	size := g.NumClasses() * numM
+	ids := append([]core.SemanticsID{core.SemDominance}, k.ExtraSemantics()...)
+	if cells == nil {
+		for _, id := range ids {
+			cells = append(cells, CellColumn{ID: id, Cells: make([]uint64, size)})
+		}
+	} else if err := checkColumns(cells, ids, size); err != nil {
 		return nil, err
+	}
+	cols := []*column{{id: core.SemDominance, sem: k, cells: cells[0].Cells}}
+	for _, c := range cells[1:] {
+		sem, err := semantics.New(c.ID, g, k.Pool())
+		if err != nil {
+			return nil, err
+		}
+		cols = append(cols, &column{id: c.ID, sem: sem, cells: c.Cells})
 	}
 	return &Snapshot{
 		name:       name,
@@ -92,9 +125,25 @@ func newSnapshot(name string, version uint64, k *core.Kernel) (*Snapshot, error)
 		k:          k,
 		pool:       k.Pool(),
 		numMembers: numM,
-		cells:      make([]uint64, g.NumClasses()*numM),
-		sems:       cols,
+		cols:       cols,
 	}, nil
+}
+
+// checkColumns verifies that cells holds one column of size cells per
+// backend in ids, in the same order, and names any repeated backend.
+func checkColumns(cells []CellColumn, ids []core.SemanticsID, size int) error {
+	for i, col := range cells {
+		if slices.ContainsFunc(cells[:i], func(prev CellColumn) bool { return prev.ID == col.ID }) {
+			return fmt.Errorf("duplicate %q column", col.ID)
+		}
+		if len(col.Cells) != size {
+			return fmt.Errorf("column %q has %d cells, want %d", col.ID, len(col.Cells), size)
+		}
+	}
+	if !slices.EqualFunc(cells, ids, func(col CellColumn, id core.SemanticsID) bool { return col.ID == id }) {
+		return fmt.Errorf("columns must be the backends %v, in order", ids)
+	}
+	return nil
 }
 
 // Name returns the engine registration name ("" for standalone
@@ -117,42 +166,76 @@ func (s *Snapshot) Kernel() *core.Kernel { return s.k }
 // cell without locking, and a miss takes only its member's shard lock
 // while it fills the cell (and the recursive cells it needed) once.
 func (s *Snapshot) Lookup(c chg.ClassID, m chg.MemberID) core.Result {
+	return s.lookup(s.cols[0], c, m)
+}
+
+// lookup is Lookup against any column.
+func (s *Snapshot) lookup(col *column, c chg.ClassID, m chg.MemberID) core.Result {
 	if !s.k.Graph().Valid(c) || m < 0 || int(m) >= s.numMembers {
 		return core.UndefinedResult()
 	}
-	if w := atomic.LoadUint64(&s.cells[int(c)*s.numMembers+int(m)]); w != 0 {
+	if w := atomic.LoadUint64(&col.cells[int(c)*s.numMembers+int(m)]); w != 0 {
 		return s.pool.View(core.Cell(w))
 	}
-	return s.fill(c, m)
+	sc := batchScratchPool.Get().(*core.BatchScratch)
+	sh := &col.fillLocks[uint32(m)%shardCount]
+	sh.Lock()
+	r := s.fill(col, c, m, &sc.Resolve)
+	sh.Unlock()
+	batchScratchPool.Put(sc)
+	return r
 }
 
-// fill computes lookup[c,m] under the member's shard lock, publishing
-// every cell the computation produced as it goes. All recursive
-// dependencies of (c,m) are entries for the same member name, hence
-// under the same lock: one acquisition covers the whole recursion, and
-// the double-check below makes each cell's computation happen once per
-// snapshot even under contention. Publishing a cell is an atomic word
-// store of the packed result; any rare payload was interned in the
-// snapshot's pool before the word existed, so readers that observe the
-// word also observe the fully initialised payload behind its index.
-func (s *Snapshot) fill(c chg.ClassID, m chg.MemberID) core.Result {
-	sh := &s.fillLocks[uint32(m)%shardCount]
-	sh.Lock()
-	defer sh.Unlock()
-
+// fill computes lookup[c,m] into col, publishing every cell the
+// computation produced as it goes; the caller holds m's shard lock in
+// col. All recursive dependencies of (c,m) are entries for the same
+// member name, hence under the same lock: one acquisition covers the
+// whole recursion, and the re-check of each cell makes its computation
+// happen once per snapshot even under contention. Publishing a cell is
+// an atomic word store of the packed result; any rare payload was
+// interned in the snapshot's pool before the word existed, so readers
+// that observe the word also observe the fully initialised payload
+// behind its index.
+//
+// The dominance column threads st through the kernel's recursion, one
+// scratch frame per depth, so fills allocate nothing per miss. Its
+// closure calls the kernel directly: handed to a backend through the
+// core.Semantics interface, the closure would escape to the heap on
+// every miss. Other backends (C3 and gxx ignore get) fill through
+// Resolve.
+func (s *Snapshot) fill(col *column, c chg.ClassID, m chg.MemberID, st *core.ScratchStack) core.Result {
+	if k, ok := col.sem.(*core.Kernel); ok {
+		depth := 0
+		var lookup func(x chg.ClassID) core.Result
+		lookup = func(x chg.ClassID) core.Result {
+			i := int(x)*s.numMembers + int(m)
+			if w := atomic.LoadUint64(&col.cells[i]); w != 0 {
+				// Already published — possibly by a writer ahead of us
+				// while we waited on the lock.
+				return s.pool.View(core.Cell(w))
+			}
+			depth++
+			r := k.ResolveWith(x, m, lookup, st.At(depth-1))
+			depth--
+			return col.publish(i, r)
+		}
+		return lookup(c)
+	}
 	var lookup func(x chg.ClassID) core.Result
 	lookup = func(x chg.ClassID) core.Result {
-		cell := &s.cells[int(x)*s.numMembers+int(m)]
-		if w := atomic.LoadUint64(cell); w != 0 {
-			// Already published — possibly by a writer ahead of us
-			// while we waited on the lock.
+		i := int(x)*s.numMembers + int(m)
+		if w := atomic.LoadUint64(&col.cells[i]); w != 0 {
 			return s.pool.View(core.Cell(w))
 		}
-		r := s.k.Resolve(x, m, lookup)
-		atomic.StoreUint64(cell, uint64(r.Cell()))
-		return r
+		return col.publish(i, col.sem.Resolve(x, m, lookup))
 	}
 	return lookup(c)
+}
+
+// publish stores r's packed word at cell i and returns r.
+func (col *column) publish(i int, r core.Result) core.Result {
+	atomic.StoreUint64(&col.cells[i], uint64(r.Cell()))
+	return r
 }
 
 // LookupByName resolves a member by class and member name; it returns
@@ -174,10 +257,7 @@ func (s *Snapshot) LookupByName(class, member string) core.Result {
 // building it on first use. The build runs core.BuildSemTable over the
 // kernel once (all available workers); the resulting Table is
 // immutable and shared by all callers.
-func (s *Snapshot) Table() *core.Table {
-	s.tableOnce.Do(func() { s.table = core.BuildSemTable(s.k, 0) })
-	return s.table
-}
+func (s *Snapshot) Table() *core.Table { return s.cols[0].eagerTable() }
 
 // EachTableEntry calls fn for every (class, member) pair of the
 // snapshot's tabulated lookup function — classes in topological order
@@ -214,15 +294,7 @@ func (s *Snapshot) EachTableEntry(fn func(c chg.ClassID, m chg.MemberID, r core.
 // CachedEntries reports how many lookup results the lazy cache
 // currently holds (the table built by Table is not counted). Intended
 // for tests and observability.
-func (s *Snapshot) CachedEntries() int {
-	n := 0
-	for i := range s.cells {
-		if atomic.LoadUint64(&s.cells[i]) != 0 {
-			n++
-		}
-	}
-	return n
-}
+func (s *Snapshot) CachedEntries() int { return s.cols[0].filled() }
 
 // Pool returns the snapshot's payload pool — the per-snapshot intern
 // table for rare result payloads. Exposed for observability (the E13

@@ -220,34 +220,51 @@ func tableRunner(snap *engine.Snapshot, opts Options) (*runner, error) {
 	}
 	gateSemantics(enabled, opts.Semantics)
 	t := snap.Table()
+	return newRunner(snap.Graph(), t.Lookup, t.Members, opts, enabled, func(b *mro.Backend) lookupFunc {
+		// Snapshots built to serve the C3 backend share their table
+		// (and its payload pool); otherwise tabulate the local backend
+		// once for this run.
+		c3, ok := snap.TableSem(core.SemC3)
+		if !ok {
+			c3 = core.BuildSemTable(b, opts.Workers)
+		}
+		return c3.Lookup
+	}), nil
+}
+
+// lookupFunc is lookup[c,m] under one semantics.
+type lookupFunc = func(chg.ClassID, chg.MemberID) core.Result
+
+// newRunner binds the rule implementations to one view of the
+// hierarchy: look is lookup[c,m] and members lists Members[c] sorted
+// by id. Unset witness limits take their defaults. When a
+// cross-semantics rule is enabled it builds the C3 linearization, and
+// for dominance-vs-mro-divergence c3 picks the C3 lookup, given the
+// local backend as the fallback.
+func newRunner(g *chg.Graph, look lookupFunc, members func(chg.ClassID) []chg.MemberID, opts Options, enabled map[string]bool, c3 func(*mro.Backend) lookupFunc) *runner {
 	r := &runner{
-		g:       snap.Graph(),
-		look:    t.Lookup,
-		members: t.Members,
-		opts:    opts,
-		enabled: enabled,
+		g:         g,
+		look:      look,
+		members:   members,
+		opts:      opts,
+		enabled:   enabled,
+		subLimit:  opts.SubobjectLimit,
+		pathLimit: opts.PathLimit,
 	}
-	if r.subLimit = opts.SubobjectLimit; r.subLimit <= 0 {
+	if r.subLimit <= 0 {
 		r.subLimit = DefaultSubobjectLimit
 	}
-	if r.pathLimit = opts.PathLimit; r.pathLimit <= 0 {
+	if r.pathLimit <= 0 {
 		r.pathLimit = DefaultPathLimit
 	}
 	if enabled[C3FailsToLinearize] || enabled[DominanceVsMroDivergence] {
-		b := mro.New(r.g, nil)
+		b := mro.New(g, nil)
 		r.lin = b.Linearization()
 		if enabled[DominanceVsMroDivergence] {
-			// Snapshots built to serve the C3 backend share their table
-			// (and its payload pool); otherwise tabulate the local
-			// backend once for this run.
-			c3, ok := snap.TableSem(core.SemC3)
-			if !ok {
-				c3 = core.BuildSemTable(b, opts.Workers)
-			}
-			r.c3look = c3.Lookup
+			r.c3look = c3(b)
 		}
 	}
-	return r, nil
+	return r
 }
 
 // run lints the whole hierarchy: member-indexed rules fan out per
@@ -325,7 +342,7 @@ func ruleSet(ids []string) (map[string]bool, error) {
 type runner struct {
 	g *chg.Graph
 	// look is lookup[c,m]; members lists Members[c] sorted by id.
-	look    func(chg.ClassID, chg.MemberID) core.Result
+	look    lookupFunc
 	members func(chg.ClassID) []chg.MemberID
 	opts    Options
 	enabled map[string]bool
@@ -343,7 +360,7 @@ type runner struct {
 	// lin and c3look are the C3 backend's view of the hierarchy,
 	// populated only when a cross-semantics rule is enabled.
 	lin    *mro.Linearization
-	c3look func(chg.ClassID, chg.MemberID) core.Result
+	c3look lookupFunc
 }
 
 func (r *runner) classPos(c chg.ClassID) token.Pos {

@@ -1,6 +1,8 @@
 package lint
 
 import (
+	"slices"
+
 	"cpplookup/internal/bitset"
 	"cpplookup/internal/chg"
 	"cpplookup/internal/core"
@@ -134,55 +136,30 @@ func (s *Session) Snapshot() *engine.Snapshot { return s.snap }
 // Stats returns cumulative work counters.
 func (s *Session) Stats() SessionStats { return s.stats }
 
-// newRunner binds the rule implementations to the current snapshot:
+// bindRunner binds the rule implementations to the current snapshot:
 // lookups go through the snapshot's lazy warm-carried cache (cells
 // identical to an eager table build, pinned by the engine tests), and
-// member universes are recomputed per class on demand.
-func (s *Session) newRunner() *runner {
-	g := s.snap.Graph()
-	r := &runner{
-		g:       g,
-		look:    s.snap.Lookup,
-		members: func(c chg.ClassID) []chg.MemberID { return visibleMembers(g, c) },
-		opts:    s.opts,
-		enabled: s.enabled,
-	}
-	if r.subLimit = s.opts.SubobjectLimit; r.subLimit <= 0 {
-		r.subLimit = DefaultSubobjectLimit
-	}
-	if r.pathLimit = s.opts.PathLimit; r.pathLimit <= 0 {
-		r.pathLimit = DefaultPathLimit
-	}
-	if s.enabled[C3FailsToLinearize] || s.enabled[DominanceVsMroDivergence] {
-		// The linearization is structural, but cheap enough to rebuild
-		// per republish relative to the rule work it feeds.
-		b := mro.New(g, nil)
-		r.lin = b.Linearization()
-		if s.enabled[DominanceVsMroDivergence] {
-			servesC3 := false
-			for _, id := range s.snap.Semantics() {
-				if id == core.SemC3 {
-					servesC3 = true
-				}
-			}
-			if servesC3 {
-				// The snapshot serves C3: its warm-carried column is
-				// exactly the incremental cache we want.
-				snap := s.snap
-				r.c3look = func(c chg.ClassID, m chg.MemberID) core.Result {
-					res, _ := snap.LookupSem(core.SemC3, c, m)
-					return res
-				}
-			} else {
-				// Local fallback: resolve off the linearization per
-				// cell (Backend methods are concurrency-safe).
-				r.c3look = func(c chg.ClassID, m chg.MemberID) core.Result {
-					return b.Resolve(c, m, nil)
-				}
+// member universes are recomputed per class on demand. The C3
+// linearization is structural, but cheap enough to rebuild per
+// republish relative to the rule work it feeds.
+func (s *Session) bindRunner() *runner {
+	g, snap := s.snap.Graph(), s.snap
+	members := func(c chg.ClassID) []chg.MemberID { return visibleMembers(g, c) }
+	return newRunner(g, snap.Lookup, members, s.opts, s.enabled, func(b *mro.Backend) lookupFunc {
+		if slices.Contains(snap.Semantics(), core.SemC3) {
+			// The snapshot serves C3: its warm-carried column is
+			// exactly the incremental cache we want.
+			return func(c chg.ClassID, m chg.MemberID) core.Result {
+				res, _ := snap.LookupSem(core.SemC3, c, m)
+				return res
 			}
 		}
-	}
-	return r
+		// Local fallback: resolve off the linearization per cell
+		// (Backend methods are concurrency-safe).
+		return func(c chg.ClassID, m chg.MemberID) core.Result {
+			return b.Resolve(c, m, nil)
+		}
+	})
 }
 
 func (s *Session) anyMemberRule() bool {
@@ -206,7 +183,7 @@ func (s *Session) anyStructuralRule() bool {
 // fullRelint re-evaluates every bucket — construction, and the
 // fallback when the cone is unanswerable.
 func (s *Session) fullRelint() {
-	r := s.newRunner()
+	r := s.bindRunner()
 	g := s.snap.Graph()
 	s.stats.FullRelints++
 
@@ -231,7 +208,7 @@ func (s *Session) fullRelint() {
 // incrementalRelint re-evaluates only the buckets the sync's edit
 // window can have changed.
 func (s *Session) incrementalRelint(res engine.SyncResult) {
-	r := s.newRunner()
+	r := s.bindRunner()
 	g := s.snap.Graph()
 
 	// Grow the buckets to the new universe; existing buckets keep
