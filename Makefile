@@ -50,8 +50,10 @@ scale-smoke:
 	$(GO) run ./cmd/benchjson -scale-smoke
 
 # The CI-sized devirt gate: a 200k-site Zipf stream over a 20k-class
-# hierarchy, asserting batched throughput is at least the single-call
-# baseline and the monomorphic/fast-path counts are non-degenerate.
+# hierarchy, asserting batched throughput (bottom-up target sets, one
+# lookup per class of each member's cone union) is at least the
+# single-call baseline and the monomorphic/fast-path counts are
+# non-degenerate (fast-path counts the sites the recurrence answered).
 devirt-smoke:
 	$(GO) run ./cmd/benchjson -devirt-smoke
 

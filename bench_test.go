@@ -537,8 +537,9 @@ func BenchmarkImageLoad(b *testing.B) {
 // target resolution on a warm Giant snapshot, per strategy —
 // single-call (one cone walk plus one Lookup per receiver per site,
 // on the config's bounded probe), batched (ResolveBatch serial:
-// dedup + member-major sorted cone lookups + fast paths), and
-// parallel-batched (auto work-stealing workers). ns/op is ns per
+// dedup, then bottom-up target sets per member over the union of its
+// roots' cones), and parallel-batched (auto work-stealing workers
+// over member runs). ns/op is ns per
 // drained site; the strategies drain different site counts (the
 // single-call probe vs the full stream), so compare ns/op, not
 // wall-clock. `make bench-json` captures the same family with

@@ -14,12 +14,13 @@
 //
 // The call-site file holds one qualified name per line ("C::m", blank
 // lines and #-comments skipped); cmd/hiergen -callsites generates
-// compiler-shaped streams. Sites are drained through the engine's
-// batched resolve path: deduplicated, sorted member-major, each
-// unique (class, member) cone resolved once. -semantics picks one
-// resolution backend (default dominance). The summary reports
-// monomorphic / polymorphic / unresolved site counts and the drain
-// throughput.
+// compiler-shaped streams. Sites are drained through one
+// devirt.Resolver.ResolveBatch: deduplicated, sorted member-major, and
+// each member's target sets computed bottom-up over the union of its
+// sites' cones, one lookup per class. -semantics picks one resolution
+// backend (default dominance). The summary reports monomorphic /
+// polymorphic / unresolved site counts, the sites answered by that
+// recurrence (fast-path), and the drain throughput.
 package main
 
 import (
@@ -89,7 +90,16 @@ func main() {
 	}
 
 	g := snap.Graph()
-	sites, lines, skipped, err := readSites(*sitesPath, g)
+	var rd io.Reader = os.Stdin
+	if *sitesPath != "-" {
+		f, err := os.Open(*sitesPath)
+		if err != nil {
+			fail(err)
+		}
+		defer f.Close()
+		rd = f
+	}
+	sites, lines, skipped, err := readSites(rd, g)
 	if err != nil {
 		fail(err)
 	}
@@ -137,19 +147,9 @@ func main() {
 // readSites parses a call-site file into sites plus the original line
 // per site (for -v). Lines naming unknown classes or members are
 // counted as skipped, not fatal: a compiler's call-site dump may span
-// more code than the hierarchy at hand.
-func readSites(path string, g *chg.Graph) (sites []devirt.Site, lines []string, skipped int, err error) {
-	var rd io.Reader
-	if path == "-" {
-		rd = os.Stdin
-	} else {
-		f, err := os.Open(path)
-		if err != nil {
-			return nil, nil, 0, err
-		}
-		defer f.Close()
-		rd = f
-	}
+// more code than the hierarchy at hand. A line longer than 1 MiB is an
+// error.
+func readSites(rd io.Reader, g *chg.Graph) (sites []devirt.Site, lines []string, skipped int, err error) {
 	sc := bufio.NewScanner(rd)
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
 	for sc.Scan() {

@@ -217,8 +217,8 @@ type (
 	// the static type's descendant cone. One target = monomorphic.
 	DevirtResolution = devirt.Resolution
 	// DevirtResolver resolves call sites against a served snapshot,
-	// batching and deduplicating site streams through the sorted
-	// bulk lookup path.
+	// deduplicating site streams and computing each member's target
+	// sets bottom-up over the union of the sites' cones.
 	DevirtResolver = devirt.Resolver
 )
 

@@ -10,22 +10,32 @@
 // site is monomorphic — the compiler can replace the virtual dispatch
 // with a direct (inlinable) call.
 //
-// The Resolver leans on the engine's bulk machinery end to end: cones
-// come from the graph's closure rows (or BFS past DenseClosureLimit,
-// via chg.EachDescendant), the cone's lookups drain through
-// Snapshot.LookupBatch's sorted path, batches of call sites dedup to
-// unique (class, member) pairs so one cone traversal serves every
-// duplicate site, and two fast paths skip cone resolution outright:
-// leaf roots (the cone is the root alone, one lookup decides) and —
-// via a declaration census built at construction — members with a
-// single declaring class (no cone lookups at all).
+// The Resolver computes target sets bottom-up. A cone splits over
+// direct derived classes, cone(c) = {c} ∪ ⋃ cone(d), so under every
+// backend
+//
+//	targets(c, m) = {lookup(c, m).L} ∪ ⋃ targets(d, m)
+//
+// over c's direct derived classes d. A member run — every distinct
+// call site on one member in a batch — walks the union of its roots'
+// cones once in post-order, looks each class in it up once, and
+// merges child sets, reusing a child's set whenever the parent adds
+// nothing to it. The memo lives in per-worker scratch for that one
+// run only. Cone sizes do not add up over a DAG, so each root's is
+// counted once by chg.EachDescendant (dense closure rows, or BFS past
+// DenseClosureLimit) and cached on the Resolver. Resolver.FullStats
+// trades the recurrence for exact per-receiver tallies: it resolves
+// each distinct site's whole cone through Snapshot.LookupBatch's
+// sorted path.
 package devirt
 
 import (
 	"fmt"
+	"math/bits"
 	"runtime"
-	"sort"
+	"slices"
 	"sync"
+	"sync/atomic"
 
 	"cpplookup/internal/bitset"
 	"cpplookup/internal/chg"
@@ -53,18 +63,17 @@ type Resolution struct {
 	// ambiguous, or failed contribute no target: a call through them
 	// is ill-formed, not a dispatch. Resolutions produced by
 	// ResolveBatch may share one Targets slice across duplicate
-	// sites; treat it as immutable.
+	// sites, and one backing array across a member's sites; treat it
+	// as immutable.
 	Targets []chg.ClassID
 
 	// Monomorphic reports len(Targets) == 1: every receiver type that
 	// can legally make the call lands in the same declaring class.
 	Monomorphic bool
 
-	// FastPath reports the answer skipped the batched cone
-	// resolution: either the root is a leaf (one lookup was the whole
-	// cone; tallies exact) or the member has a single declaring class
-	// (no cone lookups at all; tallies zero). Resolver.FullStats
-	// disables both when exact tallies matter more than speed.
+	// FastPath reports the answer came from the bottom-up target-set
+	// recurrence, which shares receivers between roots and so leaves
+	// the tallies zero. It is false on the Resolver.FullStats path.
 	FastPath bool
 
 	// Cone is the number of receiver types considered: Root plus its
@@ -72,35 +81,38 @@ type Resolution struct {
 	Cone int
 
 	// Resolved, Undefined, Ambiguous and Failed tally the cone's
-	// lookup outcomes. On the general and leaf paths they are exact
-	// (summing to Cone); on the single-declarer fast path they are
-	// all zero.
+	// lookup outcomes. Only the FullStats path counts them, exactly
+	// (summing to Cone); on the default path they are all zero.
 	Resolved, Undefined, Ambiguous, Failed int
 }
 
 // Resolver answers CHA queries against one immutable snapshot under
-// one resolution backend. It precomputes a declaration census (how
-// many classes declare each member, and which class when unique) at
-// construction; Resolve* calls then share cone traversals and batch
-// scratch. A Resolver's exported fields must be set before first use;
-// its methods are safe for concurrent callers.
+// one resolution backend. It caches each root's cone size; Resolve*
+// calls share it and pooled per-worker scratch. A Resolver's exported
+// fields must be set before first use; its methods are safe for
+// concurrent callers.
 type Resolver struct {
 	snap *engine.Snapshot
 	sem  core.SemanticsID
 	g    *chg.Graph
 
-	// declCount[m] is the number of classes declaring member m;
-	// soleDecl[m] is that class when declCount[m] == 1.
-	declCount []int32
-	soleDecl  []chg.ClassID
+	// cone[c] is |cone(c)|, c plus its strict descendants, or 0 while
+	// no call has needed it.
+	cone []atomic.Int32
 
-	// FullStats disables the single-declarer fast path so every
-	// resolution carries exact per-cone tallies.
+	// receivers counts the classes the recurrence looked up and
+	// coneWalks the cone-size walks, each added to once per member
+	// run. For tests.
+	receivers, coneWalks atomic.Int64
+
+	// FullStats resolves each distinct site's whole cone receiver by
+	// receiver instead of by the recurrence, so every resolution
+	// carries exact tallies.
 	FullStats bool
 
-	// Workers bounds the fan-out of ResolveBatch and of a single
-	// large cone's lookups: 0 picks automatically (the engine batch
-	// heuristics), 1 forces serial.
+	// Workers bounds the fan-out of ResolveBatch over member runs and,
+	// under FullStats, of ResolveTargets' cone batch: 0 picks
+	// automatically, 1 forces serial.
 	Workers int
 
 	scratch sync.Pool // *resolveScratch
@@ -108,46 +120,58 @@ type Resolver struct {
 
 // resolveScratch is one worker's reusable buffers.
 type resolveScratch struct {
-	qs      []engine.Query
-	res     []core.Result
+	batch core.BatchScratch // ResolveBatch's site sort
+	out   []Resolution      // resolveRun's answers
+
+	// Cone walks: sizes, and the FullStats cone.
 	visited *bitset.Set
 	queue   []chg.ClassID
-	counts  map[chg.ClassID]struct{}
-	batch   core.BatchScratch
+
+	// The recurrence's memo for one member run: c's target set is
+	// sets[setOf[c]] when stamp[c] == run. Set 0 is the empty set.
+	run   uint32
+	stamp []uint32
+	setOf []int32
+	sets  []span
+	arena []chg.ClassID // every set's sorted targets, back to back
+	stack []frame
+
+	// Deduplication: t is in the set being built when mark[t] == tick.
+	tick  uint32
+	mark  []uint32
+	extra []chg.ClassID
+
+	// FullStats cone batch.
+	qs  []engine.Query
+	res []core.Result
+}
+
+// span is one target set: arena[off:off+n]. out is its offset in the
+// member run's result buffer, or -1 before a root needs it.
+type span struct{ off, n, out int32 }
+
+// frame is one class on the recurrence's DFS stack, with the index of
+// the next direct derived class to descend into.
+type frame struct {
+	c    chg.ClassID
+	next int32
 }
 
 // New builds a Resolver over snap's backend sem. It fails when the
 // snapshot was not built to serve sem.
 func New(snap *engine.Snapshot, sem core.SemanticsID) (*Resolver, error) {
-	served := false
-	for _, id := range snap.Semantics() {
-		if id == sem {
-			served = true
-			break
-		}
-	}
-	if !served {
+	if !slices.Contains(snap.Semantics(), sem) {
 		return nil, fmt.Errorf("devirt: snapshot does not serve backend %q", sem)
 	}
 	g := snap.Graph()
-	r := &Resolver{
-		snap:      snap,
-		sem:       sem,
-		g:         g,
-		declCount: make([]int32, g.NumMemberNames()),
-		soleDecl:  make([]chg.ClassID, g.NumMemberNames()),
-	}
-	for c := 0; c < g.NumClasses(); c++ {
-		for _, mem := range g.DeclaredMembers(chg.ClassID(c)) {
-			m := g.MustMemberID(mem.Name)
-			r.declCount[m]++
-			r.soleDecl[m] = chg.ClassID(c)
-		}
-	}
+	n := g.NumClasses()
+	r := &Resolver{snap: snap, sem: sem, g: g, cone: make([]atomic.Int32, n)}
 	r.scratch.New = func() any {
 		return &resolveScratch{
-			visited: bitset.New(g.NumClasses()),
-			counts:  make(map[chg.ClassID]struct{}),
+			visited: bitset.New(n),
+			stamp:   make([]uint32, n),
+			setOf:   make([]int32, n),
+			mark:    make([]uint32, n),
 		}
 	}
 	return r, nil
@@ -159,128 +183,32 @@ func (r *Resolver) Snapshot() *engine.Snapshot { return r.snap }
 // Semantics returns the backend the resolver answers under.
 func (r *Resolver) Semantics() core.SemanticsID { return r.sem }
 
+// valid reports whether (c, m) names a class and member of the graph.
+func (r *Resolver) valid(c chg.ClassID, m chg.MemberID) bool {
+	return r.g.Valid(c) && m >= 0 && int(m) < r.g.NumMemberNames()
+}
+
 // ResolveTargets is the single-site entry point: the CHA resolution
 // of member m called on static type c. Invalid ids yield an empty
 // resolution (no targets, zero cone).
 func (r *Resolver) ResolveTargets(c chg.ClassID, m chg.MemberID) Resolution {
+	if !r.valid(c, m) {
+		return Resolution{Root: c, Member: m}
+	}
 	sc := r.scratch.Get().(*resolveScratch)
-	defer r.scratch.Put(sc)
-	return r.resolveOne(sc, c, m, r.Workers)
-}
-
-// resolveOne computes one resolution using sc's buffers; workers
-// bounds the cone batch's internal fan-out.
-func (r *Resolver) resolveOne(sc *resolveScratch, c chg.ClassID, m chg.MemberID, workers int) Resolution {
-	res := Resolution{Root: c, Member: m}
-	if !r.g.Valid(c) || m < 0 || int(m) >= len(r.declCount) {
-		return res
-	}
-
-	if !r.FullStats && len(r.g.DirectDerived(c)) == 0 {
-		// Leaf fast path, sound under every backend: a class with no
-		// derived classes is its own entire cone, so one lookup is
-		// the whole resolution — and its tallies are exact, so this
-		// answer is indistinguishable from the general path's except
-		// for the FastPath flag.
-		lr, _ := r.snap.LookupSem(r.sem, c, m)
-		res.Cone = 1
-		res.FastPath = true
-		switch {
-		case lr.Found():
-			res.Resolved = 1
-			res.Targets = []chg.ClassID{lr.Class()}
-			res.Monomorphic = true
-		case lr.Ambiguous():
-			res.Ambiguous = 1
-		case lr.Failed():
-			res.Failed = 1
-		default:
-			res.Undefined = 1
-		}
-		return res
-	}
-
-	if !r.FullStats && r.sem == core.SemDominance && r.declCount[m] == 1 {
-		// Single-declarer fast path: only one class L in the whole
-		// hierarchy declares m, so any receiver whose lookup succeeds
-		// resolves to L — under dominance no other declaring class
-		// exists to dominate or be dominated. The target set is
-		// therefore exactly {L} as soon as one receiver in the cone
-		// provably resolves: the root, if m is visible there, or L
-		// itself, if it sits inside the cone (a class always resolves
-		// its own declaration). Both checks ride on work the
-		// resolution needs anyway — one root lookup plus the cone
-		// walk that sizes Cone — so no per-receiver lookups are
-		// issued. When neither check fires (L outside the cone and m
-		// invisible at the root) the answer depends on which cone
-		// members inherit from L, and we fall through to the general
-		// path.
-		L := r.soleDecl[m]
-		n := 1
-		inCone := c == L
-		sc.queue = r.g.EachDescendant(c, sc.visited, sc.queue, func(d chg.ClassID) {
-			n++
-			if d == L {
-				inCone = true
-			}
-		})
-		if inCone || r.snap.Lookup(c, m).Found() {
-			res.Targets = []chg.ClassID{L}
-			res.Monomorphic = true
-			res.FastPath = true
-			res.Cone = n
-			return res
-		}
-	}
-
-	// General path: batch-resolve m for every class in the cone.
-	sc.qs = sc.qs[:0]
-	sc.qs = append(sc.qs, engine.Query{Class: c, Member: m})
-	sc.queue = r.g.EachDescendant(c, sc.visited, sc.queue, func(d chg.ClassID) {
-		sc.qs = append(sc.qs, engine.Query{Class: d, Member: m})
-	})
-	out, _ := r.snap.LookupBatchSemWorkers(r.sem, sc.qs, sc.res[:0], workers)
-	sc.res = out
-
-	res.Cone = len(sc.qs)
-	for _, lr := range out {
-		switch {
-		case lr.Found():
-			res.Resolved++
-			sc.counts[lr.Class()] = struct{}{}
-		case lr.Ambiguous():
-			res.Ambiguous++
-		case lr.Failed():
-			res.Failed++
-		default:
-			res.Undefined++
-		}
-	}
-	if len(sc.counts) > 0 {
-		res.Targets = make([]chg.ClassID, 0, len(sc.counts))
-		for t := range sc.counts {
-			res.Targets = append(res.Targets, t)
-			delete(sc.counts, t)
-		}
-		sort.Slice(res.Targets, func(i, j int) bool { return res.Targets[i] < res.Targets[j] })
-	}
-	res.Monomorphic = len(res.Targets) == 1
-	return res
+	defer r.putScratch(sc)
+	return r.resolveRun(sc, m, []chg.ClassID{c}, r.Workers)[0]
 }
 
 // ResolveBatch resolves a whole slice of call sites, appending one
 // Resolution per site to out (out[i] answers sites[i]) and returning
 // it. Duplicate sites — the common case in real call-site streams,
 // where hot (type, member) pairs repeat millions of times — are
-// deduplicated first: each distinct pair's cone is traversed and
-// resolved once and the Resolution is shared by every duplicate
-// (Targets aliased; treat as immutable). Distinct pairs are resolved
-// member-major, each member's pairs in ascending class order, so
-// consecutive cone walks look up one member and their misses fill
-// under that member's shard lock; the snapshot's cells are
-// class-major, so those lookups are numMembers words apart, not one
-// cache column. Pairs fan out over work-stealing workers when Workers
-// allows.
+// deduplicated first by a radix sort, member-major, and every
+// duplicate shares its pair's Resolution (Targets aliased; treat as
+// immutable). Each member's distinct pairs form one member run, which
+// walks the union of their cones once; runs fan out over
+// work-stealing workers when Workers allows.
 func (r *Resolver) ResolveBatch(sites []Site, out []Resolution) []Resolution {
 	need := len(out) + len(sites)
 	if cap(out) < need {
@@ -295,14 +223,13 @@ func (r *Resolver) ResolveBatch(sites []Site, out []Resolution) []Resolution {
 	}
 
 	sc := r.scratch.Get().(*resolveScratch)
-	defer r.scratch.Put(sc)
+	defer r.putScratch(sc)
 
 	nc := uint64(r.g.NumClasses())
-	nm := uint64(len(r.declCount))
-	sentinel := nc * nm
+	sentinel := nc * uint64(r.g.NumMemberNames())
 	keys := sc.batch.Keys(len(sites))
 	for i, s := range sites {
-		if !r.g.Valid(s.Class) || s.Member < 0 || uint64(s.Member) >= nm {
+		if !r.valid(s.Class, s.Member) {
 			keys[i] = sentinel
 			continue
 		}
@@ -310,58 +237,307 @@ func (r *Resolver) ResolveBatch(sites []Site, out []Resolution) []Resolution {
 	}
 	sorted, perm := sc.batch.Sort(len(sites), sentinel)
 
-	// Group runs of equal keys: each group is one distinct site
-	// resolved once. Invalid sites are answered inline.
-	type group struct {
-		key    uint64
-		lo, hi int // positions in sorted/perm
+	// Invalid sites sort last and are answered inline.
+	valid := len(sorted)
+	for valid > 0 && sorted[valid-1] == sentinel {
+		valid--
+		s := sites[perm[valid]]
+		dst[perm[valid]] = Resolution{Root: s.Class, Member: s.Member}
 	}
-	var groups []group
-	for i := 0; i < len(sorted); {
-		key := sorted[i]
-		j := i + 1
-		for j < len(sorted) && sorted[j] == key {
-			j++
-		}
-		if key == sentinel {
-			for k := i; k < j; k++ {
-				s := sites[perm[k]]
-				dst[perm[k]] = Resolution{Root: s.Class, Member: s.Member}
-			}
-		} else {
-			groups = append(groups, group{key, i, j})
-		}
-		i = j
+	if valid == 0 {
+		return out
 	}
+	// Group runs of equal keys: each group is one distinct site,
+	// roots[i] its class and sorted/perm[lo[i]:lo[i+1]] its
+	// duplicates. runs[j] is the first group of the j-th member run.
+	var roots []chg.ClassID
+	var lo, runs []int
+	for i := 0; i < valid; i++ {
+		if i > 0 && sorted[i] == sorted[i-1] {
+			continue
+		}
+		if i == 0 || sorted[i]/nc != sorted[i-1]/nc {
+			runs = append(runs, len(roots))
+		}
+		roots = append(roots, chg.ClassID(sorted[i]%nc))
+		lo = append(lo, i)
+	}
+	lo = append(lo, valid)
+	runs = append(runs, len(roots))
 
 	workers := r.Workers
-	if workers == 0 && len(groups) >= 64 {
-		// Auto: one worker per ~32 groups, bounded by the machine.
-		workers = len(groups) / 32
-		if p := runtime.GOMAXPROCS(0); workers > p {
-			workers = p
-		}
+	if workers == 0 && len(roots) >= 64 {
+		// Auto: one worker per ~32 distinct sites, bounded by the
+		// machine.
+		workers = min(len(roots)/32, runtime.GOMAXPROCS(0))
 	}
-	// Work-stealing over small contiguous chunks of groups. Each
-	// group writes a disjoint set of dst positions, so workers never
-	// race on results; cell fills race benignly under the engine's
-	// shard locks. Worker 0 reuses the batch's own scratch, whose sort
-	// buffers resolveOne never touches.
-	const chunk = 8
-	chunks := (len(groups) + chunk - 1) / chunk
-	scs := make([]*resolveScratch, par.Workers(chunks, max(workers, 1)))
+	// Each member run writes a disjoint set of dst positions, so
+	// workers never race on results; cell fills race benignly under
+	// the engine's shard locks. Worker 0 reuses the batch's own
+	// scratch, whose sort buffers resolveRun never touches.
+	nruns := len(runs) - 1
+	scs := make([]*resolveScratch, par.Workers(nruns, max(workers, 1)))
 	scs[0] = sc
 	for i := 1; i < len(scs); i++ {
 		scs[i] = r.scratch.Get().(*resolveScratch)
-		defer r.scratch.Put(scs[i])
+		defer r.putScratch(scs[i])
 	}
-	par.For(chunks, len(scs), func(w, i int) {
-		for _, gr := range groups[i*chunk : min((i+1)*chunk, len(groups))] {
-			res := r.resolveOne(scs[w], chg.ClassID(gr.key%nc), chg.MemberID(gr.key/nc), 1)
-			for k := gr.lo; k < gr.hi; k++ {
+	par.For(nruns, len(scs), func(w, j int) {
+		first, last := runs[j], runs[j+1]
+		m := chg.MemberID(sorted[lo[first]] / nc)
+		for i, res := range r.resolveRun(scs[w], m, roots[first:last], 1) {
+			for k := lo[first+i]; k < lo[first+i+1]; k++ {
 				dst[perm[k]] = res
 			}
 		}
 	})
 	return out
+}
+
+// maxPooledArena caps, in targets, the arena a scratch keeps when it
+// goes back to the pool. One hot member's run can grow it to hundreds
+// of thousands, and the pool would pin that between batches.
+const maxPooledArena = 1 << 16
+
+// putScratch returns sc to the pool, dropping an oversized arena.
+func (r *Resolver) putScratch(sc *resolveScratch) {
+	if cap(sc.arena) > maxPooledArena {
+		sc.arena = nil
+	}
+	r.scratch.Put(sc)
+}
+
+// resolveRun resolves member m at every root (valid and distinct)
+// using sc's buffers and returns the answers in sc.out, which the next
+// call overwrites; workers bounds the FullStats cone batch's fan-out.
+func (r *Resolver) resolveRun(sc *resolveScratch, m chg.MemberID, roots []chg.ClassID, workers int) []Resolution {
+	sc.out = slices.Grow(sc.out[:0], len(roots))[:len(roots)]
+	if r.FullStats {
+		for i, c := range roots {
+			sc.out[i] = r.resolveCone(sc, c, m, workers)
+		}
+		return sc.out
+	}
+
+	sc.run++
+	if sc.run == 0 {
+		clear(sc.stamp)
+		sc.run = 1
+	}
+	sc.sets = append(sc.sets[:0], span{out: -1})
+	sc.arena = sc.arena[:0]
+	looked, walks, total := 0, 0, int32(0)
+	for _, c := range roots {
+		looked += r.targetSet(sc, c, m)
+		if s := &sc.sets[sc.setOf[c]]; s.out < 0 {
+			s.out = total
+			total += s.n
+		}
+	}
+
+	// Copy the roots' sets out of the arena, which the next run
+	// reuses: one buffer per run, one slice per distinct set.
+	buf := make([]chg.ClassID, total)
+	for _, s := range sc.sets {
+		if s.out >= 0 {
+			copy(buf[s.out:], sc.arena[s.off:s.off+s.n])
+		}
+	}
+	for i, c := range roots {
+		n, walked := r.coneSize(sc, c)
+		if walked {
+			walks++
+		}
+		s := sc.sets[sc.setOf[c]]
+		res := Resolution{Root: c, Member: m, Cone: n, FastPath: true, Monomorphic: s.n == 1}
+		if s.n > 0 {
+			res.Targets = buf[s.out : s.out+s.n : s.out+s.n]
+		}
+		sc.out[i] = res
+	}
+	r.receivers.Add(int64(looked))
+	r.coneWalks.Add(int64(walks))
+	return sc.out
+}
+
+// targetSet memoizes targets(c, m) in sc for the current member run,
+// visiting c's cone in post-order down to the classes the run has
+// already finished, and returns how many classes it looked up. The
+// stack is explicit because towers and chains nest deep. A class is
+// stamped when pushed; in a DAG a stamped child is never still on
+// the stack (that would close a cycle), so it is finished.
+func (r *Resolver) targetSet(sc *resolveScratch, c chg.ClassID, m chg.MemberID) int {
+	if sc.stamp[c] == sc.run {
+		return 0
+	}
+	looked := 0
+	sc.stamp[c] = sc.run
+	sc.stack = append(sc.stack[:0], frame{c: c})
+	for len(sc.stack) > 0 {
+		top := &sc.stack[len(sc.stack)-1]
+		derived := r.g.DirectDerived(top.c)
+		for int(top.next) < len(derived) && sc.stamp[derived[top.next]] == sc.run {
+			top.next++
+		}
+		if int(top.next) < len(derived) {
+			d := derived[top.next]
+			sc.stamp[d] = sc.run
+			sc.stack = append(sc.stack, frame{c: d})
+			continue
+		}
+		x := top.c
+		sc.stack = sc.stack[:len(sc.stack)-1]
+		own := chg.ClassID(-1)
+		if lr, _ := r.snap.LookupSem(r.sem, x, m); lr.Found() {
+			own = lr.Class()
+		}
+		sc.setOf[x] = sc.union(own, derived)
+		looked++
+	}
+	return looked
+}
+
+// union returns the id of {own} ∪ ⋃ sets[setOf[d]] over derived; own
+// < 0 adds nothing. When the union is no larger than the largest
+// child set it is that set, and its id is reused, so chains and
+// towers that resolve alike share one set instead of copying it at
+// every level.
+func (sc *resolveScratch) union(own chg.ClassID, derived []chg.ClassID) int32 {
+	best := int32(0)
+	for _, d := range derived {
+		if s := sc.setOf[d]; sc.sets[s].n > sc.sets[best].n {
+			best = s
+		}
+	}
+	// others is how many targets the remaining children hold.
+	others := 0
+	for _, d := range derived {
+		if s := sc.setOf[d]; s != best {
+			others += int(sc.sets[s].n)
+		}
+	}
+	b := sc.members(best)
+	if others == 0 && (own < 0 || inSorted(b, own)) {
+		return best
+	}
+
+	// Collect the targets b lacks, each once. When the other children
+	// hold few targets, binary-search b for each; otherwise mark b's.
+	sc.nextTick()
+	search := others*bits.Len(uint(len(b))) < len(b)
+	if !search {
+		for _, t := range b {
+			sc.mark[t] = sc.tick
+		}
+	}
+	sc.extra = sc.extra[:0]
+	add := func(t chg.ClassID) {
+		if sc.mark[t] != sc.tick {
+			sc.mark[t] = sc.tick
+			if !search || !inSorted(b, t) {
+				sc.extra = append(sc.extra, t)
+			}
+		}
+	}
+	if own >= 0 {
+		add(own)
+	}
+	for _, d := range derived {
+		if s := sc.setOf[d]; s != best {
+			for _, t := range sc.members(s) {
+				add(t)
+			}
+		}
+	}
+	if len(sc.extra) == 0 {
+		return best
+	}
+
+	// Merge b and the sorted extras into a new set.
+	slices.Sort(sc.extra)
+	n := len(b) + len(sc.extra)
+	off := len(sc.arena)
+	sc.arena = slices.Grow(sc.arena, n)
+	b = sc.members(best)
+	i, j := 0, 0
+	for i < len(b) && j < len(sc.extra) {
+		if b[i] < sc.extra[j] {
+			sc.arena = append(sc.arena, b[i])
+			i++
+		} else {
+			sc.arena = append(sc.arena, sc.extra[j])
+			j++
+		}
+	}
+	sc.arena = append(append(sc.arena, b[i:]...), sc.extra[j:]...)
+	sc.sets = append(sc.sets, span{off: int32(off), n: int32(n), out: -1})
+	return int32(len(sc.sets) - 1)
+}
+
+// nextTick starts a new deduplication: no class is marked.
+func (sc *resolveScratch) nextTick() {
+	sc.tick++
+	if sc.tick == 0 {
+		clear(sc.mark)
+		sc.tick = 1
+	}
+}
+
+// members returns set id's targets.
+func (sc *resolveScratch) members(id int32) []chg.ClassID {
+	s := sc.sets[id]
+	return sc.arena[s.off : s.off+s.n]
+}
+
+// inSorted reports whether t is in the ascending slice xs.
+func inSorted(xs []chg.ClassID, t chg.ClassID) bool {
+	_, ok := slices.BinarySearch(xs, t)
+	return ok
+}
+
+// coneSize returns |cone(c)|, walking c's descendants the first time
+// any call needs it; walked reports that this call did. Concurrent
+// first calls may both walk and store the same size.
+func (r *Resolver) coneSize(sc *resolveScratch, c chg.ClassID) (n int, walked bool) {
+	if n := r.cone[c].Load(); n != 0 {
+		return int(n), false
+	}
+	n = 1
+	sc.queue = r.g.EachDescendant(c, sc.visited, sc.queue, func(chg.ClassID) { n++ })
+	r.cone[c].Store(int32(n))
+	return n, true
+}
+
+// resolveCone is the exact-tally path: look m up at every class of c's
+// cone through the sorted batch, tally the outcomes and collect the
+// distinct targets. workers bounds the batch's fan-out.
+func (r *Resolver) resolveCone(sc *resolveScratch, c chg.ClassID, m chg.MemberID, workers int) Resolution {
+	res := Resolution{Root: c, Member: m}
+	sc.qs = append(sc.qs[:0], engine.Query{Class: c, Member: m})
+	sc.queue = r.g.EachDescendant(c, sc.visited, sc.queue, func(d chg.ClassID) {
+		sc.qs = append(sc.qs, engine.Query{Class: d, Member: m})
+	})
+	sc.res, _ = r.snap.LookupBatchSemWorkers(r.sem, sc.qs, sc.res[:0], workers)
+
+	sc.nextTick()
+	res.Cone = len(sc.qs)
+	for _, lr := range sc.res {
+		switch {
+		case lr.Found():
+			res.Resolved++
+			if t := lr.Class(); sc.mark[t] != sc.tick {
+				sc.mark[t] = sc.tick
+				res.Targets = append(res.Targets, t)
+			}
+		case lr.Ambiguous():
+			res.Ambiguous++
+		case lr.Failed():
+			res.Failed++
+		default:
+			res.Undefined++
+		}
+	}
+	slices.Sort(res.Targets)
+	res.Monomorphic = len(res.Targets) == 1
+	return res
 }

@@ -1,8 +1,10 @@
 package devirt
 
 import (
+	"fmt"
 	"math/rand"
 	"sort"
+	"sync"
 	"testing"
 
 	"cpplookup/internal/chg"
@@ -168,26 +170,59 @@ func TestResolveTargetsOracleSparseCones(t *testing.T) {
 	}
 }
 
-// TestResolveBatch checks the batch path against the single-site one:
-// duplicated shuffled sites (plus invalid ids) under Workers 1 and 4,
-// every site's Resolution equal to its ResolveTargets answer.
-func TestResolveBatch(t *testing.T) {
-	g := testGraphs()["giant"]()
-	snap := engine.NewSnapshot(g, core.WithSemantics(core.SemC3, core.SemGxx))
-	rng := rand.New(rand.NewSource(4))
-
+// batchSites draws a shuffled batch over g: duplicated sites on a
+// quarter of the member names plus out-of-range ids.
+func batchSites(g *chg.Graph, seed int64) []Site {
+	rng := rand.New(rand.NewSource(seed))
 	sites := make([]Site, 0, 4000)
 	for i := 0; i < 3600; i++ {
 		sites = append(sites, Site{
 			Class:  chg.ClassID(rng.Intn(g.NumClasses())),
-			Member: chg.MemberID(rng.Intn(g.NumMemberNames() / 4)), // force duplicates
+			Member: chg.MemberID(rng.Intn(max(g.NumMemberNames()/4, 1))), // force duplicates
 		})
 	}
 	for i := 0; i < 64; i++ {
 		sites = append(sites, Site{chg.ClassID(rng.Intn(g.NumClasses()+8) - 4), chg.MemberID(rng.Intn(g.NumMemberNames()+8) - 4)})
 	}
 	rng.Shuffle(len(sites), func(i, j int) { sites[i], sites[j] = sites[j], sites[i] })
+	return sites
+}
 
+// memoOracle returns oracleTargets over snap, memoized per (backend,
+// site) so batch tests check every duplicate site without redoing its
+// brute force.
+func memoOracle(t *testing.T, snap *engine.Snapshot) func(core.SemanticsID, Site) Resolution {
+	type key struct {
+		sem core.SemanticsID
+		s   Site
+	}
+	memo := map[key]Resolution{}
+	return func(sem core.SemanticsID, s Site) Resolution {
+		res, ok := memo[key{sem, s}]
+		if !ok {
+			res = oracleTargets(t, snap, sem, s.Class, s.Member)
+			memo[key{sem, s}] = res
+		}
+		return res
+	}
+}
+
+// sameAnswer reports whether got carries want's site, targets, cone
+// and monomorphic flag.
+func sameAnswer(got, want Resolution) bool {
+	return got.Root == want.Root && got.Member == want.Member &&
+		sameTargets(got.Targets, want.Targets) && got.Cone == want.Cone &&
+		got.Monomorphic == want.Monomorphic
+}
+
+// checkBatch resolves one batch under every backend with Workers 1
+// and 4 and checks every site's Resolution against the brute-force
+// oracle and against ResolveTargets.
+func checkBatch(t *testing.T, g *chg.Graph) {
+	t.Helper()
+	snap := engine.NewSnapshot(g, core.WithSemantics(core.SemC3, core.SemGxx))
+	oracle := memoOracle(t, engine.NewSnapshot(g, core.WithSemantics(core.SemC3, core.SemGxx)))
+	sites := batchSites(g, 4)
 	for _, sem := range allSems {
 		for _, workers := range []int{1, 4} {
 			r, err := New(snap, sem)
@@ -204,16 +239,146 @@ func TestResolveBatch(t *testing.T) {
 				t.Fatal(err)
 			}
 			for i, s := range sites {
-				want := single.ResolveTargets(s.Class, s.Member)
-				if got[i].Root != s.Class || got[i].Member != s.Member {
-					t.Fatalf("%s w=%d: resolution %d answers (%d,%d), site is (%d,%d)",
-						sem, workers, i, got[i].Root, got[i].Member, s.Class, s.Member)
+				if want := oracle(sem, s); !sameAnswer(got[i], want) {
+					t.Fatalf("%s w=%d: batch resolution %d = %+v, oracle %+v", sem, workers, i, got[i], want)
 				}
-				if !sameTargets(got[i].Targets, want.Targets) || got[i].Cone != want.Cone ||
-					got[i].Monomorphic != want.Monomorphic {
+				if want := single.ResolveTargets(s.Class, s.Member); !sameAnswer(got[i], want) {
 					t.Fatalf("%s w=%d: batch resolution %d disagrees with ResolveTargets", sem, workers, i)
 				}
 			}
+		}
+	}
+}
+
+// TestResolveBatch checks the batch path on duplicated shuffled sites
+// (plus invalid ids) under Workers 1 and 4 and all three backends:
+// every site's Resolution equals the brute-force oracle's and its
+// ResolveTargets answer. The sparse run builds the graph past a
+// lowered DenseClosureLimit, so cones come from chg.EachDescendant's
+// BFS.
+func TestResolveBatch(t *testing.T) {
+	t.Run("dense", func(t *testing.T) { checkBatch(t, testGraphs()["giant"]()) })
+	t.Run("sparse", func(t *testing.T) {
+		old := chg.DenseClosureLimit
+		chg.DenseClosureLimit = 1
+		g := testGraphs()["giant"]()
+		chg.DenseClosureLimit = old
+		if !g.SparseClosures() {
+			t.Fatal("graph built dense despite lowered DenseClosureLimit")
+		}
+		checkBatch(t, g)
+	})
+}
+
+// TestResolveBatchWorkPerMember pins the recurrence's work, counted
+// independently of the host: one batch looks up each class of a
+// member's cone union once, not once per root whose cone holds it,
+// walks each distinct root's cone once to size it, and a second batch
+// reuses those sizes but not the per-batch target sets.
+func TestResolveBatchWorkPerMember(t *testing.T) {
+	g := testGraphs()["giant"]()
+	snap := engine.NewSnapshot(g)
+	r, err := New(snap, core.SemDominance)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r.Workers = 1
+	sites := batchSites(g, 9)
+
+	union := map[chg.MemberID]map[chg.ClassID]bool{}
+	roots := map[chg.ClassID]bool{}
+	for _, s := range sites {
+		if !g.Valid(s.Class) || s.Member < 0 || int(s.Member) >= g.NumMemberNames() {
+			continue
+		}
+		roots[s.Class] = true
+		u := union[s.Member]
+		if u == nil {
+			u = map[chg.ClassID]bool{}
+			union[s.Member] = u
+		}
+		for d := 0; d < g.NumClasses(); d++ {
+			if did := chg.ClassID(d); did == s.Class || g.IsBase(s.Class, did) {
+				u[did] = true
+			}
+		}
+	}
+	receivers := 0
+	for _, u := range union {
+		receivers += len(u)
+	}
+
+	r.ResolveBatch(sites, nil)
+	if got := r.receivers.Load(); got != int64(receivers) {
+		t.Errorf("first batch looked up %d receivers, want the %d classes of the members' cone unions", got, receivers)
+	}
+	if got := r.coneWalks.Load(); got != int64(len(roots)) {
+		t.Errorf("first batch made %d cone walks, want one per distinct root (%d)", got, len(roots))
+	}
+	r.ResolveBatch(sites, nil)
+	if got := r.receivers.Load(); got != 2*int64(receivers) {
+		t.Errorf("two batches looked up %d receivers, want %d: target sets are per batch", got, 2*receivers)
+	}
+	if got := r.coneWalks.Load(); got != int64(len(roots)) {
+		t.Errorf("second batch made %d more cone walks, want 0", got-int64(len(roots)))
+	}
+}
+
+// TestResolverConcurrentCallers shares one Resolver between goroutines
+// mixing ResolveBatch and ResolveTargets over overlapping sites on a
+// cold snapshot with BFS cones, so the cone-size cache and the cell
+// fills race; every answer must equal the oracle's. CI runs it under
+// -race repeatedly.
+func TestResolverConcurrentCallers(t *testing.T) {
+	old := chg.DenseClosureLimit
+	chg.DenseClosureLimit = 1
+	defer func() { chg.DenseClosureLimit = old }()
+
+	g := testGraphs()["giant"]()
+	oracle := memoOracle(t, engine.NewSnapshot(g))
+	sites := batchSites(g, 17)[:1200]
+	want := make([]Resolution, len(sites))
+	for i, s := range sites {
+		want[i] = oracle(core.SemDominance, s)
+	}
+
+	for _, workers := range []int{0, 2} {
+		r, err := New(engine.NewSnapshot(g), core.SemDominance)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r.Workers = workers
+		const callers = 6
+		errs := make(chan string, callers)
+		var wg sync.WaitGroup
+		for k := 0; k < callers; k++ {
+			wg.Add(1)
+			go func(k int) {
+				defer wg.Done()
+				// Each caller takes an overlapping window of the sites.
+				lo := k * len(sites) / (2 * callers)
+				part := sites[lo : lo+len(sites)/2]
+				if k%2 == 0 {
+					for i, got := range r.ResolveBatch(part, nil) {
+						if !sameAnswer(got, want[lo+i]) {
+							errs <- fmt.Sprintf("w=%d caller %d: batch site %d = %+v, oracle %+v", workers, k, lo+i, got, want[lo+i])
+							return
+						}
+					}
+					return
+				}
+				for i, s := range part {
+					if got := r.ResolveTargets(s.Class, s.Member); !sameAnswer(got, want[lo+i]) {
+						errs <- fmt.Sprintf("w=%d caller %d: site %d = %+v, oracle %+v", workers, k, lo+i, got, want[lo+i])
+						return
+					}
+				}
+			}(k)
+		}
+		wg.Wait()
+		close(errs)
+		for e := range errs {
+			t.Error(e)
 		}
 	}
 }
