@@ -52,8 +52,8 @@ scale-smoke:
 # The CI-sized devirt gate: a 200k-site Zipf stream over a 20k-class
 # hierarchy, asserting batched throughput (bottom-up target sets, one
 # lookup per class of each member's cone union) is at least the
-# single-call baseline and the monomorphic/fast-path counts are
-# non-degenerate (fast-path counts the sites the recurrence answered).
+# single-call baseline and the site census is coherent (monomorphic +
+# polymorphic + unresolved covers every site, some monomorphic).
 devirt-smoke:
 	$(GO) run ./cmd/benchjson -devirt-smoke
 

@@ -19,8 +19,7 @@
 // each member's target sets computed bottom-up over the union of its
 // sites' cones, one lookup per class. -semantics picks one resolution
 // backend (default dominance). The summary reports monomorphic /
-// polymorphic / unresolved site counts, the sites answered by that
-// recurrence (fast-path), and the drain throughput.
+// polymorphic / unresolved site counts and the drain throughput.
 package main
 
 import (
@@ -118,7 +117,7 @@ func main() {
 		}
 	}
 
-	var mono, poly, unresolved, fastPath int
+	var mono, poly, unresolved int
 	unique := map[devirt.Site]struct{}{}
 	for i, rs := range res {
 		unique[sites[i]] = struct{}{}
@@ -130,15 +129,12 @@ func main() {
 		default:
 			unresolved++
 		}
-		if rs.FastPath {
-			fastPath++
-		}
 	}
 	fmt.Printf("%d sites (%d unique pairs, %d skipped lines), backend %s\n",
 		len(sites), len(unique), skipped, id)
 	if len(sites) > 0 {
-		fmt.Printf("  monomorphic %d (%.1f%%)   polymorphic %d   no-target %d   fast-path %d\n",
-			mono, 100*float64(mono)/float64(len(sites)), poly, unresolved, fastPath)
+		fmt.Printf("  monomorphic %d (%.1f%%)   polymorphic %d   no-target %d\n",
+			mono, 100*float64(mono)/float64(len(sites)), poly, unresolved)
 		fmt.Printf("  drained in %v (%.2fM sites/sec)\n",
 			elapsed.Round(time.Microsecond), float64(len(sites))/elapsed.Seconds()/1e6)
 	}

@@ -154,10 +154,6 @@ type (
 	// WorkspaceBinding republishes an incremental workspace through an
 	// engine as new snapshot versions.
 	WorkspaceBinding = engine.WorkspaceBinding
-	// Query is one (class, member) pair of a Snapshot.LookupBatch
-	// batch — the bulk path that sorts queries member-major so cache
-	// reads stride sequentially and duplicates share one cell read.
-	Query = engine.Query
 )
 
 // NewEngine returns an empty concurrent query engine.

@@ -1,19 +1,19 @@
 package core
 
-// Bulk-resolve support. A batched lookup path (internal/engine's
-// LookupBatch) drains millions of (class, member) queries per call;
-// what this file supplies is the reusable, caller-owned scratch that
-// keeps that loop allocation-free in the steady state:
+// Reusable, caller-owned scratch for hot loops that must not allocate
+// per item:
 //
 //   - ResolveScratch / Kernel.ResolveWith expose the resolve
 //     temporaries the batched table build already reuses internally,
-//     so a lazy fill driven from a batch can recycle its buffers
-//     across millions of misses instead of allocating per cell;
+//     so a lazy fill (internal/engine's snapshot miss path) can
+//     recycle its buffers across misses instead of allocating per
+//     cell;
 //   - ScratchStack hands out one ResolveScratch per recursion depth,
 //     because a lazy fill's resolve calls back into resolve for its
 //     base classes and a mid-flight scratch must not be clobbered;
-//   - BatchScratch owns the key/permutation buffers of the batch
-//     radix sort that groups queries member-major.
+//   - BatchScratch owns the key/permutation buffers of a radix sort
+//     that groups (class, member) keys member-major, which
+//     internal/devirt's ResolveBatch uses to deduplicate call sites.
 
 import (
 	"cpplookup/internal/chg"
@@ -21,8 +21,8 @@ import (
 
 // ResolveScratch is an opaque, caller-owned buffer set for
 // Kernel.ResolveWith. The zero value is ready to use; a scratch
-// reused across calls keeps its capacity, which is what makes a
-// steady-state bulk fill allocation-free. A scratch is
+// reused across calls keeps its capacity, which is what makes
+// steady-state fills allocation-free. A scratch is
 // single-goroutine state, and a resolve call that recursively
 // re-enters the kernel (a lazy fill's get callback) must use a
 // different scratch per recursion depth — see ScratchStack. Nothing a
@@ -43,9 +43,9 @@ func (k *Kernel) ResolveWith(c chg.ClassID, m chg.MemberID, get func(chg.ClassID
 // resolve at depth d calls get and get recursively resolves a base
 // class, the nested call needs scratch frame d+1 — frame d is still
 // holding the outer call's partial join. Frames are created on first
-// use and reused for every later fill at the same depth, so a batch
-// of a million misses allocates a handful of frames total (one per
-// hierarchy-depth level), not one per miss.
+// use and reused for every later fill at the same depth, so a stack
+// reused across a million misses allocates a handful of frames total
+// (one per hierarchy-depth level), not one per miss.
 type ScratchStack struct {
 	frames []*ResolveScratch
 }
@@ -59,20 +59,14 @@ func (st *ScratchStack) At(d int) *ResolveScratch {
 	return st.frames[d]
 }
 
-// BatchScratch holds the reusable buffers of a sorted bulk lookup:
-// the packed query keys, the permutation that maps sorted positions
-// back to caller positions, the radix sort's ping-pong copies of
-// both, and a ScratchStack for the fills the batch triggers. The zero
-// value is ready to use; buffers grow to the largest batch seen and
-// are retained. A BatchScratch is single-goroutine state — parallel
-// batch workers each own one.
+// BatchScratch holds the reusable buffers of a sorted batch: the
+// packed keys, the permutation that maps sorted positions back to
+// caller positions, and the radix sort's ping-pong copies of both.
+// The zero value is ready to use; buffers grow to the largest batch
+// seen and are retained. A BatchScratch is single-goroutine state.
 type BatchScratch struct {
 	keys, keysAlt []uint64
 	perm, permAlt []int32
-
-	// Resolve is the fill-path scratch the batch threads through
-	// Kernel.ResolveWith, one frame per recursion depth.
-	Resolve ScratchStack
 }
 
 // Keys returns a length-n buffer for the caller to fill with packed

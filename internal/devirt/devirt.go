@@ -23,10 +23,8 @@
 // nothing to it. The memo lives in per-worker scratch for that one
 // run only. Cone sizes do not add up over a DAG, so each root's is
 // counted once by chg.EachDescendant (dense closure rows, or BFS past
-// DenseClosureLimit) and cached on the Resolver. Resolver.FullStats
-// trades the recurrence for exact per-receiver tallies: it resolves
-// each distinct site's whole cone through Snapshot.LookupBatch's
-// sorted path.
+// DenseClosureLimit) and cached on the Resolver. Every cell is read
+// through Snapshot.LookupSem, the snapshot's memoising lookup.
 package devirt
 
 import (
@@ -72,18 +70,13 @@ type Resolution struct {
 	Monomorphic bool
 
 	// FastPath reports the answer came from the bottom-up target-set
-	// recurrence, which shares receivers between roots and so leaves
-	// the tallies zero. It is false on the Resolver.FullStats path.
+	// recurrence. It is always true for a valid site: the recurrence
+	// is the Resolver's only path.
 	FastPath bool
 
 	// Cone is the number of receiver types considered: Root plus its
 	// strict descendants.
 	Cone int
-
-	// Resolved, Undefined, Ambiguous and Failed tally the cone's
-	// lookup outcomes. Only the FullStats path counts them, exactly
-	// (summing to Cone); on the default path they are all zero.
-	Resolved, Undefined, Ambiguous, Failed int
 }
 
 // Resolver answers CHA queries against one immutable snapshot under
@@ -105,14 +98,8 @@ type Resolver struct {
 	// run. For tests.
 	receivers, coneWalks atomic.Int64
 
-	// FullStats resolves each distinct site's whole cone receiver by
-	// receiver instead of by the recurrence, so every resolution
-	// carries exact tallies.
-	FullStats bool
-
-	// Workers bounds the fan-out of ResolveBatch over member runs and,
-	// under FullStats, of ResolveTargets' cone batch: 0 picks
-	// automatically, 1 forces serial.
+	// Workers bounds the fan-out of ResolveBatch over member runs: 0
+	// picks automatically, 1 forces serial.
 	Workers int
 
 	scratch sync.Pool // *resolveScratch
@@ -123,7 +110,7 @@ type resolveScratch struct {
 	batch core.BatchScratch // ResolveBatch's site sort
 	out   []Resolution      // resolveRun's answers
 
-	// Cone walks: sizes, and the FullStats cone.
+	// Cone-size walks.
 	visited *bitset.Set
 	queue   []chg.ClassID
 
@@ -140,10 +127,6 @@ type resolveScratch struct {
 	tick  uint32
 	mark  []uint32
 	extra []chg.ClassID
-
-	// FullStats cone batch.
-	qs  []engine.Query
-	res []core.Result
 }
 
 // span is one target set: arena[off:off+n]. out is its offset in the
@@ -197,7 +180,7 @@ func (r *Resolver) ResolveTargets(c chg.ClassID, m chg.MemberID) Resolution {
 	}
 	sc := r.scratch.Get().(*resolveScratch)
 	defer r.putScratch(sc)
-	return r.resolveRun(sc, m, []chg.ClassID{c}, r.Workers)[0]
+	return r.resolveRun(sc, m, []chg.ClassID{c})[0]
 }
 
 // ResolveBatch resolves a whole slice of call sites, appending one
@@ -285,7 +268,7 @@ func (r *Resolver) ResolveBatch(sites []Site, out []Resolution) []Resolution {
 	par.For(nruns, len(scs), func(w, j int) {
 		first, last := runs[j], runs[j+1]
 		m := chg.MemberID(sorted[lo[first]] / nc)
-		for i, res := range r.resolveRun(scs[w], m, roots[first:last], 1) {
+		for i, res := range r.resolveRun(scs[w], m, roots[first:last]) {
 			for k := lo[first+i]; k < lo[first+i+1]; k++ {
 				dst[perm[k]] = res
 			}
@@ -309,16 +292,9 @@ func (r *Resolver) putScratch(sc *resolveScratch) {
 
 // resolveRun resolves member m at every root (valid and distinct)
 // using sc's buffers and returns the answers in sc.out, which the next
-// call overwrites; workers bounds the FullStats cone batch's fan-out.
-func (r *Resolver) resolveRun(sc *resolveScratch, m chg.MemberID, roots []chg.ClassID, workers int) []Resolution {
+// call overwrites.
+func (r *Resolver) resolveRun(sc *resolveScratch, m chg.MemberID, roots []chg.ClassID) []Resolution {
 	sc.out = slices.Grow(sc.out[:0], len(roots))[:len(roots)]
-	if r.FullStats {
-		for i, c := range roots {
-			sc.out[i] = r.resolveCone(sc, c, m, workers)
-		}
-		return sc.out
-	}
-
 	sc.run++
 	if sc.run == 0 {
 		clear(sc.stamp)
@@ -506,38 +482,4 @@ func (r *Resolver) coneSize(sc *resolveScratch, c chg.ClassID) (n int, walked bo
 	sc.queue = r.g.EachDescendant(c, sc.visited, sc.queue, func(chg.ClassID) { n++ })
 	r.cone[c].Store(int32(n))
 	return n, true
-}
-
-// resolveCone is the exact-tally path: look m up at every class of c's
-// cone through the sorted batch, tally the outcomes and collect the
-// distinct targets. workers bounds the batch's fan-out.
-func (r *Resolver) resolveCone(sc *resolveScratch, c chg.ClassID, m chg.MemberID, workers int) Resolution {
-	res := Resolution{Root: c, Member: m}
-	sc.qs = append(sc.qs[:0], engine.Query{Class: c, Member: m})
-	sc.queue = r.g.EachDescendant(c, sc.visited, sc.queue, func(d chg.ClassID) {
-		sc.qs = append(sc.qs, engine.Query{Class: d, Member: m})
-	})
-	sc.res, _ = r.snap.LookupBatchSemWorkers(r.sem, sc.qs, sc.res[:0], workers)
-
-	sc.nextTick()
-	res.Cone = len(sc.qs)
-	for _, lr := range sc.res {
-		switch {
-		case lr.Found():
-			res.Resolved++
-			if t := lr.Class(); sc.mark[t] != sc.tick {
-				sc.mark[t] = sc.tick
-				res.Targets = append(res.Targets, t)
-			}
-		case lr.Ambiguous():
-			res.Ambiguous++
-		case lr.Failed():
-			res.Failed++
-		default:
-			res.Undefined++
-		}
-	}
-	slices.Sort(res.Targets)
-	res.Monomorphic = len(res.Targets) == 1
-	return res
 }

@@ -56,11 +56,10 @@ func TestWarmLookupZeroAllocs(t *testing.T) {
 // TestColdFillAllocsPerSnapshot gates the miss path: cold-filling
 // every cell of a fresh snapshot allocates a small constant per
 // snapshot (payload-pool growth), not one or more objects per miss.
-// A single-call miss borrows pooled scratch frames and a batch threads
-// its own, and the dominance fill never hands its recursive closure to
-// an interface, so nothing escapes per miss. Both paths are checked,
-// the batch on a dominance-only snapshot and on one that also serves
-// C3 and gxx.
+// A miss borrows pooled scratch frames, and the dominance fill never
+// hands its recursive closure to an interface, so nothing escapes per
+// miss. The fill is checked on a dominance-only snapshot and on one
+// that also serves C3 and gxx.
 func TestColdFillAllocsPerSnapshot(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector makes sync.Pool drop a random share of Puts, so pooled scratch reallocates")
@@ -71,44 +70,30 @@ func TestColdFillAllocsPerSnapshot(t *testing.T) {
 	const maxAllocs = 8
 	g := hiergen.Realistic(8, 3)
 	qs := allocQueries(g)
-	batch := make([]Query, len(qs))
-	for i, q := range qs {
-		batch[i] = Query{Class: chg.ClassID(q[0]), Member: chg.MemberID(q[1])}
+	optSets := map[string][]core.Option{
+		"single":        nil,
+		"single c3+gxx": {core.WithSemantics(core.SemC3, core.SemGxx)},
 	}
-	out := make([]core.Result, 0, len(batch))
-	fills := map[string]struct {
-		opts []core.Option
-		fill func(*Snapshot)
-	}{
-		"single": {nil, func(s *Snapshot) {
-			for _, q := range batch {
-				s.Lookup(q.Class, q.Member)
-			}
-		}},
-		"batch": {nil, func(s *Snapshot) { s.LookupBatch(batch, out[:0]) }},
-		"batch c3+gxx": {
-			[]core.Option{core.WithSemantics(core.SemC3, core.SemGxx)},
-			func(s *Snapshot) { s.LookupBatch(batch, out[:0]) },
-		},
-	}
-	for name, tc := range fills {
+	for name, opts := range optSets {
 		t.Run(name, func(t *testing.T) {
 			snaps := make([]*Snapshot, runs+1)
 			for i := range snaps {
-				snaps[i] = NewSnapshot(g, tc.opts...)
+				snaps[i] = NewSnapshot(g, opts...)
 			}
 			next := 0
 			avg := testing.AllocsPerRun(runs, func() {
-				tc.fill(snaps[next])
+				for _, q := range qs {
+					snaps[next].Lookup(chg.ClassID(q[0]), chg.MemberID(q[1]))
+				}
 				next++
 			})
 			for _, s := range snaps {
-				if got := s.CachedEntries(); got != len(batch) {
-					t.Fatalf("fill left %d of %d cells cached", got, len(batch))
+				if got := s.CachedEntries(); got != len(qs) {
+					t.Fatalf("fill left %d of %d cells cached", got, len(qs))
 				}
 			}
 			if avg > maxAllocs {
-				t.Fatalf("cold fill of %d cells allocated %.1f objects per snapshot, want at most %d", len(batch), avg, maxAllocs)
+				t.Fatalf("cold fill of %d cells allocated %.1f objects per snapshot, want at most %d", len(qs), avg, maxAllocs)
 			}
 		})
 	}

@@ -79,8 +79,8 @@ type CarryStats struct {
 	Columns []ColumnCarry
 
 	// Workers is the parallelism the carry ran at: 1 for the serial
-	// path (small snapshots or SetCarryWorkers(1)), the work-stealing
-	// worker count otherwise.
+	// path (columns below carryParallelFloor cells, or a one-core
+	// host), the work-stealing worker count otherwise.
 	Workers int
 }
 

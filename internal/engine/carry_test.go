@@ -334,7 +334,7 @@ func TestParallelCarryMatchesSerial(t *testing.T) {
 			randomMemberEdit(rng, w, ids, names)
 		}
 		e := New()
-		e.SetCarryWorkers(workers)
+		e.carryWorkers = workers
 		b, snap, err := e.BindWorkspace("par", w, core.WithStaticRule())
 		if err != nil {
 			t.Fatal(err)
@@ -379,7 +379,7 @@ func TestCarryDuplicateMemberConeServedSerially(t *testing.T) {
 	g2 := bld2.MustBuild()
 
 	e := New()
-	e.SetCarryWorkers(4)
+	e.carryWorkers = 4
 	snap, err := e.Register("dup", g1)
 	if err != nil {
 		t.Fatal(err)

@@ -32,24 +32,8 @@ type Engine struct {
 	// carryWorkers caps the goroutines a carried republish uses to
 	// copy and cone-clear cell columns (0 means GOMAXPROCS; the
 	// parallel path also needs the column to clear
-	// carryParallelFloor). See SetCarryWorkers.
+	// carryParallelFloor). Tests set it to pin a worker count.
 	carryWorkers int
-}
-
-// SetCarryWorkers caps the parallelism of carried republishes
-// (UpdateCarried and workspace syncs through it): the bulk cell copy
-// and the invalidation-cone clearing are striped across up to n
-// workers stealing work from shared counters. n ≤ 0 restores the
-// default (GOMAXPROCS). Snapshots below carryParallelFloor cells keep
-// the serial path regardless — goroutine fan-out costs more than the
-// copy there.
-func (e *Engine) SetCarryWorkers(n int) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if n < 0 {
-		n = 0
-	}
-	e.carryWorkers = n
 }
 
 type entry struct {

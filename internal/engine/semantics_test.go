@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"math/rand"
 	"sync"
 	"testing"
 
@@ -325,5 +326,122 @@ func TestMixedBackendReadersAcrossRepublish(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestLookupSemConcurrentRepublish races readers on held snapshots
+// against a writer republishing edits through a workspace binding with
+// warm carry, so readers keep answering from versions that are no
+// longer current while carried successors are staged. For each version
+// it publishes, the writer builds that version's eager tables once;
+// each reader checks every answer it reads from the version it holds,
+// under all three backends, against them. Under -race this also
+// proves reads of a held version never touch a successor's staging
+// writes.
+func TestLookupSemConcurrentRepublish(t *testing.T) {
+	g0 := hiergen.SparseMembers(100, 200, 3, 5)
+	ws, err := incremental.FromGraph(g0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng := New()
+	bind, snap0, err := eng.BindWorkspace("w", ws, core.WithSemantics(core.SemC3, core.SemGxx))
+	if err != nil {
+		t.Fatal(err)
+	}
+	target := g0.Leaves()[0]
+
+	// version is one published snapshot and its tables, one per
+	// allSems entry.
+	type version struct {
+		snap   *Snapshot
+		tables []*core.Table
+	}
+	const readers = 6
+	const rounds = 40
+	versions := make(chan version, readers*rounds)
+	var wg sync.WaitGroup
+	errs := make(chan string, readers+1)
+
+	wg.Add(1)
+	go func() { // writer: keep republishing an oscillating edit
+		defer wg.Done()
+		defer close(versions)
+		on := false
+		for i := 0; i < rounds; i++ {
+			var err error
+			if on {
+				err = ws.RemoveMember(target, "semtoggle")
+			} else {
+				err = ws.AddMember(target, chg.Member{Name: "semtoggle", Kind: chg.Method})
+			}
+			on = !on
+			if err != nil {
+				errs <- "edit: " + err.Error()
+				return
+			}
+			s, err := bind.Sync()
+			if err != nil {
+				errs <- "sync: " + err.Error()
+				return
+			}
+			v := version{snap: s}
+			for _, id := range allSems {
+				tab, ok := s.TableSem(id)
+				if !ok {
+					errs <- fmt.Sprintf("version %d does not serve %s", s.Version(), id)
+					return
+				}
+				v.tables = append(v.tables, tab)
+			}
+			for r := 0; r < readers; r++ {
+				versions <- v
+			}
+		}
+	}()
+
+	for r := 0; r < readers; r++ {
+		wg.Add(1)
+		go func(seed int64) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(seed))
+			for v := range versions {
+				g := v.snap.Graph()
+				toggle, ok := g.MemberID("semtoggle")
+				if !ok {
+					errs <- fmt.Sprintf("version %d lost the toggled member name", v.snap.Version())
+					return
+				}
+				for i, id := range allSems {
+					for q := 0; q < 200; q++ {
+						// The first probe is the toggled cell, whose
+						// answer differs between consecutive versions.
+						c, m := target, toggle
+						if q > 0 {
+							c, m = chg.ClassID(rng.Intn(g.NumClasses())), chg.MemberID(rng.Intn(g.NumMemberNames()))
+						}
+						got, ok := v.snap.LookupSem(id, c, m)
+						if !ok {
+							errs <- fmt.Sprintf("version %d stopped serving %s", v.snap.Version(), id)
+							return
+						}
+						if want := v.tables[i].Lookup(c, m); !got.Equal(want) {
+							errs <- fmt.Sprintf("version %d %s %s::%s = %s, table %s", v.snap.Version(), id,
+								g.Name(c), g.MemberName(m), got.Format(g), want.Format(g))
+							return
+						}
+					}
+				}
+			}
+		}(int64(r + 1))
+	}
+	wg.Wait()
+	close(errs)
+	for e := range errs {
+		t.Error(e)
+	}
+	final, ok := eng.Snapshot("w")
+	if !ok || final.Version() <= snap0.Version() {
+		t.Fatal("no republish happened")
 	}
 }

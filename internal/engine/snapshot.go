@@ -177,14 +177,18 @@ func (s *Snapshot) lookup(col *column, c chg.ClassID, m chg.MemberID) core.Resul
 	if w := atomic.LoadUint64(&col.cells[int(c)*s.numMembers+int(m)]); w != 0 {
 		return s.pool.View(core.Cell(w))
 	}
-	sc := batchScratchPool.Get().(*core.BatchScratch)
+	st := scratchPool.Get().(*core.ScratchStack)
 	sh := &col.fillLocks[uint32(m)%shardCount]
 	sh.Lock()
-	r := s.fill(col, c, m, &sc.Resolve)
+	r := s.fill(col, c, m, st)
 	sh.Unlock()
-	batchScratchPool.Put(sc)
+	scratchPool.Put(st)
 	return r
 }
+
+// scratchPool recycles the fill scratch frames across misses and
+// goroutines, so steady-state misses are allocation-free.
+var scratchPool = sync.Pool{New: func() any { return new(core.ScratchStack) }}
 
 // fill computes lookup[c,m] into col, publishing every cell the
 // computation produced as it goes; the caller holds m's shard lock in
@@ -269,8 +273,8 @@ func (s *Snapshot) Table() *core.Table { return s.cols[0].eagerTable() }
 // Ordering contract: the sequence of (c, m, r) triples is a pure
 // function of the snapshot's hierarchy — identical across calls,
 // across goroutines, and across processes, regardless of what the
-// lazy Lookup cache holds or which concurrent Lookup/LookupBatch
-// fills are in flight. Iteration reads only the eager Table (built
+// lazy Lookup cache holds or which concurrent Lookup/LookupSem fills
+// are in flight. Iteration reads only the eager Table (built
 // once, on first use, from the immutable graph; never from the lazy
 // cells), so concurrent fills cannot interleave with or reorder it.
 // The results themselves are equally stable: a snapshot's cells are

@@ -85,7 +85,6 @@ type DevirtStats struct {
 	Monomorphic int // exactly one possible target
 	Polymorphic int // two or more
 	Unresolved  int // no legal target (undefined/ambiguous everywhere)
-	FastPath    int // answered by the bottom-up recurrence: every site unless FullStats
 }
 
 // DevirtMeasurement is one strategy's timing.
@@ -156,9 +155,6 @@ func (s *DevirtSession) Stats() DevirtStats {
 			st.Polymorphic++
 		default:
 			st.Unresolved++
-		}
-		if r.FastPath {
-			st.FastPath++
 		}
 	}
 	st.UniqueSites = len(seen)
@@ -306,14 +302,13 @@ func RunE20(w io.Writer) error {
 	t.write(w)
 	fmt.Fprintln(w)
 	fmt.Fprintf(w, "stream: %d sites, %d unique (type, member) pairs\n", stats.Sites, stats.UniqueSites)
-	fmt.Fprintf(w, "  monomorphic %d (%.1f%%)  polymorphic %d  unresolved %d  fast-path %d\n",
+	fmt.Fprintf(w, "  monomorphic %d (%.1f%%)  polymorphic %d  unresolved %d\n",
 		stats.Monomorphic, 100*float64(stats.Monomorphic)/float64(stats.Sites),
-		stats.Polymorphic, stats.Unresolved, stats.FastPath)
+		stats.Polymorphic, stats.Unresolved)
 	fmt.Fprintln(w)
 	fmt.Fprintln(w, "→ batching wins twice: duplicate sites collapse to one resolution")
 	fmt.Fprintln(w, "  each, and distinct sites on one member share their cones, so a class")
 	fmt.Fprintln(w, "  under many hot roots is looked up once per batch, not once per root.")
-	fmt.Fprintln(w, "  fast-path counts sites answered by that recurrence (all of them).")
 	fmt.Fprintln(w, "  The monomorphic fraction is the devirtualization payoff: those")
 	fmt.Fprintln(w, "  calls can become direct calls.")
 	return nil

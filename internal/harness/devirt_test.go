@@ -42,7 +42,4 @@ func TestMeasureDevirtSmall(t *testing.T) {
 	if stats.Monomorphic == 0 {
 		t.Fatal("no monomorphic sites on a Giant shape")
 	}
-	if stats.FastPath == 0 {
-		t.Fatal("fast path never fired on a Zipf stream")
-	}
 }

@@ -50,8 +50,14 @@ func TestCarryFromMappedImage(t *testing.T) {
 	dir := t.TempDir()
 	path := dir + "/ws.img"
 	opts := []core.Option{core.WithSemantics(allBackends...), core.WithStaticRule()}
-	if _, err := FreezeWorkspace(w, path, opts...); err != nil {
-		t.Fatalf("FreezeWorkspace: %v", err)
+	frozen, err := w.Snapshot()
+	if err != nil {
+		t.Fatalf("Workspace.Snapshot: %v", err)
+	}
+	warm := engine.NewSnapshot(frozen, opts...)
+	warm.WarmAll()
+	if err := WriteFile(path, warm); err != nil {
+		t.Fatalf("WriteFile: %v", err)
 	}
 	genAtFreeze := w.Generation()
 

@@ -2,7 +2,6 @@ package image
 
 import (
 	"crypto/sha256"
-	"os"
 	"unsafe"
 
 	"cpplookup/internal/chg"
@@ -335,14 +334,4 @@ func aliasUint64(data []byte, s section) []uint64 {
 		return nil
 	}
 	return unsafe.Slice((*uint64)(unsafe.Pointer(&data[s.off])), s.size/8)
-}
-
-// LoadFile reads path into memory (no mapping) and loads it — the
-// fallback path, and the honest baseline for the mmap benchmark.
-func LoadFile(path string) (*Image, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	return Load(data)
 }

@@ -3,7 +3,6 @@ package image
 import (
 	"crypto/sha256"
 	"fmt"
-	"io"
 	"os"
 	"unsafe"
 
@@ -95,16 +94,6 @@ func Bytes(s *engine.Snapshot) ([]byte, error) {
 		numColumns:   uint32(len(cols)),
 		sectionCount: numSections,
 	}), nil
-}
-
-// Write serializes the snapshot to w.
-func Write(w io.Writer, s *engine.Snapshot) error {
-	b, err := Bytes(s)
-	if err != nil {
-		return err
-	}
-	_, err = w.Write(b)
-	return err
 }
 
 // WriteFile serializes the snapshot to path (0644, replaced
