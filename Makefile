@@ -25,8 +25,9 @@ fmt-check:
 lint:
 	$(GO) run ./cmd/chglint -fail-on=error ./examples
 
-# Run the machine-readable benchmark families and write their
-# snapshots: BENCH_table_build.json (ns/op, allocs/op, visited slots
+# Run the machine-readable benchmark families of internal/harness
+# (harness.Families, the configs and strategies of E14–E20) and write
+# their records: BENCH_table_build.json (ns/op, allocs/op, visited slots
 # per config and strategy), BENCH_edit_relookup.json (edit→requery
 # round times per serving strategy, cache-survival fractions),
 # BENCH_mro.json (whole-table build per resolution backend, divergent
@@ -38,16 +39,17 @@ lint:
 # by bulk cone carry vs serial per-edit carry), and BENCH_devirt.json
 # (Zipf call-site streams drained by CHA resolution: single-call probe
 # vs batched vs parallel-batched ns/site, plus the stream's
-# monomorphic/polymorphic census) — the cross-PR perf trajectory
-# record. The scale and devirt families each take minutes.
+# monomorphic/polymorphic census) — the perf trajectory record
+# across changes. The scale and devirt families each take minutes; without
+# -family, benchjson measures every family but those two.
 bench-json:
-	$(GO) run ./cmd/benchjson -o BENCH_table_build.json -edit-o BENCH_edit_relookup.json -mro-o BENCH_mro.json -lint-o BENCH_lint.json -image-o BENCH_image.json -scale-o BENCH_scale.json -devirt-o BENCH_devirt.json
+	$(GO) run ./cmd/benchjson -family table_build,edit_relookup,mro,lint,image,scale,devirt
 
 # The CI-sized scale gate: a 20k-class streamed build plus a 100-edit
 # bulk-carry session, with the streaming invariants (chunked working
 # set within budget, republish count, carried cells) asserted.
 scale-smoke:
-	$(GO) run ./cmd/benchjson -scale-smoke
+	$(GO) test -count=1 -run 'TestFamilySmoke/^scale$$' ./internal/harness
 
 # The CI-sized devirt gate: a 200k-site Zipf stream over a 20k-class
 # hierarchy, asserting batched throughput (bottom-up target sets, one
@@ -55,14 +57,13 @@ scale-smoke:
 # single-call baseline and the site census is coherent (monomorphic +
 # polymorphic + unresolved covers every site, some monomorphic).
 devirt-smoke:
-	$(GO) run ./cmd/benchjson -devirt-smoke
+	$(GO) test -count=1 -run 'TestFamilySmoke/^devirt$$' ./internal/harness
 
-# Fail if the checked-in benchmark JSON snapshots no longer match the
-# current benchmark families structurally (configs/strategies renamed
-# or added without re-running `make bench-json`). Timings are not
-# compared.
+# Fail if the checked-in benchmark JSON records no longer match the
+# registry structurally (benchmark ids, config or strategy names
+# changed without re-running benchjson). Timings are not compared.
 bench-check:
-	$(GO) run ./cmd/benchjson -check
+	$(GO) test -count=1 -run 'TestBenchRecordsMatchFamilies$$' .
 
 # Compile and smoke-run the repository benchmark (bench/, its own Go
 # module), which the root `go build/test ./...` never see, so an API

@@ -1,10 +1,15 @@
 // Benchmarks regenerating every figure and measurable claim of the
-// paper, one benchmark (family) per experiment of EXPERIMENTS.md.
+// paper, one benchmark (family) per experiment of EXPERIMENTS.md, and
+// the staleness test of the BENCH_*.json records.
 // Run with: go test -bench=. -benchmem
 package cpplookup_test
 
 import (
+	"encoding/json"
 	"fmt"
+	"os"
+	"reflect"
+	"sort"
 	"sync"
 	"testing"
 
@@ -395,194 +400,107 @@ func BenchmarkPackedCells(b *testing.B) {
 	})
 }
 
-// --- E14: support-pruned, word-batched whole-table construction ---
+// --- E14–E20: the benchmark families ---
 
-// BenchmarkTableBuild is the table-build benchmark family of E14 and
-// BENCH_table_build.json: every strategy (naive member-major pass,
-// entry-major eager pass, batched support-pruned pass serial and
-// parallel) over every shared config (dense Figure-style and sparse
-// many-member hierarchies). Run with -benchmem; `make bench-json`
-// captures the same family as machine-readable JSON.
-func BenchmarkTableBuild(b *testing.B) {
-	for _, cfg := range harness.TableBuildConfigs() {
-		g := cfg.Make()
-		for _, s := range harness.TableBuildStrategies() {
-			build := s.Build
-			b.Run(cfg.Name+"/"+s.Name, func(b *testing.B) {
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					build(core.NewKernel(g))
-				}
-			})
+// BenchmarkFamilies runs every benchmark family of internal/harness —
+// the configs and strategies of E14–E20 and the BENCH_*.json records —
+// as one sub-benchmark per family/config/strategy. It runs each
+// family's smoke grid: the recorded grid for the fast families, a
+// 20k-class config for the slow ones, so `go test -bench=.` never
+// starts a 100k-class build. ns/op, B/op and allocs/op are per op the
+// strategy's Step counts (a build, a round, a call site, an edit), as
+// in the records `go run ./cmd/benchjson` writes.
+func BenchmarkFamilies(b *testing.B) {
+	for _, f := range harness.Families() {
+		for _, cfg := range f.Smoke {
+			var g *chg.Graph // built on first use, shared by the config's strategies
+			for _, s := range cfg.Strategies {
+				b.Run(f.Name+"/"+cfg.Name+"/"+s.Name, func(b *testing.B) {
+					if g == nil {
+						g = cfg.Make()
+					}
+					sess, err := s.Setup(g, b.TempDir())
+					if err != nil {
+						b.Fatal(err)
+					}
+					b.ReportAllocs()
+					b.ResetTimer()
+					t := harness.Time(b.N, 0, sess.Step)
+					b.ReportMetric(float64(t.NsPerOp), "ns/op")
+					b.ReportMetric(float64(t.BytesPerOp), "B/op")
+					b.ReportMetric(float64(t.AllocsPerOp), "allocs/op")
+				})
+			}
 		}
 	}
 }
 
-// --- E15: warm-cache carry-over on the edit→serve hot path ---
-
-// BenchmarkEditRelookup is the edit-relookup benchmark family of E15
-// and BENCH_edit_relookup.json: a single-member edit on a fully warm
-// hierarchy followed by a republish and a full requery, under every
-// serving strategy (Sync with warm carry-over, cold engine rebuild,
-// and the reconstructed legacy map cache) over every shared config.
-// `make bench-json` captures the same family as machine-readable JSON.
-func BenchmarkEditRelookup(b *testing.B) {
-	for _, cfg := range harness.EditRelookupConfigs() {
-		g := cfg.Make()
-		for _, s := range harness.EditRelookupStrategies() {
-			setup := s.Setup
-			b.Run(cfg.Name+"/"+s.Name, func(b *testing.B) {
-				sess, err := setup(g)
-				if err != nil {
-					b.Fatal(err)
-				}
-				sess.Step() // settle into the steady warm state
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					sess.Step()
-				}
-			})
+// TestBenchRecordsMatchFamilies checks the registry — unique names,
+// files and benchmark ids, a strategy for every config, one experiment
+// of E14–E20 per family — and that every committed BENCH_*.json record
+// still has its family's benchmark id, config names and strategy names
+// (run `go run ./cmd/benchjson -family NAME` after changing a family).
+// Timings are not compared.
+func TestBenchRecordsMatchFamilies(t *testing.T) {
+	seen := map[string]string{}
+	unique := func(kind, v, family string) {
+		if prev, dup := seen[kind+" "+v]; dup {
+			t.Errorf("families %s and %s share %s %q", prev, family, kind, v)
 		}
+		seen[kind+" "+v] = family
 	}
-}
-
-// --- E16: resolution backends through one cache path ---
-
-// BenchmarkSemanticsTable is the cross-semantics benchmark family of
-// E16 and BENCH_mro.json: a whole-table build through
-// core.BuildSemTable under every resolution backend (the dominance
-// kernel's batched fast path, C3/MRO linearization, the gxx
-// breadth-first baseline) over every shared config. Each iteration
-// constructs the backend afresh, so its preprocessing (linearization,
-// subobject graphs) is inside the measurement. `make bench-json`
-// captures the same family as machine-readable JSON.
-func BenchmarkSemanticsTable(b *testing.B) {
-	for _, cfg := range harness.SemanticsTableConfigs() {
-		g := cfg.Make()
-		for _, s := range harness.SemanticsBackends() {
-			mk := s.New
-			b.Run(cfg.Name+"/"+s.Name, func(b *testing.B) {
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					core.BuildSemTable(mk(g), 0)
-				}
-			})
+	for _, f := range harness.Families() {
+		unique("name", f.Name, f.Name)
+		unique("file", f.File(), f.Name)
+		unique("benchmark id", f.Benchmark, f.Name)
+		unique("experiment", f.Experiment, f.Name)
+		switch f.Experiment {
+		case "E14", "E15", "E16", "E17", "E18", "E19", "E20":
+		default:
+			t.Errorf("%s: experiment %q is not one of E14–E20", f.Name, f.Experiment)
 		}
-	}
-}
-
-// --- E17: cone-scoped incremental lint vs full re-analysis ---
-
-// BenchmarkLintRelint is the lint-relint benchmark family of E17 and
-// BENCH_lint.json: a single-member edit on an analyzed hierarchy
-// followed by a republish and re-analysis, under both strategies
-// (re-running every rule from scratch, and the cone-scoped
-// lint.Session) over the E15 hierarchy shapes. `make bench-json`
-// captures the same family as machine-readable JSON.
-func BenchmarkLintRelint(b *testing.B) {
-	for _, cfg := range harness.LintRelintConfigs() {
-		g := cfg.Make()
-		for _, s := range harness.LintRelintStrategies() {
-			setup := s.Setup
-			b.Run(cfg.Name+"/"+s.Name, func(b *testing.B) {
-				sess, err := setup(g)
-				if err != nil {
-					b.Fatal(err)
-				}
-				sess.Step() // settle into the steady warm state
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					sess.Step()
-				}
-			})
-		}
-	}
-}
-
-// --- E18: zero-copy snapshot images ---
-
-// BenchmarkImageLoad is the image-load benchmark family of E18 and
-// BENCH_image.json: one warm start — restore a fully warmed
-// three-backend snapshot and serve a probe of warm lookups — under
-// every strategy (memory-mapping the relocatable image, cold
-// rebuild + WarmAll, gob round-trip) over every shared config.
-// `make bench-json` captures the same family as machine-readable JSON.
-func BenchmarkImageLoad(b *testing.B) {
-	for _, cfg := range harness.ImageLoadConfigs() {
-		g := cfg.Make()
-		for _, s := range harness.ImageLoadStrategies() {
-			setup := s.Setup
-			b.Run(cfg.Name+"/"+s.Name, func(b *testing.B) {
-				sess, err := setup(g, b.TempDir())
-				if err != nil {
-					b.Fatal(err)
-				}
-				sess.Step() // settle page cache and lazy init
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					sess.Step()
-				}
-			})
-		}
-	}
-}
-
-// --- E20: bulk devirtualization queries ---
-
-// BenchmarkDevirt is the devirt benchmark family of E20 and
-// BENCH_devirt.json: draining a Zipf call-site stream through CHA
-// target resolution on a warm Giant snapshot, per strategy —
-// single-call (one cone walk plus one Lookup per receiver per site,
-// on the config's bounded probe), batched (ResolveBatch serial:
-// dedup, then bottom-up target sets per member over the union of its
-// roots' cones), and parallel-batched (auto work-stealing workers
-// over member runs). ns/op is ns per
-// drained site; the strategies drain different site counts (the
-// single-call probe vs the full stream), so compare ns/op, not
-// wall-clock. `make bench-json` captures the same family with
-// sites/sec and stream statistics as machine-readable JSON.
-func BenchmarkDevirt(b *testing.B) {
-	for _, cfg := range harness.DevirtConfigs() {
-		cfg := cfg
-		var sess *harness.DevirtSession // built lazily, shared by the config's sub-benchmarks
-		session := func(b *testing.B) *harness.DevirtSession {
-			if sess == nil {
-				var err error
-				if sess, err = harness.NewDevirtSession(cfg); err != nil {
-					b.Fatal(err)
+		for _, grid := range [][]harness.Config{f.Configs, f.Smoke, f.Shown} {
+			for _, cfg := range grid {
+				if len(cfg.Strategies) == 0 {
+					t.Errorf("%s/%s has no strategy", f.Name, cfg.Name)
 				}
 			}
-			return sess
 		}
-		b.Run(cfg.Name+"/single-call", func(b *testing.B) {
-			s := session(b)
-			probe := cfg.SingleProbe
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				s.DrainSingle(probe)
+
+		data, err := os.ReadFile(f.File())
+		if err != nil {
+			t.Errorf("%s: %v (run `go run ./cmd/benchjson -family %s`)", f.Name, err, f.Name)
+			continue
+		}
+		var rec harness.Record
+		if err := json.Unmarshal(data, &rec); err != nil {
+			t.Errorf("%s: %v", f.File(), err)
+			continue
+		}
+		if rec.Benchmark != f.Benchmark {
+			t.Errorf("%s records %q, want %q", f.File(), rec.Benchmark, f.Benchmark)
+		}
+		want := map[string][]string{}
+		for _, cfg := range f.Configs {
+			for _, s := range cfg.Strategies {
+				want[cfg.Name] = append(want[cfg.Name], s.Name)
 			}
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*probe), "ns/site")
-		})
-		b.Run(cfg.Name+"/batched", func(b *testing.B) {
-			s := session(b)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				s.DrainBatched(false)
+		}
+		got := map[string][]string{}
+		for _, r := range rec.Configs {
+			got[r.Name] = []string{}
+			for s := range r.Strategies {
+				got[r.Name] = append(got[r.Name], s)
 			}
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(s.Sites)), "ns/site")
-		})
-		b.Run(cfg.Name+"/parallel-batched", func(b *testing.B) {
-			s := session(b)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				s.DrainBatched(true)
-			}
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(s.Sites)), "ns/site")
-		})
-		sess = nil
+			sort.Strings(got[r.Name])
+		}
+		for _, names := range want {
+			sort.Strings(names)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%s is stale (run `go run ./cmd/benchjson -family %s`):\n  records %v\n  family  %v",
+				f.File(), f.Name, got, want)
+		}
 	}
 }
 

@@ -1,6 +1,6 @@
 // Command experiments regenerates every experiment table recorded in
 // EXPERIMENTS.md (the paper's figures E1–E6, the measured claims and
-// extensions E7–E12, and the ablations A1–A4).
+// extensions E7–E20, and the ablations A1–A4).
 //
 // Usage:
 //

@@ -22,71 +22,59 @@ package harness
 import (
 	"fmt"
 	"io"
-	"time"
 
 	"cpplookup/internal/chg"
 	"cpplookup/internal/core"
-	"cpplookup/internal/hiergen"
 )
 
-// TableBuildConfig is one hierarchy shape of the table-build
-// benchmark family, shared by experiment E14, BenchmarkTableBuild,
-// and cmd/benchjson so every consumer measures the same graphs.
-type TableBuildConfig struct {
-	Name  string
-	Shape string // "dense" or "sparse"
-	Make  func() *chg.Graph
-}
-
-// TableBuildConfigs returns the benchmark family: dense Figure-style
-// hierarchies (every member visible almost everywhere — pruning can
-// win little) and sparse many-member hierarchies (each member's
-// support cone is a sliver of the hierarchy — the pruned regime).
-func TableBuildConfigs() []TableBuildConfig {
-	return []TableBuildConfig{
-		{"realistic-6x4", "dense", func() *chg.Graph { return hiergen.Realistic(6, 4) }},
-		{"sparse-200c-1000m", "sparse", func() *chg.Graph { return hiergen.SparseMembers(200, 1000, 3, 7) }},
-		{"sparse-400c-2000m", "sparse", func() *chg.Graph { return hiergen.SparseMembers(400, 2000, 3, 11) }},
-	}
-}
-
-// TableBuildStrategy is one whole-table construction under test.
-type TableBuildStrategy struct {
-	Name  string
-	Build func(k *core.Kernel) *core.Table
-}
-
-// TableBuildStrategies returns the strategies E14 and the benchmarks
-// compare. "batched-n" uses all available workers (GOMAXPROCS).
-func TableBuildStrategies() []TableBuildStrategy {
-	return []TableBuildStrategy{
-		{"naive", func(k *core.Kernel) *core.Table { return k.BuildTableUnpruned() }},
-		{"eager", func(k *core.Kernel) *core.Table { return k.BuildTable() }},
+// tableBuildFamily is E14 and BENCH_table_build.json: dense
+// Figure-style hierarchies (every member visible almost everywhere —
+// pruning can win little) and sparse many-member hierarchies (each
+// member's support cone is a sliver of the hierarchy — the pruned
+// regime), each built whole by every strategy. "batched-n" uses all
+// available workers (GOMAXPROCS).
+func tableBuildFamily() Family {
+	var ss []Strategy
+	for _, b := range []struct {
+		name  string
+		build func(k *core.Kernel) *core.Table
+	}{
+		{"naive", (*core.Kernel).BuildTableUnpruned},
+		{"eager", (*core.Kernel).BuildTable},
 		{"batched-1", func(k *core.Kernel) *core.Table { return core.BuildSemTable(k, 1) }},
 		{"batched-n", func(k *core.Kernel) *core.Table { return core.BuildSemTable(k, 0) }},
+	} {
+		ss = append(ss, Strategy{b.name, func(g *chg.Graph, _ string) (*Session, error) {
+			return settle(&Session{Step: func() int { b.build(core.NewKernel(g)); return 1 }})
+		}})
+	}
+	grid := servingConfigs(ss)
+	return Family{
+		Name:       "table_build",
+		Benchmark:  "BenchmarkTableBuild",
+		Unit:       "ns_per_op is wall time per whole-table build; visits are analytic topological-walk slot counts",
+		Experiment: "E14",
+		Configs:    grid,
+		Smoke:      grid,
+		Extras: func(r *Row, g *chg.Graph) {
+			work := core.MeasureTableBuildWork(g)
+			r.Entries, r.Blocks, r.WalkSlots = work.Entries, work.Blocks, work.BatchedWalkSlots
+			r.BatchedClassVisits, r.UnprunedClassVisits = work.BatchedClassVisits, work.UnprunedClassVisits
+			r.SpeedupVsEager = r.speedup("eager", "batched-1")
+			r.SpeedupVsNaive = r.speedup("naive", "batched-1")
+		},
+		Print: printE14,
 	}
 }
 
-// RunE14 prints the build-time and visited-work comparison.
-func RunE14(w io.Writer) error {
+func printE14(w io.Writer, rows []*Row) {
 	fmt.Fprintln(w, "Whole-table build: support-pruned batched pass vs prior strategies.")
 	fmt.Fprintln(w)
-
 	t1 := newTable("hierarchy", "|N|", "|M|", "entries", "naive", "eager", "batched-1", "batched-n", "vs eager", "vs naive")
-	for _, cfg := range TableBuildConfigs() {
-		g := cfg.Make()
-		times := map[string]time.Duration{}
-		var entries int
-		for _, s := range TableBuildStrategies() {
-			build := s.Build
-			times[s.Name] = timePerOp(20*time.Millisecond, func() {
-				entries = build(core.NewKernel(g)).Entries()
-			})
-		}
-		t1.add(cfg.Name, g.NumClasses(), g.NumMemberNames(), entries,
-			times["naive"], times["eager"], times["batched-1"], times["batched-n"],
-			fmt.Sprintf("%.2fx", float64(times["eager"])/float64(times["batched-1"])),
-			fmt.Sprintf("%.2fx", float64(times["naive"])/float64(times["batched-1"])))
+	for _, r := range rows {
+		t1.add(r.Name, r.Classes, r.MemberNames, r.Entries,
+			r.per("naive"), r.per("eager"), r.per("batched-1"), r.per("batched-n"),
+			fmt.Sprintf("%.2fx", r.SpeedupVsEager), fmt.Sprintf("%.2fx", r.SpeedupVsNaive))
 	}
 	t1.write(w)
 
@@ -98,13 +86,9 @@ func RunE14(w io.Writer) error {
 	fmt.Fprintln(w, "member-major pass visits |M|·|N| class slots regardless of support.")
 	fmt.Fprintln(w)
 	t2 := newTable("hierarchy", "entries", "blocks", "batched visits", "walk slots", "naive visits", "pruned away")
-	for _, cfg := range TableBuildConfigs() {
-		g := cfg.Make()
-		work := core.MeasureTableBuildWork(g)
-		t2.add(cfg.Name, work.Entries, work.Blocks, work.BatchedClassVisits,
-			work.BatchedWalkSlots, work.UnprunedClassVisits,
-			fmt.Sprintf("%.1f%%", 100*(1-float64(work.BatchedClassVisits)/float64(work.UnprunedClassVisits))))
+	for _, r := range rows {
+		t2.add(r.Name, r.Entries, r.Blocks, r.BatchedClassVisits, r.WalkSlots, r.UnprunedClassVisits,
+			fmt.Sprintf("%.1f%%", 100*(1-float64(r.BatchedClassVisits)/float64(r.UnprunedClassVisits))))
 	}
 	t2.write(w)
-	return nil
 }

@@ -46,23 +46,22 @@ func RunE12(w io.Writer) error {
 	// sweeping its share `rounds` times, and returns the wall-clock
 	// time per lookup.
 	run := func(workers, rounds int, lookup func(query) core.Result) time.Duration {
-		var wg sync.WaitGroup
-		start := time.Now()
-		for wk := 0; wk < workers; wk++ {
-			wg.Add(1)
-			go func(wk int) {
-				defer wg.Done()
-				for r := 0; r < rounds; r++ {
-					for i := wk; i < len(qs); i += workers {
-						lookup(qs[i])
+		return Time(1, 0, func() int {
+			var wg sync.WaitGroup
+			for wk := 0; wk < workers; wk++ {
+				wg.Add(1)
+				go func(wk int) {
+					defer wg.Done()
+					for r := 0; r < rounds; r++ {
+						for i := wk; i < len(qs); i += workers {
+							lookup(qs[i])
+						}
 					}
-				}
-			}(wk)
-		}
-		wg.Wait()
-		total := time.Since(start)
-		ops := rounds * len(qs)
-		return total / time.Duration(max(ops, 1))
+				}(wk)
+			}
+			wg.Wait()
+			return rounds * len(qs)
+		}).PerOp()
 	}
 
 	const rounds = 50

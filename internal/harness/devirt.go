@@ -24,7 +24,6 @@ import (
 	"fmt"
 	"io"
 	"runtime"
-	"time"
 
 	"cpplookup/internal/bitset"
 	"cpplookup/internal/chg"
@@ -34,80 +33,68 @@ import (
 	"cpplookup/internal/hiergen"
 )
 
-// DevirtConfig is one point of the devirt family, shared by E20,
-// BenchmarkDevirt, cmd/benchjson -devirt-o, and the CI smoke.
-type DevirtConfig struct {
-	Name        string
-	Classes     int
-	MemberNames int
-	Sites       int   // call-site stream length
-	SingleProbe int   // bounded sites for the single-call strategy
-	Seed        int64 // call-site stream seed
-}
-
-// Make builds the hierarchy: the scale family's Giant shape with the
-// session-side 512-name universe.
-func (c DevirtConfig) Make() *chg.Graph {
-	cfg := hiergen.GiantDefaults(c.Classes)
-	cfg.MemberNames = c.MemberNames
-	return hiergen.Giant(cfg)
-}
-
-// MakeSites generates the config's call-site stream.
-func (c DevirtConfig) MakeSites(g *chg.Graph) []devirt.Site {
-	raw := hiergen.CallSites(g, c.Sites, c.Seed)
-	sites := make([]devirt.Site, len(raw))
-	for i, s := range raw {
-		sites[i] = devirt.Site{Class: s.Class, Member: s.Member}
-	}
-	return sites
-}
-
-// DevirtConfigs returns the benchmark family: the E19 scale points
-// with multi-million-site streams.
-func DevirtConfigs() []DevirtConfig {
-	return []DevirtConfig{
-		{Name: "giant-20k", Classes: 20_000, MemberNames: 512, Sites: 2_000_000, SingleProbe: 20_000, Seed: 2026},
-		{Name: "giant-100k", Classes: 100_000, MemberNames: 512, Sites: 4_000_000, SingleProbe: 10_000, Seed: 2026},
+// devirtFamily is E20 and BENCH_devirt.json: the E19 scale points
+// with multi-million-site streams. A step drains the strategy's sites
+// once, so ns_per_op is ns per call site.
+func devirtFamily() Family {
+	return Family{
+		Name:       "devirt",
+		Benchmark:  "BenchmarkDevirt",
+		Unit:       "ns_per_op is wall time per call site drained from a Zipf stream against a warm snapshot (single-call is a bounded probe, normalized); iterations counts the sites timed",
+		Experiment: "E20",
+		Slow:       true,
+		Configs: []Config{
+			devirtConfig("giant-20k", 20_000, 2_000_000, 20_000),
+			devirtConfig("giant-100k", 100_000, 4_000_000, 10_000),
+		},
+		Smoke: []Config{devirtConfig("giant-20k-smoke", 20_000, 200_000, 5_000)},
+		Shown: []Config{devirtConfig("giant-20k", 20_000, 500_000, 10_000)},
+		Extras: func(r *Row, _ *chg.Graph) {
+			for name, t := range r.Strategies {
+				put(&r.SitesPerSec, name, 1e9/float64(max(t.NsPerOp, 1)))
+			}
+			r.BatchedVsSingle = r.speedup("single-call", "batched")
+			r.ParallelVsBatch = r.speedup("batched", "parallel-batched")
+		},
+		Print: printE20,
 	}
 }
 
-// DevirtSmokeConfig returns the CI-sized configuration.
-func DevirtSmokeConfig() DevirtConfig {
-	return DevirtConfig{Name: "giant-20k-smoke", Classes: 20_000, MemberNames: 512, Sites: 200_000, SingleProbe: 5_000, Seed: 2026}
+// devirtConfig is a Giant hierarchy with the scale family's 512-name
+// session universe and a seeded stream of sites call sites; the
+// single-call strategy drains only the first probe of them, and the
+// batched strategy records the stream's census.
+func devirtConfig(name string, classes, sites, probe int) Config {
+	setup := func(workers int, session func(s *devirtSession) *Session) func(*chg.Graph, string) (*Session, error) {
+		return func(g *chg.Graph, _ string) (*Session, error) {
+			s, err := newDevirtSession(g, sites, workers)
+			if err != nil {
+				return nil, err
+			}
+			return session(s), nil
+		}
+	}
+	return Config{name, "giant", func() *chg.Graph { return giant512(classes) }, []Strategy{
+		{"single-call", setup(1, func(s *devirtSession) *Session {
+			return &Session{Step: func() int { return s.drainSingle(probe) }}
+		})},
+		{"batched", setup(1, func(s *devirtSession) *Session {
+			return &Session{Step: s.drainBatched, Done: s.census}
+		})},
+		{"parallel-batched", setup(0, func(s *devirtSession) *Session {
+			return &Session{Step: s.drainBatched}
+		})},
+	}}
 }
 
-// DevirtStats summarizes a resolved stream per site (not per unique
-// pair): Monomorphic + Polymorphic + Unresolved == Sites.
-type DevirtStats struct {
-	Sites       int
-	UniqueSites int
-	Monomorphic int // exactly one possible target
-	Polymorphic int // two or more
-	Unresolved  int // no legal target (undefined/ambiguous everywhere)
-}
-
-// DevirtMeasurement is one strategy's timing.
-type DevirtMeasurement struct {
-	Strategy    string
-	Sites       int // sites actually timed (the probe is bounded)
-	Total       time.Duration
-	NsPerSite   int64
-	SitesPerSec float64
-	Probed      bool
-}
-
-// DevirtSession holds one warm serving setup: hierarchy, snapshot,
-// call-site stream, and resolvers for each strategy.
-type DevirtSession struct {
-	Graph *chg.Graph
-	Snap  *engine.Snapshot
-	Sites []devirt.Site
-
-	serial   *devirt.Resolver
-	parallel *devirt.Resolver
-
-	res []devirt.Resolution // reusable result buffer
+// devirtSession is one warm serving setup: snapshot, call-site
+// stream, a resolver, and the scratch each drain reuses.
+type devirtSession struct {
+	g     *chg.Graph
+	snap  *engine.Snapshot
+	sites []devirt.Site
+	r     *devirt.Resolver
+	res   []devirt.Resolution
 
 	// single-call scratch (cone walk + distinct-target set)
 	visited *bitset.Set
@@ -115,154 +102,75 @@ type DevirtSession struct {
 	targets map[chg.ClassID]struct{}
 }
 
-// NewDevirtSession builds the session and warms the snapshot with one
-// untimed batch pass, so every strategy measures the steady serving
-// state (warm cells) rather than first-touch fill cost.
-func NewDevirtSession(cfg DevirtConfig) (*DevirtSession, error) {
-	g := cfg.Make()
-	snap := engine.NewSnapshot(g)
-	s := &DevirtSession{
-		Graph:   g,
-		Snap:    snap,
-		Sites:   cfg.MakeSites(g),
+// newDevirtSession builds the session with a resolver running workers
+// goroutines (0: auto, GOMAXPROCS-bounded work stealing) and warms the
+// snapshot with one untimed batch pass, so every strategy measures the
+// steady serving state (warm cells) rather than first-touch fill cost.
+func newDevirtSession(g *chg.Graph, sites, workers int) (*devirtSession, error) {
+	s := &devirtSession{
+		g:       g,
+		snap:    engine.NewSnapshot(g),
 		visited: bitset.New(g.NumClasses()),
 		targets: map[chg.ClassID]struct{}{},
 	}
+	for _, cs := range hiergen.CallSites(g, sites, 2026) {
+		s.sites = append(s.sites, devirt.Site{Class: cs.Class, Member: cs.Member})
+	}
 	var err error
-	if s.serial, err = devirt.New(snap, core.SemDominance); err != nil {
+	if s.r, err = devirt.New(s.snap, core.SemDominance); err != nil {
 		return nil, err
 	}
-	s.serial.Workers = 1
-	if s.parallel, err = devirt.New(snap, core.SemDominance); err != nil {
-		return nil, err
-	}
-	s.parallel.Workers = 0 // auto: GOMAXPROCS-bounded work stealing
-	s.res = s.serial.ResolveBatch(s.Sites, s.res[:0])
+	s.r.Workers = workers
+	s.drainBatched()
 	return s, nil
 }
 
-// Stats resolves the whole stream (warm, deduplicated) and tallies it.
-func (s *DevirtSession) Stats() DevirtStats {
-	s.res = s.serial.ResolveBatch(s.Sites, s.res[:0])
-	st := DevirtStats{Sites: len(s.Sites)}
-	seen := map[devirt.Site]struct{}{}
-	for i, r := range s.res {
-		seen[s.Sites[i]] = struct{}{}
-		switch {
-		case len(r.Targets) == 1:
-			st.Monomorphic++
-		case len(r.Targets) > 1:
-			st.Polymorphic++
-		default:
-			st.Unresolved++
-		}
-	}
-	st.UniqueSites = len(seen)
-	return st
-}
-
-// DrainSingle resolves the first n sites the pre-batch way: per site,
+// drainSingle resolves the first n sites the pre-batch way: per site,
 // walk the static type's descendant cone and issue one
 // Snapshot.Lookup per receiver — no dedup across sites, no sharing
 // of cones between sites. This is the client shape the batch API
-// replaces. Returns a checksum so the work cannot be optimized away.
-func (s *DevirtSession) DrainSingle(n int) int {
-	if n > len(s.Sites) {
-		n = len(s.Sites)
-	}
-	sum := 0
-	for _, site := range s.Sites[:n] {
-		cone := 1
-		if r := s.Snap.Lookup(site.Class, site.Member); r.Found() {
+// replaces. It returns the sites drained.
+func (s *devirtSession) drainSingle(n int) int {
+	probe := s.sites[:min(n, len(s.sites))]
+	for _, site := range probe {
+		if r := s.snap.Lookup(site.Class, site.Member); r.Found() {
 			s.targets[r.Class()] = struct{}{}
 		}
-		s.queue = s.Graph.EachDescendant(site.Class, s.visited, s.queue, func(d chg.ClassID) {
-			cone++
-			if r := s.Snap.Lookup(d, site.Member); r.Found() {
+		s.queue = s.g.EachDescendant(site.Class, s.visited, s.queue, func(d chg.ClassID) {
+			if r := s.snap.Lookup(d, site.Member); r.Found() {
 				s.targets[r.Class()] = struct{}{}
 			}
 		})
-		sum += len(s.targets) + cone
-		for t := range s.targets {
-			delete(s.targets, t)
+		clear(s.targets)
+	}
+	return len(probe)
+}
+
+// drainBatched resolves the whole stream through ResolveBatch.
+func (s *devirtSession) drainBatched() int {
+	s.res = s.r.ResolveBatch(s.sites, s.res[:0])
+	return len(s.sites)
+}
+
+// census tallies the last drain per site (not per unique pair):
+// monomorphic + polymorphic + unresolved == call sites.
+func (s *devirtSession) census(r *Row, _ Timing) {
+	seen := map[devirt.Site]struct{}{}
+	for i, res := range s.res {
+		seen[s.sites[i]] = struct{}{}
+		switch {
+		case len(res.Targets) == 1:
+			r.MonomorphicSites++
+		case len(res.Targets) > 1:
+			r.PolymorphicSites++
+		default:
+			r.UnresolvedSites++
 		}
 	}
-	return sum
+	r.CallSites, r.UniqueSites = len(s.sites), len(seen)
 }
 
-// DrainBatched resolves the full stream through ResolveBatch, serial
-// or with auto workers.
-func (s *DevirtSession) DrainBatched(parallel bool) int {
-	r := s.serial
-	if parallel {
-		r = s.parallel
-	}
-	s.res = r.ResolveBatch(s.Sites, s.res[:0])
-	sum := 0
-	for i := range s.res {
-		sum += len(s.res[i].Targets)
-	}
-	return sum
-}
-
-// timeDevirt runs fn repeatedly until minDur of wall time has
-// accrued, returning the per-run mean.
-func timeDevirt(minDur time.Duration, fn func()) (time.Duration, int) {
-	start := time.Now()
-	runs := 0
-	for {
-		fn()
-		runs++
-		if d := time.Since(start); d >= minDur {
-			return d / time.Duration(runs), runs
-		}
-	}
-}
-
-// MeasureDevirt times every strategy of one config on a shared warm
-// session, returning the measurements (single-call, batched,
-// parallel-batched) and the stream's resolution stats.
-func MeasureDevirt(cfg DevirtConfig) ([]DevirtMeasurement, DevirtStats, error) {
-	s, err := NewDevirtSession(cfg)
-	if err != nil {
-		return nil, DevirtStats{}, err
-	}
-	stats := s.Stats()
-
-	const minDur = 300 * time.Millisecond
-	probe := cfg.SingleProbe
-	if probe > len(s.Sites) {
-		probe = len(s.Sites)
-	}
-	per, _ := timeDevirt(minDur, func() { s.DrainSingle(probe) })
-	out := []DevirtMeasurement{{
-		Strategy:    "single-call",
-		Sites:       probe,
-		Total:       per,
-		NsPerSite:   per.Nanoseconds() / int64(probe),
-		SitesPerSec: float64(probe) / per.Seconds(),
-		Probed:      probe < len(s.Sites),
-	}}
-	for _, strat := range []struct {
-		name     string
-		parallel bool
-	}{{"batched", false}, {"parallel-batched", true}} {
-		per, _ := timeDevirt(minDur, func() { s.DrainBatched(strat.parallel) })
-		out = append(out, DevirtMeasurement{
-			Strategy:    strat.name,
-			Sites:       len(s.Sites),
-			Total:       per,
-			NsPerSite:   per.Nanoseconds() / int64(len(s.Sites)),
-			SitesPerSec: float64(len(s.Sites)) / per.Seconds(),
-		})
-	}
-	return out, stats, nil
-}
-
-// RunE20 prints the devirtualization workload comparison on a bounded
-// 20k-class stream; the full family including the 100k point is
-// recorded in BENCH_devirt.json by `make bench-json`.
-func RunE20(w io.Writer) error {
+func printE20(w io.Writer, rows []*Row) {
 	fmt.Fprintln(w, "Devirtualization workload: CHA target resolution for a Zipf stream of")
 	fmt.Fprintln(w, "virtual call sites over a Giant hierarchy, served from one warm")
 	fmt.Fprintln(w, "snapshot. single-call walks each site's descendant cone with")
@@ -274,42 +182,29 @@ func RunE20(w io.Writer) error {
 	fmt.Fprintf(w, "member runs (GOMAXPROCS here: %d).\n", runtime.GOMAXPROCS(0))
 	fmt.Fprintln(w)
 
-	cfg := DevirtConfig{Name: "giant-20k", Classes: 20_000, MemberNames: 512,
-		Sites: 500_000, SingleProbe: 10_000, Seed: 2026}
-	ms, stats, err := MeasureDevirt(cfg)
-	if err != nil {
-		return err
-	}
-
-	t := newTable("strategy", "sites", "ns/site", "sites/sec", "vs single-call")
-	var baseNs int64
-	for _, m := range ms {
-		if m.Strategy == "single-call" {
-			baseNs = m.NsPerSite
+	for _, r := range rows {
+		t := newTable("strategy", "sites", "ns/site", "sites/sec", "vs single-call")
+		for _, name := range []string{"single-call", "batched", "parallel-batched"} {
+			m := r.Strategies[name]
+			sites, rel := fmt.Sprint(m.Iterations/m.Steps), "1.0x"
+			if name == "single-call" {
+				sites += " (probe)"
+			} else {
+				rel = fmt.Sprintf("%.1fx", r.speedup("single-call", name))
+			}
+			t.add(name, sites, m.NsPerOp, fmt.Sprintf("%.2fM", r.SitesPerSec[name]/1e6), rel)
 		}
+		t.write(w)
+		fmt.Fprintln(w)
+		fmt.Fprintf(w, "stream: %d sites, %d unique (type, member) pairs\n", r.CallSites, r.UniqueSites)
+		fmt.Fprintf(w, "  monomorphic %d (%.1f%%)  polymorphic %d  unresolved %d\n",
+			r.MonomorphicSites, 100*float64(r.MonomorphicSites)/float64(r.CallSites),
+			r.PolymorphicSites, r.UnresolvedSites)
+		fmt.Fprintln(w)
 	}
-	for _, m := range ms {
-		sites := fmt.Sprint(m.Sites)
-		if m.Probed {
-			sites += " (probe)"
-		}
-		rel := "1.0x"
-		if m.NsPerSite > 0 && m.Strategy != "single-call" {
-			rel = fmt.Sprintf("%.1fx", float64(baseNs)/float64(m.NsPerSite))
-		}
-		t.add(m.Strategy, sites, m.NsPerSite, fmt.Sprintf("%.2fM", m.SitesPerSec/1e6), rel)
-	}
-	t.write(w)
-	fmt.Fprintln(w)
-	fmt.Fprintf(w, "stream: %d sites, %d unique (type, member) pairs\n", stats.Sites, stats.UniqueSites)
-	fmt.Fprintf(w, "  monomorphic %d (%.1f%%)  polymorphic %d  unresolved %d\n",
-		stats.Monomorphic, 100*float64(stats.Monomorphic)/float64(stats.Sites),
-		stats.Polymorphic, stats.Unresolved)
-	fmt.Fprintln(w)
 	fmt.Fprintln(w, "→ batching wins twice: duplicate sites collapse to one resolution")
 	fmt.Fprintln(w, "  each, and distinct sites on one member share their cones, so a class")
 	fmt.Fprintln(w, "  under many hot roots is looked up once per batch, not once per root.")
 	fmt.Fprintln(w, "  The monomorphic fraction is the devirtualization payoff: those")
 	fmt.Fprintln(w, "  calls can become direct calls.")
-	return nil
 }

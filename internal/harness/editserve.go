@@ -18,50 +18,30 @@ package harness
 import (
 	"fmt"
 	"io"
-	"time"
 
 	"cpplookup/internal/chg"
 	"cpplookup/internal/engine"
-	"cpplookup/internal/hiergen"
 	"cpplookup/internal/incremental"
 )
 
-// EditRelookupConfig is one hierarchy shape of the edit-relookup
-// benchmark family, shared by experiment E15, BenchmarkEditRelookup
-// and cmd/benchjson. The edit is always a single-member toggle on a
-// leaf class — the sparse serving edit the carry-over targets.
-type EditRelookupConfig struct {
-	Name  string
-	Shape string // "dense" or "sparse"
-	Make  func() *chg.Graph
-}
-
-// EditRelookupConfigs returns the benchmark family. The sparse
-// shapes are the acceptance regime: a single-member edit invalidates
-// a sliver of a large warm cache, so carrying it forward should beat
-// refilling it by a wide margin; the dense shape bounds the win when
-// the table is small.
-func EditRelookupConfigs() []EditRelookupConfig {
-	return []EditRelookupConfig{
-		{"realistic-6x4", "dense", func() *chg.Graph { return hiergen.Realistic(6, 4) }},
-		{"sparse-200c-1000m", "sparse", func() *chg.Graph { return hiergen.SparseMembers(200, 1000, 3, 7) }},
-		{"sparse-400c-2000m", "sparse", func() *chg.Graph { return hiergen.SparseMembers(400, 2000, 3, 11) }},
+// editRelookupFamily is E15 and BENCH_edit_relookup.json. The edit is
+// always a single-member toggle on a leaf class — the sparse serving
+// edit the carry-over targets. The sparse shapes are the acceptance
+// regime: a single-member edit invalidates a sliver of a large warm
+// cache, so carrying it forward should beat refilling it by a wide
+// margin; the dense shape bounds the win when the table is small.
+func editRelookupFamily() Family {
+	grid := servingConfigs([]Strategy{{"warm-carry", setupWarmCarry}, {"cold-rebuild", setupColdRebuild}})
+	return Family{
+		Name:       "edit_relookup",
+		Benchmark:  "BenchmarkEditRelookup",
+		Unit:       "ns_per_op is wall time per edit→republish→full-requery round on a warm hierarchy; cache_survival is the carried fraction of the predecessor's cache",
+		Experiment: "E15",
+		Configs:    grid,
+		Smoke:      grid,
+		Extras:     func(r *Row, _ *chg.Graph) { r.CarrySpeedupCold = r.speedup("cold-rebuild", "warm-carry") },
+		Print:      printE15,
 	}
-}
-
-// EditRelookupSession is one strategy instantiated on one hierarchy:
-// Step performs a full edit→republish→requery round, and Carry
-// reports the carry statistics of the last republish (zero for
-// strategies that do not carry).
-type EditRelookupSession struct {
-	Step  func()
-	Carry func() engine.CarryStats
-}
-
-// EditRelookupStrategy is one serving strategy under test.
-type EditRelookupStrategy struct {
-	Name  string
-	Setup func(g *chg.Graph) (*EditRelookupSession, error)
 }
 
 // editTarget picks the toggled declaration: a member name that exists
@@ -93,16 +73,7 @@ func requeryAll(snap *engine.Snapshot) {
 	}
 }
 
-// EditRelookupStrategies returns the strategies E15 and the
-// benchmarks compare.
-func EditRelookupStrategies() []EditRelookupStrategy {
-	return []EditRelookupStrategy{
-		{"warm-carry", setupWarmCarry},
-		{"cold-rebuild", setupColdRebuild},
-	}
-}
-
-func setupWarmCarry(g *chg.Graph) (*EditRelookupSession, error) {
+func setupWarmCarry(g *chg.Graph, _ string) (*Session, error) {
 	w, err := incremental.FromGraph(g)
 	if err != nil {
 		return nil, err
@@ -115,8 +86,8 @@ func setupWarmCarry(g *chg.Graph) (*EditRelookupSession, error) {
 	requeryAll(snap) // fully warm starting point
 	c, name := editTarget(g)
 	present := declaresName(g, c, name)
-	return &EditRelookupSession{
-		Step: func() {
+	return settle(&Session{
+		Step: func() int {
 			present = toggleMember(w, c, name, present)
 			s, err := b.Sync()
 			if err != nil {
@@ -124,12 +95,17 @@ func setupWarmCarry(g *chg.Graph) (*EditRelookupSession, error) {
 			}
 			snap = s
 			requeryAll(snap)
+			return 1
 		},
-		Carry: func() engine.CarryStats { return snap.Carry() },
-	}, nil
+		Done: func(r *Row, _ Timing) {
+			st := snap.Carry()
+			r.CacheSurvival = survivalFraction(st)
+			r.CarriedEntries, r.InvalidatedConeSz = st.Carried, st.Invalidated
+		},
+	})
 }
 
-func setupColdRebuild(g *chg.Graph) (*EditRelookupSession, error) {
+func setupColdRebuild(g *chg.Graph, _ string) (*Session, error) {
 	w, err := incremental.FromGraph(g)
 	if err != nil {
 		return nil, err
@@ -142,22 +118,19 @@ func setupColdRebuild(g *chg.Graph) (*EditRelookupSession, error) {
 	requeryAll(snap)
 	c, name := editTarget(g)
 	present := declaresName(g, c, name)
-	return &EditRelookupSession{
-		Step: func() {
-			present = toggleMember(w, c, name, present)
-			g2, err := w.Snapshot()
-			if err != nil {
-				panic(err)
-			}
-			s, err := e.Update("bench", g2)
-			if err != nil {
-				panic(err)
-			}
-			snap = s
-			requeryAll(snap)
-		},
-		Carry: func() engine.CarryStats { return engine.CarryStats{} },
-	}, nil
+	return settle(&Session{Step: func() int {
+		present = toggleMember(w, c, name, present)
+		g2, err := w.Snapshot()
+		if err != nil {
+			panic(err)
+		}
+		snap, err := e.Update("bench", g2)
+		if err != nil {
+			panic(err)
+		}
+		requeryAll(snap)
+		return 1
+	}})
 }
 
 // toggleMember flips the presence of a Method declaration and returns
@@ -175,17 +148,16 @@ func toggleMember(w *incremental.Workspace, c chg.ClassID, name string, present 
 	return true
 }
 
-// SurvivalFraction is the share of the predecessor's warm cache a
+// survivalFraction is the share of the predecessor's warm cache a
 // carried republish kept: Carried / (Carried + Invalidated).
-func SurvivalFraction(st engine.CarryStats) float64 {
+func survivalFraction(st engine.CarryStats) float64 {
 	if st.Carried+st.Invalidated == 0 {
 		return 0
 	}
 	return float64(st.Carried) / float64(st.Carried+st.Invalidated)
 }
 
-// RunE15 prints the edit→requery comparison.
-func RunE15(w io.Writer) error {
+func printE15(w io.Writer, rows []*Row) {
 	fmt.Fprintln(w, "Edit→serve hot path: one member edit on a fully warm hierarchy, then")
 	fmt.Fprintln(w, "republish and requery the whole served table. warm-carry copies every")
 	fmt.Fprintln(w, "surviving packed cell into the new snapshot and refills only the")
@@ -193,25 +165,9 @@ func RunE15(w io.Writer) error {
 	fmt.Fprintln(w)
 
 	t := newTable("hierarchy", "|N|", "|M|", "warm-carry", "cold-rebuild", "vs cold", "survival")
-	for _, cfg := range EditRelookupConfigs() {
-		g := cfg.Make()
-		times := map[string]time.Duration{}
-		var survival float64
-		for _, s := range EditRelookupStrategies() {
-			sess, err := s.Setup(g)
-			if err != nil {
-				return err
-			}
-			sess.Step() // settle into the steady warm state
-			times[s.Name] = timePerOp(20*time.Millisecond, sess.Step)
-			if s.Name == "warm-carry" {
-				survival = SurvivalFraction(sess.Carry())
-			}
-		}
-		t.add(cfg.Name, g.NumClasses(), g.NumMemberNames(),
-			times["warm-carry"], times["cold-rebuild"],
-			fmt.Sprintf("%.2fx", float64(times["cold-rebuild"])/float64(times["warm-carry"])),
-			fmt.Sprintf("%.1f%%", 100*survival))
+	for _, r := range rows {
+		t.add(r.Name, r.Classes, r.MemberNames, r.per("warm-carry"), r.per("cold-rebuild"),
+			fmt.Sprintf("%.2fx", r.CarrySpeedupCold), fmt.Sprintf("%.1f%%", 100*r.CacheSurvival))
 	}
 	t.write(w)
 
@@ -219,5 +175,4 @@ func RunE15(w io.Writer) error {
 	fmt.Fprintln(w, "survival = fraction of the predecessor's cached entries carried into")
 	fmt.Fprintln(w, "the new snapshot (Carried / (Carried + Invalidated)); the remainder is")
 	fmt.Fprintln(w, "the exact invalidation cone of the edit.")
-	return nil
 }

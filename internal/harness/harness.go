@@ -1,13 +1,14 @@
 // Package harness regenerates every figure and measurable claim of
-// the paper as a printed experiment (E1–E17, plus ablations A1–A4).
-// cmd/experiments is its CLI; EXPERIMENTS.md records one captured run
-// and compares it against what the paper reports.
+// the paper as a printed experiment (E1–E20, plus ablations A1–A4),
+// and holds the benchmark-family registry (Families) behind E14–E20,
+// the BENCH_*.json records and BenchmarkFamilies. cmd/experiments is
+// its CLI; EXPERIMENTS.md records one captured run and compares it
+// against what the paper reports.
 package harness
 
 import (
 	"fmt"
 	"io"
-	"runtime"
 	"sort"
 	"strings"
 	"time"
@@ -36,13 +37,13 @@ func All() []Experiment {
 		{"E11", "Object model: Figure 9 executed over a concrete layout; vtable deltas", RunE11},
 		{"E12", "Extension: serving concurrent queries from one engine snapshot", RunE12},
 		{"E13", "Extension: packed cells — table memory footprint and warm-hit allocations", RunE13},
-		{"E14", "Extension: support-pruned, word-batched whole-table construction", RunE14},
-		{"E15", "Extension: warm-cache carry-over on the edit→serve hot path", RunE15},
-		{"E16", "Extension: resolution backends — dominance, C3/MRO, gxx through one cache path", RunE16},
-		{"E17", "Extension: cone-scoped incremental lint vs full re-analysis", RunE17},
-		{"E18", "Extension: zero-copy snapshot images — mmap warm start vs cold rebuild vs gob decode", RunE18},
-		{"E19", "Extension: 100k-class scale — streaming build and bulk-edit cone carry", RunE19},
-		{"E20", "Extension: bulk devirtualization — batched CHA target resolution for call-site streams", RunE20},
+		{"E14", "Extension: support-pruned, word-batched whole-table construction", runFamily("table_build")},
+		{"E15", "Extension: warm-cache carry-over on the edit→serve hot path", runFamily("edit_relookup")},
+		{"E16", "Extension: resolution backends — dominance, C3/MRO, gxx through one cache path", runFamily("mro")},
+		{"E17", "Extension: cone-scoped incremental lint vs full re-analysis", runFamily("lint")},
+		{"E18", "Extension: zero-copy snapshot images — mmap warm start vs cold rebuild vs gob decode", runFamily("image")},
+		{"E19", "Extension: 100k-class scale — streaming build and bulk-edit cone carry", runFamily("scale")},
+		{"E20", "Extension: bulk devirtualization — batched CHA target resolution for call-site streams", runFamily("devirt")},
 		{"A1", "Ablation: killing definitions vs propagating everything", RunA1},
 		{"A2", "Ablation: (L,V) abstractions vs carrying full paths", RunA2},
 		{"A3", "Ablation: eager table vs lazy memoized lookup", RunA3},
@@ -81,45 +82,16 @@ func runOne(w io.Writer, e Experiment) error {
 
 // --- measurement helpers ---
 
-// timePerOp runs f repeatedly until at least minTotal has elapsed and
-// returns the mean duration per call.
-func timePerOp(minTotal time.Duration, f func()) time.Duration {
-	// Warm up once (pulls code/data into cache, triggers lazy init)
-	// and collect garbage so earlier experiments' debt is not billed
-	// to this measurement.
+// measureBudget is the timing budget of each measurement in the
+// non-family experiments: about what the best-of-three rounds it
+// replaced spent.
+const measureBudget = 15 * time.Millisecond
+
+// timeOp times f with Time for measureBudget, after one untimed call,
+// and returns the mean per call.
+func timeOp(f func()) time.Duration {
 	f()
-	runtime.GC()
-	n := 1
-	var per time.Duration
-	for {
-		start := time.Now()
-		for i := 0; i < n; i++ {
-			f()
-		}
-		total := time.Since(start)
-		if total >= minTotal {
-			per = total / time.Duration(n)
-			break
-		}
-		if total <= 0 {
-			n *= 100
-			continue
-		}
-		// Aim past minTotal with some slack.
-		n = int(float64(n)*float64(minTotal)/float64(total)*1.5) + 1
-	}
-	// Take the best of three rounds: the minimum is the least
-	// interference-polluted estimate.
-	for round := 0; round < 2; round++ {
-		start := time.Now()
-		for i := 0; i < n; i++ {
-			f()
-		}
-		if p := time.Since(start) / time.Duration(n); p < per {
-			per = p
-		}
-	}
-	return per
+	return Time(1, measureBudget, func() int { f(); return 1 }).PerOp()
 }
 
 // table is a minimal fixed-width text table writer.

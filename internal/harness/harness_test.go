@@ -10,33 +10,56 @@ import (
 	"cpplookup/internal/hiergen"
 )
 
+// experimentWants are the headline facts each experiment's output must
+// contain.
+var experimentWants = map[string][]string{
+	"E1":  {"A×2", "lookup(E, m) = ⊥"},
+	"E2":  {"A×1", "red (D,"},
+	"E3":  {"{ABDFH, ABDGH}", "{GH}", "lookup(H, bar) = ⊥"},
+	"E4":  {"most-dominant GH", "killed {ABDFH, ACDFH}"},
+	"E5":  {"=> red (G, Ω)", "=> blue {Ω}"},
+	"E6":  {"reported ambiguous", "resolved (C::m)"},
+	"E7":  {"t/size", "quadratic", "t/entry"},
+	"E8":  {"subobjects", "DNF (graph too large)", "1048573"},
+	"E9":  {"lookup strategy", "memoized lazy (this paper)", "share of front end"},
+	"E10": {"agreement 4147/4147", "silently \"resolves\" 673"},
+	"E11": {"[C@0].m = 10", "this-2"},
+	"E12": {"mutex-guarded analyzer", "engine snapshot"},
+	"E13": {"pointer cells", "warm allocs/op"},
+	"E14": {"vs naive", "pruned away", "sparse-400c-2000m"},
+	"E15": {"warm-carry", "survival", "sparse-400c-2000m"},
+	"E16": {"c3≠dom", "gxx≠dom", "wide-mi-64"},
+	"E17": {"cone-relint", "1.0m 1.0r 0.0s"},
+	"E18": {"image KiB", "vs gob", "sparse-400c-2000m"},
+	"E19": {"whole-table build", "streamed-build", "bulk-carry"},
+	"E20": {"monomorphic", "parallel-batched", "(probe)"},
+	"A1":  {"virtual diamond chain k=12", "no-kill propagation exceeded"},
+	"A2":  {"(L, V) abstractions only", "relative"},
+	"A3":  {"eager (build + query)", "lazy (memoized)"},
+	"A4":  {"entries invalidated", "incremental workspace"},
+}
+
+func checkWants(t *testing.T, id, out string) {
+	t.Helper()
+	for _, want := range experimentWants[id] {
+		if !strings.Contains(out, want) {
+			t.Errorf("%s output missing %q:\n%s", id, want, out)
+		}
+	}
+}
+
 // Qualitative experiments must run and contain their headline facts.
 func TestQualitativeExperiments(t *testing.T) {
-	for _, tc := range []struct {
-		id    string
-		wants []string
-	}{
-		{"E1", []string{"A×2", "lookup(E, m) = ⊥"}},
-		{"E2", []string{"A×1", "red (D,"}},
-		{"E3", []string{"{ABDFH, ABDGH}", "{GH}", "lookup(H, bar) = ⊥"}},
-		{"E4", []string{"most-dominant GH", "killed {ABDFH, ACDFH}"}},
-		{"E5", []string{"=> red (G, Ω)", "=> blue {Ω}"}},
-		{"E6", []string{"reported ambiguous", "resolved (C::m)"}},
-	} {
-		e, ok := Find(tc.id)
+	for _, id := range []string{"E1", "E2", "E3", "E4", "E5", "E6"} {
+		e, ok := Find(id)
 		if !ok {
-			t.Fatalf("experiment %s missing", tc.id)
+			t.Fatalf("experiment %s missing", id)
 		}
 		var buf bytes.Buffer
 		if err := e.Run(&buf); err != nil {
-			t.Fatalf("%s: %v", tc.id, err)
+			t.Fatalf("%s: %v", id, err)
 		}
-		out := buf.String()
-		for _, want := range tc.wants {
-			if !strings.Contains(out, want) {
-				t.Errorf("%s output missing %q:\n%s", tc.id, want, out)
-			}
-		}
+		checkWants(t, id, buf.String())
 	}
 }
 
@@ -53,17 +76,31 @@ func TestFindAndAll(t *testing.T) {
 	}
 }
 
-func TestTimePerOp(t *testing.T) {
+func TestTime(t *testing.T) {
 	calls := 0
-	per := timePerOp(time.Millisecond, func() {
+	tm := Time(1, time.Millisecond, func() int {
 		calls++
 		time.Sleep(50 * time.Microsecond)
+		return 2
 	})
-	if calls < 2 {
-		t.Errorf("calls = %d, want several", calls)
+	if calls < 2 || tm.Steps != calls || tm.Iterations != 2*calls {
+		t.Errorf("calls = %d, timing = %+v: want several steps of 2 ops each", calls, tm)
 	}
-	if per <= 0 || per > 10*time.Millisecond {
-		t.Errorf("per = %v", per)
+	if tm.Seconds < 0.001 || tm.PerOp() < 25*time.Microsecond || tm.PerOp() > 10*time.Millisecond {
+		t.Errorf("timing = %+v: want ≥ 1ms in total, ≥ 25µs per op", tm)
+	}
+
+	// A zero budget takes exactly the requested steps.
+	n := 0
+	if tm := Time(3, 0, func() int { n++; return 1 }); n != 3 || tm.Steps != 3 || tm.Iterations != 3 {
+		t.Errorf("Time(3, 0) ran %d steps: %+v", n, tm)
+	}
+
+	// Allocations are counted per op.
+	var sink [][]byte
+	tm = Time(10, 0, func() int { sink = append(sink, make([]byte, 1024)); return 1 })
+	if tm.AllocsPerOp < 1 || tm.BytesPerOp < 1024 || len(sink) != 10 {
+		t.Errorf("timing = %+v: want ≥ 1 alloc and ≥ 1 KiB per op", tm)
 	}
 }
 

@@ -29,7 +29,6 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"time"
 
 	"cpplookup/internal/chg"
 	"cpplookup/internal/core"
@@ -37,23 +36,31 @@ import (
 	"cpplookup/internal/image"
 )
 
-// ImageLoadConfig is one hierarchy shape of the image-load benchmark
-// family, shared by experiment E18, BenchmarkImageLoad and
-// cmd/benchjson.
-type ImageLoadConfig struct {
-	Name  string
-	Shape string // "dense" or "sparse"
-	Make  func() *chg.Graph
-}
-
-// ImageLoadConfigs returns the benchmark family — the E15 serving
-// shapes, so the restart numbers compose with the edit→serve ones.
-func ImageLoadConfigs() []ImageLoadConfig {
-	out := make([]ImageLoadConfig, 0, 3)
-	for _, c := range EditRelookupConfigs() {
-		out = append(out, ImageLoadConfig{Name: c.Name, Shape: c.Shape, Make: c.Make})
+// imageFamily is E18 and BENCH_image.json, on the E15 serving shapes
+// so the restart numbers compose with the edit→serve ones. Each step
+// is a full restart round: open the persisted artifact (or recompute,
+// for the rebuild baseline), serve a probe set of warm lookups, and
+// release. Setup writes each strategy's artifact into dir and records
+// its size (none for cold-rebuild).
+func imageFamily() Family {
+	grid := servingConfigs([]Strategy{
+		{"mmap-load", setupMmapLoad},
+		{"cold-rebuild", setupColdWarmAll},
+		{"gob-decode", setupGobDecode},
+	})
+	return Family{
+		Name:       "image",
+		Benchmark:  "BenchmarkImageLoad",
+		Unit:       "ns_per_op is wall time per warm start — restore a fully warmed three-backend snapshot and serve a probe of warm lookups; artifact_bytes is what each strategy persisted",
+		Experiment: "E18",
+		Configs:    grid,
+		Smoke:      grid,
+		Extras: func(r *Row, _ *chg.Graph) {
+			r.MmapSpeedupCold = r.speedup("cold-rebuild", "mmap-load")
+			r.MmapSpeedupGob = r.speedup("gob-decode", "mmap-load")
+		},
+		Print: printE18,
 	}
-	return out
 }
 
 // imageExtraBackends are the extra columns every strategy warms and
@@ -61,31 +68,9 @@ func ImageLoadConfigs() []ImageLoadConfig {
 // round covers the whole multi-semantics cache.
 var imageExtraBackends = []core.SemanticsID{core.SemC3, core.SemGxx}
 
-// ImageLoadSession is one strategy instantiated on one hierarchy:
-// Step performs a full restart round (open the persisted artifact —
-// or recompute, for the rebuild baseline — then serve a probe set of
-// warm lookups and release), and ArtifactBytes is the size of
-// whatever the strategy persisted at setup (0 for cold-rebuild).
-type ImageLoadSession struct {
-	Step          func()
-	ArtifactBytes int64
-}
-
-// ImageLoadStrategy is one warm-start strategy under test. Setup may
-// write its persistent artifact into dir.
-type ImageLoadStrategy struct {
-	Name  string
-	Setup func(g *chg.Graph, dir string) (*ImageLoadSession, error)
-}
-
-// ImageLoadStrategies returns the strategies E18 and the benchmarks
-// compare.
-func ImageLoadStrategies() []ImageLoadStrategy {
-	return []ImageLoadStrategy{
-		{"mmap-load", setupMmapLoad},
-		{"cold-rebuild", setupColdWarmAll},
-		{"gob-decode", setupGobDecode},
-	}
+// artifactSize records a strategy's persisted artifact size.
+func artifactSize(strategy string, n int64) func(r *Row, _ Timing) {
+	return func(r *Row, _ Timing) { put(&r.ArtifactBytes, strategy, n) }
 }
 
 func imageOpts() []core.Option {
@@ -110,7 +95,7 @@ func probeServe(s *engine.Snapshot) {
 	}
 }
 
-func setupMmapLoad(g *chg.Graph, dir string) (*ImageLoadSession, error) {
+func setupMmapLoad(g *chg.Graph, dir string) (*Session, error) {
 	snap := engine.NewSnapshot(g, imageOpts()...)
 	snap.WarmAll()
 	path := filepath.Join(dir, "snap.img")
@@ -121,9 +106,8 @@ func setupMmapLoad(g *chg.Graph, dir string) (*ImageLoadSession, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &ImageLoadSession{
-		ArtifactBytes: st.Size(),
-		Step: func() {
+	return settle(&Session{
+		Step: func() int {
 			im, err := image.OpenFile(path)
 			if err != nil {
 				panic(err)
@@ -132,18 +116,19 @@ func setupMmapLoad(g *chg.Graph, dir string) (*ImageLoadSession, error) {
 			if err := im.Close(); err != nil {
 				panic(err)
 			}
+			return 1
 		},
-	}, nil
+		Done: artifactSize("mmap-load", st.Size()),
+	})
 }
 
-func setupColdWarmAll(g *chg.Graph, dir string) (*ImageLoadSession, error) {
-	return &ImageLoadSession{
-		Step: func() {
-			snap := engine.NewSnapshot(g, imageOpts()...)
-			snap.WarmAll()
-			probeServe(snap)
-		},
-	}, nil
+func setupColdWarmAll(g *chg.Graph, _ string) (*Session, error) {
+	return settle(&Session{Step: func() int {
+		snap := engine.NewSnapshot(g, imageOpts()...)
+		snap.WarmAll()
+		probeServe(snap)
+		return 1
+	}})
 }
 
 // gobSnapshot is the conventional-serialization wire form the
@@ -161,7 +146,7 @@ type gobSnapshot struct {
 	PoolDefs   []core.Def
 }
 
-func setupGobDecode(g *chg.Graph, dir string) (*ImageLoadSession, error) {
+func setupGobDecode(g *chg.Graph, dir string) (*Session, error) {
 	snap := engine.NewSnapshot(g, imageOpts()...)
 	snap.WarmAll()
 	cols := snap.CopyColumns()
@@ -186,9 +171,9 @@ func setupGobDecode(g *chg.Graph, dir string) (*ImageLoadSession, error) {
 	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
 		return nil, err
 	}
-	return &ImageLoadSession{
-		ArtifactBytes: int64(buf.Len()),
-		Step: func() {
+	return settle(&Session{
+		Done: artifactSize("gob-decode", int64(buf.Len())),
+		Step: func() int {
 			data, err := os.ReadFile(path)
 			if err != nil {
 				panic(err)
@@ -214,12 +199,12 @@ func setupGobDecode(g *chg.Graph, dir string) (*ImageLoadSession, error) {
 				panic(err)
 			}
 			probeServe(s2)
+			return 1
 		},
-	}, nil
+	})
 }
 
-// RunE18 prints the warm-start comparison.
-func RunE18(w io.Writer) error {
+func printE18(w io.Writer, rows []*Row) {
 	fmt.Fprintln(w, "Warm start from a snapshot image: every strategy restores a fully")
 	fmt.Fprintln(w, "warmed multi-backend cache (dominance, c3, gxx) and serves a probe of")
 	fmt.Fprintln(w, "warm lookups. mmap-load maps the relocatable image and serves straight")
@@ -227,42 +212,15 @@ func RunE18(w io.Writer) error {
 	fmt.Fprintln(w, "table; gob-decode re-allocates it through conventional serialization.")
 	fmt.Fprintln(w)
 
-	dir, err := os.MkdirTemp("", "cpplookup-e18-")
-	if err != nil {
-		return err
-	}
-	defer os.RemoveAll(dir)
-
 	t := newTable("hierarchy", "|N|", "|M|", "image KiB", "mmap-load", "cold-rebuild", "gob-decode", "vs cold", "vs gob")
-	for _, cfg := range ImageLoadConfigs() {
-		g := cfg.Make()
-		times := map[string]time.Duration{}
-		var imgBytes int64
-		for _, s := range ImageLoadStrategies() {
-			sdir := filepath.Join(dir, cfg.Name+"-"+s.Name)
-			if err := os.MkdirAll(sdir, 0o755); err != nil {
-				return err
-			}
-			sess, err := s.Setup(g, sdir)
-			if err != nil {
-				return err
-			}
-			sess.Step() // settle caches (page cache, lazily built tables)
-			times[s.Name] = timePerOp(20*time.Millisecond, sess.Step)
-			if s.Name == "mmap-load" {
-				imgBytes = sess.ArtifactBytes
-			}
-		}
-		t.add(cfg.Name, g.NumClasses(), g.NumMemberNames(),
-			fmt.Sprintf("%d", imgBytes/1024),
-			times["mmap-load"], times["cold-rebuild"], times["gob-decode"],
-			fmt.Sprintf("%.1fx", float64(times["cold-rebuild"])/float64(times["mmap-load"])),
-			fmt.Sprintf("%.1fx", float64(times["gob-decode"])/float64(times["mmap-load"])))
+	for _, r := range rows {
+		t.add(r.Name, r.Classes, r.MemberNames, r.ArtifactBytes["mmap-load"]/1024,
+			r.per("mmap-load"), r.per("cold-rebuild"), r.per("gob-decode"),
+			fmt.Sprintf("%.1fx", r.MmapSpeedupCold), fmt.Sprintf("%.1fx", r.MmapSpeedupGob))
 	}
 	t.write(w)
 
 	fmt.Fprintln(w)
 	fmt.Fprintln(w, "mmap-load cost is O(header + content hash) in the file size and")
 	fmt.Fprintln(w, "independent of how many cells are warm; both baselines pay per cell.")
-	return nil
 }

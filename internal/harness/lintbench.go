@@ -3,7 +3,6 @@ package harness
 import (
 	"fmt"
 	"io"
-	"time"
 
 	"cpplookup/internal/chg"
 	"cpplookup/internal/engine"
@@ -11,33 +10,21 @@ import (
 	"cpplookup/internal/lint"
 )
 
-// LintRelintConfigs is the hierarchy axis of the lint-relint family —
-// the E15 shapes, so the lint numbers sit on the same hierarchies as
-// the serving numbers they build on.
-func LintRelintConfigs() []EditRelookupConfig { return EditRelookupConfigs() }
-
-// LintRelintSession is one re-analysis strategy instantiated on one
-// hierarchy: Step performs a full edit→republish→re-analyze round and
-// Stats reports the session's task counters (zero-valued for the
-// full-relint strategy, which has no cone bookkeeping).
-type LintRelintSession struct {
-	Step  func()
-	Stats func() lint.SessionStats
-}
-
-// LintRelintStrategy is one re-analysis strategy under test.
-type LintRelintStrategy struct {
-	Name  string
-	Setup func(g *chg.Graph) (*LintRelintSession, error)
-}
-
-// LintRelintStrategies returns the strategies E17 and the benchmarks
-// compare: re-running every rule on every snapshot versus the
+// lintFamily is E17 and BENCH_lint.json: on the E15 shapes, so the
+// lint numbers sit on the same hierarchies as the serving numbers they
+// build on, re-running every rule on every snapshot versus the
 // cone-scoped session of internal/lint.
-func LintRelintStrategies() []LintRelintStrategy {
-	return []LintRelintStrategy{
-		{"full-relint", setupFullRelint},
-		{"cone-relint", setupConeRelint},
+func lintFamily() Family {
+	grid := servingConfigs([]Strategy{{"full-relint", setupFullRelint}, {"cone-relint", setupConeRelint}})
+	return Family{
+		Name:       "lint",
+		Benchmark:  "BenchmarkLintRelint",
+		Unit:       "ns_per_op is wall time per edit→republish→re-analyze round on an analyzed hierarchy; tasks_per_edit count the cone strategy's bucket re-evaluations by footprint",
+		Experiment: "E17",
+		Configs:    grid,
+		Smoke:      grid,
+		Extras:     func(r *Row, _ *chg.Graph) { r.ConeSpeedupVsFull = r.speedup("full-relint", "cone-relint") },
+		Print:      printE17,
 	}
 }
 
@@ -45,7 +32,7 @@ func LintRelintStrategies() []LintRelintStrategy {
 // binding (warm serving carry included — only the re-analysis
 // strategy differs) and re-runs every lint rule over the whole
 // hierarchy.
-func setupFullRelint(g *chg.Graph) (*LintRelintSession, error) {
+func setupFullRelint(g *chg.Graph, _ string) (*Session, error) {
 	w, err := incremental.FromGraph(g)
 	if err != nil {
 		return nil, err
@@ -59,25 +46,23 @@ func setupFullRelint(g *chg.Graph) (*LintRelintSession, error) {
 	}
 	c, name := editTarget(g)
 	present := declaresName(g, c, name)
-	return &LintRelintSession{
-		Step: func() {
-			present = toggleMember(w, c, name, present)
-			s, err := b.Sync()
-			if err != nil {
-				panic(err)
-			}
-			if _, err := lint.Run(s, lint.Options{}); err != nil {
-				panic(err)
-			}
-		},
-		Stats: func() lint.SessionStats { return lint.SessionStats{} },
-	}, nil
+	return settle(&Session{Step: func() int {
+		present = toggleMember(w, c, name, present)
+		s, err := b.Sync()
+		if err != nil {
+			panic(err)
+		}
+		if _, err := lint.Run(s, lint.Options{}); err != nil {
+			panic(err)
+		}
+		return 1
+	}})
 }
 
 // setupConeRelint is the incremental engine: a lint.Session over the
 // same binding re-evaluates only the buckets the edit's invalidation
-// cone touches.
-func setupConeRelint(g *chg.Graph) (*LintRelintSession, error) {
+// cone touches. It records those bucket re-evaluations per timed edit.
+func setupConeRelint(g *chg.Graph, _ string) (*Session, error) {
 	w, err := incremental.FromGraph(g)
 	if err != nil {
 		return nil, err
@@ -92,19 +77,27 @@ func setupConeRelint(g *chg.Graph) (*LintRelintSession, error) {
 	}
 	c, name := editTarget(g)
 	present := declaresName(g, c, name)
-	return &LintRelintSession{
-		Step: func() {
+	var before lint.SessionStats
+	sess, err := settle(&Session{
+		Step: func() int {
 			present = toggleMember(w, c, name, present)
 			if _, err := s.Sync(); err != nil {
 				panic(err)
 			}
+			return 1
 		},
-		Stats: func() lint.SessionStats { return s.Stats() },
-	}, nil
+		Done: func(r *Row, t Timing) {
+			after, steps := s.Stats(), float64(t.Steps)
+			r.MemberTasksPerEdit = float64(after.MemberTasks-before.MemberTasks) / steps
+			r.RowTasksPerEdit = float64(after.RowTasks-before.RowTasks) / steps
+			r.StructTasksPerEdit = float64(after.StructuralTasks-before.StructuralTasks) / steps
+		},
+	})
+	before = s.Stats()
+	return sess, err
 }
 
-// RunE17 prints the full-vs-cone re-lint comparison.
-func RunE17(w io.Writer) error {
+func printE17(w io.Writer, rows []*Row) {
 	fmt.Fprintln(w, "Incremental lint: one member edit on an analyzed hierarchy, then")
 	fmt.Fprintln(w, "republish and re-lint. full-relint re-runs every rule over the whole")
 	fmt.Fprintln(w, "hierarchy each round; cone-relint keeps per-rule diagnostic state in a")
@@ -115,34 +108,10 @@ func RunE17(w io.Writer) error {
 	fmt.Fprintln(w)
 
 	t := newTable("hierarchy", "|N|", "|M|", "full-relint", "cone-relint", "speedup", "tasks/edit")
-	for _, cfg := range LintRelintConfigs() {
-		g := cfg.Make()
-		times := map[string]time.Duration{}
-		var tasksPerEdit string
-		for _, s := range LintRelintStrategies() {
-			sess, err := s.Setup(g)
-			if err != nil {
-				return err
-			}
-			sess.Step() // settle into the steady warm state
-			before := sess.Stats()
-			steps := 0
-			times[s.Name] = timePerOp(20*time.Millisecond, func() {
-				sess.Step()
-				steps++
-			})
-			if s.Name == "cone-relint" && steps > 0 {
-				after := sess.Stats()
-				tasksPerEdit = fmt.Sprintf("%.1fm %.1fr %.1fs",
-					float64(after.MemberTasks-before.MemberTasks)/float64(steps),
-					float64(after.RowTasks-before.RowTasks)/float64(steps),
-					float64(after.StructuralTasks-before.StructuralTasks)/float64(steps))
-			}
-		}
-		t.add(cfg.Name, g.NumClasses(), g.NumMemberNames(),
-			times["full-relint"], times["cone-relint"],
-			fmt.Sprintf("%.2fx", float64(times["full-relint"])/float64(times["cone-relint"])),
-			tasksPerEdit)
+	for _, r := range rows {
+		t.add(r.Name, r.Classes, r.MemberNames, r.per("full-relint"), r.per("cone-relint"),
+			fmt.Sprintf("%.2fx", r.ConeSpeedupVsFull),
+			fmt.Sprintf("%.1fm %.1fr %.1fs", r.MemberTasksPerEdit, r.RowTasksPerEdit, r.StructTasksPerEdit))
 	}
 	t.write(w)
 
@@ -151,5 +120,4 @@ func RunE17(w io.Writer) error {
 	fmt.Fprintln(w, "(member columns, gxx class rows, structural tasks); a single-member")
 	fmt.Fprintln(w, "toggle dirties one member column and one class row, independent of")
 	fmt.Fprintln(w, "hierarchy size — that sliver is the whole re-analysis.")
-	return nil
 }

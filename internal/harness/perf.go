@@ -1,6 +1,6 @@
 package harness
 
-// This file holds the measured experiments E7–E10 and the ablations A1–A4
+// This file holds the measured experiments E7–E10 and the ablations
 // A1–A4. None of the absolute numbers are expected to match 1997
 // hardware; the *shapes* — linear vs quadratic vs exponential, who
 // wins and where — are what EXPERIMENTS.md compares against the
@@ -25,8 +25,6 @@ import (
 	"cpplookup/internal/toposel"
 )
 
-const measureBudget = 5 * time.Millisecond
-
 // RunE7 measures the Section 5 complexity claims.
 func RunE7(w io.Writer) error {
 	fmt.Fprintln(w, "  (a) single lookup, no ambiguity anywhere: claimed O(|N|+|E|)")
@@ -35,7 +33,7 @@ func RunE7(w io.Writer) error {
 		g := hiergen.Realistic(d, 4)
 		top := hiergen.RealisticTop(g, d, 4)
 		m := g.MustMemberID("rdstate")
-		per := timePerOp(measureBudget, func() {
+		per := timeOp(func() {
 			// A fresh analyzer per query: the cost of one uncached
 			// lookup, which must walk every ancestor once.
 			core.New(g).Lookup(top, m)
@@ -54,7 +52,7 @@ func RunE7(w io.Writer) error {
 		g := hiergen.AmbiguousLadder(n, n)
 		top := hiergen.AmbiguousLadderTop(g, n)
 		m := g.MustMemberID("m")
-		per := timePerOp(measureBudget, func() {
+		per := timeOp(func() {
 			core.New(g).Lookup(top, m)
 		})
 		size := g.Size()
@@ -74,7 +72,7 @@ func RunE7(w io.Writer) error {
 			MemberNames: 8, MemberProb: 0.05, Seed: 7,
 		})
 		var entries int
-		per := timePerOp(measureBudget, func() {
+		per := timeOp(func() {
 			table := core.New(g).BuildTable()
 			entries = table.Entries()
 		})
@@ -95,13 +93,13 @@ func RunE8(w io.Writer) error {
 		m := g.MustMemberID("m")
 		count := subobject.Count(g, top)
 
-		ours := timePerOp(measureBudget, func() {
+		ours := timeOp(func() {
 			core.New(g).Lookup(top, m)
 		})
 
 		bfs := "DNF (graph too large)"
 		if count.IsInt64() && count.Int64() <= 1<<17 {
-			per := timePerOp(measureBudget, func() {
+			per := timeOp(func() {
 				if _, err := gxx.LookupFresh(g, top, m, 1<<18); err != nil {
 					panic(err)
 				}
@@ -154,14 +152,14 @@ func RunE9(w io.Writer) error {
 	fmt.Fprintf(w, "  translation unit: %d classes, %d member accesses, %d bytes\n",
 		g.NumClasses(), accesses, len(src))
 
-	parseT := timePerOp(measureBudget, func() {
+	parseT := timeOp(func() {
 		if _, errs := parser.Parse(src); len(errs) != 0 {
 			panic(errs[0])
 		}
 	})
 
 	var unit *sema.Unit
-	semaT := timePerOp(measureBudget, func() {
+	semaT := timeOp(func() {
 		u, err := sema.AnalyzeSource(src)
 		if err != nil {
 			panic(err)
@@ -183,13 +181,13 @@ func RunE9(w io.Writer) error {
 	}
 	ug := unit.Graph
 
-	lazyT := timePerOp(measureBudget, func() {
+	lazyT := timeOp(func() {
 		a := core.New(ug, core.WithStaticRule(), core.WithTrackPaths())
 		for _, q := range qs {
 			a.Lookup(q.c, q.m)
 		}
 	})
-	freshT := timePerOp(measureBudget, func() {
+	freshT := timeOp(func() {
 		for _, q := range qs {
 			core.New(ug, core.WithStaticRule()).Lookup(q.c, q.m)
 		}
@@ -206,7 +204,7 @@ func RunE9(w io.Writer) error {
 			scans[q.c] = gxx.NewScan(sg)
 		}
 	}
-	gxxT := timePerOp(measureBudget, func() {
+	gxxT := timeOp(func() {
 		for _, q := range qs {
 			scans[q.c].LookupTrace(q.m)
 		}
@@ -249,13 +247,13 @@ func RunE10(w io.Writer) error {
 			qs = append(qs, query{chg.ClassID(c), m})
 		}
 	}
-	coreT := timePerOp(measureBudget, func() {
+	coreT := timeOp(func() {
 		a := core.New(g)
 		for _, q := range qs {
 			a.Lookup(q.c, q.m)
 		}
 	})
-	topoT := timePerOp(measureBudget, func() {
+	topoT := timeOp(func() {
 		for _, q := range qs {
 			toposel.Lookup(g, q.c, q.m)
 		}
@@ -346,8 +344,8 @@ func RunA2(w io.Writer) error {
 		Classes: 600, MaxBases: 2, VirtualProb: 0.3,
 		MemberNames: 8, MemberProb: 0.05, Seed: 13,
 	})
-	abstract := timePerOp(measureBudget, func() { core.New(g).BuildTable() })
-	withPaths := timePerOp(measureBudget, func() { core.New(g, core.WithTrackPaths()).BuildTable() })
+	abstract := timeOp(func() { core.New(g).BuildTable() })
+	withPaths := timeOp(func() { core.New(g, core.WithTrackPaths()).BuildTable() })
 	t := newTable("variant", "t/table", "relative")
 	t.add("(L, V) abstractions only", abstract, "1.00×")
 	t.add("+ full definition paths", withPaths,
@@ -383,13 +381,13 @@ func RunA3(w io.Writer) error {
 		if q < len(all) {
 			qs = all[:q]
 		}
-		eager := timePerOp(measureBudget, func() {
+		eager := timeOp(func() {
 			tb := core.New(g).BuildTable()
 			for _, x := range qs {
 				tb.Lookup(x.c, x.m)
 			}
 		})
-		lazy := timePerOp(measureBudget, func() {
+		lazy := timeOp(func() {
 			a := core.New(g)
 			for _, x := range qs {
 				a.Lookup(x.c, x.m)
@@ -471,7 +469,7 @@ func RunA4(w io.Writer) error {
 	t.write(w)
 
 	// Throughput: toggle an override at depth 150 and re-query all.
-	incT := timePerOp(measureBudget, func() {
+	incT := timeOp(func() {
 		w2, ids2 := build()
 		b2, s, err := engine.New().BindWorkspace("a4", w2)
 		if err != nil {
@@ -481,7 +479,7 @@ func RunA4(w io.Writer) error {
 		w2.AddMember(ids2[150], chg.Member{Name: "m", Kind: chg.Method})
 		relookup(sync(b2), ids2)
 	})
-	batchT := timePerOp(measureBudget, func() {
+	batchT := timeOp(func() {
 		w2, ids2 := build()
 		g, err := w2.Snapshot()
 		if err != nil {

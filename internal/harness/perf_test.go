@@ -2,62 +2,39 @@ package harness
 
 import (
 	"bytes"
+	"io"
 	"strings"
 	"testing"
 
 	"cpplookup/internal/hiergen"
 )
 
-// Smoke-run every measured experiment: the assertions are structural
-// (headers, table shape, qualitative facts), not about timings.
-func TestMeasuredExperimentsSmoke(t *testing.T) {
-	if testing.Short() {
-		t.Skip("measured experiments are skipped in -short mode")
-	}
-	for _, tc := range []struct {
-		id    string
-		wants []string
-	}{
-		{"E7", []string{"t/size", "quadratic", "t/entry"}},
-		{"E8", []string{"subobjects", "DNF (graph too large)", "1048573"}},
-		{"E9", []string{"lookup strategy", "memoized lazy (this paper)", "share of front end"}},
-		{"E10", []string{"agreement 4147/4147", "silently \"resolves\" 673"}},
-		{"E11", []string{"[C@0].m = 10", "this-2"}},
-		{"A1", []string{"virtual diamond chain k=12", "no-kill propagation exceeded"}},
-		{"A2", []string{"(L, V) abstractions only", "relative"}},
-		{"A3", []string{"eager (build + query)", "lazy (memoized)"}},
-		{"A4", []string{"entries invalidated", "incremental workspace"}},
-	} {
-		e, ok := Find(tc.id)
-		if !ok {
-			t.Fatalf("experiment %s missing", tc.id)
-		}
-		var buf bytes.Buffer
-		if err := e.Run(&buf); err != nil {
-			t.Fatalf("%s: %v", tc.id, err)
-		}
-		out := buf.String()
-		for _, want := range tc.wants {
-			if !strings.Contains(out, want) {
-				t.Errorf("%s output missing %q:\n%s", tc.id, want, out)
-			}
-		}
-	}
-}
-
+// TestRunAllProducesEverySection runs every experiment once, under its
+// section header, and checks its headline facts. A family experiment
+// prints its smoke rows, one step per strategy, so its measure and
+// table code run without E18–E20's full grids.
 func TestRunAllProducesEverySection(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full run skipped in -short mode")
 	}
-	var buf bytes.Buffer
-	if err := RunAll(&buf); err != nil {
-		t.Fatal(err)
+	families := map[string]Family{}
+	for _, f := range Families() {
+		families[f.Experiment] = f
 	}
-	out := buf.String()
 	for _, e := range All() {
-		if !strings.Contains(out, "=== "+e.ID+":") {
-			t.Errorf("RunAll missing section %s", e.ID)
+		if f, ok := families[e.ID]; ok {
+			rows := smokeRows(t, f)
+			e.Run = func(w io.Writer) error { f.Print(w, rows); return nil }
 		}
+		var buf bytes.Buffer
+		if err := runOne(&buf, e); err != nil {
+			t.Fatal(err)
+		}
+		out := buf.String()
+		if !strings.HasPrefix(out, "=== "+e.ID+": ") {
+			t.Errorf("section %s starts %.40q", e.ID, out)
+		}
+		checkWants(t, e.ID, out)
 	}
 }
 

@@ -26,8 +26,6 @@ import (
 	"io"
 	"math"
 	"math/rand"
-	"runtime"
-	"time"
 
 	"cpplookup/internal/chg"
 	"cpplookup/internal/core"
@@ -36,199 +34,140 @@ import (
 	"cpplookup/internal/incremental"
 )
 
-// ScaleConfig is one class-count point of the scale family, shared by
-// experiment E19, cmd/benchjson -scale-o, and the CI smoke. The build
-// hierarchy lets |M| track |N| (the paper's table regime); the session
-// hierarchy keeps a modest member universe, because a served snapshot
-// holds a dense |N|·|M| cell array and an edit session republishes
-// many of them.
-type ScaleConfig struct {
-	Name    string
-	Classes int
-
-	// Session parameters: total member edits, edits per bulk batch,
-	// and the bounded edit count the serial strategy is probed with.
-	Edits       int
-	Batch       int
-	SerialProbe int
-
-	// BatchedBuild gates the monolithic-build baseline; the CI smoke
-	// turns it off (the quadratic matrices are the thing the smoke's
-	// memory ceiling excludes).
-	BatchedBuild bool
-}
-
-// MakeBuild returns the build-side hierarchy: Giant with |M| = |N|.
-func (c ScaleConfig) MakeBuild() *chg.Graph {
-	return hiergen.Giant(hiergen.GiantDefaults(c.Classes))
-}
-
-// MakeSession returns the session-side hierarchy: same class structure,
-// 512 member names.
-func (c ScaleConfig) MakeSession() *chg.Graph {
-	cfg := hiergen.GiantDefaults(c.Classes)
-	cfg.MemberNames = 512
-	return hiergen.Giant(cfg)
-}
-
-// ScaleConfigs returns the scale family: 20k, 50k, and 100k classes,
-// each with a 10k-edit session.
-func ScaleConfigs() []ScaleConfig {
-	return []ScaleConfig{
-		{Name: "giant-20k", Classes: 20_000, Edits: 10_000, Batch: 500, SerialProbe: 60, BatchedBuild: true},
-		{Name: "giant-50k", Classes: 50_000, Edits: 10_000, Batch: 500, SerialProbe: 40, BatchedBuild: true},
-		{Name: "giant-100k", Classes: 100_000, Edits: 10_000, Batch: 500, SerialProbe: 30, BatchedBuild: true},
+// scaleFamily is E19 and BENCH_scale.json: 20k, 50k and 100k
+// classes, each built whole by both builders and served through a
+// 10k-edit session by both carry strategies. The smoke config is small
+// enough for a CI worker but large enough to cross
+// chg.DenseClosureLimit and incremental.LazyConeLimit, so the
+// sparse-closure and lazy-cone paths run on every push.
+func scaleFamily() Family {
+	grid := []Config{
+		scaleConfig("giant-20k", 20_000, 10_000, 500, 60, true),
+		scaleConfig("giant-50k", 50_000, 10_000, 500, 40, true),
+		scaleConfig("giant-100k", 100_000, 10_000, 500, 30, true),
+	}
+	return Family{
+		Name:       "scale",
+		Benchmark:  "BenchmarkScale",
+		Unit:       "build strategies: ns_per_op is one whole-table build, peak_heap_bytes its transient heap above baseline; session strategies: ns_per_op is ns per edit of an edit→republish→probe-serve session (serial-carry is a bounded probe, normalized)",
+		Experiment: "E19",
+		Slow:       true,
+		Configs:    grid,
+		Smoke:      []Config{scaleConfig("giant-20k-smoke", 20_000, scaleSmokeEdits, scaleSmokeBatch, 0, false)},
+		Shown:      grid[:2],
+		Extras: func(r *Row, _ *chg.Graph) {
+			for name, t := range r.Strategies {
+				put(&r.PeakHeapBytes, name, t.PeakHeapBytes)
+				if _, build := r.Stream[name]; build {
+					put(&r.BytesPerClass, name, float64(t.PeakHeapBytes)/float64(r.Classes))
+				}
+			}
+			bulk := r.Carry["bulk-carry"]
+			r.CarriedEntries, r.InvalidatedConeSz = bulk.Carried, bulk.Invalidated
+			r.BulkVsSerialEdit = r.speedup("serial-carry", "bulk-carry")
+		},
+		Print: printE19,
 	}
 }
 
-// ScaleSmokeConfig returns the bounded CI configuration: a 20k-class
-// streaming build and a 100-edit bulk-carry session, small enough for
-// a CI worker but large enough to cross chg.DenseClosureLimit and
-// incremental.LazyConeLimit, so the sparse-closure and lazy-cone
-// paths run on every push.
-func ScaleSmokeConfig() ScaleConfig {
-	return ScaleConfig{Name: "giant-20k-smoke", Classes: 20_000, Edits: 100, Batch: 20, SerialProbe: 0}
-}
+// The smoke session: 100 edits republished in batches of 20.
+const scaleSmokeEdits, scaleSmokeBatch = 100, 20
 
-// heapSampler watches HeapAlloc from a background goroutine — the
-// peak-heap axis of the scale family. ReadMemStats stops the world,
-// so the interval is a compromise: 15ms catches the transient
-// matrices of even a short build phase while costing the build well
-// under a percent.
-type heapSampler struct {
-	stop chan struct{}
-	done chan struct{}
-	peak uint64
-}
-
-func startHeapSampler() *heapSampler {
-	s := &heapSampler{stop: make(chan struct{}), done: make(chan struct{})}
-	go func() {
-		defer close(s.done)
-		t := time.NewTicker(15 * time.Millisecond)
-		defer t.Stop()
-		for {
-			var ms runtime.MemStats
-			runtime.ReadMemStats(&ms)
-			if ms.HeapAlloc > s.peak {
-				s.peak = ms.HeapAlloc
-			}
-			select {
-			case <-s.stop:
-				return
-			case <-t.C:
-			}
-		}
-	}()
-	return s
-}
-
-// Stop ends sampling and returns the peak HeapAlloc observed
-// (including one final read, so short phases are never missed).
-func (s *heapSampler) Stop() uint64 {
-	close(s.stop)
-	<-s.done
-	var ms runtime.MemStats
-	runtime.ReadMemStats(&ms)
-	if ms.HeapAlloc > s.peak {
-		s.peak = ms.HeapAlloc
-	}
-	return s.peak
-}
-
-// ScaleBuildResult is one build strategy's measurement.
-type ScaleBuildResult struct {
-	Strategy      string
-	Duration      time.Duration
-	Entries       int
-	PeakHeapBytes uint64  // peak HeapAlloc above the pre-build baseline
-	BytesPerClass float64 // PeakHeapBytes / classes — the flatness axis
-	Stream        core.StreamStats
-}
-
-// measureBuild runs one whole-table build under the heap sampler.
-func measureBuild(g *chg.Graph, strategy string) ScaleBuildResult {
-	runtime.GC()
-	var ms runtime.MemStats
-	runtime.ReadMemStats(&ms)
-	base := ms.HeapAlloc
-
-	sampler := startHeapSampler()
-	start := time.Now()
-	var tab *core.Table
-	var st core.StreamStats
-	switch strategy {
-	case "streamed-build":
-		tab, st = core.BuildSemTableStreamed(core.NewKernel(g), core.StreamOptions{})
-	case "batched-build":
+// scaleConfig is one class-count point. Its hierarchy, the build
+// side, lets |M| track |N| (the paper's table regime); the session
+// strategies serve a 512-name universe of the same class structure,
+// because a served snapshot holds a dense |N|·|M| cell array and an
+// edit session republishes many of them. bulk-carry applies edits per
+// step in batches of batch; serial-carry, when serialProbe > 0,
+// republishes after each of serialProbe edits — the pre-batching
+// serving loop, a bounded probe normalized to ns/edit (10k full
+// republishes of a 100k-class snapshot would take hours, which is the
+// point). batchedBuild adds the monolithic-build baseline, whose
+// quadratic matrices the smoke's memory ceiling excludes.
+func scaleConfig(name string, classes, edits, batch, serialProbe int, batchedBuild bool) Config {
+	ss := []Strategy{buildStrategy("streamed-build", core.StreamOptions{})}
+	if batchedBuild {
 		// The unbounded budget holds every block in one chunk: the
 		// monolithic build, membership matrices materialized whole.
-		tab, st = core.BuildSemTableStreamed(core.NewKernel(g), core.StreamOptions{Workers: 1, MemoryBudget: math.MaxInt64})
-	default:
-		panic("unknown scale build strategy " + strategy)
+		ss = append(ss, buildStrategy("batched-build", core.StreamOptions{Workers: 1, MemoryBudget: math.MaxInt64}))
 	}
-	dur := time.Since(start)
-	peak := sampler.Stop()
-	runtime.KeepAlive(tab)
-	if peak < base {
-		peak = base
+	ss = append(ss, sessionStrategy("bulk-carry", classes, edits, batch))
+	if serialProbe > 0 {
+		ss = append(ss, sessionStrategy("serial-carry", classes, serialProbe, 1))
 	}
-	return ScaleBuildResult{
-		Strategy:      strategy,
-		Duration:      dur,
-		Entries:       st.Entries,
-		PeakHeapBytes: peak - base,
-		BytesPerClass: float64(peak-base) / float64(g.NumClasses()),
-		Stream:        st,
-	}
+	return Config{name, "giant", func() *chg.Graph { return hiergen.Giant(hiergen.GiantDefaults(classes)) }, ss}
 }
 
-// MeasureScaleBuilds measures every build strategy the config enables.
-func MeasureScaleBuilds(cfg ScaleConfig) []ScaleBuildResult {
-	g := cfg.MakeBuild()
-	out := []ScaleBuildResult{measureBuild(g, "streamed-build")}
-	if cfg.BatchedBuild {
-		out = append(out, measureBuild(g, "batched-build"))
-	}
-	return out
+// buildStrategy is one whole-table build per step under opts; it
+// records the build's stream stats and the table's entry count.
+func buildStrategy(name string, opts core.StreamOptions) Strategy {
+	return Strategy{name, func(g *chg.Graph, _ string) (*Session, error) {
+		var st core.StreamStats
+		return &Session{
+			Step: func() int {
+				_, st = core.BuildSemTableStreamed(core.NewKernel(g), opts)
+				return 1
+			},
+			Done: func(r *Row, _ Timing) {
+				put(&r.Stream, name, st)
+				r.Entries = st.Entries
+			},
+		}, nil
+	}}
 }
 
-// ScaleSessionResult is one edit-session strategy's measurement.
-type ScaleSessionResult struct {
-	Strategy      string
-	Edits         int // edits actually applied (the serial probe is bounded)
-	Republishes   int
-	Total         time.Duration
-	NsPerEdit     int64
-	Carried       int // last republish's carry stats
-	Invalidated   int
-	PeakHeapBytes uint64
-	Probed        bool // bounded probe, ns/edit normalized
-}
-
-// scaleSession binds a fresh workspace replay of g to an engine and
-// warms a fixed slice of the served snapshot (the first 8 member
-// columns across every class), so every republish has cells to carry.
-func scaleSession(g *chg.Graph) (*incremental.Workspace, *engine.WorkspaceBinding, *engine.Snapshot, error) {
-	w, err := incremental.FromGraph(g)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	e := engine.New()
-	b, snap, err := e.BindWorkspace("scale", w)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	warmM := 8
-	if m := g.NumMemberNames(); m < warmM {
-		warmM = m
-	}
-	for c := 0; c < g.NumClasses(); c++ {
-		for m := 0; m < warmM; m++ {
-			snap.Lookup(chg.ClassID(c), chg.MemberID(m))
+// sessionStrategy binds a workspace replay of the 512-name session
+// hierarchy to an engine and warms a fixed slice of the served
+// snapshot (the first 8 member columns across every class), so every
+// republish has cells to carry. Each step applies edits member edits,
+// republishing after every batch and serving a probe after each
+// republish; it records the last step's republishes and carry.
+func sessionStrategy(name string, classes, edits, batch int) Strategy {
+	return Strategy{name, func(_ *chg.Graph, _ string) (*Session, error) {
+		w, err := incremental.FromGraph(giant512(classes))
+		if err != nil {
+			return nil, err
 		}
-	}
-	return w, b, snap, nil
+		b, snap, err := engine.New().BindWorkspace("scale", w)
+		if err != nil {
+			return nil, err
+		}
+		for c := 0; c < classes; c++ {
+			for m := 0; m < 8; m++ {
+				snap.Lookup(chg.ClassID(c), chg.MemberID(m))
+			}
+		}
+		rng := rand.New(rand.NewSource(461))
+		republishes := 0
+		return &Session{
+			Step: func() int {
+				republishes = 0
+				for applied := 0; applied < edits; applied += batch {
+					for i := applied; i < min(applied+batch, edits); i++ {
+						scaleEdit(rng, w, classes)
+					}
+					if snap, err = b.Sync(); err != nil {
+						panic(err)
+					}
+					republishes++
+					scaleProbeServe(snap)
+				}
+				return edits
+			},
+			Done: func(r *Row, _ Timing) {
+				put(&r.Republishes, name, republishes)
+				put(&r.Carry, name, snap.Carry())
+			},
+		}, nil
+	}}
+}
+
+// giant512 is the session-side hierarchy: the build side's class
+// structure over a 512-name member universe.
+func giant512(classes int) *chg.Graph {
+	cfg := hiergen.GiantDefaults(classes)
+	cfg.MemberNames = 512
+	return hiergen.Giant(cfg)
 }
 
 // scaleEdit applies one deterministic member toggle: a random class, a
@@ -264,80 +203,7 @@ func scaleProbeServe(snap *engine.Snapshot) {
 	}
 }
 
-// measureSession runs one edit-session strategy: `batch` edits per
-// republish (1 = serial), at most maxEdits edits.
-func measureSession(g *chg.Graph, strategy string, maxEdits, batch int) (ScaleSessionResult, error) {
-	w, b, snap, err := scaleSession(g)
-	if err != nil {
-		return ScaleSessionResult{}, err
-	}
-	rng := rand.New(rand.NewSource(461))
-	runtime.GC()
-	var ms runtime.MemStats
-	runtime.ReadMemStats(&ms)
-	base := ms.HeapAlloc
-
-	sampler := startHeapSampler()
-	start := time.Now()
-	applied, republishes := 0, 0
-	for applied < maxEdits {
-		k := batch
-		if k > maxEdits-applied {
-			k = maxEdits - applied
-		}
-		for i := 0; i < k; i++ {
-			scaleEdit(rng, w, g.NumClasses())
-		}
-		applied += k
-		snap, err = b.Sync()
-		if err != nil {
-			return ScaleSessionResult{}, err
-		}
-		republishes++
-		scaleProbeServe(snap)
-	}
-	total := time.Since(start)
-	peak := sampler.Stop()
-	if peak < base {
-		peak = base
-	}
-	st := snap.Carry()
-	return ScaleSessionResult{
-		Strategy:      strategy,
-		Edits:         applied,
-		Republishes:   republishes,
-		Total:         total,
-		NsPerEdit:     total.Nanoseconds() / int64(applied),
-		Carried:       st.Carried,
-		Invalidated:   st.Invalidated,
-		PeakHeapBytes: peak - base,
-		Probed:        batch == 1,
-	}, nil
-}
-
-// MeasureScaleSessions measures the bulk-carry session and, when the
-// config asks for one, the bounded serial-carry probe.
-func MeasureScaleSessions(cfg ScaleConfig) ([]ScaleSessionResult, error) {
-	g := cfg.MakeSession()
-	bulk, err := measureSession(g, "bulk-carry", cfg.Edits, cfg.Batch)
-	if err != nil {
-		return nil, err
-	}
-	out := []ScaleSessionResult{bulk}
-	if cfg.SerialProbe > 0 {
-		serial, err := measureSession(g, "serial-carry", cfg.SerialProbe, 1)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, serial)
-	}
-	return out, nil
-}
-
-// RunE19 prints the scale comparison for the two smaller family
-// points; the full family including the 100k row is regenerated into
-// BENCH_scale.json by `make bench-json` (cmd/benchjson -scale-o).
-func RunE19(w io.Writer) error {
+func printE19(w io.Writer, rows []*Row) {
 	fmt.Fprintln(w, "Scale jump: hiergen.Giant hierarchies (fat interface layer, diamond")
 	fmt.Fprintln(w, "towers, override chains, power-law members). Build side: streaming")
 	fmt.Fprintln(w, "budget-bounded construction vs the monolithic batched build — same")
@@ -349,37 +215,32 @@ func RunE19(w io.Writer) error {
 
 	bt := newTable("hierarchy", "strategy", "|N|", "entries", "build", "peak heap", "bytes/class", "chunks")
 	st := newTable("hierarchy", "strategy", "edits", "republishes", "ns/edit", "carried", "invalidated", "speedup")
-	for _, cfg := range ScaleConfigs()[:2] {
-		for _, r := range MeasureScaleBuilds(cfg) {
+	for _, r := range rows {
+		for _, name := range []string{"streamed-build", "batched-build"} {
+			s, ok := r.Stream[name]
+			if !ok {
+				continue
+			}
 			chunks := "-"
-			if r.Stream.Chunks > 0 {
-				chunks = fmt.Sprintf("%d×%d blocks", r.Stream.Chunks, r.Stream.ChunkBlocks)
+			if s.Chunks > 0 {
+				chunks = fmt.Sprintf("%d×%d blocks", s.Chunks, s.ChunkBlocks)
 			}
-			entries := r.Entries
-			bt.add(cfg.Name, r.Strategy, cfg.Classes, entries, r.Duration,
-				formatBytes(r.PeakHeapBytes), fmt.Sprintf("%.0fB", r.BytesPerClass), chunks)
+			bt.add(r.Name, name, r.Classes, r.Entries, r.per(name),
+				formatBytes(r.PeakHeapBytes[name]), fmt.Sprintf("%.0fB", r.BytesPerClass[name]), chunks)
 		}
-		sessions, err := MeasureScaleSessions(cfg)
-		if err != nil {
-			return err
-		}
-		var bulkNs int64
-		for _, r := range sessions {
-			if r.Strategy == "bulk-carry" {
-				bulkNs = r.NsPerEdit
+		for _, name := range []string{"bulk-carry", "serial-carry"} {
+			t, ok := r.Strategies[name]
+			if !ok {
+				continue
 			}
-		}
-		for _, r := range sessions {
-			speedup := "-"
-			if r.Strategy == "serial-carry" && bulkNs > 0 {
-				speedup = fmt.Sprintf("bulk %.1fx faster", float64(r.NsPerEdit)/float64(bulkNs))
-			}
-			edits := fmt.Sprint(r.Edits)
-			if r.Probed {
+			edits, speedup := fmt.Sprint(t.Iterations/t.Steps), "-"
+			if name == "serial-carry" {
 				edits += " (probe)"
+				speedup = fmt.Sprintf("bulk %.1fx faster", r.BulkVsSerialEdit)
 			}
-			st.add(cfg.Name, r.Strategy, edits, r.Republishes,
-				fmt.Sprintf("%.2fms", float64(r.NsPerEdit)/1e6), r.Carried, r.Invalidated, speedup)
+			c := r.Carry[name]
+			st.add(r.Name, name, edits, r.Republishes[name],
+				fmt.Sprintf("%.2fms", float64(t.NsPerOp)/1e6), c.Carried, c.Invalidated, speedup)
 		}
 	}
 	fmt.Fprintln(w, "whole-table build:")
@@ -394,5 +255,4 @@ func RunE19(w io.Writer) error {
 	fmt.Fprintln(w, "  one carried republish per batch instead of per edit, with the batch's")
 	fmt.Fprintln(w, "  cones collapsed per member by bitset union / multi-source BFS. The 100k")
 	fmt.Fprintln(w, "  row of this family is recorded in BENCH_scale.json (make bench-json).")
-	return nil
 }

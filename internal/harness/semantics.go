@@ -22,7 +22,6 @@ package harness
 import (
 	"fmt"
 	"io"
-	"time"
 
 	"cpplookup/internal/chg"
 	"cpplookup/internal/core"
@@ -31,24 +30,34 @@ import (
 	"cpplookup/internal/mro"
 )
 
-// SemanticsTableConfig is one hierarchy shape of the cross-semantics
-// benchmark family, shared by experiment E16, BenchmarkSemanticsTable
-// and cmd/benchjson.
-type SemanticsTableConfig struct {
-	Name  string
-	Shape string // "dense", "conflict", or "sparse"
-	Make  func() *chg.Graph
-}
-
-// SemanticsTableConfigs returns the benchmark family: a realistic
-// dense hierarchy, a maximally conflicting wide-MI shape (every cell
-// dominance calls blue, C3 resolves — the divergence-rich regime),
-// and the sparse many-member serving shape of E14/E15.
-func SemanticsTableConfigs() []SemanticsTableConfig {
-	return []SemanticsTableConfig{
-		{"realistic-6x4", "dense", func() *chg.Graph { return hiergen.Realistic(6, 4) }},
-		{"wide-mi-64", "conflict", func() *chg.Graph { return hiergen.WideMI(64, true) }},
-		{"sparse-200c-1000m", "sparse", func() *chg.Graph { return hiergen.SparseMembers(200, 1000, 3, 7) }},
+// mroFamily is E16 and BENCH_mro.json: a realistic dense hierarchy,
+// a maximally conflicting wide-MI shape (every cell dominance calls
+// blue, C3 resolves — the divergence-rich regime), and the sparse
+// many-member serving shape of E14/E15, each built whole under every
+// backend. The backend is built afresh each step, so its full
+// preprocessing (linearization, subobject graphs) is inside the
+// measurement — the honest whole-table cost.
+func mroFamily() Family {
+	var ss []Strategy
+	for _, b := range semanticsBackends {
+		ss = append(ss, Strategy{string(b.id), func(g *chg.Graph, _ string) (*Session, error) {
+			return settle(&Session{Step: func() int { core.BuildSemTable(b.new(g), 0); return 1 }})
+		}})
+	}
+	grid := []Config{
+		{"realistic-6x4", "dense", realistic6x4, ss},
+		{"wide-mi-64", "conflict", func() *chg.Graph { return hiergen.WideMI(64, true) }, ss},
+		{"sparse-200c-1000m", "sparse", sparse200, ss},
+	}
+	return Family{
+		Name:       "mro",
+		Benchmark:  "BenchmarkSemanticsTable",
+		Unit:       "ns_per_op is wall time per whole-table build through core.BuildSemTable under the named backend, backend construction included; divergent cells compare each backend's table against dominance",
+		Experiment: "E16",
+		Configs:    grid,
+		Smoke:      grid,
+		Extras:     semanticsDivergences,
+		Print:      printE16,
 	}
 }
 
@@ -56,44 +65,29 @@ func SemanticsTableConfigs() []SemanticsTableConfig {
 // shapes all stay far under it, so no cell degrades to FailKind.
 const semGxxLimit = 1 << 18
 
-// SemanticsBackend is one resolution backend under test. New builds a
-// fresh backend over its own pool — each benchmark iteration pays the
-// backend's full preprocessing (linearization, subobject graphs), the
-// honest whole-table cost.
-type SemanticsBackend struct {
-	Name string
-	ID   core.SemanticsID
-	New  func(g *chg.Graph) core.Semantics
+// semanticsBackends are the backends E16 compares, dominance first
+// (the baseline the others diverge from). Each id is its strategy name.
+var semanticsBackends = []struct {
+	id  core.SemanticsID
+	new func(g *chg.Graph) core.Semantics
+}{
+	{core.SemDominance, func(g *chg.Graph) core.Semantics { return core.NewKernel(g) }},
+	{core.SemC3, func(g *chg.Graph) core.Semantics { return mro.New(g, nil) }},
+	{core.SemGxx, func(g *chg.Graph) core.Semantics { return gxx.NewBackend(g, nil, semGxxLimit) }},
 }
 
-// SemanticsBackends returns the backends E16 and the benchmarks
-// compare, dominance first (the baseline the others diverge from).
-func SemanticsBackends() []SemanticsBackend {
-	return []SemanticsBackend{
-		{"dominance", core.SemDominance, func(g *chg.Graph) core.Semantics { return core.NewKernel(g) }},
-		{"c3", core.SemC3, func(g *chg.Graph) core.Semantics { return mro.New(g, nil) }},
-		{"gxx", core.SemGxx, func(g *chg.Graph) core.Semantics { return gxx.NewBackend(g, nil, semGxxLimit) }},
-	}
-}
-
-// SemanticsDivergences builds the whole table under every backend and
-// counts, for each non-dominance backend, the cells it answers
-// differently from dominance: a different result kind, or both red
-// with different declaring classes (the latter cannot happen for C3 —
-// oraclefuzz -cross asserts it — but is counted rather than assumed).
-func SemanticsDivergences(g *chg.Graph) map[core.SemanticsID]int {
-	backends := SemanticsBackends()
-	tables := make(map[core.SemanticsID]*core.Table, len(backends))
-	for _, s := range backends {
-		tables[s.ID] = core.BuildSemTable(s.New(g), 0)
-	}
-	dom := tables[core.SemDominance]
-	out := map[core.SemanticsID]int{}
-	for _, s := range backends {
-		if s.ID == core.SemDominance {
-			continue
-		}
-		t := tables[s.ID]
+// semanticsDivergences builds the whole table under every backend,
+// records the entry count, and counts, for each non-dominance backend,
+// the cells it answers differently from dominance: a different result
+// kind, or both red with different declaring classes (the latter
+// cannot happen for C3 — oraclefuzz -cross asserts it — but is counted
+// rather than assumed).
+func semanticsDivergences(r *Row, g *chg.Graph) {
+	dom := core.BuildSemTable(core.NewKernel(g), 0)
+	r.Entries = dom.Entries()
+	r.DivergentCells = map[string]int{}
+	for _, b := range semanticsBackends[1:] {
+		t := core.BuildSemTable(b.new(g), 0)
 		n := 0
 		for c := 0; c < g.NumClasses(); c++ {
 			for _, m := range dom.Members(chg.ClassID(c)) {
@@ -104,13 +98,11 @@ func SemanticsDivergences(g *chg.Graph) map[core.SemanticsID]int {
 				}
 			}
 		}
-		out[s.ID] = n
+		r.DivergentCells[string(b.id)] = n
 	}
-	return out
 }
 
-// RunE16 prints the per-backend build times and divergence counts.
-func RunE16(w io.Writer) error {
+func printE16(w io.Writer, rows []*Row) {
 	fmt.Fprintln(w, "Resolution backends through one cache path: whole-table build under")
 	fmt.Fprintln(w, "the Figure 8 dominance kernel, C3/MRO linearization, and the g++")
 	fmt.Fprintln(w, "2.7.2.1 breadth-first baseline — all filling the same packed-cell")
@@ -118,20 +110,10 @@ func RunE16(w io.Writer) error {
 	fmt.Fprintln(w)
 
 	t := newTable("hierarchy", "|N|", "|M|", "entries", "dominance", "c3", "gxx", "c3≠dom", "gxx≠dom")
-	for _, cfg := range SemanticsTableConfigs() {
-		g := cfg.Make()
-		times := map[string]time.Duration{}
-		var entries int
-		for _, s := range SemanticsBackends() {
-			mk := s.New
-			times[s.Name] = timePerOp(20*time.Millisecond, func() {
-				entries = core.BuildSemTable(mk(g), 0).Entries()
-			})
-		}
-		div := SemanticsDivergences(g)
-		t.add(cfg.Name, g.NumClasses(), g.NumMemberNames(), entries,
-			times["dominance"], times["c3"], times["gxx"],
-			div[core.SemC3], div[core.SemGxx])
+	for _, r := range rows {
+		t.add(r.Name, r.Classes, r.MemberNames, r.Entries,
+			r.per("dominance"), r.per("c3"), r.per("gxx"),
+			r.DivergentCells["c3"], r.DivergentCells["gxx"])
 	}
 	t.write(w)
 
@@ -140,5 +122,4 @@ func RunE16(w io.Writer) error {
 	fmt.Fprintln(w, "from dominance (different kind; red picks never differ — the dominant")
 	fmt.Fprintln(w, "definition heads every monotonic linearization). The conflict shape")
 	fmt.Fprintln(w, "is the regime the dominance-vs-mro-divergence lint rule patrols.")
-	return nil
 }
