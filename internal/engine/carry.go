@@ -43,11 +43,6 @@ var (
 // parallel path onto small snapshots.
 var carryParallelFloor = 1 << 20
 
-// carryCopyStripe is the class-range granule workers steal during the
-// parallel bulk copy: big enough to amortize the counter bump, small
-// enough to balance uneven row costs.
-const carryCopyStripe = 1024
-
 // ConeEntry is one member name's invalidation cone, as computed by
 // incremental.Workspace.InvalidationConeSince: the classes whose
 // entries for Member may have changed since the predecessor snapshot.
@@ -173,8 +168,8 @@ func carriedSnapshot(name string, version uint64, g *chg.Graph, opts []core.Opti
 	if prev == nil || !carryCompatible(prev.Graph(), g) {
 		return nil, false
 	}
-	oldN, oldM := prev.Graph().NumClasses(), prev.numMembers
-	newM := g.NumMemberNames()
+	oldN, oldM := prev.numClasses, prev.numMembers
+	newN, newM := g.NumClasses(), g.NumMemberNames()
 
 	// Validate the cone's member ids once, up front, and note whether
 	// the members are pairwise distinct: distinct members touch
@@ -212,7 +207,7 @@ func carriedSnapshot(name string, version uint64, g *chg.Graph, opts []core.Opti
 	// pins the closure's edges), so an edit at (X, m) can change
 	// exactly ({X} ∪ descendants(X)) × {m} entries under each of them.
 	colWorkers := 1
-	if total := g.NumClasses() * newM; workers > 1 && total >= carryParallelFloor {
+	if total := newN * newM; workers > 1 && total >= carryParallelFloor {
 		colWorkers = workers
 	}
 	clearWorkers := colWorkers
@@ -223,9 +218,9 @@ func carriedSnapshot(name string, version uint64, g *chg.Graph, opts []core.Opti
 	perCol := make([]ColumnCarry, len(prev.cols))
 	invalidated := 0
 	for i, pcol := range prev.cols {
-		cc := make([]uint64, g.NumClasses()*newM)
-		carried := carryCopy(pcol.cells, cc, oldN, oldM, newM, colWorkers)
-		inval := coneClear(cc, cone, oldN, newM, clearWorkers)
+		cc := make([]uint64, newN*newM)
+		carried := carryCopy(pcol.cells, cc, oldN, newN, oldM, colWorkers)
+		inval := coneClear(cc, cone, oldN, newN, clearWorkers)
 		cells[i] = CellColumn{ID: pcol.id, Cells: cc}
 		perCol[i] = ColumnCarry{ID: pcol.id, Carried: carried - inval, Invalidated: inval}
 		invalidated += inval
@@ -282,22 +277,20 @@ func carriedSnapshot(name string, version uint64, g *chg.Graph, opts []core.Opti
 }
 
 // carryCopy copies every nonzero predecessor cell into the successor
-// column (rows re-strided from oldM to newM words) and returns the
-// count, with workers stealing carryCopyStripe-sized class ranges.
-// Rows are partitioned by class, so workers write disjoint cells.
-// Source reads are atomic — the predecessor is still serving.
-func carryCopy(src, cells []uint64, oldN, oldM, newM, workers int) int {
-	stripes := (oldN + carryCopyStripe - 1) / carryCopyStripe
-	counts := make([]int, par.Workers(stripes, workers))
-	par.For(stripes, workers, func(w, i int) {
+// column and returns the count, with workers stealing whole member
+// columns: the predecessor's oldN-word column m lands at the start of
+// the successor's column m, newN words apart when classes were added.
+// Columns are disjoint, so workers write disjoint cells. Source reads
+// are atomic — the predecessor is still serving.
+func carryCopy(src, cells []uint64, oldN, newN, oldM, workers int) int {
+	counts := make([]int, par.Workers(oldM, workers))
+	par.For(oldM, workers, func(w, m int) {
+		scol, dst := src[m*oldN:(m+1)*oldN], cells[m*newN:]
 		n := 0
-		for c := i * carryCopyStripe; c < min((i+1)*carryCopyStripe, oldN); c++ {
-			srow, dst := src[c*oldM:(c+1)*oldM], cells[c*newM:]
-			for m := range srow {
-				if v := atomic.LoadUint64(&srow[m]); v != 0 {
-					dst[m] = v
-					n++
-				}
+		for c := range scol {
+			if v := atomic.LoadUint64(&scol[c]); v != 0 {
+				dst[c] = v
+				n++
 			}
 		}
 		counts[w] += n
@@ -305,30 +298,28 @@ func carryCopy(src, cells []uint64, oldN, oldM, newM, workers int) int {
 	return sum(counts)
 }
 
-// coneClear zeroes the invalidation cone — for each entry, the
-// member's cells at every cone class — and returns how many live cells
-// it cleared, with workers stealing whole entries. A bulk edit batch
-// arrives as one entry per edited member (InvalidationConeSince unions
-// the batch's cones per member first) and distinct members own
-// disjoint cells, so the caller passes workers > 1 only when the
-// entries' members are pairwise distinct. Entries whose member the
-// predecessor didn't know (ce.Member ≥ oldM) clear nothing: the copy
-// never wrote those cells.
-func coneClear(cells []uint64, cone []ConeEntry, oldN, newM, workers int) int {
+// coneClear zeroes the invalidation cone — for each entry, the cone
+// classes' cells inside the member's one contiguous column — and
+// returns how many live cells it cleared, with workers stealing whole
+// entries. A bulk edit batch arrives as one entry per edited member
+// (InvalidationConeSince unions the batch's cones per member first)
+// and distinct members own disjoint columns, so the caller passes
+// workers > 1 only when the entries' members are pairwise distinct.
+// Cone classes the predecessor didn't know (c ≥ oldN), and entries
+// whose member it didn't know, clear nothing: the copy never wrote
+// those cells.
+func coneClear(cells []uint64, cone []ConeEntry, oldN, newN, workers int) int {
 	counts := make([]int, par.Workers(len(cone), workers))
 	par.For(len(cone), workers, func(w, i int) {
 		ce := cone[i]
 		if ce.Classes == nil {
 			return
 		}
-		m := int(ce.Member)
+		col := cells[int(ce.Member)*newN:][:oldN]
 		n := 0
 		ce.Classes.ForEach(func(c int) {
-			if c >= oldN {
-				return
-			}
-			if j := c*newM + m; cells[j] != 0 {
-				cells[j] = 0
+			if c < oldN && col[c] != 0 {
+				col[c] = 0
 				n++
 			}
 		})

@@ -318,10 +318,12 @@ func TestSyncRepublishCarryStress(t *testing.T) {
 	diffAgainstColdBuild(t, "final", snap, opts)
 }
 
-// The parallel carry path (striped copy + per-entry cone clear) must be
-// cell-for-cell identical to the serial path. carryParallelFloor is
-// forced down so small snapshots take the striped code; run under -race
-// to catch stripe overlap.
+// The parallel carry path (per-member-column copy + per-entry cone
+// clear) must be cell-for-cell identical to the serial path.
+// carryParallelFloor is forced down so small snapshots take the
+// parallel code; odd rounds also add a class and intern a new member
+// name, so the copy re-strides the class axis and grows the member
+// axis. Run under -race to catch overlapping columns.
 func TestParallelCarryMatchesSerial(t *testing.T) {
 	defer func(old int) { carryParallelFloor = old }(carryParallelFloor)
 	carryParallelFloor = 1
@@ -344,6 +346,19 @@ func TestParallelCarryMatchesSerial(t *testing.T) {
 			for k := rng.Intn(4) + 1; k > 0; k-- {
 				randomMemberEdit(rng, w, ids, names)
 			}
+			grow := round%2 == 1
+			if grow {
+				id, err := w.AddClass(fmt.Sprintf("N%d", round), []incremental.BaseDecl{{Class: ids[rng.Intn(len(ids))], Virtual: rng.Float64() < 0.4}})
+				if err != nil {
+					t.Fatal(err)
+				}
+				ids = append(ids, id)
+				name := fmt.Sprintf("n%d", round)
+				if err := w.AddMember(ids[rng.Intn(len(ids))], chg.Member{Name: name, Kind: chg.Method}); err != nil {
+					t.Fatal(err)
+				}
+				names = append(names, name)
+			}
 			snap, err = b.Sync()
 			if err != nil {
 				t.Fatal(err)
@@ -351,6 +366,9 @@ func TestParallelCarryMatchesSerial(t *testing.T) {
 			st := snap.Carry()
 			if workers > 1 && st.Workers < 2 {
 				t.Fatalf("workers=%d round %d: parallel path not taken, stats %+v", workers, round, st)
+			}
+			if grow && st.Carried == 0 {
+				t.Fatalf("workers=%d round %d: growth round carried nothing, stats %+v", workers, round, st)
 			}
 			diffAgainstColdBuild(t, fmt.Sprintf("workers=%d round %d", workers, round), snap, []core.Option{core.WithStaticRule()})
 		}

@@ -411,3 +411,37 @@ func TestSnapshotFromPartsColumns(t *testing.T) {
 		}
 	}
 }
+
+// TestColumnsAreMemberMajor pins the cell layout without timing:
+// resolving one member name at every class of a cold snapshot must
+// fill exactly that member's contiguous run of NumClasses words in
+// every backend's column, and nothing outside it. Fills, devirt's
+// cone walks and carry's cone clear stay inside one member's run only
+// because of this contiguity.
+func TestColumnsAreMemberMajor(t *testing.T) {
+	g := hiergen.Random(hiergen.RandomConfig{
+		Classes: 40, MaxBases: 3, VirtualProb: 0.35,
+		MemberNames: 5, MemberProb: 0.2, Seed: 11,
+	})
+	n := g.NumClasses()
+	for m := 0; m < g.NumMemberNames(); m++ {
+		snap := NewSnapshot(g, core.WithSemantics(core.SemC3))
+		for _, id := range snap.Semantics() {
+			for c := 0; c < n; c++ {
+				snap.LookupSem(id, chg.ClassID(c), chg.MemberID(m))
+			}
+		}
+		cols := snap.CopyColumns()
+		if len(cols) != 2 {
+			t.Fatalf("snapshot serves %d columns, want dominance and c3", len(cols))
+		}
+		for _, col := range cols {
+			for i, w := range col.Cells {
+				if inRun := i/n == m; inRun != (w != 0) {
+					t.Fatalf("member %d, %s column: word %d = %#x, want nonzero exactly in [%d, %d)",
+						m, col.ID, i, w, m*n, (m+1)*n)
+				}
+			}
+		}
+	}
+}

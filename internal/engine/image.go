@@ -20,7 +20,8 @@ import (
 )
 
 // CellColumn is one resolution backend's dense cell array, in the
-// snapshot's row-major (class × member) layout. The dominance column
+// snapshot's member-major layout: member m's cells are the
+// NumClasses contiguous words from m·NumClasses. The dominance column
 // is always present and always first.
 type CellColumn struct {
 	ID    core.SemanticsID
@@ -47,13 +48,13 @@ func (s *Snapshot) CopyColumns() []CellColumn {
 
 // WarmAll fills every (class, member) cell of every backend column —
 // the eager warm-up an image save performs so the persisted cache
-// answers the whole table without a single miss. Safe for concurrent
-// use (it is just lookups).
+// answers the whole table without a single miss. It walks member
+// outer, class inner, so each member's fills stay inside its one
+// contiguous column. Safe for concurrent use (it is just lookups).
 func (s *Snapshot) WarmAll() {
-	g := s.k.Graph()
 	for _, col := range s.cols {
-		for c := 0; c < g.NumClasses(); c++ {
-			for m := 0; m < s.numMembers; m++ {
+		for m := 0; m < s.numMembers; m++ {
+			for c := 0; c < s.numClasses; c++ {
 				s.lookup(col, chg.ClassID(c), chg.MemberID(m))
 			}
 		}
@@ -63,11 +64,11 @@ func (s *Snapshot) WarmAll() {
 // NewSnapshotFromParts assembles a standalone snapshot (version 1, no
 // engine) around externally produced cache columns — the image
 // loader's constructor. The columns must be dominance-first, each
-// backend at most once, each of length NumClasses×NumMemberNames,
-// packed over pool; they are adopted without copying, so mapped
-// columns serve from the mapped bytes. trackPaths/staticRule must
-// match the flags the cells were resolved under (the image header
-// records them).
+// backend at most once, each of length NumClasses×NumMemberNames in
+// CellColumn's member-major layout, packed over pool; they are
+// adopted without copying, so mapped columns serve from the mapped
+// bytes. trackPaths/staticRule must match the flags the cells were
+// resolved under (the image header records them).
 func NewSnapshotFromParts(g *chg.Graph, pool *core.Pool, cols []CellColumn, trackPaths, staticRule bool) (*Snapshot, error) {
 	if g == nil {
 		return nil, fmt.Errorf("engine: snapshot from parts: nil graph")

@@ -26,26 +26,29 @@ const shardCount = 32
 // never changes once published, so readers holding one are isolated
 // from later engine updates.
 //
-// Each backend's cache is one column, a dense numClasses×numMemberNames
-// array of packed core.Cell words, read and written with sync/atomic
-// word operations: a warm hit is one array index and one atomic word
-// load — no locking, no hashing, no pointer chase, and no per-result
-// allocation, since the word itself encodes the common results and
-// rare payloads live interned in the snapshot's pool. The zero word
-// means "not filled yet" (core never encodes a result as zero).
-// Writers fill misses under a per-member-name shard lock; each cell is
-// computed and published exactly once. The slice is plain []uint64
-// rather than []atomic.Uint64 so that carry-over can stage a
-// not-yet-published successor with ordinary stores (publication
-// through the engine's mutex provides the happens-before edge) instead
-// of paying an atomic read-modify-write per carried cell.
+// Each backend's cache is one column, a dense member-major array of
+// numMemberNames×numClasses packed core.Cell words (see cell), read
+// and written with sync/atomic word operations: a warm hit is one
+// array index and one atomic word load — no locking, no hashing, no
+// pointer chase, and no per-result allocation, since the word itself
+// encodes the common results and rare payloads live interned in the
+// snapshot's pool. The zero word means "not filled yet" (core never
+// encodes a result as zero). Writers fill misses under a
+// per-member-name shard lock; each cell is computed and published
+// exactly once. The slice is plain []uint64 rather than
+// []atomic.Uint64 so that carry-over can stage a not-yet-published
+// successor with ordinary stores (publication through the engine's
+// mutex provides the happens-before edge) instead of paying an atomic
+// read-modify-write per carried cell.
 type Snapshot struct {
 	name    string
 	version uint64
 	k       *core.Kernel
 	pool    *core.Pool
 
-	numMembers int
+	// numClasses and numMembers bound every column's (class, member)
+	// index.
+	numClasses, numMembers int
 
 	// cols holds one cache column per backend the snapshot serves:
 	// dominance (the kernel itself) first, then every backend
@@ -67,13 +70,14 @@ type Snapshot struct {
 	invalSinceWeigh int
 }
 
-// column is one backend's cache: its cells, the shard locks its misses
-// fill under, and its eager table, built on first use. Every column
-// follows the same discipline — atomic warm reads, per-member shard
-// locks, zero word = unfilled — because Figure 8's lookup[C,m] reads
-// only entries for the same m at C's bases, whatever the backend; so
-// lock-free hits, fill-once, immutability after publish and warm carry
-// across republishes hold per backend.
+// column is one backend's cache: its cells, one contiguous run of
+// numClasses words per member name (Snapshot.cell), the shard locks
+// its misses fill under, and its eager table, built on first use.
+// Every column follows the same discipline — atomic warm reads,
+// per-member shard locks, zero word = unfilled — because Figure 8's
+// lookup[C,m] reads only entries for the same m at C's bases, whatever
+// the backend; so lock-free hits, fill-once, immutability after
+// publish and warm carry across republishes hold per backend.
 type column struct {
 	id        core.SemanticsID
 	sem       core.Semantics
@@ -101,8 +105,8 @@ func NewSnapshot(g *chg.Graph, opts ...core.Option) *Snapshot {
 // without copying. nil allocates zeroed (cold) columns.
 func newSnapshot(name string, version uint64, k *core.Kernel, cells []CellColumn) (*Snapshot, error) {
 	g := k.Graph()
-	numM := g.NumMemberNames()
-	size := g.NumClasses() * numM
+	numN, numM := g.NumClasses(), g.NumMemberNames()
+	size := numN * numM
 	ids := append([]core.SemanticsID{core.SemDominance}, k.ExtraSemantics()...)
 	if cells == nil {
 		for _, id := range ids {
@@ -124,6 +128,7 @@ func newSnapshot(name string, version uint64, k *core.Kernel, cells []CellColumn
 		version:    version,
 		k:          k,
 		pool:       k.Pool(),
+		numClasses: numN,
 		numMembers: numM,
 		cols:       cols,
 	}, nil
@@ -169,12 +174,22 @@ func (s *Snapshot) Lookup(c chg.ClassID, m chg.MemberID) core.Result {
 	return s.lookup(s.cols[0], c, m)
 }
 
+// cell returns the index of (c, m)'s word in every column of s.
+// Columns are member-major: member m's cells are the numClasses
+// contiguous words from m·numClasses. Figure 8's dataflow splits by
+// member name, so a fill's recursion over bases, devirt's walk over a
+// cone and carry's cone clear each stay inside one member's
+// contiguous run.
+func (s *Snapshot) cell(c chg.ClassID, m chg.MemberID) int {
+	return int(m)*s.numClasses + int(c)
+}
+
 // lookup is Lookup against any column.
 func (s *Snapshot) lookup(col *column, c chg.ClassID, m chg.MemberID) core.Result {
-	if !s.k.Graph().Valid(c) || m < 0 || int(m) >= s.numMembers {
+	if c < 0 || int(c) >= s.numClasses || m < 0 || int(m) >= s.numMembers {
 		return core.UndefinedResult()
 	}
-	if w := atomic.LoadUint64(&col.cells[int(c)*s.numMembers+int(m)]); w != 0 {
+	if w := atomic.LoadUint64(&col.cells[s.cell(c, m)]); w != 0 {
 		return s.pool.View(core.Cell(w))
 	}
 	st := scratchPool.Get().(*core.ScratchStack)
@@ -212,7 +227,7 @@ func (s *Snapshot) fill(col *column, c chg.ClassID, m chg.MemberID, st *core.Scr
 		depth := 0
 		var lookup func(x chg.ClassID) core.Result
 		lookup = func(x chg.ClassID) core.Result {
-			i := int(x)*s.numMembers + int(m)
+			i := s.cell(x, m)
 			if w := atomic.LoadUint64(&col.cells[i]); w != 0 {
 				// Already published — possibly by a writer ahead of us
 				// while we waited on the lock.
@@ -227,7 +242,7 @@ func (s *Snapshot) fill(col *column, c chg.ClassID, m chg.MemberID, st *core.Scr
 	}
 	var lookup func(x chg.ClassID) core.Result
 	lookup = func(x chg.ClassID) core.Result {
-		i := int(x)*s.numMembers + int(m)
+		i := s.cell(x, m)
 		if w := atomic.LoadUint64(&col.cells[i]); w != 0 {
 			return s.pool.View(core.Cell(w))
 		}

@@ -15,11 +15,11 @@
 // miss, with the atomic store landing in the mapping's private
 // copy-on-write pages.
 //
-// # File layout (version 1)
+// # File layout (version 2)
 //
 //	offset  size  field
 //	     0     8  magic "cppLkImg"
-//	     8     4  format version (1)
+//	     8     4  format version (2)
 //	    12     4  flags: bit0 TrackPaths, bit1 StaticRule
 //	    16     4  byte-order marker 0x01020304, written natively
 //	    20     4  number of classes
@@ -35,12 +35,14 @@
 // member ids are 16-bit — see chg.MaxMemberNames), backend-id table,
 // the three pool arenas (records / class-id arena / def arena), and
 // the cell columns (dominance first, each NumClasses×NumMemberNames
-// u64 words).
+// u64 words). Cell columns are member-major, the engine's in-memory
+// layout: member m's NumClasses words are contiguous from
+// m·NumClasses.
 //
 // # Versioning and portability
 //
 // The version field gates layout: readers accept exactly the versions
-// they know (currently 1) and reject anything else with a
+// they know (currently 2) and reject anything else with a
 // *VersionError — there is no in-place migration, a stale image is
 // simply rebuilt from source. Integers are stored in the writing
 // machine's byte order so that loading can alias rather than decode;
@@ -61,7 +63,7 @@ const (
 	// Magic identifies a snapshot image file.
 	Magic = "cppLkImg"
 	// Version is the current format version.
-	Version uint32 = 1
+	Version uint32 = 2
 
 	byteOrderMark uint32 = 0x01020304
 
@@ -83,7 +85,7 @@ const (
 	secPoolRecs    uint32 = 5 // []int32 payload records (core.PoolImage.Recs)
 	secPoolIDs     uint32 = 6 // []chg.ClassID arena (core.PoolImage.IDs)
 	secPoolDefs    uint32 = 7 // []core.Def arena (core.PoolImage.Defs)
-	secCells       uint32 = 8 // numColumns × numClasses × numMemberNames u64 cells
+	secCells       uint32 = 8 // numColumns × numMemberNames × numClasses u64 cells
 )
 
 const numSections = 8
@@ -195,7 +197,7 @@ func parseHeader(data []byte) (*header, error) {
 // vouched for the bytes. O(sections) work.
 func parseSections(data []byte, h *header) (map[uint32]section, error) {
 	if h.sectionCount != numSections {
-		return nil, formatErrf("version-1 image must have %d sections, header says %d", numSections, h.sectionCount)
+		return nil, formatErrf("version-%d image must have %d sections, header says %d", Version, numSections, h.sectionCount)
 	}
 	tableEnd := headerSize + int(h.sectionCount)*sectionEntrySize
 	if len(data) < tableEnd {

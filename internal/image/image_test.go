@@ -198,12 +198,16 @@ func TestImageTypedErrors(t *testing.T) {
 		}
 	})
 	t.Run("version", func(t *testing.T) {
-		b := clone()
-		nativeOrder.PutUint32(b[8:], Version+7)
-		_, err := Load(b)
-		var ve *VersionError
-		if !errors.As(err, &ve) || ve.Got != Version+7 {
-			t.Fatalf("got %v, want *VersionError", err)
+		// Version 1 stored the same cell words class-major; reading one
+		// as member-major would serve wrong answers, so it is rejected.
+		for _, v := range []uint32{1, Version + 7} {
+			b := clone()
+			nativeOrder.PutUint32(b[8:], v)
+			_, err := Load(b)
+			var ve *VersionError
+			if !errors.As(err, &ve) || *ve != (VersionError{Got: v, Want: 2}) {
+				t.Fatalf("version %d: got %v, want *VersionError{Got: %d, Want: 2}", v, err, v)
+			}
 		}
 	})
 	t.Run("byte-order", func(t *testing.T) {

@@ -11,12 +11,12 @@ import (
 	"cpplookup/internal/engine"
 )
 
-// Bytes serializes the snapshot's current warm state into a version-1
-// image. Consistency under concurrent fills comes from ordering: the
-// cell columns are copied atomically FIRST and the pool image is taken
-// after, so (the pool being append-only) every payload any copied cell
-// references is covered. Cells not yet filled are written as zero
-// words and fill lazily after a load.
+// Bytes serializes the snapshot's current warm state into an image of
+// the current Version. Consistency under concurrent fills comes from
+// ordering: the cell columns are copied atomically FIRST and the pool
+// image is taken after, so (the pool being append-only) every payload
+// any copied cell references is covered. Cells not yet filled are
+// written as zero words and fill lazily after a load.
 //
 // Graphs whose member-name universe exceeds chg.MaxMemberNames cannot
 // be imaged (the topology section stores 16-bit member ids) and return
