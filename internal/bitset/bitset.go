@@ -1,12 +1,13 @@
 // Package bitset provides a dense bit-set over small integer universes.
 //
-// The member-lookup engine (internal/core) needs a constant-time test
-// "is class V a virtual base of class L?" (Lemma 4 of the paper). That
-// test is backed by a transitive-closure matrix of bit sets computed
-// once per hierarchy, exactly as the paper suggests in Section 5
-// ("we can construct a boolean matrix using a transitive closure -like
-// algorithm"). The same sets also serve the general base-class closure
-// used by the frontend and the slicing application.
+// Sets back the class-hierarchy relations that are read whole: the
+// base-class closure of internal/chg and its transpose, built on first
+// use, the invalidation cones of internal/incremental, and the
+// streaming table build's member matrices. The Lemma-4 test "is class
+// V a virtual base of class L?" is not one of them: where Section 5
+// suggests a boolean matrix built by a transitive-closure-like
+// algorithm, internal/chg binary-searches sorted per-class lists, which
+// stay a few entries long where the matrix costs |N|²/8 bytes.
 package bitset
 
 import (
@@ -37,8 +38,8 @@ func (s *Set) Len() int { return s.n }
 
 // Grow extends the universe to {0, …, n-1}, keeping every element.
 // Shrinking is not supported: a smaller n is ignored. Growing in place
-// lets a long-lived owner (internal/incremental's workspace) keep one
-// universe across class additions instead of reallocating every set.
+// lets caller-owned scratch (the visited set chg.Graph.EachDescendant
+// takes) be sized by its first use and reused after.
 func (s *Set) Grow(n int) {
 	if n <= s.n {
 		return
@@ -115,38 +116,6 @@ func (s *Set) UnionWith(t *Set) bool {
 	return changed
 }
 
-// UnionInto ors every source set into dst in one word-major pass and
-// reports whether dst changed. It is the batch form of UnionWith for
-// the bulk-edit carry path: a batch of edits touching the same member
-// contributes one destination traversal total, not one per edit, and
-// each destination word is written at most once. All sets must share a
-// universe size. A nil source is skipped, so callers can pass
-// optionally-present cone sets without filtering first.
-func UnionInto(dst *Set, srcs ...*Set) bool {
-	changed := false
-	for _, t := range srcs {
-		if t == nil {
-			continue
-		}
-		dst.sameUniverse(t)
-	}
-	for i := range dst.words {
-		w := dst.words[i]
-		nw := w
-		for _, t := range srcs {
-			if t == nil {
-				continue
-			}
-			nw |= t.words[i]
-		}
-		if nw != w {
-			dst.words[i] = nw
-			changed = true
-		}
-	}
-	return changed
-}
-
 // ClearWords zeroes the backing words in [lo, hi) — elements
 // [64·lo, 64·hi) leave the set. It is the range form of Clear used by
 // reusable chunk-local matrices (internal/core's streaming builder)
@@ -163,18 +132,6 @@ func (s *Set) ClearWords(lo, hi int) {
 	for i := lo; i < hi; i++ {
 		s.words[i] = 0
 	}
-}
-
-// CountAnd returns |s ∩ t| without materialising the intersection —
-// the word-parallel "how many cached entries does this cone hit"
-// measure of the incremental invalidation path.
-func (s *Set) CountAnd(t *Set) int {
-	s.sameUniverse(t)
-	c := 0
-	for i, w := range s.words {
-		c += bits.OnesCount64(w & t.words[i])
-	}
-	return c
 }
 
 // IntersectWith removes from s every element not in t.
@@ -247,21 +204,6 @@ func (s *Set) ForEach(f func(int)) {
 			w &= w - 1
 		}
 	}
-}
-
-// ForEachUntil calls f for each element in increasing order until f
-// returns false; it reports whether the iteration ran to completion.
-func (s *Set) ForEachUntil(f func(int) bool) bool {
-	for wi, w := range s.words {
-		for w != 0 {
-			b := bits.TrailingZeros64(w)
-			if !f(wi*wordBits + b) {
-				return false
-			}
-			w &= w - 1
-		}
-	}
-	return true
 }
 
 // String renders the set as "{a, b, c}".

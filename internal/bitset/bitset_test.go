@@ -315,85 +315,6 @@ func TestMatrixRect(t *testing.T) {
 	}
 }
 
-func TestUnionInto(t *testing.T) {
-	dst := New(300)
-	dst.Add(0)
-	dst.Add(299)
-	a, b, c := New(300), New(300), New(300)
-	a.Add(1)
-	a.Add(64)
-	b.Add(64)
-	b.Add(150)
-	c.Add(299) // already present
-	if !UnionInto(dst, a, b, nil, c) {
-		t.Error("UnionInto should report change")
-	}
-	for _, i := range []int{0, 1, 64, 150, 299} {
-		if !dst.Has(i) {
-			t.Errorf("union missing %d", i)
-		}
-	}
-	if got := dst.Count(); got != 5 {
-		t.Errorf("Count = %d, want 5", got)
-	}
-	if UnionInto(dst, a, b, c) {
-		t.Error("second UnionInto should report no change")
-	}
-	if UnionInto(dst) {
-		t.Error("UnionInto with no sources should report no change")
-	}
-	if UnionInto(dst, nil, nil) {
-		t.Error("UnionInto with nil sources should report no change")
-	}
-}
-
-func TestUnionIntoMismatchPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("UnionInto with mismatched universes did not panic")
-		}
-	}()
-	UnionInto(New(64), New(64), New(65))
-}
-
-// Property: UnionInto(dst, s1..sk) membership equals the fold of
-// sequential UnionWith calls, and the changed report agrees.
-func TestQuickUnionIntoMatchesSequential(t *testing.T) {
-	rng := rand.New(rand.NewSource(42))
-	for iter := 0; iter < 200; iter++ {
-		n := 1 + rng.Intn(400)
-		k := rng.Intn(5)
-		dst := New(n)
-		for i := 0; i < n/4; i++ {
-			dst.Add(rng.Intn(n))
-		}
-		srcs := make([]*Set, k)
-		for j := range srcs {
-			if rng.Intn(6) == 0 {
-				continue // leave a nil hole
-			}
-			s := New(n)
-			for i := 0; i < rng.Intn(n); i++ {
-				s.Add(rng.Intn(n))
-			}
-			srcs[j] = s
-		}
-		seq := dst.Clone()
-		seqChanged := false
-		for _, s := range srcs {
-			if s != nil && seq.UnionWith(s) {
-				seqChanged = true
-			}
-		}
-		if got := UnionInto(dst, srcs...); got != seqChanged {
-			t.Fatalf("iter %d: changed = %v, sequential = %v", iter, got, seqChanged)
-		}
-		if !dst.Equal(seq) {
-			t.Fatalf("iter %d: UnionInto diverges from sequential UnionWith", iter)
-		}
-	}
-}
-
 func TestClearWords(t *testing.T) {
 	s := New(300)
 	for i := 0; i < 300; i++ {
@@ -444,21 +365,5 @@ func TestQuickClearWords(t *testing.T) {
 				t.Fatalf("iter %d: Has(%d) = %v, want %v (lo=%d hi=%d)", iter, i, s.Has(i), want, lo, hi)
 			}
 		}
-	}
-}
-
-func BenchmarkUnionInto(b *testing.B) {
-	dst := New(1 << 17)
-	srcs := make([]*Set, 8)
-	for j := range srcs {
-		srcs[j] = New(1 << 17)
-		for i := j; i < 1<<17; i += 7 + j {
-			srcs[j].Add(i)
-		}
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		dst.Clear()
-		UnionInto(dst, srcs...)
 	}
 }

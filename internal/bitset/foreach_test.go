@@ -1,66 +1,6 @@
 package bitset
 
-import (
-	"math/rand"
-	"testing"
-)
-
-// TestUnionIntoAliased quick-checks UnionInto when dst is also a
-// source — the aliasing the PR9 cone-union path can produce when a
-// member's own cone set is unioned with its peers'. Property, over
-// seeded random sets: an aliased dst contributes nothing new
-// (dst|dst == dst), reports changed only when some *other* source
-// added bits, and the result equals sequential UnionWith of the
-// non-dst sources.
-func TestUnionIntoAliased(t *testing.T) {
-	rng := rand.New(rand.NewSource(1234))
-	randomSet := func(n, bits int) *Set {
-		s := New(n)
-		for i := 0; i < bits; i++ {
-			s.Add(rng.Intn(n))
-		}
-		return s
-	}
-	for trial := 0; trial < 300; trial++ {
-		n := 1 + rng.Intn(700)
-		a := randomSet(n, rng.Intn(2*n))
-		b := randomSet(n, rng.Intn(n))
-
-		// Pure self-union: a no-op that must report unchanged.
-		selfCopy := a.Clone()
-		if UnionInto(a, a) {
-			t.Fatalf("trial %d: UnionInto(a, a) reported a change", trial)
-		}
-		if !a.Equal(selfCopy) {
-			t.Fatalf("trial %d: UnionInto(a, a) mutated a", trial)
-		}
-
-		// dst aliased among other sources, in either position.
-		want := a.Clone()
-		wantChanged := want.UnionWith(b)
-		srcs := [][]*Set{{a, b}, {b, a}, {a, b, a, nil}}
-		for si, src := range srcs {
-			got := a.Clone()
-			// Rebuild the alias: the dst pointer itself must appear in
-			// the source list.
-			aliased := make([]*Set, len(src))
-			for i, s := range src {
-				switch s {
-				case a:
-					aliased[i] = got
-				default:
-					aliased[i] = s
-				}
-			}
-			if changed := UnionInto(got, aliased...); changed != wantChanged {
-				t.Fatalf("trial %d src %d: changed = %v, want %v", trial, si, changed, wantChanged)
-			}
-			if !got.Equal(want) {
-				t.Fatalf("trial %d src %d: aliased UnionInto diverged from UnionWith", trial, si)
-			}
-		}
-	}
-}
+import "testing"
 
 // benchSet builds an n-element universe with every k-th bit set.
 func benchSet(n, stride int) *Set {
@@ -71,16 +11,13 @@ func benchSet(n, stride int) *Set {
 	return s
 }
 
-// BenchmarkBitsetForEach measures full iteration against ForEachUntil
-// early exits at the first element and at the halfway point — the
-// cone-walk access patterns of the carry and devirt paths (drain the
-// whole cone vs stop at the first hit).
+// BenchmarkBitsetForEach measures full iteration of a dense and a
+// sparse set — the cone-walk access pattern of the carry path, which
+// drains a whole cone.
 func BenchmarkBitsetForEach(b *testing.B) {
 	const n = 1 << 16
 	for _, stride := range []int{1, 16} {
 		s := benchSet(n, stride)
-		count := s.Count()
-		half := count / 2
 		name := map[int]string{1: "dense", 16: "sparse"}[stride]
 
 		b.Run(name+"/full", func(b *testing.B) {
@@ -90,22 +27,6 @@ func BenchmarkBitsetForEach(b *testing.B) {
 				if sum == -1 {
 					b.Fatal("impossible")
 				}
-			}
-		})
-		b.Run(name+"/until-first", func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if s.ForEachUntil(func(e int) bool { return false }) {
-					b.Fatal("early exit did not fire")
-				}
-			}
-		})
-		b.Run(name+"/until-half", func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				seen := 0
-				s.ForEachUntil(func(e int) bool {
-					seen++
-					return seen < half
-				})
 			}
 		})
 	}

@@ -2,7 +2,7 @@ package chg
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // Builder accumulates classes, inheritance edges and member
@@ -118,7 +118,7 @@ func (b *Builder) MemberName(name string) MemberID {
 
 // Build validates the accumulated hierarchy and returns the immutable
 // Graph: it checks acyclicity, fixes the topological order, and
-// computes the base and virtual-base closures.
+// computes every class's virtual-base list.
 func (b *Builder) Build() (*Graph, error) {
 	if b.err != nil {
 		return nil, b.err
@@ -169,19 +169,7 @@ func (b *Builder) Build() (*Graph, error) {
 		return nil, fmt.Errorf("chg: inheritance graph has a cycle through %s", b.cycleWitness(indeg))
 	}
 
-	// Closures. At or below DenseClosureLimit the three dense matrices
-	// are materialized now, before the Graph escapes, so every accessor
-	// reads them without synchronization (byte-identical behavior to
-	// the original eager build). Above the limit only the sparse
-	// virtual-base lists are computed — the one closure the lookup
-	// kernel's hot path needs — and the matrices wait for their first
-	// accessor (see Graph.denseBases).
-	if n <= DenseClosureLimit {
-		g.closOnce.Do(g.materializeBaseClosures)
-		g.descOnce.Do(g.materializeDescendants)
-	} else {
-		g.vlists = buildVirtualLists(g)
-	}
+	g.vlists = buildVirtualLists(g)
 	// Builder must not be reused: the Graph owns the slices now.
 	b.classes = nil
 	b.byName = nil
@@ -198,12 +186,18 @@ func (b *Builder) MustBuild() *Graph {
 	return g
 }
 
-// buildVirtualLists runs the virtual-bases recurrence of
-// materializeBaseClosures over sorted per-class id lists instead of
-// dense rows: VirtualBases(D) = ∪_X direct(D) VirtualBases(X) ∪
-// {X | edge X→D virtual}. On realistic hierarchies the lists stay a
-// handful of entries long, so the whole closure is a few megabytes at
-// 100k classes where the dense matrix would be 1.25 GB.
+// buildVirtualLists runs the virtual-bases recurrence over the
+// topological order, as sorted per-class id lists:
+//
+//	VirtualBases(D) = ∪_{X ∈ direct(D)} VirtualBases(X)
+//	                  ∪ {X | edge X→D is virtual}
+//
+// This is the paper's definition: X' is a virtual base of D iff some
+// path X' → D begins with a virtual edge; any such path either is the
+// single virtual edge X→D or factors through a direct base X with X'
+// already a virtual base of X. On realistic hierarchies the lists stay
+// a handful of entries long, so the whole relation is a few megabytes
+// at 100k classes, where an |N|²-bit matrix would be 1.25 GB.
 func buildVirtualLists(g *Graph) [][]ClassID {
 	vlists := make([][]ClassID, len(g.classes))
 	var scratch []ClassID
@@ -218,14 +212,8 @@ func buildVirtualLists(g *Graph) [][]ClassID {
 		if len(scratch) == 0 {
 			continue
 		}
-		sort.Slice(scratch, func(i, j int) bool { return scratch[i] < scratch[j] })
-		out := make([]ClassID, 0, len(scratch))
-		for i, c := range scratch {
-			if i == 0 || c != scratch[i-1] {
-				out = append(out, c)
-			}
-		}
-		vlists[d] = out
+		slices.Sort(scratch)
+		vlists[d] = slices.Clone(slices.Compact(scratch))
 	}
 	return vlists
 }

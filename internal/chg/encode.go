@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"unicode/utf8"
 )
 
 // Serialization: a Graph can be persisted and reloaded — the
@@ -64,6 +65,9 @@ func (g *Graph) wire() graphWire {
 	return w
 }
 
+// fromWire rebuilds a graph from its wire form. Names must be valid
+// UTF-8: JSON cannot carry other bytes, so two names differing only in
+// invalid bytes would collide when the graph is written back as JSON.
 func fromWire(w graphWire) (*Graph, error) {
 	b := NewBuilder()
 	for _, c := range w.Classes {
@@ -73,6 +77,9 @@ func fromWire(w graphWire) (*Graph, error) {
 		id, ok := b.byName[c.Name]
 		if !ok || id != ClassID(i) {
 			return nil, fmt.Errorf("chg: decode: duplicate or reordered class %q", c.Name)
+		}
+		if !utf8.ValidString(c.Name) {
+			return nil, fmt.Errorf("chg: decode: class name %q is not valid UTF-8", c.Name)
 		}
 		for _, e := range c.Bases {
 			if int(e.Base) < 0 || int(e.Base) >= len(w.Classes) {
@@ -85,6 +92,9 @@ func fromWire(w graphWire) (*Graph, error) {
 			b.Base(id, ClassID(e.Base), kind)
 		}
 		for _, m := range c.Members {
+			if !utf8.ValidString(m.Name) {
+				return nil, fmt.Errorf("chg: decode: class %q declares member name %q, not valid UTF-8", c.Name, m.Name)
+			}
 			b.Member(id, m)
 		}
 	}

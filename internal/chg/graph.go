@@ -8,34 +8,23 @@
 // non-virtual (E_nv). Every class declares a set of members M[X].
 //
 // A Graph is immutable once constructed via Builder.Build, which also
-// precomputes the topological order and two reflexive-free closures:
-//
-//   - bases:    X ∈ Bases(Y)        iff there is a nonempty path X → Y;
-//   - virtual:  X ∈ VirtualBases(Y) iff some path X → Y starts with a
-//     virtual edge (the paper's "virtual base class" definition).
-//
-// The virtual-bases closure is what makes the Lemma-4 dominance test of
-// the lookup algorithm (internal/core) a constant-time bit probe.
+// fixes the topological order and computes, for every class D, the
+// sorted list of its virtual bases: X ∈ VirtualBases(D) iff some path
+// X → D starts with a virtual edge (the paper's "virtual base class"
+// definition). Those lists are all the Lemma-4 dominance test of the
+// lookup algorithm (internal/core) reads, as a binary search. The
+// strict base relation (X ∈ Bases(Y) iff there is a nonempty path
+// X → Y) and its transpose, Descendants, are |N|²-bit matrices built
+// on first use, for the whole-hierarchy analyses that ask for them;
+// EachDescendant walks a cone without either.
 package chg
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 
 	"cpplookup/internal/bitset"
 )
-
-// DenseClosureLimit is the largest class count for which Build eagerly
-// materializes the three dense closure matrices (bases, virtual bases,
-// descendants). Each matrix costs n²/8 bytes — fine at the paper's
-// scale, but 1.25 GB apiece at 100k classes, and a streaming build
-// never reads two of them. Above the limit Build computes only the
-// per-class sorted virtual-base lists (the Lemma-4 dominance test's
-// input, which stays tiny on realistic hierarchies) and defers each
-// dense matrix to its first accessor. Tests lower this to force the
-// sparse path onto small fixtures.
-var DenseClosureLimit = 1 << 14
 
 // ClassID identifies a class in a Graph. IDs are dense: 0 … NumClasses-1.
 type ClassID int32
@@ -141,42 +130,25 @@ type Graph struct {
 	topo    []ClassID // bases strictly before derived
 	topoPos []int     // topoPos[c] = index of c in topo
 
+	// vlists[d] is the sorted list of the virtual bases of d, computed
+	// by Build and immutable after it, so IsVirtualBase — the per-cell
+	// Lemma-4 probe — never touches a Once. The two matrices start nil
+	// and each materializes on first use via its sync.Once.
+	vlists      [][]ClassID
 	bases       *bitset.Matrix // row d: strict bases of d
-	virtuals    *bitset.Matrix // row d: virtual bases of d
 	descendants *bitset.Matrix // row b: strict descendants of b (transpose of bases)
-
-	// Sparse-closure mode (NumClasses > DenseClosureLimit at Build
-	// time): vlists[d] is the sorted list of virtual bases of d, the
-	// matrices above start nil, and each materializes on first use via
-	// the sync.Onces. vlists itself is immutable after Build, so
-	// IsVirtualBase — the per-cell Lemma-4 probe — never touches a
-	// Once. In dense mode vlists is nil and Build runs both Onces
-	// before the Graph is published.
-	vlists   [][]ClassID
-	closOnce sync.Once // guards bases + virtuals
-	descOnce sync.Once // guards descendants (needs bases first)
+	basesOnce   sync.Once
+	descOnce    sync.Once // needs bases first
 
 	numEdges        int
 	numVirtualEdges int
 }
 
-// SparseClosures reports whether the graph was built above
-// DenseClosureLimit: the dense closure matrices are materialized
-// lazily and the virtual-base test answers from sorted per-class
-// lists.
-func (g *Graph) SparseClosures() bool { return g.vlists != nil }
-
-// denseBases returns the bases closure matrix, materializing it (and
-// the virtual-bases matrix, which shares the same topo sweep) on first
-// use in sparse mode.
+// denseBases returns the bases closure matrix, materializing it on
+// first use.
 func (g *Graph) denseBases() *bitset.Matrix {
-	g.closOnce.Do(g.materializeBaseClosures)
+	g.basesOnce.Do(g.materializeBases)
 	return g.bases
-}
-
-func (g *Graph) denseVirtuals() *bitset.Matrix {
-	g.closOnce.Do(g.materializeBaseClosures)
-	return g.virtuals
 }
 
 func (g *Graph) denseDescendants() *bitset.Matrix {
@@ -184,32 +156,19 @@ func (g *Graph) denseDescendants() *bitset.Matrix {
 	return g.descendants
 }
 
-// materializeBaseClosures runs the two closure recurrences of
-// Builder.Build in one pass over the topological order:
+// materializeBases runs the bases recurrence in one pass over the
+// topological order:
 //
-//	Bases(D)        = ∪_{X ∈ direct(D)} Bases(X) ∪ {X}
-//	VirtualBases(D) = ∪_{X ∈ direct(D)} VirtualBases(X)
-//	                  ∪ {X | edge X→D is virtual}
-//
-// The second recurrence is the paper's definition: X' is a virtual
-// base of D iff some path X' → D begins with a virtual edge; any such
-// path either is the single virtual edge X→D or factors through a
-// direct base X with X' already a virtual base of X.
-func (g *Graph) materializeBaseClosures() {
-	n := len(g.classes)
-	bases := bitset.NewMatrix(n)
-	virtuals := bitset.NewMatrix(n)
+//	Bases(D) = ∪_{X ∈ direct(D)} Bases(X) ∪ {X}
+func (g *Graph) materializeBases() {
+	bases := bitset.NewMatrix(len(g.classes))
 	for _, d := range g.topo {
 		for _, e := range g.classes[d].bases {
 			bases.Set(int(d), int(e.Base))
 			bases.OrRow(int(d), int(e.Base))
-			virtuals.OrRow(int(d), int(e.Base))
-			if e.Kind == Virtual {
-				virtuals.Set(int(d), int(e.Base))
-			}
 		}
 	}
-	g.bases, g.virtuals = bases, virtuals
+	g.bases = bases
 }
 
 // materializeDescendants transposes the bases closure: row b is the
@@ -342,26 +301,22 @@ func (g *Graph) DeclaredMember(c ClassID, m MemberID) (Member, bool) {
 func (g *Graph) IsBase(b, d ClassID) bool { return g.denseBases().Has(int(d), int(b)) }
 
 // IsVirtualBase reports whether b is a virtual base of d: some path
-// b → d starts with a virtual edge. This is the constant-time Lemma-4
-// probe on the lookup hot path; in sparse-closure mode it answers from
-// the per-class sorted lists without ever materializing a matrix.
+// b → d starts with a virtual edge. This is the Lemma-4 probe on the
+// lookup hot path, a binary search of d's sorted virtual-base list.
 func (g *Graph) IsVirtualBase(b, d ClassID) bool {
 	if b == Omega || d == Omega {
 		return false
 	}
-	if g.vlists != nil {
-		return containsClass(g.vlists[d], b)
-	}
-	return g.virtuals.Has(int(d), int(b))
+	return containsClass(g.vlists[d], b)
 }
 
 // Bases returns the strict bases of d as a shared bit set (universe =
 // class ids). Do not modify.
 func (g *Graph) Bases(d ClassID) *bitset.Set { return g.denseBases().Row(int(d)) }
 
-// VirtualBases returns the virtual bases of d as a shared bit set.
-// Do not modify.
-func (g *Graph) VirtualBases(d ClassID) *bitset.Set { return g.denseVirtuals().Row(int(d)) }
+// VirtualBases returns the virtual bases of d in ascending id order.
+// Shared slice; do not modify.
+func (g *Graph) VirtualBases(d ClassID) []ClassID { return g.vlists[d] }
 
 // Descendants returns the strict descendants of b as a shared bit set
 // (universe = class ids): every class with b as a possibly-indirect
@@ -371,23 +326,15 @@ func (g *Graph) VirtualBases(d ClassID) *bitset.Set { return g.denseVirtuals().R
 // of probing IsBase across all classes. Do not modify.
 func (g *Graph) Descendants(b ClassID) *bitset.Set { return g.denseDescendants().Row(int(b)) }
 
-// EachDescendant calls fn for every strict descendant of b, choosing
-// the cheapest traversal for the graph's closure mode: in dense mode
-// it walks the materialized Descendants row (ascending id order); in
-// sparse mode — NumClasses past DenseClosureLimit, where one closure
-// row costs an n²/8-byte matrix — it BFSes DirectDerived edges
-// instead (order unspecified, each descendant visited once). visited
-// and queue are caller-owned scratch for the BFS (visited is cleared
-// of the classes this call marked before returning; queue's grown
-// backing array is returned for reuse); dense mode ignores both. This
-// is the cone primitive bulk consumers (devirt's CHA target sets, the
-// same shape as incremental's invalidation cones) use to stay
-// memory-bounded at 100k classes.
+// EachDescendant calls fn once for every strict descendant of b, in
+// breadth-first order over DirectDerived edges, without materializing
+// the Descendants matrix. visited and queue are caller-owned scratch:
+// visited is grown to NumClasses and cleared of the classes this call
+// marked before returning; queue's grown backing array is returned for
+// reuse. This is the cone primitive bulk consumers (devirt's CHA
+// target sets, the same shape as incremental's invalidation cones)
+// use to stay memory-bounded at 100k classes.
 func (g *Graph) EachDescendant(b ClassID, visited *bitset.Set, queue []ClassID, fn func(ClassID)) []ClassID {
-	if !g.SparseClosures() {
-		g.Descendants(b).ForEach(func(d int) { fn(ClassID(d)) })
-		return queue
-	}
 	visited.Grow(len(g.classes))
 	queue = queue[:0]
 	visited.Add(int(b))
@@ -449,19 +396,3 @@ func (g *Graph) ClassNames() []string {
 
 // Size returns |N| + |E|, the paper's measure of hierarchy size.
 func (g *Graph) Size() int { return g.NumClasses() + g.NumEdges() }
-
-// MembersDeclaringClasses returns, for each member id, the classes
-// that declare it, sorted by id. Useful for whole-program analyses.
-func (g *Graph) MembersDeclaringClasses() map[MemberID][]ClassID {
-	out := make(map[MemberID][]ClassID, len(g.memberNames))
-	for ci := range g.classes {
-		for m := range g.classes[ci].declared {
-			out[m] = append(out[m], ClassID(ci))
-		}
-	}
-	for m := range out {
-		cs := out[m]
-		sort.Slice(cs, func(i, j int) bool { return cs[i] < cs[j] })
-	}
-	return out
-}

@@ -173,11 +173,6 @@ func TestMembers(t *testing.T) {
 	if g.MemberName(m) != "m" {
 		t.Errorf("MemberName = %q", g.MemberName(m))
 	}
-	decl := g.MembersDeclaringClasses()
-	cs := decl[m]
-	if len(cs) != 2 || cs[0] != a || cs[1] != d {
-		t.Errorf("MembersDeclaringClasses[m] = %v", cs)
-	}
 }
 
 func TestStaticForLookup(t *testing.T) {

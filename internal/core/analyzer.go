@@ -6,7 +6,7 @@ import (
 
 // Analyzer runs the paper's lookup algorithm over one class hierarchy
 // graph. It is cheap to construct: all preprocessing (topological
-// order, virtual-base closure) already lives in the chg.Graph.
+// order, virtual-base lists) already lives in the chg.Graph.
 //
 // An Analyzer memoizes lazy lookups (Lookup) and can also tabulate
 // eagerly (BuildTable).

@@ -48,10 +48,6 @@ func (mg *Migrator) Migrate(c Cell) Cell {
 	return cellPooled(c.Kind(), ni)
 }
 
-// Moved returns how many distinct payloads have been re-interned so
-// far — the live-payload count of everything migrated.
-func (mg *Migrator) Moved() int { return len(mg.remap) }
-
 // PoolLiveCounter counts the distinct interned payloads a set of
 // packed cells references, without exposing payload indices. Callers
 // feed it every surviving cell and compare Live() against Pool.Len()

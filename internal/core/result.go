@@ -15,8 +15,9 @@
 //	              definitions that caused the ambiguity.
 //
 // Dominance between two red abstractions is decided by Lemma 4 with
-// two constant-time probes: (L1,V1) dominates (L2,V2) iff V2 is a
-// virtual base of L1, or V1 = V2 ≠ Ω. The full path of a winning
+// two probes: (L1,V1) dominates (L2,V2) iff V2 is a virtual base of
+// L1 (a binary search of L1's sorted virtual-base list, which §5
+// suggests keeping as a boolean matrix instead), or V1 = V2 ≠ Ω. The full path of a winning
 // definition can optionally be carried along (TrackPaths) without
 // changing the complexity, since at most one red definition crosses
 // each edge.

@@ -146,42 +146,16 @@ func TestStreamedConcurrentSharedKernel(t *testing.T) {
 	wg.Wait()
 }
 
-// The streaming build must also hold cell-for-cell on a graph in
-// sparse-closure mode (chg.DenseClosureLimit exceeded), where the
-// Lemma-4 probe answers from sorted lists.
+// The streaming build must also hold cell-for-cell against the
+// paper-literal BuildTable on a virtual-heavy graph: half the edges
+// are virtual, so most Lemma-4 probes search a nonempty sorted
+// virtual-base list.
 func TestStreamedSparseClosureMode(t *testing.T) {
-	defer func(old int) { chg.DenseClosureLimit = old }(chg.DenseClosureLimit)
-
-	mk := func() *chg.Graph {
-		return hiergen.Random(hiergen.RandomConfig{
-			Classes: 70, MaxBases: 3, VirtualProb: 0.5,
-			MemberNames: 150, MemberProb: 0.1, StaticProb: 0.2, Seed: 321,
-		})
-	}
-	chg.DenseClosureLimit = 1 << 14
-	dense := mk()
-	want := NewKernel(dense).BuildTable()
-
-	chg.DenseClosureLimit = 4
-	sparse := mk()
-	if !sparse.SparseClosures() {
-		t.Fatal("expected sparse-closure graph")
-	}
-	got, _ := BuildSemTableStreamed(NewKernel(sparse), StreamOptions{Workers: 2, MemoryBudget: 24 * 70})
-	// Tables are over different graphs/pools; compare by name-level
-	// lookup through each graph's own ids.
-	for c := 0; c < dense.NumClasses(); c++ {
-		for m := 0; m < dense.NumMemberNames(); m++ {
-			rw := want.Lookup(chg.ClassID(c), chg.MemberID(m))
-			rg := got.LookupByName(dense.Name(chg.ClassID(c)), dense.MemberName(chg.MemberID(m)))
-			if rw.Kind() != rg.Kind() {
-				t.Fatalf("(%s, %s): kind %v vs %v", dense.Name(chg.ClassID(c)),
-					dense.MemberName(chg.MemberID(m)), rw.Kind(), rg.Kind())
-			}
-			if rw.Kind() == RedKind && dense.Name(rw.Def().L) != sparse.Name(rg.Def().L) {
-				t.Fatalf("(%s, %s): def %s vs %s", dense.Name(chg.ClassID(c)),
-					dense.MemberName(chg.MemberID(m)), dense.Name(rw.Def().L), sparse.Name(rg.Def().L))
-			}
-		}
-	}
+	g := hiergen.Random(hiergen.RandomConfig{
+		Classes: 70, MaxBases: 3, VirtualProb: 0.5,
+		MemberNames: 150, MemberProb: 0.1, StaticProb: 0.2, Seed: 321,
+	})
+	want := NewKernel(g).BuildTable()
+	got, _ := BuildSemTableStreamed(NewKernel(g), StreamOptions{Workers: 2, MemoryBudget: 24 * 70})
+	cellsEqual(t, g, want, got, "virtual-heavy")
 }

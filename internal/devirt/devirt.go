@@ -22,8 +22,9 @@
 // merges child sets, reusing a child's set whenever the parent adds
 // nothing to it. The memo lives in per-worker scratch for that one
 // run only. Cone sizes do not add up over a DAG, so each root's is
-// counted once by chg.EachDescendant (dense closure rows, or BFS past
-// DenseClosureLimit) and cached on the Resolver. Every cell is read
+// counted once by chg.EachDescendant's breadth-first walk down the
+// direct-derived lists, with no closure matrix at any size, and cached
+// on the Resolver. Every cell is read
 // through Snapshot.LookupSem, the snapshot's memoising lookup.
 package devirt
 

@@ -112,9 +112,9 @@ func checkAgainstOracle(t *testing.T, g *chg.Graph, name string) {
 	}
 }
 
-// TestResolveTargetsOracle pins ResolveTargets against the
-// brute-force oracle on every fixture and seeded generator, all three
-// backends.
+// TestResolveTargetsOracle pins ResolveTargets, whose cones come from
+// chg.EachDescendant's walk, against the brute-force oracle's IsBase
+// probes on every fixture and seeded generator, all three backends.
 func TestResolveTargetsOracle(t *testing.T) {
 	for name, build := range testGraphs() {
 		name, build := name, build
@@ -122,22 +122,42 @@ func TestResolveTargetsOracle(t *testing.T) {
 	}
 }
 
-// TestResolveTargetsOracleSparseCones reruns the oracle pinning with
-// the graphs built past a lowered DenseClosureLimit, so cones come
-// from the BFS path of chg.EachDescendant instead of closure rows.
+// TestResolveTargetsOracleSparseCones resolves every (class, member)
+// of a fresh graph under all three backends before anything builds its
+// Descendants matrix, so each cone is chg.EachDescendant's walk over
+// the direct-derived lists alone; it then checks every answer against
+// the brute-force oracle and every cone size against the graph's
+// Descendants closure row.
 func TestResolveTargetsOracleSparseCones(t *testing.T) {
-	old := chg.DenseClosureLimit
-	chg.DenseClosureLimit = 1
-	defer func() { chg.DenseClosureLimit = old }()
-
 	for _, name := range []string{"figure9", "random", "giant"} {
 		build := testGraphs()[name]
 		t.Run(name, func(t *testing.T) {
 			g := build()
-			if !g.SparseClosures() {
-				t.Fatal("graph built dense despite lowered DenseClosureLimit")
+			snap := engine.NewSnapshot(g, core.WithSemantics(core.SemC3, core.SemGxx))
+			got := map[core.SemanticsID][]Resolution{}
+			for _, sem := range allSems {
+				r, err := New(snap, sem)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for c := 0; c < g.NumClasses(); c++ {
+					for m := 0; m < g.NumMemberNames(); m++ {
+						got[sem] = append(got[sem], r.ResolveTargets(chg.ClassID(c), chg.MemberID(m)))
+					}
+				}
 			}
-			checkAgainstOracle(t, g, name+"-sparse")
+			for _, sem := range allSems {
+				for _, res := range got[sem] {
+					if want := oracleTargets(t, snap, sem, res.Root, res.Member); !sameAnswer(res, want) {
+						t.Fatalf("%s/%s: (%s, %s) = %+v, oracle %+v",
+							name, sem, g.Name(res.Root), g.MemberName(res.Member), res, want)
+					}
+					if want := 1 + g.Descendants(res.Root).Count(); res.Cone != want {
+						t.Fatalf("%s/%s: cone of %s = %d, Descendants row gives %d",
+							name, sem, g.Name(res.Root), res.Cone, want)
+					}
+				}
+			}
 		})
 	}
 }
@@ -225,21 +245,18 @@ func checkBatch(t *testing.T, g *chg.Graph) {
 // TestResolveBatch checks the batch path on duplicated shuffled sites
 // (plus invalid ids) under Workers 1 and 4 and all three backends:
 // every site's Resolution equals the brute-force oracle's and its
-// ResolveTargets answer. The sparse run builds the graph past a
-// lowered DenseClosureLimit, so cones come from chg.EachDescendant's
-// BFS.
+// ResolveTargets answer. The dense run builds the graph's Bases and
+// Descendants matrices first; the sparse run never builds the
+// Descendants matrix, which neither the resolver nor the oracle reads.
+// Both must give the same answers: the cones never depend on which
+// closure matrices a graph happens to hold.
 func TestResolveBatch(t *testing.T) {
-	t.Run("dense", func(t *testing.T) { checkBatch(t, testGraphs()["giant"]()) })
-	t.Run("sparse", func(t *testing.T) {
-		old := chg.DenseClosureLimit
-		chg.DenseClosureLimit = 1
+	t.Run("dense", func(t *testing.T) {
 		g := testGraphs()["giant"]()
-		chg.DenseClosureLimit = old
-		if !g.SparseClosures() {
-			t.Fatal("graph built dense despite lowered DenseClosureLimit")
-		}
+		g.Descendants(0) // materializes both closure matrices
 		checkBatch(t, g)
 	})
+	t.Run("sparse", func(t *testing.T) { checkBatch(t, testGraphs()["giant"]()) })
 }
 
 // TestResolveBatchWorkPerMember pins the recurrence's work, counted
@@ -302,10 +319,6 @@ func TestResolveBatchWorkPerMember(t *testing.T) {
 // fills race; every answer must equal the oracle's. CI runs it under
 // -race repeatedly.
 func TestResolverConcurrentCallers(t *testing.T) {
-	old := chg.DenseClosureLimit
-	chg.DenseClosureLimit = 1
-	defer func() { chg.DenseClosureLimit = old }()
-
 	g := testGraphs()["giant"]()
 	oracle := memoOracle(t, engine.NewSnapshot(g))
 	sites := batchSites(g, 17)[:1200]

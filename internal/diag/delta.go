@@ -172,15 +172,6 @@ func WriteDeltaJSON(w io.Writer, delta Delta) error {
 // run. The zero value is an empty baseline.
 type Baseline map[string]bool
 
-// NewBaseline builds a baseline accepting every finding in ds.
-func NewBaseline(ds []Diagnostic) Baseline {
-	b := make(Baseline, len(ds))
-	for _, d := range ds {
-		b[FingerprintString(d)] = true
-	}
-	return b
-}
-
 // Apply splits ds into the findings not covered by the baseline
 // (fresh — the ones a CI gate should fail on) and the known ones
 // (suppressed). Order is preserved.

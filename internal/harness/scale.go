@@ -15,8 +15,8 @@ package harness
 // Session side: 10k member edits against a warm served hierarchy.
 // bulk-carry applies a batch of edits and republishes once — the
 // workspace's edit log collapses the batch into one per-member
-// invalidation cone (bitset.UnionInto / one multi-source BFS) and one
-// carried snapshot. serial-carry republishes after every edit — the
+// invalidation cone (one multi-source walk down the derived lists) and
+// one carried snapshot. serial-carry republishes after every edit — the
 // pre-batching serving loop, measured on a bounded probe and
 // normalized to ns/edit (10k full republishes of a 100k-class
 // snapshot would take hours, which is the point).
@@ -36,10 +36,10 @@ import (
 
 // scaleFamily is E19 and BENCH_scale.json: 20k, 50k and 100k
 // classes, each built whole by both builders and served through a
-// 10k-edit session by both carry strategies. The smoke config is small
-// enough for a CI worker but large enough to cross
-// chg.DenseClosureLimit and incremental.LazyConeLimit, so the
-// sparse-closure and lazy-cone paths run on every push.
+// 10k-edit session by both carry strategies. The smoke config keeps
+// the 20k-class hierarchy but serves only 100 edits, so the streamed
+// build and bulk carry run at benchmark scale on every push within a
+// CI worker's time.
 func scaleFamily() Family {
 	grid := []Config{
 		scaleConfig("giant-20k", 20_000, 10_000, 500, 60, true),

@@ -3,50 +3,169 @@ package incremental
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"testing"
 
+	"cpplookup/internal/bitset"
 	"cpplookup/internal/chg"
+	"cpplookup/internal/hiergen"
 )
 
-// The incrementally maintained descendant sets must agree with the
-// closure the frozen graph computes from scratch, at every point of a
-// random edit script.
+// checkConesMatchFrozen pins InvalidationConeSince(since) against the
+// workspace's current freeze: for each member edited in the window,
+// the cone must be the union of {c} ∪ Descendants(c) over the edited
+// classes c, as a set over NumClasses, with cones in member order.
+func checkConesMatchFrozen(t *testing.T, w *Workspace, since uint64) {
+	t.Helper()
+	g, err := w.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	edits, ok1 := w.EditsSince(since)
+	cones, ok2 := w.InvalidationConeSince(since)
+	if !ok1 || !ok2 {
+		t.Fatalf("window since %d unanswerable: %v %v", since, ok1, ok2)
+	}
+	want := map[chg.MemberID]*bitset.Set{}
+	for _, e := range edits {
+		if e.Kind == EditAddClass {
+			continue
+		}
+		s := want[e.Member]
+		if s == nil {
+			s = bitset.New(g.NumClasses())
+			want[e.Member] = s
+		}
+		s.Add(int(e.Class))
+		s.UnionWith(g.Descendants(e.Class))
+	}
+	if len(cones) != len(want) {
+		t.Fatalf("window since %d: %d member cones, want %d", since, len(cones), len(want))
+	}
+	for i, mc := range cones {
+		if i > 0 && cones[i-1].Member >= mc.Member {
+			t.Fatalf("window since %d: cones out of member order", since)
+		}
+		if s := want[mc.Member]; s == nil || !mc.Classes.Equal(s) {
+			t.Fatalf("window since %d: cone for %s = %v, want %v", since, g.MemberName(mc.Member), mc.Classes, s)
+		}
+	}
+}
+
+// scriptStep applies one random edit: a new class with up to three
+// random direct bases, or a toggle of one of names in a random class
+// (always a new class when names is empty).
+func scriptStep(t *testing.T, rng *rand.Rand, w *Workspace, names []string) {
+	t.Helper()
+	n := w.NumClasses()
+	if n == 0 || len(names) == 0 || rng.Intn(3) == 0 {
+		var bases []BaseDecl
+		if n > 0 {
+			perm := rng.Perm(n)
+			for i := rng.Intn(min(3, n) + 1); i > 0; i-- {
+				bases = append(bases, BaseDecl{Class: chg.ClassID(perm[i-1]), Virtual: rng.Float64() < 0.3})
+			}
+		}
+		if _, err := w.AddClass(fmt.Sprintf("K%d", n), bases); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	c := chg.ClassID(rng.Intn(n))
+	name := names[rng.Intn(len(names))]
+	if w.DeclaresName(c, name) {
+		if err := w.RemoveMember(c, name); err != nil {
+			t.Fatal(err)
+		}
+	} else if err := w.AddMember(c, method(name)); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// The cone of every single edit must equal the closure the frozen
+// graph computes from scratch, at every step of a random edit script.
 func TestDescendantSetsMatchFrozenClosure(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
+	names := []string{"m0", "m1", "m2", "m3"}
 	for script := 0; script < 10; script++ {
 		w := New()
-		var ids []chg.ClassID
-		for step := 0; step < 40; step++ {
-			var bases []BaseDecl
-			if len(ids) > 0 {
-				n := rng.Intn(min(3, len(ids)) + 1)
-				perm := rng.Perm(len(ids))
-				for i := 0; i < n; i++ {
-					bases = append(bases, BaseDecl{Class: ids[perm[i]], Virtual: rng.Float64() < 0.3})
-				}
-			}
-			id, err := w.AddClass(fmt.Sprintf("D%d_%d", script, step), bases)
-			if err != nil {
-				t.Fatal(err)
-			}
-			ids = append(ids, id)
+		for step := 0; step < 80; step++ {
+			since := w.Generation()
+			scriptStep(t, rng, w, names)
+			checkConesMatchFrozen(t, w, since)
+		}
+		checkConesMatchFrozen(t, w, 0)
+	}
+}
+
+// The workspace's cones, walked lazily down its derived lists, must
+// match the frozen graph's eagerly built Descendants closure: after a
+// seeded script of 50 classes and 120 edits, every class's single-seed
+// cone equals {c} ∪ Descendants(c), and the whole script's member
+// cones equal the closure unions.
+func TestLazyConesMatchEager(t *testing.T) {
+	names := []string{"m0", "m1", "m2", "m3"}
+	for _, seed := range []int64{11, 12, 13} {
+		rng := rand.New(rand.NewSource(seed))
+		w := New()
+		for w.NumClasses() < 50 {
+			scriptStep(t, rng, w, nil)
+		}
+		for i := 0; i < 120; i++ {
+			scriptStep(t, rng, w, names)
 		}
 		g, err := w.Snapshot()
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, c := range ids {
-			got := w.Descendants(c).Elems()
-			want := g.Descendants(c).Elems()
-			if len(got) != len(want) {
-				t.Fatalf("script %d: Descendants(%s): incremental %v vs closure %v", script, g.Name(c), got, want)
-			}
-			for i := range got {
-				if got[i] != want[i] {
-					t.Fatalf("script %d: Descendants(%s): incremental %v vs closure %v", script, g.Name(c), got, want)
-				}
+		for c := chg.ClassID(0); int(c) < g.NumClasses(); c++ {
+			lazy := bitset.New(w.NumClasses())
+			w.coneFrom(lazy, c)
+			eager := g.Descendants(c).Clone()
+			eager.Add(int(c))
+			if !lazy.Equal(eager) {
+				t.Fatalf("seed %d: cone of %s: lazy %v vs eager %v", seed, g.Name(c), lazy, eager)
 			}
 		}
+		checkConesMatchFrozen(t, w, 0)
+	}
+}
+
+// One window that edits the same few members many times, with classes
+// added between the edits: each member's cone is one multi-source walk
+// over all its edited classes, read at call time, so it covers classes
+// defined after the edit too.
+func TestInvalidationConeSinceRepeatedMember(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	names := []string{"a", "b", "c"}
+	w := New()
+	for w.NumClasses() < 40 {
+		scriptStep(t, rng, w, nil)
+	}
+	since := w.Generation()
+	for i := 0; i < 90; i++ {
+		scriptStep(t, rng, w, names)
+	}
+	checkConesMatchFrozen(t, w, since)
+}
+
+// TestFromGraphAllocationBounded gates the workspace's footprint,
+// counted by the runtime rather than timed: lifting a 16,000-class
+// Giant hierarchy keeps lists and maps linear in its size, where
+// per-class ancestor and descendant bitsets alone would be 64 MB.
+func TestFromGraphAllocationBounded(t *testing.T) {
+	g := hiergen.Giant(hiergen.GiantDefaults(16000))
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	w, err := FromGraph(g)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const limit = 32 << 20
+	if got := after.TotalAlloc - before.TotalAlloc; got >= limit {
+		t.Errorf("FromGraph of %d classes allocated %d bytes, want under %d", w.NumClasses(), got, limit)
 	}
 }
 

@@ -16,11 +16,11 @@
 //   - adding or removing a declaration of m in class X invalidates
 //     exactly the entries (D, m) with D = X or D a descendant of X.
 //
-// The workspace maintains the strict-descendant set of every class as
-// an internal/bitset word vector (AddClass unions the new class into
-// each ancestor's set) and logs every edit; InvalidationConeSince
-// replays the log into the exact per-member cones between two
-// generations, which is what the engine's warm carry clears.
+// The workspace keeps each class's direct-derived list and logs every
+// edit; InvalidationConeSince replays the log into the exact
+// per-member cones between two generations — one multi-source walk
+// down the derived lists per edited member name — which is what the
+// engine's warm carry clears.
 //
 // A Workspace is single-writer; Snapshot freezes the current hierarchy
 // into an immutable chg.Graph with class and member ids stable across
@@ -48,16 +48,6 @@ type BaseDecl struct {
 // publisher falls back to a cold republish.
 const maxEditLog = 8192
 
-// LazyConeLimit is the class count past which a workspace stops
-// maintaining dense per-class ancestor/descendant bitsets — 2·n²/64
-// words, ~2.5 GB at 100k classes, quadratic against the linear table
-// it guards — and switches to computing invalidation cones on demand
-// with a BFS over the derived lists. The BFS costs O(|cone| · degree)
-// per cone instead of O(n/64) words, which at scale is far smaller:
-// real cones are tiny fractions of the hierarchy. Crossing the limit
-// frees the dense sets; a var so tests can force either mode.
-var LazyConeLimit = 1 << 14
-
 // EditKind discriminates the logged hierarchy edits. Consumers that
 // maintain derived state per edit kind (e.g. a lint session deciding
 // which rule footprints to re-run) read these off EditsSince.
@@ -66,8 +56,8 @@ type EditKind uint8
 const (
 	// EditAddClass defines a new class. It invalidates no lookup entry
 	// (classes are closed at definition), but it does extend the
-	// hierarchy's structure: descendant sets of its ancestors grow, and
-	// new (class, member) entries come into existence.
+	// hierarchy's structure: the cones of its ancestors grow, and new
+	// (class, member) entries come into existence.
 	EditAddClass EditKind = iota
 	// EditAddMember declares a member; entries (D, m) with
 	// D ∈ {c} ∪ descendants(c) are stale.
@@ -99,8 +89,8 @@ type Edit struct {
 
 // MemberCone is one member name's invalidation cone: the classes
 // whose (class, Member) entries an edit window made stale. The set is
-// owned by the caller (universe ≥ NumClasses at the time of the
-// call); every set bit is a valid class id.
+// owned by the caller; its universe is NumClasses at the time of the
+// call.
 type MemberCone struct {
 	Member  chg.MemberID
 	Classes *bitset.Set
@@ -117,19 +107,7 @@ type Workspace struct {
 	memberNames []string
 	memberIDs   map[string]chg.MemberID
 
-	// univ is the shared bitset universe (class-id capacity, grown by
-	// doubling); anc[c] / desc[c] are the strict ancestor/descendant
-	// sets of c, maintained incrementally: AddClass(D) computes
-	// anc[D] = ∪ (anc[B] ∪ {B}) over direct bases B and adds D to
-	// desc[a] for each ancestor a. desc[X] is exactly the paper-given
-	// invalidation cone of an edit in X (minus X itself).
-	// Past LazyConeLimit classes, lazy flips on: anc/desc are freed
-	// and cones are computed by coneFrom's BFS over derived, reusing
-	// bfsQueue across calls.
-	univ     int
-	anc      []*bitset.Set
-	desc     []*bitset.Set
-	lazy     bool
+	// bfsQueue is coneFrom's queue, reused across calls.
 	bfsQueue []chg.ClassID
 
 	// editLog records hierarchy edits so a publisher can compute the
@@ -173,51 +151,11 @@ func (w *Workspace) ID(name string) (chg.ClassID, bool) {
 	return id, ok
 }
 
-// Descendants returns the strict descendants of c as a bit set over
-// the workspace's internal universe (capacity ≥ NumClasses; only
-// valid class ids are ever set). Below LazyConeLimit the set is the
-// incrementally maintained shared one — do not modify, it stays
-// live-updated as classes are added. Past the limit each call BFSes
-// the derived lists into a fresh set the caller owns.
-func (w *Workspace) Descendants(c chg.ClassID) *bitset.Set {
-	if w.lazy {
-		s := bitset.New(w.univ)
-		w.coneFrom(s, c)
-		s.Remove(int(c))
-		return s
-	}
-	return w.desc[c]
-}
-
-// LazyCones reports whether the workspace has crossed LazyConeLimit
-// and computes invalidation cones on demand instead of holding dense
-// descendant sets.
-func (w *Workspace) LazyCones() bool { return w.lazy }
-
-// ensureUniv grows the shared bitset universe (and every set over it)
-// to hold at least n classes. Doubling keeps the amortised cost of
-// growth linear.
-func (w *Workspace) ensureUniv(n int) {
-	if n <= w.univ {
-		return
-	}
-	nu := max(w.univ*2, 64, n)
-	for _, s := range w.anc {
-		s.Grow(nu)
-	}
-	for _, s := range w.desc {
-		s.Grow(nu)
-	}
-	w.univ = nu
-}
-
 // AddClass defines a new class with the given (already defined)
 // direct bases. Like C++, a class's base clause is fixed at
 // definition time, so no existing lookup result can change: nothing
-// is invalidated. The class's ancestor set is computed here and the
-// class is unioned into every ancestor's descendant set — the
-// incremental maintenance that keeps cone computation a pure bitset
-// operation.
+// is invalidated. The class joins each direct base's derived list,
+// which is all later cone walks read.
 func (w *Workspace) AddClass(name string, bases []BaseDecl) (chg.ClassID, error) {
 	if name == "" {
 		return 0, fmt.Errorf("incremental: empty class name")
@@ -238,11 +176,6 @@ func (w *Workspace) AddClass(name string, bases []BaseDecl) (chg.ClassID, error)
 	id := chg.ClassID(len(w.names))
 	w.names = append(w.names, name)
 	w.byName[name] = id
-	w.ensureUniv(len(w.names))
-	var a *bitset.Set
-	if !w.lazy {
-		a = bitset.New(w.univ)
-	}
 	edges := make([]chg.Edge, 0, len(bases))
 	for _, b := range bases {
 		kind := chg.NonVirtual
@@ -251,33 +184,18 @@ func (w *Workspace) AddClass(name string, bases []BaseDecl) (chg.ClassID, error)
 		}
 		edges = append(edges, chg.Edge{Base: b.Class, Kind: kind})
 		w.derived[b.Class] = append(w.derived[b.Class], id)
-		if a != nil {
-			a.Add(int(b.Class))
-			a.UnionWith(w.anc[b.Class])
-		}
 	}
 	w.bases = append(w.bases, edges)
 	w.derived = append(w.derived, nil)
 	w.members = append(w.members, map[chg.MemberID]chg.Member{})
-	if a != nil {
-		w.anc = append(w.anc, a)
-		w.desc = append(w.desc, bitset.New(w.univ))
-		a.ForEach(func(anc int) { w.desc[anc].Add(int(id)) })
-		if len(w.names) > LazyConeLimit {
-			// Crossing the limit: drop the quadratic dense sets and
-			// answer every later cone by BFS. Derived lists (already
-			// maintained) are the only structure the BFS needs.
-			w.lazy = true
-			w.anc, w.desc = nil, nil
-		}
-	}
 	w.logEdit(EditAddClass, id, 0)
 	return id, nil
 }
 
-// coneFrom unions {seeds} ∪ descendants(seeds) into out: an iterative
-// BFS over the derived lists, with out doubling as the visited set.
-// The queue is reused across calls.
+// coneFrom unions {seeds} ∪ descendants(seeds) into out: a
+// multi-source walk down the derived lists, with out doubling as the
+// visited set, so each class is queued once however many seeds reach
+// it. The queue is reused across calls.
 func (w *Workspace) coneFrom(out *bitset.Set, seeds ...chg.ClassID) {
 	q := w.bfsQueue[:0]
 	for _, s := range seeds {
@@ -348,8 +266,8 @@ func (w *Workspace) logEdit(kind EditKind, c chg.ClassID, m chg.MemberID) {
 
 // InvalidationConeSince returns, per member name edited after
 // generation since, the union of the edit cones: the classes whose
-// (class, member) entries may have changed. Descendant sets are read
-// at call time, so the cones can only over-approximate (classes added
+// (class, member) entries may have changed. Cones are walked at call
+// time, so they can only over-approximate (classes added
 // after an edit appear; they never had valid old entries, so clearing
 // them is harmless). ok is false when the edit log no longer covers
 // the window (or since is in the future) — the caller must then treat
@@ -360,10 +278,8 @@ func (w *Workspace) InvalidationConeSince(since uint64) ([]MemberCone, bool) {
 		return nil, false
 	}
 	// Group the window's edits by member first, so each member's cone
-	// is produced in one batched operation — a single multi-word
-	// UnionInto over all seed descendant sets (eager), or one
-	// multi-source BFS (lazy) — instead of a union per edit. A bulk
-	// edit batch touching one member k times costs one pass, not k.
+	// is one multi-source walk instead of a walk per edit: a bulk edit
+	// batch touching one member k times costs one pass, not k.
 	seedsByMember := make(map[chg.MemberID][]chg.ClassID)
 	for i := len(w.editLog) - 1; i >= 0 && w.editLog[i].gen > since; i-- {
 		e := w.editLog[i]
@@ -373,19 +289,9 @@ func (w *Workspace) InvalidationConeSince(since uint64) ([]MemberCone, bool) {
 		seedsByMember[e.Member] = append(seedsByMember[e.Member], e.Class)
 	}
 	out := make([]MemberCone, 0, len(seedsByMember))
-	descs := make([]*bitset.Set, 0, 8)
 	for m, seeds := range seedsByMember {
-		s := bitset.New(w.univ)
-		if w.lazy {
-			w.coneFrom(s, seeds...)
-		} else {
-			descs = descs[:0]
-			for _, c := range seeds {
-				s.Add(int(c))
-				descs = append(descs, w.desc[c])
-			}
-			bitset.UnionInto(s, descs...)
-		}
+		s := bitset.New(len(w.names))
+		w.coneFrom(s, seeds...)
 		out = append(out, MemberCone{Member: m, Classes: s})
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Member < out[j].Member })

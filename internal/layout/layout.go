@@ -242,15 +242,6 @@ func (l *Layout) FieldOffset(p paths.Path, m chg.MemberID) (int, bool) {
 	return region + l.ownDataStart[cls] + slot, true
 }
 
-// RegionByKey returns the placed region for a canonical ≈-key.
-func (l *Layout) RegionByKey(key string) (Region, bool) {
-	i, ok := l.regionIndex[key]
-	if !ok {
-		return Region{}, false
-	}
-	return l.regions[i], true
-}
-
 // FieldOffsetByKey is FieldOffset addressed by the canonical ≈-key
 // instead of a representative path.
 func (l *Layout) FieldOffsetByKey(key string, m chg.MemberID) (int, bool) {

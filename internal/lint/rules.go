@@ -288,12 +288,12 @@ func (r *runner) diamondJoins(out []diag.Diagnostic, c chg.ClassID) []diag.Diagn
 	}
 	dup := func(x chg.ClassID) int64 {
 		n := nv[x]
-		r.g.VirtualBases(x).ForEach(func(v int) {
+		for _, v := range r.g.VirtualBases(x) {
 			n += nv[v]
 			if n > diamondCap {
 				n = diamondCap
 			}
-		})
+		}
 		return n
 	}
 	for _, x := range r.g.Topo() {

@@ -252,9 +252,9 @@ func (s *Session) incrementalRelint(res engine.SyncResult) {
 	if s.enabled[GxxDivergence] {
 		dirtyRows := bitset.New(g.NumClasses())
 		for _, ce := range res.Cone {
-			// Cone sets come from the workspace's (capacity-rounded)
-			// universe; copy element-wise rather than word-wise.
-			ce.Classes.ForEach(func(i int) { dirtyRows.Add(i) })
+			// The cone was walked over the workspace the sync froze
+			// into g, so both sets span g's classes.
+			dirtyRows.UnionWith(ce.Classes)
 		}
 		for _, c := range added {
 			dirtyRows.Add(int(c))

@@ -24,9 +24,9 @@ import (
 func Count(g *chg.Graph, c chg.ClassID) *big.Int {
 	nv := nonVirtualPathCounts(g)
 	total := new(big.Int).Set(nv[c])
-	g.VirtualBases(c).ForEach(func(x int) {
+	for _, x := range g.VirtualBases(c) {
 		total.Add(total, nv[x])
-	})
+	}
 	return total
 }
 
@@ -49,9 +49,9 @@ func CountDefns(g *chg.Graph, c chg.ClassID, m chg.MemberID) *big.Int {
 		nvm[x] = t
 	}
 	total := new(big.Int).Set(nvm[c])
-	g.VirtualBases(c).ForEach(func(x int) {
+	for _, x := range g.VirtualBases(c) {
 		total.Add(total, nvm[x])
-	})
+	}
 	return total
 }
 
@@ -74,9 +74,9 @@ func Counts(g *chg.Graph, limit int) []int {
 	out := make([]int, len(nv))
 	for c := range out {
 		n := nv[c]
-		g.VirtualBases(chg.ClassID(c)).ForEach(func(x int) {
+		for _, x := range g.VirtualBases(chg.ClassID(c)) {
 			n = capAdd(n, nv[x], limit)
-		})
+		}
 		out[c] = n
 	}
 	return out
