@@ -2,46 +2,47 @@ package engine
 
 import (
 	"fmt"
-	"runtime"
 	"sync/atomic"
 
 	"cpplookup/internal/bitset"
 	"cpplookup/internal/chg"
 	"cpplookup/internal/core"
-	"cpplookup/internal/par"
 )
 
 // Warm-cache carry-over. An engine Update normally publishes a
 // stone-cold snapshot: every cached cell of the predecessor is thrown
 // away and refilled lazily, even though the paper's dependency
 // structure says an edit at (X, m) can only change entries
-// ({X} ∪ descendants(X)) × {m}. UpdateCarried exploits that: it seeds
-// the successor's cell array by bulk-copying every packed cell of the
-// predecessor and then zeroing exactly the invalidation cone, so only
-// cone entries refill. The predecessor's payload pool is shared (or,
-// when its garbage has piled up, chained: live payloads re-interned
-// into a fresh pool and the carried words rewritten), keeping interned
-// blue/static/path payloads valid without re-resolution.
+// ({X} ∪ descendants(X)) × {m}. UpdateCarried exploits that, one
+// member run at a time. Figure 8's lookup[C,m] reads only entries for
+// m, so a member name that no edit in the window touched has the same
+// entry at every old class in both versions: the successor references
+// the predecessor's run instead of copying it, extended in place over
+// the zero words of added classes. Only the edited members' runs are
+// copied, with their cones cleared in the copies, and new member names
+// start from fresh zero runs; a republish costs O(edited members·|N|),
+// not O(|M|·|N|). The predecessor's payload pool is shared (or, when
+// its garbage has piled up, chained: live payloads re-interned into a
+// fresh pool and every run copied with its words rewritten), keeping
+// interned blue/static/path payloads valid without re-resolution.
 
 // carryCompactMinGarbage is the pool-chaining threshold: a carried
-// snapshot weighs its pool when the predecessor pool holds at least
-// this many payloads, and carryShouldCompact decides. Compaction
-// re-interns O(live) payloads, so the default policy waits until the
-// garbage both clears the floor and outnumbers the live set — the
-// amortised cost then stays below the interning work that produced
-// the garbage. Vars so tests can force the compaction path.
+// snapshot compacts its pool only when the garbage — payloads no cell
+// references — reaches this floor, and carryShouldCompact decides.
+// Compaction re-interns O(live) payloads, so the default policy waits
+// until the garbage both clears the floor and outnumbers the live set —
+// the amortised cost then stays below the interning work that produced
+// the garbage. carryShouldCompact must be monotone in the garbage
+// (true for (live, garbage) implies true for (live−d, garbage+d)):
+// carriedSnapshot skips weighing the pool when the policy fails at an
+// upper bound on the garbage. Vars so tests can force the compaction
+// path.
 var (
 	carryCompactMinGarbage = 128
 	carryShouldCompact     = func(live, garbage int) bool {
 		return garbage >= carryCompactMinGarbage && garbage > live
 	}
 )
-
-// carryParallelFloor gates the parallel carry path: columns below this
-// many cells are copied and cone-cleared serially — goroutine fan-out
-// costs more than the work there. A var so tests can force the
-// parallel path onto small snapshots.
-var carryParallelFloor = 1 << 20
 
 // ConeEntry is one member name's invalidation cone, as computed by
 // incremental.Workspace.InvalidationConeSince: the classes whose
@@ -64,19 +65,21 @@ type CarryStats struct {
 	Carried     int // predecessor cells surviving into this snapshot
 	Invalidated int // predecessor cells cleared by the cone
 
+	// Copied counts the predecessor words copied into fresh runs, over
+	// every column: the edited members' runs, shared runs too short for
+	// the added classes, and every run of a compaction. The runs of
+	// unedited members that carry shares cost nothing.
+	Copied int
+
 	PoolShared    bool // payload pool shared with the predecessor
 	PoolCompacted bool // chained to a fresh pool, live payloads re-interned
-	PoolLive      int  // distinct payloads the carried cells reference
-	PoolGarbage   int  // dead payloads left behind in the predecessor's pool
+	PoolWeighed   bool // every cell scanned to count the pool's live payloads
+	PoolLive      int  // distinct payloads the carried cells reference, when weighed
+	PoolGarbage   int  // dead payloads left behind in the predecessor's pool, when weighed
 
 	// Columns reports the per-backend carry of every extra semantics
 	// column, in column order; nil for dominance-only snapshots.
 	Columns []ColumnCarry
-
-	// Workers is the parallelism the carry ran at: 1 for the serial
-	// path (columns below carryParallelFloor cells, or a one-core
-	// host), the work-stealing worker count otherwise.
-	Workers int
 }
 
 // ColumnCarry is one backend column's share of a warm carry.
@@ -92,14 +95,15 @@ func (s *Snapshot) Carry() CarryStats { return s.carry }
 
 // UpdateCarried publishes a new version of name wrapping g, seeding
 // its cache from the currently published snapshot: every packed cell
-// outside the given invalidation cone is copied over, so only entries
-// an edit could have changed refill lazily. The caller guarantees the
-// cone covers every (class, member) entry whose declarations changed
-// between the two graphs; structural compatibility (class/member-name
-// prefixes and inheritance edges unchanged, counts monotone) is
-// verified here, and any mismatch falls back to a cold snapshot —
-// carried and cold snapshots are indistinguishable except for speed
-// and Carry().
+// outside the given invalidation cone carries over — shared for the
+// member names the cone does not list, copied for those it does — so
+// only entries an edit could have changed refill lazily. The caller
+// guarantees the cone covers every (class, member) entry whose
+// declarations changed between the two graphs; structural
+// compatibility (class/member-name prefixes and inheritance edges
+// unchanged, counts monotone) is verified here, and any mismatch falls
+// back to a cold snapshot — carried and cold snapshots are
+// indistinguishable except for speed and Carry().
 //
 // Like Update, earlier snapshots are untouched; concurrent readers
 // keep the version they hold.
@@ -114,7 +118,7 @@ func (e *Engine) UpdateCarried(name string, g *chg.Graph, cone []ConeEntry) (*Sn
 		return nil, fmt.Errorf("engine: hierarchy %q is not registered", name)
 	}
 	ent.version++
-	if snap, ok := carriedSnapshot(name, ent.version, g, ent.opts, ent.snap, cone, e.carryWorkers); ok {
+	if snap, ok := carriedSnapshot(name, ent.version, g, ent.opts, ent.snap, cone); ok {
 		ent.snap = snap
 	} else {
 		snap, err := newSnapshot(name, ent.version, core.NewKernel(g, ent.opts...), nil)
@@ -161,177 +165,189 @@ func carryCompatible(old, new *chg.Graph) bool {
 }
 
 // carriedSnapshot builds the successor snapshot seeded from prev, or
-// reports ok=false when the graphs are not carry-compatible. workers
-// caps the parallel copy/clear fan-out (≤ 0 means GOMAXPROCS); small
-// columns stay serial regardless.
-func carriedSnapshot(name string, version uint64, g *chg.Graph, opts []core.Option, prev *Snapshot, cone []ConeEntry, workers int) (*Snapshot, bool) {
+// reports ok=false when the graphs are not carry-compatible.
+//
+// The same invalidation cone governs every backend column: all served
+// semantics — dominance, C3, gxx — decide lookup[C,m] from the
+// declarations over C's base closure only (carry compatibility pins the
+// closure's edges), so an edit at (X, m) can change exactly
+// ({X} ∪ descendants(X)) × {m} entries under each of them, and a member
+// the cone does not list keeps every old entry. Sharing such a run is
+// sound while both versions read one pool: a lazy fill into a shared
+// word lands in both, and both compute the same word for it.
+func carriedSnapshot(name string, version uint64, g *chg.Graph, opts []core.Option, prev *Snapshot, cone []ConeEntry) (*Snapshot, bool) {
 	if prev == nil || !carryCompatible(prev.Graph(), g) {
 		return nil, false
 	}
-	oldN, oldM := prev.numClasses, prev.numMembers
-	newN, newM := g.NumClasses(), g.NumMemberNames()
-
-	// Validate the cone's member ids once, up front, and note whether
-	// the members are pairwise distinct: distinct members touch
-	// disjoint cells, the disjointness the parallel clear relies on.
-	// InvalidationConeSince emits one entry per member, so serving
-	// syncs always parallelize; a hand-built overlapping cone falls
-	// back to the serial clear.
-	distinctMembers := true
-	seenMember := make(map[chg.MemberID]bool, len(cone))
+	oldN, newN, newM := prev.numClasses, g.NumClasses(), g.NumMemberNames()
+	edited := make([]bool, prev.numMembers)
 	for _, ce := range cone {
-		if m := int(ce.Member); m < 0 || m >= newM {
+		m := int(ce.Member)
+		if m < 0 || m >= newM {
 			return nil, false
 		}
-		if seenMember[ce.Member] {
-			distinctMembers = false
+		if m < len(edited) {
+			edited[m] = true
 		}
-		seenMember[ce.Member] = true
-	}
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
 	}
 
-	// Stage the carried cells directly in the successor's slices with
-	// plain stores: the snapshot is not published yet, so no other
-	// goroutine can observe it, and publication through the engine
-	// mutex orders these writes before any reader's first load (worker
-	// goroutines finish before carriedSnapshot returns, so their
-	// writes are ordered too). The predecessor is still live (its
-	// readers may be filling misses concurrently), so its side is read
-	// atomically.
-	//
-	// The same invalidation cone clears every backend column: all
-	// served semantics — dominance, C3, gxx — decide lookup[C,m] from
-	// the declarations over C's base closure only (carry compatibility
-	// pins the closure's edges), so an edit at (X, m) can change
-	// exactly ({X} ∪ descendants(X)) × {m} entries under each of them.
-	colWorkers := 1
-	if total := newN * newM; workers > 1 && total >= carryParallelFloor {
-		colWorkers = workers
-	}
-	clearWorkers := colWorkers
-	if !distinctMembers {
-		clearWorkers = 1
-	}
-	cells := make([]CellColumn, len(prev.cols))
-	perCol := make([]ColumnCarry, len(prev.cols))
-	invalidated := 0
+	// Stage the copied runs with plain stores: they are fresh, and
+	// publication through the engine mutex orders these writes before
+	// any reader's first load. The predecessor is still live (its
+	// readers may be filling misses concurrently, shared runs
+	// included), so its words are read atomically, and carry never
+	// writes a shared run: an edited member's run is always copied
+	// before its cone is cleared.
+	stats := CarryStats{PoolShared: true}
+	dropped := core.NewPoolLiveCounter()
+	cols := make([]*column, len(prev.cols))
 	for i, pcol := range prev.cols {
-		cc := make([]uint64, newN*newM)
-		carried := carryCopy(pcol.cells, cc, oldN, newN, oldM, colWorkers)
-		inval := coneClear(cc, cone, oldN, newN, clearWorkers)
-		cells[i] = CellColumn{ID: pcol.id, Cells: cc}
-		perCol[i] = ColumnCarry{ID: pcol.id, Carried: carried - inval, Invalidated: inval}
-		invalidated += inval
-	}
-	stats := CarryStats{Carried: perCol[0].Carried, Invalidated: perCol[0].Invalidated, PoolShared: true, Workers: colWorkers}
-	if len(perCol) > 1 {
-		stats.Columns = perCol[1:]
+		runs := make([]run, newM)
+		cc := ColumnCarry{ID: pcol.id}
+		for m, pr := range pcol.runs {
+			if !edited[m] {
+				if r, filled, ok := pr.share(newN); ok {
+					runs[m] = r
+					cc.Carried += filled
+					continue
+				}
+			}
+			r, filled := pr.copy(newN, nil)
+			runs[m] = r
+			cc.Carried += filled
+			stats.Copied += len(pr.words)
+		}
+		for m := len(pcol.runs); m < newM; m++ {
+			runs[m] = newRun(newN)
+		}
+		for _, ce := range cone {
+			if int(ce.Member) < len(pcol.runs) && ce.Classes != nil {
+				cc.Invalidated += runs[ce.Member].clear(ce.Classes, oldN, dropped)
+			}
+		}
+		cc.Carried -= cc.Invalidated
+		cols[i] = &column{id: pcol.id, runs: runs}
+		if i == 0 {
+			stats.Carried, stats.Invalidated = cc.Carried, cc.Invalidated
+		} else {
+			stats.Columns = append(stats.Columns, cc)
+		}
 	}
 
 	// Pool lifetime: share the predecessor's pool (carried words keep
 	// their payload indices) unless its garbage outweighs the live
 	// payloads, in which case chain to a fresh pool and migrate.
-	// Weighing the pool is an O(cells) scan, so it is skipped while
-	// the garbage accrued since the last weigh — new interning (pool
-	// growth) plus cone-cleared cells — cannot have reached the
-	// compaction floor; steady-state serving republishes pay nothing.
-	// Every column references the one shared pool, so liveness is the
-	// union of their referenced payloads.
+	// Weighing the pool scans every cell, so it runs only when an upper
+	// bound on the garbage could meet carryShouldCompact. The bound is
+	// sound: garbage is exact at a weigh, and between weighs a payload
+	// turns into garbage only by being interned (counted by the pool's
+	// growth since) or by a cone clear dropping its last reference
+	// (counted by the distinct payloads each clear dropped, which summed
+	// over the clears since is at least their union). Fills only add
+	// references, and sharing, extending or copying a run keeps every
+	// word of the predecessor that the cone did not clear. Every column
+	// references the one shared pool, so liveness is the union of their
+	// referenced payloads.
 	pool := prev.pool
-	weighedLen, invalSince := prev.poolWeighedLen, prev.invalSinceWeigh+invalidated
-	if pool.Len()-weighedLen+invalSince >= carryCompactMinGarbage {
+	seen := pool.Len()
+	bound := prev.garbageBound + (seen - prev.poolSeen) + dropped.Live()
+	if carryShouldCompact(seen-bound, bound) {
 		lc := core.NewPoolLiveCounter()
-		for _, col := range cells {
-			for _, w := range col.Cells {
-				lc.Observe(core.Cell(w))
+		for _, col := range cols {
+			for _, r := range col.runs {
+				for c := range r.words {
+					lc.Observe(core.Cell(atomic.LoadUint64(&r.words[c])))
+				}
 			}
 		}
-		stats.PoolLive = lc.Live()
-		stats.PoolGarbage = pool.Len() - stats.PoolLive
+		seen = pool.Len()
+		stats.PoolWeighed, stats.PoolLive = true, lc.Live()
+		stats.PoolGarbage = seen - stats.PoolLive
+		bound = stats.PoolGarbage
 		if carryShouldCompact(stats.PoolLive, stats.PoolGarbage) {
+			// Compaction rewrites every word's payload index, so it
+			// copies every run: a shared run still serves the
+			// predecessor, whose cells index the old pool.
 			np := core.NewPool()
 			mg := core.NewMigrator(pool, np)
-			for _, col := range cells {
-				for i, w := range col.Cells {
-					if w != 0 {
-						col.Cells[i] = uint64(mg.Migrate(core.Cell(w)))
-					}
+			for _, col := range cols {
+				for m, r := range col.runs {
+					col.runs[m], _ = r.copy(len(r.words), mg)
+					stats.Copied += len(r.words)
 				}
 			}
 			pool = np
+			seen, bound = np.Len(), 0
 			stats.PoolShared, stats.PoolCompacted = false, true
 		}
-		weighedLen, invalSince = pool.Len(), 0
 	}
 
 	kopts := append(append([]core.Option(nil), opts...), core.WithPool(pool))
-	snap, err := newSnapshot(name, version, core.NewKernel(g, kopts...), cells)
+	snap, err := newSnapshot(name, version, core.NewKernel(g, kopts...), cols)
 	if err != nil {
 		return nil, false
 	}
 	snap.carry = stats
-	snap.poolWeighedLen, snap.invalSinceWeigh = weighedLen, invalSince
+	snap.garbageBound, snap.poolSeen = bound, seen
 	return snap, true
 }
 
-// carryCopy copies every nonzero predecessor cell into the successor
-// column and returns the count, with workers stealing whole member
-// columns: the predecessor's oldN-word column m lands at the start of
-// the successor's column m, newN words apart when classes were added.
-// Columns are disjoint, so workers write disjoint cells. Source reads
-// are atomic — the predecessor is still serving.
-func carryCopy(src, cells []uint64, oldN, newN, oldM, workers int) int {
-	counts := make([]int, par.Workers(oldM, workers))
-	par.For(oldM, workers, func(w, m int) {
-		scol, dst := src[m*oldN:(m+1)*oldN], cells[m*newN:]
-		n := 0
-		for c := range scol {
-			if v := atomic.LoadUint64(&scol[c]); v != 0 {
-				dst[c] = v
-				n++
-			}
-		}
-		counts[w] += n
-	})
-	return sum(counts)
-}
-
-// coneClear zeroes the invalidation cone — for each entry, the cone
-// classes' cells inside the member's one contiguous column — and
-// returns how many live cells it cleared, with workers stealing whole
-// entries. A bulk edit batch arrives as one entry per edited member
-// (InvalidationConeSince unions the batch's cones per member first)
-// and distinct members own disjoint columns, so the caller passes
-// workers > 1 only when the entries' members are pairwise distinct.
-// Cone classes the predecessor didn't know (c ≥ oldN), and entries
-// whose member it didn't know, clear nothing: the copy never wrote
-// those cells.
-func coneClear(cells []uint64, cone []ConeEntry, oldN, newN, workers int) int {
-	counts := make([]int, par.Workers(len(cone), workers))
-	par.For(len(cone), workers, func(w, i int) {
-		ce := cone[i]
-		if ce.Classes == nil {
-			return
-		}
-		col := cells[int(ce.Member)*newN:][:oldN]
-		n := 0
-		ce.Classes.ForEach(func(c int) {
-			if c < oldN && col[c] != 0 {
-				col[c] = 0
-				n++
-			}
-		})
-		counts[w] += n
-	})
-	return sum(counts)
-}
-
-func sum(xs []int) int {
-	t := 0
-	for _, x := range xs {
-		t += x
+// share returns r for a successor with n classes — the same words,
+// extended in place over zero words when n exceeds r's length — and
+// the count of r's published words, or ok=false when r must be copied:
+// its words came from outside the engine (uncounted), its backing
+// array lacks room for n words, or another successor of r's version
+// already claimed the words past r's end.
+func (r run) share(n int) (shared run, filled int, ok bool) {
+	if r.st == nil {
+		return run{}, 0, false
 	}
-	return t
+	// claimed only grows, so finding it at len(r.words) after loading
+	// filled means no version could yet write past r's end: the count
+	// covers exactly r's words.
+	f := r.st.filled.Load()
+	if r.st.claimed.Load() != int64(len(r.words)) {
+		return run{}, 0, false
+	}
+	if n > len(r.words) && (n > cap(r.words) || !r.st.claimed.CompareAndSwap(int64(len(r.words)), int64(n))) {
+		return run{}, 0, false
+	}
+	return run{words: r.words[:n], st: r.st}, int(f), true
+}
+
+// copy returns a fresh run of n words holding r's published words,
+// rewritten through mg when it is non-nil, and how many there are. r
+// may be filling concurrently, so its words are loaded atomically.
+func (r run) copy(n int, mg *core.Migrator) (run, int) {
+	nr := newRun(n)
+	filled := 0
+	for c := range r.words {
+		if w := atomic.LoadUint64(&r.words[c]); w != 0 {
+			if mg != nil {
+				w = uint64(mg.Migrate(core.Cell(w)))
+			}
+			nr.words[c] = w
+			filled++
+		}
+	}
+	nr.st.filled.Store(int64(filled))
+	return nr, filled
+}
+
+// clear zeroes the published words of r at the cone's classes below
+// oldN, observing each dropped word in dropped, and returns how many it
+// cleared. r must be a fresh copy no published version shares. A cone
+// class the predecessor didn't know (c ≥ oldN) clears nothing: the copy
+// never wrote its word.
+func (r run) clear(cone *bitset.Set, oldN int, dropped *core.PoolLiveCounter) int {
+	n := 0
+	cone.ForEach(func(c int) {
+		if c < oldN && r.words[c] != 0 {
+			dropped.Observe(core.Cell(r.words[c]))
+			r.words[c] = 0
+			n++
+		}
+	})
+	r.st.filled.Add(-int64(n))
+	return n
 }

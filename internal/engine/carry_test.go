@@ -318,26 +318,22 @@ func TestSyncRepublishCarryStress(t *testing.T) {
 	diffAgainstColdBuild(t, "final", snap, opts)
 }
 
-// The parallel carry path (per-member-column copy + per-entry cone
-// clear) must be cell-for-cell identical to the serial path.
-// carryParallelFloor is forced down so small snapshots take the
-// parallel code; odd rounds also add a class and intern a new member
-// name, so the copy re-strides the class axis and grows the member
-// axis. Run under -race to catch overlapping columns.
-func TestParallelCarryMatchesSerial(t *testing.T) {
-	defer func(old int) { carryParallelFloor = old }(carryParallelFloor)
-	carryParallelFloor = 1
-
-	for _, workers := range []int{1, 2, 5} {
-		rng := rand.New(rand.NewSource(int64(workers) * 777))
+// Carry across growth: odd rounds add a class and intern a new member
+// name, so shared runs grow over the added class and the new name
+// starts from a fresh run, while the edited members' runs are copied
+// and cone-cleared. Every published snapshot must match a cold build.
+// Run under -race to catch a clear or fill writing a run another
+// version reads.
+func TestCarryGrowthMatchesColdBuild(t *testing.T) {
+	for _, seed := range []int64{777, 1554, 3885} {
+		rng := rand.New(rand.NewSource(seed))
 		w, ids := randomEditableWorkspace(rng, 40)
 		names := []string{"m0", "m1", "m2", "m3", "m4"}
 		for i := 0; i < 30; i++ {
 			randomMemberEdit(rng, w, ids, names)
 		}
 		e := New()
-		e.carryWorkers = workers
-		b, snap, err := e.BindWorkspace("par", w, core.WithStaticRule())
+		b, snap, err := e.BindWorkspace("grow", w, core.WithStaticRule())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -363,24 +359,17 @@ func TestParallelCarryMatchesSerial(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			st := snap.Carry()
-			if workers > 1 && st.Workers < 2 {
-				t.Fatalf("workers=%d round %d: parallel path not taken, stats %+v", workers, round, st)
+			if st := snap.Carry(); grow && st.Carried == 0 {
+				t.Fatalf("seed %d round %d: growth round carried nothing, stats %+v", seed, round, st)
 			}
-			if grow && st.Carried == 0 {
-				t.Fatalf("workers=%d round %d: growth round carried nothing, stats %+v", workers, round, st)
-			}
-			diffAgainstColdBuild(t, fmt.Sprintf("workers=%d round %d", workers, round), snap, []core.Option{core.WithStaticRule()})
+			diffAgainstColdBuild(t, fmt.Sprintf("seed %d round %d", seed, round), snap, []core.Option{core.WithStaticRule()})
 		}
 	}
 }
 
-// A hand-built cone with duplicate members must force the serial clear
-// (overlapping columns are not safe to stripe) and still be exact.
-func TestCarryDuplicateMemberConeServedSerially(t *testing.T) {
-	defer func(old int) { carryParallelFloor = old }(carryParallelFloor)
-	carryParallelFloor = 1
-
+// A hand-built cone may list a member twice; both entries clear the
+// same copied run, and the carry stays exact.
+func TestCarryDuplicateMemberCone(t *testing.T) {
 	bld := chg.NewBuilder()
 	a := bld.Class("A")
 	bld.Method(a, "m")
@@ -397,7 +386,6 @@ func TestCarryDuplicateMemberConeServedSerially(t *testing.T) {
 	g2 := bld2.MustBuild()
 
 	e := New()
-	e.carryWorkers = 4
 	snap, err := e.Register("dup", g1)
 	if err != nil {
 		t.Fatal(err)
@@ -407,11 +395,14 @@ func TestCarryDuplicateMemberConeServedSerially(t *testing.T) {
 	cone.Add(int(c2))
 	dup := []ConeEntry{
 		{Member: 0, Classes: cone},
-		{Member: 0, Classes: cone}, // duplicate member: clear must go serial
+		{Member: 0, Classes: cone},
 	}
 	snap2, err := e.UpdateCarried("dup", g2, dup)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if st := snap2.Carry(); st.Carried != 1 || st.Invalidated != 1 {
+		t.Fatalf("carry stats = %+v, want 1 carried / 1 invalidated", st)
 	}
 	if r := snap2.Lookup(c2, 0); r.Def().L != c2 {
 		t.Fatalf("post-edit lookup = %v, want def at C", r)

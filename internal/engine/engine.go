@@ -28,12 +28,6 @@ type Engine struct {
 	mu      sync.RWMutex
 	entries map[string]*entry
 	order   []string // registration order, for deterministic Names
-
-	// carryWorkers caps the goroutines a carried republish uses to
-	// copy and cone-clear cell columns (0 means GOMAXPROCS; the
-	// parallel path also needs the column to clear
-	// carryParallelFloor). Tests set it to pin a worker count.
-	carryWorkers int
 }
 
 type entry struct {

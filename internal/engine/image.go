@@ -3,13 +3,15 @@ package engine
 // Image-backed snapshots. internal/image persists a snapshot's warm
 // state — graph, payload pool, and every backend's packed-cell
 // column — as a relocatable flat-buffer file; this file is the engine
-// side of that contract: exporting a live snapshot's columns for the
-// writer, and reassembling a Snapshot around columns that alias
-// memory-mapped bytes. A snapshot built from mapped columns serves
-// warm hits straight out of the map (one atomic word load, zero
-// deserialization); misses fill cells with the usual atomic stores,
-// which land in the map's private copy-on-write pages, and republishes
-// carry from it exactly like from any heap snapshot.
+// side of that contract: exporting a live snapshot's columns as flat
+// member-major arrays for the writer, and reassembling a Snapshot
+// whose runs alias memory-mapped bytes. A snapshot built from mapped
+// columns serves warm hits straight out of the map (one atomic word
+// load, zero deserialization); misses fill cells with the usual atomic
+// stores, which land in the map's private copy-on-write pages. A carried
+// successor copies each mapped run the first time it carries it (the
+// run's published words were never counted), and from then on shares
+// or extends its own copies like any heap run.
 
 import (
 	"fmt"
@@ -19,27 +21,31 @@ import (
 	"cpplookup/internal/core"
 )
 
-// CellColumn is one resolution backend's dense cell array, in the
-// snapshot's member-major layout: member m's cells are the
-// NumClasses contiguous words from m·NumClasses. The dominance column
-// is always present and always first.
+// CellColumn is one resolution backend's cells as one flat array, in
+// the snapshot's member-major layout: member m's run is the NumClasses
+// contiguous words from m·NumClasses. The dominance column is always
+// present and always first.
 type CellColumn struct {
 	ID    core.SemanticsID
 	Cells []uint64
 }
 
 // CopyColumns returns an atomic copy of every cache column the
-// snapshot serves, dominance first — the consistent read an image
-// writer needs while concurrent fills may be publishing cells. Each
-// word is loaded atomically; a torn column is impossible, and any
-// pooled payload a copied word references is already fully interned
-// (cells publish after their payloads).
+// snapshot serves, dominance first, each assembled from its runs into
+// one flat CellColumn — the consistent read an image writer needs while
+// concurrent fills may be publishing cells. Each word is loaded
+// atomically; a torn column is impossible, and any pooled payload a
+// copied word references is already fully interned (cells publish after
+// their payloads).
 func (s *Snapshot) CopyColumns() []CellColumn {
 	out := make([]CellColumn, len(s.cols))
 	for i, col := range s.cols {
-		cells := make([]uint64, len(col.cells))
-		for j := range cells {
-			cells[j] = atomic.LoadUint64(&col.cells[j])
+		cells := make([]uint64, s.numMembers*s.numClasses)
+		for m, r := range col.runs {
+			dst := cells[m*s.numClasses:]
+			for c := range r.words {
+				dst[c] = atomic.LoadUint64(&r.words[c])
+			}
 		}
 		out[i] = CellColumn{ID: col.id, Cells: cells}
 	}
@@ -50,7 +56,7 @@ func (s *Snapshot) CopyColumns() []CellColumn {
 // the eager warm-up an image save performs so the persisted cache
 // answers the whole table without a single miss. It walks member
 // outer, class inner, so each member's fills stay inside its one
-// contiguous column. Safe for concurrent use (it is just lookups).
+// run. Safe for concurrent use (it is just lookups).
 func (s *Snapshot) WarmAll() {
 	for _, col := range s.cols {
 		for m := 0; m < s.numMembers; m++ {
@@ -65,10 +71,10 @@ func (s *Snapshot) WarmAll() {
 // engine) around externally produced cache columns — the image
 // loader's constructor. The columns must be dominance-first, each
 // backend at most once, each of length NumClasses×NumMemberNames in
-// CellColumn's member-major layout, packed over pool; they are
-// adopted without copying, so mapped columns serve from the mapped
-// bytes. trackPaths/staticRule must match the flags the cells were
-// resolved under (the image header records them).
+// CellColumn's member-major layout, packed over pool; each is sliced
+// into its runs without copying, so mapped columns serve from the
+// mapped bytes. trackPaths/staticRule must match the flags the cells
+// were resolved under (the image header records them).
 func NewSnapshotFromParts(g *chg.Graph, pool *core.Pool, cols []CellColumn, trackPaths, staticRule bool) (*Snapshot, error) {
 	if g == nil {
 		return nil, fmt.Errorf("engine: snapshot from parts: nil graph")
@@ -90,7 +96,16 @@ func NewSnapshotFromParts(g *chg.Graph, pool *core.Pool, cols []CellColumn, trac
 	if staticRule {
 		opts = append(opts, core.WithStaticRule())
 	}
-	s, err := newSnapshot("", 1, core.NewKernel(g, opts...), cols)
+	k := core.NewKernel(g, opts...)
+	numN, numM := g.NumClasses(), g.NumMemberNames()
+	if err := checkColumns(cols, columnIDs(k), numN*numM); err != nil {
+		return nil, fmt.Errorf("engine: snapshot from parts: %w", err)
+	}
+	runCols := make([]*column, len(cols))
+	for i, col := range cols {
+		runCols[i] = &column{id: col.ID, runs: carve(col.Cells, numN, numM, false)}
+	}
+	s, err := newSnapshot("", 1, k, runCols)
 	if err != nil {
 		return nil, fmt.Errorf("engine: snapshot from parts: %w", err)
 	}

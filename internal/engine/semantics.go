@@ -79,9 +79,11 @@ func (col *column) eagerTable() *core.Table {
 // filled counts the column's published cells.
 func (col *column) filled() int {
 	n := 0
-	for i := range col.cells {
-		if atomic.LoadUint64(&col.cells[i]) != 0 {
-			n++
+	for _, r := range col.runs {
+		for c := range r.words {
+			if atomic.LoadUint64(&r.words[c]) != 0 {
+				n++
+			}
 		}
 	}
 	return n

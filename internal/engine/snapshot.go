@@ -26,19 +26,19 @@ const shardCount = 32
 // never changes once published, so readers holding one are isolated
 // from later engine updates.
 //
-// Each backend's cache is one column, a dense member-major array of
-// numMemberNames×numClasses packed core.Cell words (see cell), read
-// and written with sync/atomic word operations: a warm hit is one
-// array index and one atomic word load — no locking, no hashing, no
-// pointer chase, and no per-result allocation, since the word itself
-// encodes the common results and rare payloads live interned in the
-// snapshot's pool. The zero word means "not filled yet" (core never
+// Each backend's cache is one column of per-member runs (see run):
+// run m holds member m's numClasses packed core.Cell words, indexed by
+// class, read and written with sync/atomic word operations. A warm hit
+// is one run-header load, one bounds check and one atomic word load —
+// no locking, no hashing, and no per-result allocation, since the word
+// itself encodes the common results and rare payloads live interned in
+// the snapshot's pool. The zero word means "not filled yet" (core never
 // encodes a result as zero). Writers fill misses under a
-// per-member-name shard lock; each cell is computed and published
-// exactly once. The slice is plain []uint64 rather than
-// []atomic.Uint64 so that carry-over can stage a not-yet-published
-// successor with ordinary stores (publication through the engine's
-// mutex provides the happens-before edge) instead of paying an atomic
+// per-member-name shard lock; each cell is computed and published once
+// per snapshot. Runs are plain []uint64 rather than []atomic.Uint64 so
+// that carry-over can stage a not-yet-published successor's copied runs
+// with ordinary stores (publication through the engine's mutex provides
+// the happens-before edge) instead of paying an atomic
 // read-modify-write per carried cell.
 type Snapshot struct {
 	name    string
@@ -47,7 +47,7 @@ type Snapshot struct {
 	pool    *core.Pool
 
 	// numClasses and numMembers bound every column's (class, member)
-	// index.
+	// index: each column holds numMembers runs of numClasses words.
 	numClasses, numMembers int
 
 	// cols holds one cache column per backend the snapshot serves:
@@ -59,32 +59,85 @@ type Snapshot struct {
 	// zero value for cold snapshots.
 	carry CarryStats
 
-	// poolWeighedLen and invalSinceWeigh gate the pool-compaction
-	// scan on the carry path: the pool's length when it was last
-	// weighed (counted live vs garbage), and the carried cells
-	// invalidated since. Garbage only accrues through new interning
-	// (pool growth) or cone clearing, so until their sum clears the
-	// compaction floor a republish can skip the O(cells) weigh
-	// entirely.
-	poolWeighedLen  int
-	invalSinceWeigh int
+	// garbageBound bounds from above the payloads of pool that no cell
+	// of this snapshot referenced once the pool held poolSeen payloads;
+	// the carry path weighs the pool only when the bound allows a
+	// compaction (carriedSnapshot).
+	garbageBound, poolSeen int
 }
 
-// column is one backend's cache: its cells, one contiguous run of
-// numClasses words per member name (Snapshot.cell), the shard locks
-// its misses fill under, and its eager table, built on first use.
-// Every column follows the same discipline — atomic warm reads,
-// per-member shard locks, zero word = unfilled — because Figure 8's
-// lookup[C,m] reads only entries for the same m at C's bases, whatever
-// the backend; so lock-free hits, fill-once, immutability after
-// publish and warm carry across republishes hold per backend.
+// column is one backend's cache: its cells, one run per member name
+// (see run), the shard locks its misses fill under, and its eager
+// table, built on first use. Every column follows the same discipline —
+// atomic warm reads, per-member shard locks, zero word = unfilled —
+// because Figure 8's lookup[C,m] reads only entries for the same m at
+// C's bases, whatever the backend; so lock-free hits, fill-once,
+// immutability after publish and warm carry across republishes hold per
+// backend.
 type column struct {
 	id        core.SemanticsID
 	sem       core.Semantics
-	cells     []uint64
+	runs      []run
 	fillLocks [shardCount]sync.Mutex
 	tableOnce sync.Once
 	table     *core.Table
+}
+
+// run is one member name's cells in one column: words[c] is the packed
+// lookup[c, m], 0 until filled. Figure 8's dataflow splits by member
+// name, so a fill's recursion over bases, devirt's walk over a cone and
+// carry's cone clear each stay inside one run. Successive versions
+// share a run whose member no edit touched (carry.go), so st, the
+// bookkeeping of the words' backing array, is shared with it; st is nil
+// for words adopted from outside the engine (an image's mapped cells),
+// which carry copies instead of sharing.
+type run struct {
+	words []uint64
+	st    *runStore
+}
+
+// runStore is the bookkeeping every version sharing one run backing
+// array shares.
+type runStore struct {
+	// filled counts the published words in the array. A fill counts a
+	// word only if its atomic swap found the word unfilled, so a word
+	// that two versions fill counts once.
+	filled atomic.Int64
+	// claimed is the length of the longest view of the array handed to
+	// a version. Words past it were never visible to any version, so
+	// they are still zero; a successor extends its predecessor's view
+	// in place only by moving claimed from the predecessor's length
+	// with a compare-and-swap, so one successor at most owns them.
+	claimed atomic.Int64
+}
+
+// newRun returns a run of n zero words with room to grow in place by
+// n/64+8 words or more: the allocator rounds the array up to its size
+// class, and the run keeps the rounding as spare room too.
+func newRun(n int) run {
+	st := new(runStore)
+	st.claimed.Store(int64(n))
+	return run{words: slices.Grow([]uint64(nil), n+n/64+8)[:n], st: st}
+}
+
+// carve slices a flat member-major column of numM·n words into its
+// numM runs, capping each at its own end so that no run can grow into
+// the next. Counted runs get fresh bookkeeping over words the caller
+// knows are all zero; the others (st nil) are copied by any carry.
+func carve(cells []uint64, n, numM int, counted bool) []run {
+	runs := make([]run, numM)
+	var stores []runStore
+	if counted {
+		stores = make([]runStore, numM)
+	}
+	for m := range runs {
+		runs[m].words = cells[m*n : (m+1)*n : (m+1)*n]
+		if counted {
+			stores[m].claimed.Store(int64(n))
+			runs[m].st = &stores[m]
+		}
+	}
+	return runs
 }
 
 // NewSnapshot wraps g in a standalone snapshot (version 1, no engine).
@@ -100,38 +153,46 @@ func NewSnapshot(g *chg.Graph, opts ...core.Option) *Snapshot {
 
 // newSnapshot assembles a snapshot around k, deriving its columns from
 // the kernel: dominance (k itself) first, then one backend per
-// k.ExtraSemantics, each resolving into k's pool. cells, when non-nil,
-// must supply those columns' cells in that order; they are adopted
-// without copying. nil allocates zeroed (cold) columns.
-func newSnapshot(name string, version uint64, k *core.Kernel, cells []CellColumn) (*Snapshot, error) {
+// k.ExtraSemantics, each resolving into k's pool. cols, when non-nil,
+// must hold those columns' ids and runs in that order; newSnapshot
+// binds their backends. nil allocates zeroed (cold) columns.
+func newSnapshot(name string, version uint64, k *core.Kernel, cols []*column) (*Snapshot, error) {
 	g := k.Graph()
 	numN, numM := g.NumClasses(), g.NumMemberNames()
-	size := numN * numM
-	ids := append([]core.SemanticsID{core.SemDominance}, k.ExtraSemantics()...)
-	if cells == nil {
+	ids := columnIDs(k)
+	if cols == nil {
 		for _, id := range ids {
-			cells = append(cells, CellColumn{ID: id, Cells: make([]uint64, size)})
+			cols = append(cols, &column{id: id, runs: carve(make([]uint64, numN*numM), numN, numM, true)})
 		}
-	} else if err := checkColumns(cells, ids, size); err != nil {
-		return nil, err
+	} else if !slices.EqualFunc(cols, ids, func(col *column, id core.SemanticsID) bool { return col.id == id }) {
+		return nil, fmt.Errorf("columns must be the backends %v, in order", ids)
 	}
-	cols := []*column{{id: core.SemDominance, sem: k, cells: cells[0].Cells}}
-	for _, c := range cells[1:] {
-		sem, err := semantics.New(c.ID, g, k.Pool())
+	cols[0].sem = k
+	for _, col := range cols[1:] {
+		sem, err := semantics.New(col.id, g, k.Pool())
 		if err != nil {
 			return nil, err
 		}
-		cols = append(cols, &column{id: c.ID, sem: sem, cells: c.Cells})
+		col.sem = sem
 	}
+	n := k.Pool().Len()
 	return &Snapshot{
-		name:       name,
-		version:    version,
-		k:          k,
-		pool:       k.Pool(),
-		numClasses: numN,
-		numMembers: numM,
-		cols:       cols,
+		name:         name,
+		version:      version,
+		k:            k,
+		pool:         k.Pool(),
+		numClasses:   numN,
+		numMembers:   numM,
+		cols:         cols,
+		garbageBound: n,
+		poolSeen:     n,
 	}, nil
+}
+
+// columnIDs returns the backends a snapshot around k serves, in column
+// order: dominance, then k.ExtraSemantics.
+func columnIDs(k *core.Kernel) []core.SemanticsID {
+	return append([]core.SemanticsID{core.SemDominance}, k.ExtraSemantics()...)
 }
 
 // checkColumns verifies that cells holds one column of size cells per
@@ -174,41 +235,36 @@ func (s *Snapshot) Lookup(c chg.ClassID, m chg.MemberID) core.Result {
 	return s.lookup(s.cols[0], c, m)
 }
 
-// cell returns the index of (c, m)'s word in every column of s.
-// Columns are member-major: member m's cells are the numClasses
-// contiguous words from m·numClasses. Figure 8's dataflow splits by
-// member name, so a fill's recursion over bases, devirt's walk over a
-// cone and carry's cone clear each stay inside one member's
-// contiguous run.
-func (s *Snapshot) cell(c chg.ClassID, m chg.MemberID) int {
-	return int(m)*s.numClasses + int(c)
-}
-
 // lookup is Lookup against any column.
 func (s *Snapshot) lookup(col *column, c chg.ClassID, m chg.MemberID) core.Result {
-	if c < 0 || int(c) >= s.numClasses || m < 0 || int(m) >= s.numMembers {
+	if uint(m) >= uint(len(col.runs)) {
 		return core.UndefinedResult()
 	}
-	if w := atomic.LoadUint64(&col.cells[s.cell(c, m)]); w != 0 {
+	r := col.runs[m]
+	if uint(c) >= uint(len(r.words)) {
+		return core.UndefinedResult()
+	}
+	if w := atomic.LoadUint64(&r.words[c]); w != 0 {
 		return s.pool.View(core.Cell(w))
 	}
 	st := scratchPool.Get().(*core.ScratchStack)
 	sh := &col.fillLocks[uint32(m)%shardCount]
 	sh.Lock()
-	r := s.fill(col, c, m, st)
+	res := s.fill(col.sem, r, c, m, st)
 	sh.Unlock()
 	scratchPool.Put(st)
-	return r
+	return res
 }
 
 // scratchPool recycles the fill scratch frames across misses and
 // goroutines, so steady-state misses are allocation-free.
 var scratchPool = sync.Pool{New: func() any { return new(core.ScratchStack) }}
 
-// fill computes lookup[c,m] into col, publishing every cell the
-// computation produced as it goes; the caller holds m's shard lock in
-// col. All recursive dependencies of (c,m) are entries for the same
-// member name, hence under the same lock: one acquisition covers the
+// fill computes lookup[c,m] into r, member m's run of a column served
+// by sem, publishing every cell the computation produced as it goes;
+// the caller holds m's shard lock in that column. All recursive
+// dependencies of (c,m) are entries for the same member name, hence in
+// the same run and under the same lock: one acquisition covers the
 // whole recursion, and the re-check of each cell makes its computation
 // happen once per snapshot even under contention. Publishing a cell is
 // an atomic word store of the packed result; any rare payload was
@@ -217,44 +273,62 @@ var scratchPool = sync.Pool{New: func() any { return new(core.ScratchStack) }}
 // behind its index.
 //
 // The dominance column threads st through the kernel's recursion, one
-// scratch frame per depth, so fills allocate nothing per miss. Its
+// scratch frame per depth, so fills allocate nothing per miss, and adds
+// the cells it published to the run's count once, at the end. Its
 // closure calls the kernel directly: handed to a backend through the
 // core.Semantics interface, the closure would escape to the heap on
 // every miss. Other backends (C3 and gxx ignore get) fill through
-// Resolve.
-func (s *Snapshot) fill(col *column, c chg.ClassID, m chg.MemberID, st *core.ScratchStack) core.Result {
-	if k, ok := col.sem.(*core.Kernel); ok {
-		depth := 0
+// Resolve and count each cell as they publish it.
+func (s *Snapshot) fill(sem core.Semantics, r run, c chg.ClassID, m chg.MemberID, st *core.ScratchStack) core.Result {
+	if k, ok := sem.(*core.Kernel); ok {
+		depth, published := 0, 0
 		var lookup func(x chg.ClassID) core.Result
 		lookup = func(x chg.ClassID) core.Result {
-			i := s.cell(x, m)
-			if w := atomic.LoadUint64(&col.cells[i]); w != 0 {
+			if w := atomic.LoadUint64(&r.words[x]); w != 0 {
 				// Already published — possibly by a writer ahead of us
 				// while we waited on the lock.
 				return s.pool.View(core.Cell(w))
 			}
 			depth++
-			r := k.ResolveWith(x, m, lookup, st.At(depth-1))
+			res := k.ResolveWith(x, m, lookup, st.At(depth-1))
 			depth--
-			return col.publish(i, r)
+			if r.publish(x, res) {
+				published++
+			}
+			return res
 		}
-		return lookup(c)
+		res := lookup(c)
+		r.count(published)
+		return res
 	}
 	var lookup func(x chg.ClassID) core.Result
 	lookup = func(x chg.ClassID) core.Result {
-		i := s.cell(x, m)
-		if w := atomic.LoadUint64(&col.cells[i]); w != 0 {
+		if w := atomic.LoadUint64(&r.words[x]); w != 0 {
 			return s.pool.View(core.Cell(w))
 		}
-		return col.publish(i, col.sem.Resolve(x, m, lookup))
+		res := sem.Resolve(x, m, lookup)
+		if r.publish(x, res) {
+			r.count(1)
+		}
+		return res
 	}
 	return lookup(c)
 }
 
-// publish stores r's packed word at cell i and returns r.
-func (col *column) publish(i int, r core.Result) core.Result {
-	atomic.StoreUint64(&col.cells[i], uint64(r.Cell()))
-	return r
+// publish stores res's packed word at class c of r and reports whether
+// the word was still unfilled, so that a word two versions sharing r
+// both fill is counted once. Versions share a run only while they share
+// the pool and agree on every entry in it (carry.go), so both store the
+// same word.
+func (r run) publish(c chg.ClassID, res core.Result) bool {
+	return atomic.SwapUint64(&r.words[c], uint64(res.Cell())) == 0
+}
+
+// count adds n newly published words to r's count.
+func (r run) count(n int) {
+	if n > 0 && r.st != nil {
+		r.st.filled.Add(int64(n))
+	}
 }
 
 // LookupByName resolves a member by class and member name; it returns

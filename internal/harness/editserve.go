@@ -6,8 +6,9 @@ package harness
 //
 //   - warm-carry:   engine.WorkspaceBinding.Sync — the workspace's
 //     edit log yields the exact invalidation cone and UpdateCarried
-//     seeds the new snapshot with every surviving packed cell, so
-//     only cone entries refill;
+//     seeds the new snapshot with every surviving packed cell —
+//     sharing the unedited members' runs, copying the edited one's —
+//     so only cone entries refill;
 //   - cold-rebuild: freeze + engine.Update — every entry of the new
 //     snapshot refills lazily from scratch.
 //
@@ -159,9 +160,10 @@ func survivalFraction(st engine.CarryStats) float64 {
 
 func printE15(w io.Writer, rows []*Row) {
 	fmt.Fprintln(w, "Edit→serve hot path: one member edit on a fully warm hierarchy, then")
-	fmt.Fprintln(w, "republish and requery the whole served table. warm-carry copies every")
-	fmt.Fprintln(w, "surviving packed cell into the new snapshot and refills only the")
-	fmt.Fprintln(w, "invalidation cone; cold-rebuild refills everything.")
+	fmt.Fprintln(w, "republish and requery the whole served table. warm-carry shares every")
+	fmt.Fprintln(w, "unedited member's cell run with the new snapshot, copies the edited")
+	fmt.Fprintln(w, "member's run and refills only the invalidation cone; cold-rebuild")
+	fmt.Fprintln(w, "refills everything.")
 	fmt.Fprintln(w)
 
 	t := newTable("hierarchy", "|N|", "|M|", "warm-carry", "cold-rebuild", "vs cold", "survival")

@@ -22,10 +22,15 @@ type Meta struct {
 }
 
 // Image is a loaded snapshot image: a servable engine.Snapshot whose
-// pool arenas and cell columns alias the image bytes. Keep it (or at
-// least don't Close it) as long as any snapshot obtained from it — or
-// any carried successor sharing its pool — is in use; Close unmaps a
-// mapped file.
+// pool arenas and per-member cell runs alias the image bytes. A carried
+// successor never reads the mapped runs: its first carry copies every
+// one of them (they carry no count of published cells), and only its
+// heap copies are shared onward. It does share the payload pool, whose
+// arenas stay mapped until the pool's first new payload copies them to
+// the heap or a compaction chains to a fresh pool. Keep the image (or
+// at least don't Close it) as long as any snapshot obtained from it —
+// or any carried successor sharing its pool — is in use; Close unmaps
+// a mapped file.
 type Image struct {
 	snap    *engine.Snapshot
 	meta    Meta
@@ -42,8 +47,10 @@ func (im *Image) Snapshot() *engine.Snapshot { return im.snap }
 func (im *Image) Meta() Meta { return im.meta }
 
 // Close releases the mapping behind an OpenFile image (a no-op for
-// Load). The snapshot and everything sharing its pool must no longer
-// be used afterwards.
+// Load). The snapshot, its adopted copies and every carried successor
+// still sharing its pool must no longer be used afterwards; a carried
+// successor never reads the mapped cell runs, which its first carry
+// copied.
 func (im *Image) Close() error {
 	if im.release == nil {
 		return nil

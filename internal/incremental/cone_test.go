@@ -152,7 +152,11 @@ func TestInvalidationConeSinceRepeatedMember(t *testing.T) {
 // TestFromGraphAllocationBounded gates the workspace's footprint,
 // counted by the runtime rather than timed: lifting a 16,000-class
 // Giant hierarchy keeps lists and maps linear in its size, where
-// per-class ancestor and descendant bitsets alone would be 64 MB.
+// per-class ancestor and descendant bitsets alone would be 64 MB. The
+// bound sits below the 17.1 MB a lift allocates when its class lists
+// grow by doubling and every class gets a member map, so it holds only
+// while the lift sizes its lists up front and makes a class's map at
+// its first member.
 func TestFromGraphAllocationBounded(t *testing.T) {
 	g := hiergen.Giant(hiergen.GiantDefaults(16000))
 	var before, after runtime.MemStats
@@ -163,8 +167,10 @@ func TestFromGraphAllocationBounded(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	const limit = 32 << 20
-	if got := after.TotalAlloc - before.TotalAlloc; got >= limit {
+	const limit = 16 << 20
+	got := after.TotalAlloc - before.TotalAlloc
+	t.Logf("FromGraph of %d classes allocated %d bytes in %d objects", w.NumClasses(), got, after.Mallocs-before.Mallocs)
+	if got >= limit {
 		t.Errorf("FromGraph of %d classes allocated %d bytes, want under %d", w.NumClasses(), got, limit)
 	}
 }

@@ -18,7 +18,7 @@ import (
 // hierarchy once, lift it into a mutable workspace, and edit from
 // there.
 func FromGraph(g *chg.Graph) (*Workspace, error) {
-	w := New()
+	w := newWorkspace(g.NumClasses(), g.NumMemberNames())
 	for i := 0; i < g.NumClasses(); i++ {
 		c := chg.ClassID(i)
 		bds := make([]BaseDecl, 0, len(g.DirectBases(c)))

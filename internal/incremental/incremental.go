@@ -30,6 +30,7 @@ package incremental
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"cpplookup/internal/bitset"
@@ -129,10 +130,18 @@ type Workspace struct {
 }
 
 // New returns an empty workspace.
-func New() *Workspace {
+func New() *Workspace { return newWorkspace(0, 0) }
+
+// newWorkspace returns an empty workspace with room for the given
+// numbers of classes and member names.
+func newWorkspace(classes, memberNames int) *Workspace {
 	return &Workspace{
-		byName:    make(map[string]chg.ClassID),
-		memberIDs: make(map[string]chg.MemberID),
+		names:     make([]string, 0, classes),
+		byName:    make(map[string]chg.ClassID, classes),
+		bases:     make([][]chg.Edge, 0, classes),
+		derived:   make([][]chg.ClassID, 0, classes),
+		members:   make([]map[chg.MemberID]chg.Member, 0, classes),
+		memberIDs: make(map[string]chg.MemberID, memberNames),
 	}
 }
 
@@ -163,15 +172,13 @@ func (w *Workspace) AddClass(name string, bases []BaseDecl) (chg.ClassID, error)
 	if _, dup := w.byName[name]; dup {
 		return 0, fmt.Errorf("incremental: class %s already defined", name)
 	}
-	seen := map[chg.ClassID]bool{}
-	for _, b := range bases {
+	for i, b := range bases {
 		if int(b.Class) < 0 || int(b.Class) >= len(w.names) {
 			return 0, fmt.Errorf("incremental: base %d of %s is not defined", b.Class, name)
 		}
-		if seen[b.Class] {
+		if slices.ContainsFunc(bases[:i], func(prev BaseDecl) bool { return prev.Class == b.Class }) {
 			return 0, fmt.Errorf("incremental: class %s repeats direct base %s", name, w.names[b.Class])
 		}
-		seen[b.Class] = true
 	}
 	id := chg.ClassID(len(w.names))
 	w.names = append(w.names, name)
@@ -187,7 +194,7 @@ func (w *Workspace) AddClass(name string, bases []BaseDecl) (chg.ClassID, error)
 	}
 	w.bases = append(w.bases, edges)
 	w.derived = append(w.derived, nil)
-	w.members = append(w.members, map[chg.MemberID]chg.Member{})
+	w.members = append(w.members, nil) // made by the class's first AddMember
 	w.logEdit(EditAddClass, id, 0)
 	return id, nil
 }
@@ -228,6 +235,9 @@ func (w *Workspace) AddMember(c chg.ClassID, m chg.Member) error {
 	id := w.internMember(m.Name)
 	if _, dup := w.members[c][id]; dup {
 		return fmt.Errorf("incremental: %s::%s already declared", w.names[c], m.Name)
+	}
+	if w.members[c] == nil {
+		w.members[c] = make(map[chg.MemberID]chg.Member)
 	}
 	w.members[c][id] = m
 	w.logEdit(EditAddMember, c, id)
@@ -383,7 +393,7 @@ func (w *Workspace) Snapshot() (*chg.Graph, error) {
 		for mid := range w.members[i] {
 			mids = append(mids, mid)
 		}
-		sort.Slice(mids, func(x, y int) bool { return mids[x] < mids[y] })
+		slices.Sort(mids)
 		for _, mid := range mids {
 			b.Member(chg.ClassID(i), w.members[i][mid])
 		}
