@@ -19,6 +19,7 @@ package access
 import (
 	"fmt"
 
+	"cpplookup/internal/bitset"
 	"cpplookup/internal/chg"
 )
 
@@ -131,6 +132,9 @@ func (t *Table) Accessible(path []chg.ClassID, m chg.MemberID) bool {
 // lookup fixes the path first; this reports what a user could do
 // about it). declaring must be ctx or a base of ctx.
 func (t *Table) BestPath(declaring, ctx chg.ClassID, m chg.MemberID) Level {
+	toCtx := bitset.New(t.g.NumClasses()) // ctx and its bases: the classes on some path to ctx
+	toCtx.Add(int(ctx))
+	t.g.EachAncestor(ctx, new(bitset.Set), nil, func(x chg.ClassID) { toCtx.Add(int(x)) })
 	best := Private
 	var walk func(c chg.ClassID, eff Level)
 	walk = func(c chg.ClassID, eff Level) {
@@ -144,7 +148,7 @@ func (t *Table) BestPath(declaring, ctx chg.ClassID, m chg.MemberID) Level {
 			return
 		}
 		for _, d := range t.g.DirectDerived(c) {
-			if d == ctx || t.g.IsBase(d, ctx) {
+			if toCtx.Has(int(d)) {
 				walk(d, Restrict(eff, t.Edge(d, c)))
 			}
 		}

@@ -1,13 +1,13 @@
 // Package bitset provides a dense bit-set over small integer universes.
 //
 // Sets back the class-hierarchy relations that are read whole: the
-// base-class closure of internal/chg and its transpose, built on first
-// use, the invalidation cones of internal/incremental, and the
-// streaming table build's member matrices. The Lemma-4 test "is class
-// V a virtual base of class L?" is not one of them: where Section 5
-// suggests a boolean matrix built by a transitive-closure-like
-// algorithm, internal/chg binary-searches sorted per-class lists, which
-// stay a few entries long where the matrix costs |N|²/8 bytes.
+// visited sets of internal/chg's cone walks, the invalidation cones of
+// internal/incremental, and the table builds' member matrices. No
+// class × class relation is stored: where Section 5 suggests a boolean
+// matrix, built by a transitive-closure-like algorithm, for the
+// Lemma-4 test "is class V a virtual base of class L?", internal/chg
+// binary-searches sorted per-class lists, which stay a few entries
+// long where the matrix costs |N|²/8 bytes.
 package bitset
 
 import (
@@ -38,8 +38,8 @@ func (s *Set) Len() int { return s.n }
 
 // Grow extends the universe to {0, …, n-1}, keeping every element.
 // Shrinking is not supported: a smaller n is ignored. Growing in place
-// lets caller-owned scratch (the visited set chg.Graph.EachDescendant
-// takes) be sized by its first use and reused after.
+// lets caller-owned scratch (the visited set chg.Graph's cone walks
+// take) be sized by its first use and reused after.
 func (s *Set) Grow(n int) {
 	if n <= s.n {
 		return
@@ -235,16 +235,11 @@ func (s *Set) sameUniverse(t *Set) {
 }
 
 // Matrix is a boolean matrix stored as one Set per row. It backs the
-// reflexive-transitive closures over the class hierarchy graph
-// (square, classes × classes) and the member-universe matrix of the
-// eager table build (rectangular, classes × member names).
+// member-universe matrices of the table builds (classes × member
+// names, whole in internal/core's eager build and one chunk of names
+// at a time in its streaming build).
 type Matrix struct {
 	rows []*Set
-}
-
-// NewMatrix returns an n×n all-false matrix.
-func NewMatrix(n int) *Matrix {
-	return NewMatrixRect(n, n)
 }
 
 // NewMatrixRect returns a rows×cols all-false matrix: `rows` sets,
@@ -256,15 +251,6 @@ func NewMatrixRect(rows, cols int) *Matrix {
 	}
 	return m
 }
-
-// Dim returns n for an n×n matrix.
-func (m *Matrix) Dim() int { return len(m.rows) }
-
-// Set sets entry (i, j) to true.
-func (m *Matrix) Set(i, j int) { m.rows[i].Add(j) }
-
-// Has reports entry (i, j).
-func (m *Matrix) Has(i, j int) bool { return m.rows[i].Has(j) }
 
 // Row returns row i. The returned set is shared, not a copy.
 func (m *Matrix) Row(i int) *Set { return m.rows[i] }

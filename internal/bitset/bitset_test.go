@@ -167,18 +167,18 @@ func TestUniverseMismatchPanics(t *testing.T) {
 
 func TestMatrixClosureShape(t *testing.T) {
 	// 0 -> 1 -> 2, plus 0 -> 2 via OrRow-based propagation.
-	m := NewMatrix(3)
-	m.Set(1, 0) // row i = ancestors of i
-	m.Set(2, 1)
+	m := NewMatrixRect(3, 3)
+	m.Row(1).Add(0) // row i = ancestors of i
+	m.Row(2).Add(1)
 	m.OrRow(2, 1)
-	if !m.Has(2, 0) || !m.Has(2, 1) || !m.Has(1, 0) {
+	if !m.Row(2).Has(0) || !m.Row(2).Has(1) || !m.Row(1).Has(0) {
 		t.Error("closure rows wrong")
 	}
-	if m.Has(0, 2) || m.Has(0, 1) {
+	if m.Row(0).Has(2) || m.Row(0).Has(1) {
 		t.Error("spurious entries")
 	}
-	if m.Dim() != 3 {
-		t.Errorf("Dim = %d", m.Dim())
+	if len(m.rows) != 3 {
+		t.Errorf("rows = %d", len(m.rows))
 	}
 	if m.Row(2).Count() != 2 {
 		t.Errorf("Row(2) = %v", m.Row(2))
@@ -298,16 +298,16 @@ func TestWordAccess(t *testing.T) {
 
 func TestMatrixRect(t *testing.T) {
 	m := NewMatrixRect(3, 200)
-	if m.Dim() != 3 {
-		t.Fatalf("Dim = %d", m.Dim())
+	if len(m.rows) != 3 {
+		t.Fatalf("rows = %d", len(m.rows))
 	}
-	m.Set(0, 199)
-	m.Set(1, 0)
-	if !m.Has(0, 199) || !m.Has(1, 0) || m.Has(2, 0) {
+	m.Row(0).Add(199)
+	m.Row(1).Add(0)
+	if !m.Row(0).Has(199) || !m.Row(1).Has(0) || m.Row(2).Has(0) {
 		t.Error("rect matrix entries wrong")
 	}
 	// OrRow works across rows of the shared (non-square) universe.
-	if !m.OrRow(2, 0) || !m.Has(2, 199) {
+	if !m.OrRow(2, 0) || !m.Row(2).Has(199) {
 		t.Error("OrRow on rect matrix wrong")
 	}
 	if m.Row(0).Len() != 200 {

@@ -42,8 +42,8 @@ var malformedSeeds = []wireGraph{
 // FuzzDecodeGraph feeds every input to ReadJSON and UnmarshalBinary.
 // Each decode returns either an error or a graph, never a panic; a
 // decoded graph re-encodes to the same JSON through both wire forms;
-// and on graphs of at most 64 classes the virtual-base lists match the
-// definition and EachDescendant walks exactly Descendants.
+// and on graphs of at most 64 classes the ancestry accessors match a
+// test-local base relation.
 func FuzzDecodeGraph(f *testing.F) {
 	for _, g := range []*chg.Graph{
 		hiergen.Figure1(), hiergen.Figure2(), hiergen.Figure3(), hiergen.Figure9(),
@@ -131,23 +131,47 @@ func jsonOf(t *testing.T, g *chg.Graph) []byte {
 	return buf.Bytes()
 }
 
-// checkClosures pins, on graphs of at most 64 classes, the virtual-base
-// lists against the definition — x is a virtual base of d iff some
-// virtual edge x→y has y = d or y ∈ Bases(d) — and EachDescendant
-// against Descendants.
+// checkClosures pins, on graphs of at most 64 classes, the ancestry
+// accessors against a test-local base relation built by DFS up the
+// direct bases: the virtual-base lists against the definition — x is a
+// virtual base of d iff some virtual edge x→y has y = d or y a base of
+// d — IsBase, both cone walks, and VisibleMembers.
 func checkClosures(t *testing.T, g *chg.Graph) {
 	t.Helper()
 	n := g.NumClasses()
 	if n == 0 || n > 64 {
 		return
 	}
+	anc := make([]bitset.Set, n)
+	for d := range anc {
+		anc[d].Grow(n)
+		stack := []chg.ClassID{chg.ClassID(d)}
+		for len(stack) > 0 {
+			c := stack[len(stack)-1]
+			stack = stack[:len(stack)-1]
+			for _, e := range g.DirectBases(c) {
+				if !anc[d].Has(int(e.Base)) {
+					anc[d].Add(int(e.Base))
+					stack = append(stack, e.Base)
+				}
+			}
+		}
+	}
 	var queue []chg.ClassID
 	visited := new(bitset.Set)
 	for d := chg.ClassID(0); int(d) < n; d++ {
 		var want []chg.ClassID
+		var desc []int
+		members := map[chg.MemberID]bool{}
 		for y := chg.ClassID(0); int(y) < n; y++ {
-			if y != d && !g.Bases(d).Has(int(y)) {
+			if anc[y].Has(int(d)) {
+				desc = append(desc, int(y))
+			}
+			if y != d && !anc[d].Has(int(y)) {
 				continue
+			}
+			for _, mem := range g.DeclaredMembers(y) {
+				members[g.MustMemberID(mem.Name)] = true
 			}
 			for _, e := range g.DirectBases(y) {
 				if e.Kind == chg.Virtual {
@@ -164,12 +188,29 @@ func checkClosures(t *testing.T, g *chg.Graph) {
 			if got := g.IsVirtualBase(x, d); got != slices.Contains(want, x) {
 				t.Fatalf("IsVirtualBase(%s, %s) = %v", g.Name(x), g.Name(d), got)
 			}
+			if got := g.IsBase(x, d); got != anc[d].Has(int(x)) {
+				t.Fatalf("IsBase(%s, %s) = %v", g.Name(x), g.Name(d), got)
+			}
 		}
-		var walked []int
-		queue = g.EachDescendant(d, visited, queue, func(c chg.ClassID) { walked = append(walked, int(c)) })
-		slices.Sort(walked)
-		if want := g.Descendants(d).Elems(); !slices.Equal(walked, want) {
-			t.Fatalf("EachDescendant(%s) visited %v, want %v", g.Name(d), walked, want)
+		var up, down []int
+		queue = g.EachAncestor(d, visited, queue, func(c chg.ClassID) { up = append(up, int(c)) })
+		queue = g.EachDescendant(d, visited, queue, func(c chg.ClassID) { down = append(down, int(c)) })
+		slices.Sort(up)
+		slices.Sort(down)
+		if want := anc[d].Elems(); !slices.Equal(up, want) {
+			t.Fatalf("EachAncestor(%s) visited %v, want %v", g.Name(d), up, want)
+		}
+		if !slices.Equal(down, desc) {
+			t.Fatalf("EachDescendant(%s) visited %v, want %v", g.Name(d), down, desc)
+		}
+		vis := g.VisibleMembers(d)
+		if len(vis) != len(members) || !slices.IsSorted(vis) {
+			t.Fatalf("VisibleMembers(%s) = %v, want the sorted ids of %v", g.Name(d), vis, members)
+		}
+		for _, m := range vis {
+			if !members[m] {
+				t.Fatalf("VisibleMembers(%s) = %v, want the sorted ids of %v", g.Name(d), vis, members)
+			}
 		}
 	}
 }

@@ -13,15 +13,15 @@
 // X → D starts with a virtual edge (the paper's "virtual base class"
 // definition). Those lists are all the Lemma-4 dominance test of the
 // lookup algorithm (internal/core) reads, as a binary search. The
-// strict base relation (X ∈ Bases(Y) iff there is a nonempty path
-// X → Y) and its transpose, Descendants, are |N|²-bit matrices built
-// on first use, for the whole-hierarchy analyses that ask for them;
-// EachDescendant walks a cone without either.
+// graph stores no other closure: the strict base relation (X is a base
+// of Y iff there is a nonempty path X → Y) and its transpose are
+// answered by walking the direct lists — EachAncestor and
+// EachDescendant visit a class's cone, and IsBase walks up from the
+// derived class — so no structure grows as |N|².
 package chg
 
 import (
 	"fmt"
-	"sync"
 
 	"cpplookup/internal/bitset"
 )
@@ -131,59 +131,11 @@ type Graph struct {
 	topoPos []int     // topoPos[c] = index of c in topo
 
 	// vlists[d] is the sorted list of the virtual bases of d, computed
-	// by Build and immutable after it, so IsVirtualBase — the per-cell
-	// Lemma-4 probe — never touches a Once. The two matrices start nil
-	// and each materializes on first use via its sync.Once.
-	vlists      [][]ClassID
-	bases       *bitset.Matrix // row d: strict bases of d
-	descendants *bitset.Matrix // row b: strict descendants of b (transpose of bases)
-	basesOnce   sync.Once
-	descOnce    sync.Once // needs bases first
+	// by Build and immutable after it.
+	vlists [][]ClassID
 
 	numEdges        int
 	numVirtualEdges int
-}
-
-// denseBases returns the bases closure matrix, materializing it on
-// first use.
-func (g *Graph) denseBases() *bitset.Matrix {
-	g.basesOnce.Do(g.materializeBases)
-	return g.bases
-}
-
-func (g *Graph) denseDescendants() *bitset.Matrix {
-	g.descOnce.Do(g.materializeDescendants)
-	return g.descendants
-}
-
-// materializeBases runs the bases recurrence in one pass over the
-// topological order:
-//
-//	Bases(D) = ∪_{X ∈ direct(D)} Bases(X) ∪ {X}
-func (g *Graph) materializeBases() {
-	bases := bitset.NewMatrix(len(g.classes))
-	for _, d := range g.topo {
-		for _, e := range g.classes[d].bases {
-			bases.Set(int(d), int(e.Base))
-			bases.OrRow(int(d), int(e.Base))
-		}
-	}
-	g.bases = bases
-}
-
-// materializeDescendants transposes the bases closure: row b is the
-// set of classes that have b as a strict base — exactly the
-// invalidation cone of an edit in b (lookup[D,m] can depend on a
-// declaration in b only when b is an ancestor of D), and the
-// reachability set whole-hierarchy analyses iterate.
-func (g *Graph) materializeDescendants() {
-	db := g.denseBases()
-	n := len(g.classes)
-	desc := bitset.NewMatrix(n)
-	for d := 0; d < n; d++ {
-		db.Row(d).ForEach(func(b int) { desc.Set(b, d) })
-	}
-	g.descendants = desc
 }
 
 // containsClass reports membership in a sorted ClassID slice.
@@ -297,8 +249,33 @@ func (g *Graph) DeclaredMember(c ClassID, m MemberID) (Member, bool) {
 }
 
 // IsBase reports whether b is a (strict, possibly indirect) base of d:
-// there is a nonempty CHG path b → d.
-func (g *Graph) IsBase(b, d ClassID) bool { return g.denseBases().Has(int(d), int(b)) }
+// there is a nonempty CHG path b → d. It walks up from d and never
+// enters a class placed before b in Topo, since none of those can
+// derive from b, so the walk and its visited set span only the
+// classes between b and d in topological order.
+func (g *Graph) IsBase(b, d ClassID) bool {
+	lo, hi := g.topoPos[b], g.topoPos[d]
+	if lo >= hi {
+		return false
+	}
+	seen := bitset.New(hi - lo)
+	stack := []ClassID{d}
+	for len(stack) > 0 {
+		c := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		for _, e := range g.classes[c].bases {
+			p := g.topoPos[e.Base] - lo
+			if p == 0 {
+				return true // e.Base == b: the only class at b's position
+			}
+			if p > 0 && !seen.Has(p) {
+				seen.Add(p)
+				stack = append(stack, e.Base)
+			}
+		}
+	}
+	return false
+}
 
 // IsVirtualBase reports whether b is a virtual base of d: some path
 // b → d starts with a virtual edge. This is the Lemma-4 probe on the
@@ -310,41 +287,49 @@ func (g *Graph) IsVirtualBase(b, d ClassID) bool {
 	return containsClass(g.vlists[d], b)
 }
 
-// Bases returns the strict bases of d as a shared bit set (universe =
-// class ids). Do not modify.
-func (g *Graph) Bases(d ClassID) *bitset.Set { return g.denseBases().Row(int(d)) }
-
 // VirtualBases returns the virtual bases of d in ascending id order.
 // Shared slice; do not modify.
 func (g *Graph) VirtualBases(d ClassID) []ClassID { return g.vlists[d] }
 
-// Descendants returns the strict descendants of b as a shared bit set
-// (universe = class ids): every class with b as a possibly-indirect
-// base. This is the transpose row of the bases closure — the exact
-// invalidation cone of an edit to b's declarations, and the
-// reachability set whole-hierarchy analyses (chglint) iterate instead
-// of probing IsBase across all classes. Do not modify.
-func (g *Graph) Descendants(b ClassID) *bitset.Set { return g.denseDescendants().Row(int(b)) }
-
 // EachDescendant calls fn once for every strict descendant of b, in
-// breadth-first order over DirectDerived edges, without materializing
-// the Descendants matrix. visited and queue are caller-owned scratch:
-// visited is grown to NumClasses and cleared of the classes this call
-// marked before returning; queue's grown backing array is returned for
-// reuse. This is the cone primitive bulk consumers (devirt's CHA
-// target sets, the same shape as incremental's invalidation cones)
-// use to stay memory-bounded at 100k classes.
+// breadth-first order over DirectDerived edges. visited and queue are
+// caller-owned scratch: visited is grown to NumClasses and cleared of
+// the classes this call marked before returning; queue's grown backing
+// array is returned for reuse. This is the cone primitive bulk
+// consumers (devirt's CHA target sets, the same shape as incremental's
+// invalidation cones) use to stay memory-bounded at 100k classes.
 func (g *Graph) EachDescendant(b ClassID, visited *bitset.Set, queue []ClassID, fn func(ClassID)) []ClassID {
+	return g.walk(b, false, visited, queue, fn)
+}
+
+// EachAncestor calls fn once for every strict base of d, in
+// breadth-first order over DirectBases edges: the mirror of
+// EachDescendant, with the same scratch contract.
+func (g *Graph) EachAncestor(d ClassID, visited *bitset.Set, queue []ClassID, fn func(ClassID)) []ClassID {
+	return g.walk(d, true, visited, queue, fn)
+}
+
+// walk is the breadth-first cone walk from start, up the direct bases
+// or down the direct derived lists.
+func (g *Graph) walk(start ClassID, up bool, visited *bitset.Set, queue []ClassID, fn func(ClassID)) []ClassID {
 	visited.Grow(len(g.classes))
-	queue = queue[:0]
-	visited.Add(int(b))
-	queue = append(queue, b)
+	visited.Add(int(start))
+	queue = append(queue[:0], start)
+	visit := func(c ClassID) {
+		if !visited.Has(int(c)) {
+			visited.Add(int(c))
+			queue = append(queue, c)
+			fn(c)
+		}
+	}
 	for head := 0; head < len(queue); head++ {
-		for _, d := range g.classes[queue[head]].derived {
-			if !visited.Has(int(d)) {
-				visited.Add(int(d))
-				queue = append(queue, d)
-				fn(d)
+		if cl := &g.classes[queue[head]]; up {
+			for _, e := range cl.bases {
+				visit(e.Base)
+			}
+		} else {
+			for _, c := range cl.derived {
+				visit(c)
 			}
 		}
 	}
@@ -352,6 +337,24 @@ func (g *Graph) EachDescendant(b ClassID, visited *bitset.Set, queue []ClassID, 
 		visited.Remove(int(c))
 	}
 	return queue
+}
+
+// VisibleMembers returns Members[c], the ids of the member names
+// declared by c or any of its bases, in ascending order. A member is
+// visible exactly where its lookup cell is defined, so this matches
+// core.Table.Members without tabulating the hierarchy.
+func (g *Graph) VisibleMembers(c ClassID) []MemberID {
+	vis := bitset.New(len(g.memberNames))
+	addDecls := func(x ClassID) {
+		for m := range g.classes[x].declared {
+			vis.Add(int(m))
+		}
+	}
+	addDecls(c)
+	g.EachAncestor(c, new(bitset.Set), nil, addDecls)
+	out := make([]MemberID, 0, vis.Count())
+	vis.ForEach(func(m int) { out = append(out, MemberID(m)) })
+	return out
 }
 
 // Topo returns a topological order of the classes in which every base

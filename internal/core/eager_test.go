@@ -124,8 +124,8 @@ func TestMemberUniverseMatchesRecursiveDefinition(t *testing.T) {
 			want := []chg.MemberID{}
 			for m := 0; m < g.NumMemberNames(); m++ {
 				has := inMembers(chg.ClassID(c), chg.MemberID(m))
-				if mm.Has(c, m) != has {
-					t.Fatalf("iter %d: matrix bit (%d,%d) = %v, want %v", i, c, m, mm.Has(c, m), has)
+				if mm.Row(c).Has(m) != has {
+					t.Fatalf("iter %d: matrix bit (%d,%d) = %v, want %v", i, c, m, mm.Row(c).Has(m), has)
 				}
 				if has {
 					want = append(want, chg.MemberID(m))

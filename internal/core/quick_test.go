@@ -168,20 +168,30 @@ func TestQuickBlueSetWellFormed(t *testing.T) {
 }
 
 // Undefined results coincide exactly with "no base (or self) declares
-// the member".
+// the member". Each class's bases come from a test-local DFS up the
+// direct bases, taken once per class.
 func TestQuickUndefinedIffNoDefinition(t *testing.T) {
 	f := func(s spec) bool {
 		g := s.build()
 		a := New(g)
 		for c := 0; c < g.NumClasses(); c++ {
+			var bases []chg.ClassID
+			seen := map[chg.ClassID]bool{}
+			for stack := []chg.ClassID{chg.ClassID(c)}; len(stack) > 0; {
+				x := stack[len(stack)-1]
+				stack = stack[:len(stack)-1]
+				for _, e := range g.DirectBases(x) {
+					if !seen[e.Base] {
+						seen[e.Base] = true
+						bases = append(bases, e.Base)
+						stack = append(stack, e.Base)
+					}
+				}
+			}
 			for m := 0; m < g.NumMemberNames(); m++ {
 				declared := g.Declares(chg.ClassID(c), chg.MemberID(m))
-				if !declared {
-					g.Bases(chg.ClassID(c)).ForEach(func(x int) {
-						if g.Declares(chg.ClassID(x), chg.MemberID(m)) {
-							declared = true
-						}
-					})
+				for _, x := range bases {
+					declared = declared || g.Declares(x, chg.MemberID(m))
 				}
 				got := a.Lookup(chg.ClassID(c), chg.MemberID(m))
 				if (got.Kind() == Undefined) == declared {

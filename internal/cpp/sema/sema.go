@@ -96,7 +96,6 @@ type Unit struct {
 	globals    map[string]typeInfo
 	classPos   map[chg.ClassID]token.Pos // class-head positions
 	memberPos  map[typeKey]token.Pos     // member-declaration positions
-	table      *core.Table               // lazily built, for did-you-mean suggestions
 }
 
 // ClassPos returns the source position of the class's definition. It
@@ -148,15 +147,6 @@ func DiagDescriptions() map[string]string {
 		ErrRedefinedClass.String():     "a class is defined twice",
 		ErrParse.String():              "the source does not parse",
 	}
-}
-
-// lookupTable lazily builds the whole-program table used by typo
-// suggestions (the Members[C] sets are exactly the candidate pools).
-func (u *Unit) lookupTable() *core.Table {
-	if u.table == nil {
-		u.table = core.New(u.Graph, core.WithStaticRule()).BuildTable()
-	}
-	return u.table
 }
 
 type typeKey struct {
@@ -868,7 +858,7 @@ func (u *Unit) resolveMember(pos token.Pos, ctx chg.ClassID, name string) (typeI
 // did-you-mean suggestion when one is plausible.
 func (u *Unit) unknownMemberMsg(ctx chg.ClassID, name string) string {
 	msg := fmt.Sprintf("no member named %s in %s", name, u.Graph.Name(ctx))
-	if s := suggest.Members(u.lookupTable(), ctx, name, 1); len(s) > 0 {
+	if s := suggest.Members(u.Graph, ctx, name, 1); len(s) > 0 {
 		msg += fmt.Sprintf("; did you mean %s?", s[0])
 	}
 	return msg

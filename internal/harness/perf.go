@@ -289,7 +289,7 @@ func RunE10(w io.Writer) error {
 	}
 	fmt.Fprintf(w, "  ambiguity-rich program: %d ambiguous lookups; top-sort silently \"resolves\" %d of them (%.0f%%)\n",
 		ambiguous, silent, 100*float64(silent)/float64(max(ambiguous, 1)))
-	fmt.Fprintln(w, "  → the shortcut is fast but, as §7.2 notes, only sound when ambiguity is impossible; detecting ambiguity is where the real cost lives.")
+	fmt.Fprintln(w, "  → the shortcut needs no table but, as §7.2 notes, is only sound when ambiguity is impossible; detecting ambiguity is where the real cost lives.")
 	return nil
 }
 

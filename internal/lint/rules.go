@@ -2,7 +2,7 @@ package lint
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 
 	"cpplookup/internal/bitset"
@@ -14,17 +14,27 @@ import (
 	"cpplookup/internal/subobject"
 )
 
-// topoOrdered expands a reachability bit set (a row of the graph's
-// bases or descendants closure) into class ids sorted by topological
-// position — the iteration order the whole-hierarchy rules report
-// witnesses in. Rules used to rediscover these sets by scanning the
-// full Topo order with IsBase probes, O(|N|) per declaration; the
-// precomputed closures make each rule touch only its actual cone.
-func topoOrdered(g *chg.Graph, set *bitset.Set) []chg.ClassID {
-	out := make([]chg.ClassID, 0, set.Count())
-	set.ForEach(func(i int) { out = append(out, chg.ClassID(i)) })
-	sort.Slice(out, func(i, j int) bool { return g.TopoPos(out[i]) < g.TopoPos(out[j]) })
-	return out
+// walker is one rule worker's scratch for chg's cone walks. The
+// parallel rules index their walkers by par.For's worker id, so no two
+// goroutines share one.
+type walker struct {
+	visited bitset.Set
+	queue   []chg.ClassID
+	cone    []chg.ClassID
+	// paths holds diamondJoins' path counts, one per class, all zero
+	// between calls.
+	paths []int64
+}
+
+// topoOrdered returns the cone each walks from c (EachAncestor or
+// EachDescendant), sorted by topological position — the order the
+// whole-hierarchy rules report witnesses in. The slice is the
+// walker's, valid until its next walk.
+func (w *walker) topoOrdered(g *chg.Graph, each func(chg.ClassID, *bitset.Set, []chg.ClassID, func(chg.ClassID)) []chg.ClassID, c chg.ClassID) []chg.ClassID {
+	w.cone = w.cone[:0]
+	w.queue = each(c, &w.visited, w.queue, func(x chg.ClassID) { w.cone = append(w.cone, x) })
+	slices.SortFunc(w.cone, func(a, b chg.ClassID) int { return g.TopoPos(a) - g.TopoPos(b) })
+	return w.cone
 }
 
 // checkMembers runs the member-indexed rules for each member name in
@@ -35,8 +45,9 @@ func topoOrdered(g *chg.Graph, set *bitset.Set) []chg.ClassID {
 func (r *runner) checkMembers(ms []chg.MemberID) [][]diag.Diagnostic {
 	findings := make([][]diag.Diagnostic, len(ms))
 	blues := make([][]blueCell, len(ms))
-	par.For(len(ms), r.opts.Workers, func(_, i int) {
-		findings[i], blues[i] = r.checkMember(ms[i])
+	ws := make([]walker, par.Workers(len(ms), r.opts.Workers))
+	par.For(len(ms), r.opts.Workers, func(w, i int) {
+		findings[i], blues[i] = r.checkMember(&ws[w], ms[i])
 	})
 	var cells []blueCell
 	for i, bs := range blues {
@@ -53,7 +64,7 @@ func (r *runner) checkMembers(ms []chg.MemberID) [][]diag.Diagnostic {
 // every class, in topological order. Its ambiguous-member findings
 // come back without witnesses, listed as Blue cells for
 // witnessAmbiguities.
-func (r *runner) checkMember(m chg.MemberID) ([]diag.Diagnostic, []blueCell) {
+func (r *runner) checkMember(w *walker, m chg.MemberID) ([]diag.Diagnostic, []blueCell) {
 	var out []diag.Diagnostic
 	var blues []blueCell
 	for _, c := range r.g.Topo() {
@@ -66,10 +77,10 @@ func (r *runner) checkMember(m chg.MemberID) ([]diag.Diagnostic, []blueCell) {
 			out = append(out, r.ambiguousMember(c, m, res))
 		}
 		if r.enabled[DominanceShadowing] {
-			out = r.dominanceShadowing(out, c, m)
+			out = r.dominanceShadowing(w, out, c, m)
 		}
 		if r.enabled[DeadMember] {
-			out = r.deadMember(out, c, m)
+			out = r.deadMember(w, out, c, m)
 		}
 		if r.enabled[DominanceVsMroDivergence] {
 			out = r.dominanceVsMroDivergence(out, c, m, res)
@@ -110,13 +121,13 @@ func (r *runner) ambiguousMember(c chg.ClassID, m chg.MemberID, res core.Result)
 // (Definition 5 — it hides every path through itself) and silently
 // shadows the base's. A virtual method redeclaring a virtual method is
 // exempt: that is an override, the intended use of dominance.
-func (r *runner) dominanceShadowing(out []diag.Diagnostic, c chg.ClassID, m chg.MemberID) []diag.Diagnostic {
+func (r *runner) dominanceShadowing(w *walker, out []diag.Diagnostic, c chg.ClassID, m chg.MemberID) []diag.Diagnostic {
 	mem, ok := r.g.DeclaredMember(c, m)
 	if !ok {
 		return out
 	}
 	var hidden []string
-	for _, b := range topoOrdered(r.g, r.g.Bases(c)) {
+	for _, b := range w.topoOrdered(r.g, r.g.EachAncestor, c) {
 		if !r.g.Declares(b, m) {
 			continue
 		}
@@ -131,8 +142,7 @@ func (r *runner) dominanceShadowing(out []diag.Diagnostic, c chg.ClassID, m chg.
 	}
 	msg := fmt.Sprintf("%s::%s hides the declaration of %s in %s",
 		r.g.Name(c), r.g.MemberName(m), r.g.MemberName(m), strings.Join(hidden, ", "))
-	w := &diag.Witness{Classes: hidden}
-	return append(out, r.diag(DominanceShadowing, r.memberPos(c, m), c, r.g.MemberName(m), msg, w))
+	return append(out, r.diag(DominanceShadowing, r.memberPos(c, m), c, r.g.MemberName(m), msg, &diag.Witness{Classes: hidden}))
 }
 
 // deadMember fires when a declaration is never the result of a lookup
@@ -141,7 +151,7 @@ func (r *runner) dominanceShadowing(out []diag.Diagnostic, c chg.ClassID, m chg.
 // below. Virtual methods are exempt — being overridden everywhere is
 // what a virtual interface is for — as are classes with no derived
 // classes at all (nothing looks up through them).
-func (r *runner) deadMember(out []diag.Diagnostic, c chg.ClassID, m chg.MemberID) []diag.Diagnostic {
+func (r *runner) deadMember(w *walker, out []diag.Diagnostic, c chg.ClassID, m chg.MemberID) []diag.Diagnostic {
 	mem, ok := r.g.DeclaredMember(c, m)
 	if !ok || len(r.g.DirectDerived(c)) == 0 {
 		return out
@@ -150,7 +160,7 @@ func (r *runner) deadMember(out []diag.Diagnostic, c chg.ClassID, m chg.MemberID
 		return out
 	}
 	var example string
-	for _, d := range topoOrdered(r.g, r.g.Descendants(c)) {
+	for _, d := range w.topoOrdered(r.g, r.g.EachDescendant, c) {
 		res := r.look(d, m)
 		switch res.Kind() {
 		case core.RedKind:
@@ -174,19 +184,20 @@ func (r *runner) deadMember(out []diag.Diagnostic, c chg.ClassID, m chg.MemberID
 	}
 	msg := fmt.Sprintf("%s::%s is hidden in every derived class and is never the result of a lookup below %s",
 		r.g.Name(c), r.g.MemberName(m), r.g.Name(c))
-	var w *diag.Witness
+	var wit *diag.Witness
 	if example != "" {
-		w = &diag.Witness{Classes: []string{example}}
+		wit = &diag.Witness{Classes: []string{example}}
 	}
-	return append(out, r.diag(DeadMember, r.memberPos(c, m), c, r.g.MemberName(m), msg, w))
+	return append(out, r.diag(DeadMember, r.memberPos(c, m), c, r.g.MemberName(m), msg, wit))
 }
 
 // checkStructure runs the FootprintHierarchy rules for each task class
 // in cs, in parallel, and returns each class's findings in cs order.
 func (r *runner) checkStructure(cs []chg.ClassID) [][]diag.Diagnostic {
 	findings := make([][]diag.Diagnostic, len(cs))
-	par.For(len(cs), r.opts.Workers, func(_, i int) {
-		findings[i] = r.checkClassStructural(nil, cs[i])
+	ws := make([]walker, par.Workers(len(cs), r.opts.Workers))
+	par.For(len(cs), r.opts.Workers, func(w, i int) {
+		findings[i] = r.checkClassStructural(&ws[w], nil, cs[i])
 	})
 	return findings
 }
@@ -196,12 +207,12 @@ func (r *runner) checkStructure(cs []chg.ClassID) [][]diag.Diagnostic {
 // and c's C3 merge. Their findings depend only on the hierarchy's
 // shape, which for any given class is fixed at definition — a Session
 // re-runs them only when classes are added.
-func (r *runner) checkClassStructural(out []diag.Diagnostic, c chg.ClassID) []diag.Diagnostic {
+func (r *runner) checkClassStructural(w *walker, out []diag.Diagnostic, c chg.ClassID) []diag.Diagnostic {
 	if r.enabled[RedundantInheritanceEdge] {
-		out = r.redundantEdges(out, c)
+		out = r.redundantEdges(w, out, c)
 	}
 	if r.enabled[DiamondWithoutVirtual] {
-		out = r.diamondJoins(out, c)
+		out = r.diamondJoins(w, out, c)
 	}
 	if r.enabled[C3FailsToLinearize] {
 		out = r.c3FailsToLinearize(out, c)
@@ -233,22 +244,30 @@ func (r *runner) checkRows(cs []chg.ClassID) [][]diag.Diagnostic {
 // redundantEdges flags each direct base of c that is already a base of
 // another direct base: the edge adds no new member visibility (for a
 // virtual base it adds nothing at all; for a non-virtual one it adds
-// only another subobject copy).
-func (r *runner) redundantEdges(out []diag.Diagnostic, c chg.ClassID) []diag.Diagnostic {
-	for _, e := range r.g.DirectBases(c) {
-		var via []string
-		for _, d := range r.g.DirectBases(c) {
-			if d.Base != e.Base && r.g.IsBase(e.Base, d.Base) {
-				via = append(via, r.g.Name(d.Base))
+// only another subobject copy). One walk up from each direct base
+// finds every other direct base it derives from.
+func (r *runner) redundantEdges(w *walker, out []diag.Diagnostic, c chg.ClassID) []diag.Diagnostic {
+	bases := r.g.DirectBases(c)
+	if len(bases) < 2 {
+		return out
+	}
+	via := make([][]string, len(bases))
+	for _, d := range bases {
+		w.queue = r.g.EachAncestor(d.Base, &w.visited, w.queue, func(x chg.ClassID) {
+			for i, e := range bases {
+				if e.Base == x {
+					via[i] = append(via[i], r.g.Name(d.Base))
+				}
 			}
-		}
-		if len(via) == 0 {
+		})
+	}
+	for i, e := range bases {
+		if len(via[i]) == 0 {
 			continue
 		}
 		msg := fmt.Sprintf("direct base %s of %s is redundant: %s is already a base of %s",
-			r.g.Name(e.Base), r.g.Name(c), r.g.Name(e.Base), strings.Join(via, ", "))
-		w := &diag.Witness{Classes: via}
-		out = append(out, r.diag(RedundantInheritanceEdge, r.classPos(c), c, "", msg, w))
+			r.g.Name(e.Base), r.g.Name(c), r.g.Name(e.Base), strings.Join(via[i], ", "))
+		out = append(out, r.diag(RedundantInheritanceEdge, r.classPos(c), c, "", msg, &diag.Witness{Classes: via[i]}))
 	}
 	return out
 }
@@ -264,17 +283,20 @@ const diamondCap = 1 << 30
 // first reaches 2 while every direct base contributes at most one.
 // The count is the standard subobject count of Section 3: non-virtual
 // paths c → x, plus non-virtual paths into each virtual base of x.
-func (r *runner) diamondJoins(out []diag.Diagnostic, c chg.ClassID) []diag.Diagnostic {
+// Both are zero outside c's descendant cone, so only the cone is
+// counted, in topological order.
+func (r *runner) diamondJoins(w *walker, out []diag.Diagnostic, c chg.ClassID) []diag.Diagnostic {
 	if len(r.g.DirectDerived(c)) == 0 {
 		return out
 	}
+	cone := w.topoOrdered(r.g, r.g.EachDescendant, c)
+	if len(w.paths) < r.g.NumClasses() {
+		w.paths = make([]int64, r.g.NumClasses())
+	}
 	// nv[x]: number of purely non-virtual CHG paths c → x.
-	nv := make([]int64, r.g.NumClasses())
+	nv := w.paths
 	nv[c] = 1
-	for _, x := range r.g.Topo() {
-		if x == c {
-			continue
-		}
+	for _, x := range cone {
 		var n int64
 		for _, e := range r.g.DirectBases(x) {
 			if e.Kind == chg.NonVirtual {
@@ -296,18 +318,19 @@ func (r *runner) diamondJoins(out []diag.Diagnostic, c chg.ClassID) []diag.Diagn
 		}
 		return n
 	}
-	for _, x := range r.g.Topo() {
-		if x == c || dup(x) < 2 {
+	for _, x := range cone {
+		if dup(x) < 2 {
 			continue
 		}
 		join := true
 		var via []string
 		for _, e := range r.g.DirectBases(x) {
-			if dup(e.Base) >= 2 {
+			n := dup(e.Base)
+			if n >= 2 {
 				join = false
 				break
 			}
-			if e.Base == c || r.g.IsBase(c, e.Base) {
+			if n == 1 { // dup(y) ≥ 1 exactly when y is c or derives from c
 				via = append(via, r.g.Name(e.Base))
 			}
 		}
@@ -316,8 +339,11 @@ func (r *runner) diamondJoins(out []diag.Diagnostic, c chg.ClassID) []diag.Diagn
 		}
 		msg := fmt.Sprintf("%s contains %d distinct %s subobjects (inherited via %s); virtual inheritance of %s would share one",
 			r.g.Name(x), dup(x), r.g.Name(c), strings.Join(via, ", "), r.g.Name(c))
-		w := &diag.Witness{Classes: via}
-		out = append(out, r.diag(DiamondWithoutVirtual, r.classPos(x), x, "", msg, w))
+		out = append(out, r.diag(DiamondWithoutVirtual, r.classPos(x), x, "", msg, &diag.Witness{Classes: via}))
+	}
+	nv[c] = 0
+	for _, x := range cone {
+		nv[x] = 0
 	}
 	return out
 }

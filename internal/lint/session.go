@@ -144,8 +144,7 @@ func (s *Session) Stats() SessionStats { return s.stats }
 // republish relative to the rule work it feeds.
 func (s *Session) bindRunner() *runner {
 	g, snap := s.snap.Graph(), s.snap
-	members := func(c chg.ClassID) []chg.MemberID { return visibleMembers(g, c) }
-	return newRunner(g, snap.Lookup, members, s.opts, s.enabled, func(b *mro.Backend) lookupFunc {
+	return newRunner(g, snap.Lookup, g.VisibleMembers, s.opts, s.enabled, func(b *mro.Backend) lookupFunc {
 		if slices.Contains(snap.Semantics(), core.SemC3) {
 			// The snapshot serves C3: its warm-carried column is
 			// exactly the incremental cache we want.
@@ -237,7 +236,7 @@ func (s *Session) incrementalRelint(res engine.SyncResult) {
 		// it: rules that read whole columns (dead-member scans the
 		// declarer's descendants) can change at old classes too.
 		for _, c := range added {
-			for _, m := range visibleMembers(g, c) {
+			for _, m := range g.VisibleMembers(c) {
 				dirtyM.Add(int(m))
 			}
 		}
@@ -268,10 +267,10 @@ func (s *Session) incrementalRelint(res engine.SyncResult) {
 	}
 
 	if s.anyStructuralRule() && len(added) > 0 {
-		dirty := bitset.New(g.NumClasses())
+		dirty, visited := bitset.New(g.NumClasses()), new(bitset.Set)
 		for _, c := range added {
 			dirty.Add(int(c))
-			g.Bases(c).ForEach(func(i int) { dirty.Add(i) })
+			g.EachAncestor(c, visited, nil, func(x chg.ClassID) { dirty.Add(int(x)) })
 		}
 		tasks := make([]chg.ClassID, 0, dirty.Count())
 		dirty.ForEach(func(i int) { tasks = append(tasks, chg.ClassID(i)) })
@@ -309,24 +308,4 @@ func (s *Session) finish() {
 	diag.Sort(out)
 	s.cur = out
 	s.delta = diag.Diff(prev, out)
-}
-
-// visibleMembers is Members[c] — member ids declared by c or any class
-// in its base closure, sorted by id — computed from the graph alone,
-// matching core.Table.Members cell-for-cell (a member is visible iff
-// its lookup cell is defined).
-func visibleMembers(g *chg.Graph, c chg.ClassID) []chg.MemberID {
-	vis := bitset.New(g.NumMemberNames())
-	addDecls := func(x chg.ClassID) {
-		for _, mem := range g.DeclaredMembers(x) {
-			if id, ok := g.MemberID(mem.Name); ok {
-				vis.Add(int(id))
-			}
-		}
-	}
-	addDecls(c)
-	g.Bases(c).ForEach(func(x int) { addDecls(chg.ClassID(x)) })
-	out := make([]chg.MemberID, 0, vis.Count())
-	vis.ForEach(func(i int) { out = append(out, chg.MemberID(i)) })
-	return out
 }

@@ -68,6 +68,7 @@ func perCellRun(t *testing.T, snap *engine.Snapshot, opts Options) []diag.Diagno
 	}
 	g := r.g
 	var out []diag.Diagnostic
+	var w walker
 	for m := range g.NumMemberNames() {
 		m := chg.MemberID(m)
 		for _, c := range g.Topo() {
@@ -81,10 +82,10 @@ func perCellRun(t *testing.T, snap *engine.Snapshot, opts Options) []diag.Diagno
 				out = append(out, d)
 			}
 			if r.enabled[DominanceShadowing] {
-				out = r.dominanceShadowing(out, c, m)
+				out = r.dominanceShadowing(&w, out, c, m)
 			}
 			if r.enabled[DeadMember] {
-				out = r.deadMember(out, c, m)
+				out = r.deadMember(&w, out, c, m)
 			}
 			if r.enabled[DominanceVsMroDivergence] {
 				out = r.dominanceVsMroDivergence(out, c, m, res)

@@ -27,6 +27,7 @@ package mro
 import (
 	"sort"
 
+	"cpplookup/internal/bitset"
 	"cpplookup/internal/chg"
 	"cpplookup/internal/core"
 )
@@ -262,19 +263,14 @@ func (b *Backend) Resolve(c chg.ClassID, m chg.MemberID, _ func(chg.ClassID) cor
 	return core.UndefinedResult()
 }
 
-// memberOf reports m ∈ Members[c] — declared by c or any class in its
-// base closure. Used only on failed classes, whose linearization
-// cannot answer the membership question.
+// memberOf reports m ∈ Members[c] — declared by c or any of its
+// bases. Used only on failed classes, whose linearization cannot
+// answer the membership question.
 func (b *Backend) memberOf(c chg.ClassID, m chg.MemberID) bool {
-	if b.g.Declares(c, m) {
-		return true
+	found := b.g.Declares(c, m)
+	if !found {
+		b.g.EachAncestor(c, new(bitset.Set), nil, func(x chg.ClassID) { found = found || b.g.Declares(x, m) })
 	}
-	found := false
-	b.g.Bases(c).ForEach(func(x int) {
-		if !found && b.g.Declares(chg.ClassID(x), m) {
-			found = true
-		}
-	})
 	return found
 }
 

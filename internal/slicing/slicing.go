@@ -55,7 +55,7 @@ func (s Stats) String() string {
 
 // Compute slices g down to the given criteria.
 func Compute(g *chg.Graph, criteria []Criterion) (*Slice, error) {
-	keep := bitset.New(g.NumClasses())
+	keep, visited := bitset.New(g.NumClasses()), new(bitset.Set)
 	wantMember := bitset.New(g.NumMemberNames())
 	for _, cr := range criteria {
 		if !g.Valid(cr.Class) {
@@ -65,7 +65,7 @@ func Compute(g *chg.Graph, criteria []Criterion) (*Slice, error) {
 			return nil, fmt.Errorf("slicing: invalid member id %d", cr.Member)
 		}
 		keep.Add(int(cr.Class))
-		keep.UnionWith(g.Bases(cr.Class))
+		g.EachAncestor(cr.Class, visited, nil, func(x chg.ClassID) { keep.Add(int(x)) })
 		wantMember.Add(int(cr.Member))
 	}
 

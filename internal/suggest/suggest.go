@@ -1,8 +1,8 @@
 // Package suggest produces "did you mean …?" candidates for failed
 // member lookups, the diagnostic nicety production front ends layer
 // over exactly the machinery this repository implements: the
-// candidate set for a typo in `x.m` is Members[class of x] — the set
-// the lookup algorithm's Figure-8 pass computes anyway.
+// candidate set for a typo in `x.m` is Members[class of x], the set
+// Figure 8's lines [6]–[9] define (chg.Graph.VisibleMembers).
 package suggest
 
 import (
@@ -10,7 +10,6 @@ import (
 	"strings"
 
 	"cpplookup/internal/chg"
-	"cpplookup/internal/core"
 )
 
 // MaxDistance is the largest edit distance considered a plausible
@@ -21,8 +20,7 @@ const MaxDistance = 2
 // Members returns up to max member names visible in class c that are
 // plausible corrections for `name`, best first. Ties break
 // alphabetically for determinism.
-func Members(t *core.Table, c chg.ClassID, name string, max int) []string {
-	g := t.Graph()
+func Members(g *chg.Graph, c chg.ClassID, name string, max int) []string {
 	type cand struct {
 		name string
 		dist int
@@ -32,7 +30,7 @@ func Members(t *core.Table, c chg.ClassID, name string, max int) []string {
 	if len(name) <= 3 {
 		limit = 1
 	}
-	for _, m := range t.Members(c) {
+	for _, m := range g.VisibleMembers(c) {
 		mn := g.MemberName(m)
 		if mn == name {
 			continue

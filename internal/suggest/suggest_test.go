@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"cpplookup/internal/chg"
-	"cpplookup/internal/core"
 	"cpplookup/internal/hiergen"
 )
 
@@ -43,29 +42,23 @@ func TestDistanceSymmetric(t *testing.T) {
 	}
 }
 
-func streamTable(t *testing.T) (*core.Table, *chg.Graph) {
-	t.Helper()
-	g := hiergen.Realistic(2, 1)
-	return core.New(g).BuildTable(), g
-}
-
 func TestMembersSuggestions(t *testing.T) {
-	table, g := streamTable(t)
+	g := hiergen.Realistic(2, 1)
 	top := hiergen.RealisticTop(g, 2, 1)
 	// "rdstat" should suggest "rdstate" (inherited through the whole
 	// hierarchy — the candidate set is Members[C], not just M[C]).
-	got := Members(table, top, "rdstat", 3)
+	got := Members(g, top, "rdstat", 3)
 	if len(got) == 0 || got[0] != "rdstate" {
 		t.Errorf("suggestions for rdstat = %v", got)
 	}
 	// An exact name never suggests itself.
-	for _, s := range Members(table, top, "rdstate", 5) {
+	for _, s := range Members(g, top, "rdstate", 5) {
 		if s == "rdstate" {
 			t.Error("suggested the queried name itself")
 		}
 	}
 	// Nothing plausible → empty.
-	if got := Members(table, top, "zzzzzzzzz", 3); len(got) != 0 {
+	if got := Members(g, top, "zzzzzzzzz", 3); len(got) != 0 {
 		t.Errorf("suggestions for gibberish = %v", got)
 	}
 }
@@ -76,10 +69,9 @@ func TestMembersShortNamesTightLimit(t *testing.T) {
 	b.Method(x, "ab")
 	b.Method(x, "qz")
 	g := b.MustBuild()
-	table := core.New(g).BuildTable()
 	// With a 1-edit limit for short names, "ac" matches "ab" but not
 	// "qz".
-	got := Members(table, x, "ac", 5)
+	got := Members(g, x, "ac", 5)
 	if len(got) != 1 || got[0] != "ab" {
 		t.Errorf("short-name suggestions = %v", got)
 	}
@@ -92,8 +84,7 @@ func TestMembersMaxAndOrdering(t *testing.T) {
 		b.Method(x, n)
 	}
 	g := b.MustBuild()
-	table := core.New(g).BuildTable()
-	got := Members(table, x, "masq", 2)
+	got := Members(g, x, "masq", 2)
 	if len(got) != 2 {
 		t.Fatalf("max not applied: %v", got)
 	}
@@ -128,9 +119,8 @@ func TestMembersRankingTies(t *testing.T) {
 	b.Method(c, "dats")
 	b.Method(c, "datu")
 	g := b.MustBuild()
-	table := core.New(g).BuildTable()
 
-	got := Members(table, g.MustID("C"), "datx", 0)
+	got := Members(g, g.MustID("C"), "datx", 0)
 	want := []string{"data", "date", "dats", "datu"}
 	if len(got) != len(want) {
 		t.Fatalf("Members = %v, want %v", got, want)
@@ -148,13 +138,12 @@ func TestMembersRankingTies(t *testing.T) {
 	b2.Method(d, "aeld")  // distance 2 from "field", alphabetically first
 	b2.Method(d, "fielx") // distance 1
 	g2 := b2.MustBuild()
-	t2 := core.New(g2).BuildTable()
-	if got := Members(t2, g2.MustID("D"), "field", 2); len(got) != 2 || got[0] != "fielx" {
+	if got := Members(g2, g2.MustID("D"), "field", 2); len(got) != 2 || got[0] != "fielx" {
 		t.Errorf("Members = %v, want the distance-1 candidate first", got)
 	}
 
 	// max truncates after the deterministic order is fixed.
-	if got := Members(table, g.MustID("C"), "datx", 2); len(got) != 2 || got[0] != "data" || got[1] != "date" {
+	if got := Members(g, g.MustID("C"), "datx", 2); len(got) != 2 || got[0] != "data" || got[1] != "date" {
 		t.Errorf("Members with max=2 = %v, want [data date]", got)
 	}
 }

@@ -12,12 +12,15 @@
 // member lookup in C++ is in identifying ambiguous lookups" baseline.
 package toposel
 
-import "cpplookup/internal/chg"
+import (
+	"cpplookup/internal/bitset"
+	"cpplookup/internal/chg"
+)
 
 // Lookup returns the class whose member m a (presumed unambiguous)
 // lookup in context c resolves to, or false when no base of c (nor c
-// itself) declares m. Cost: O(|N|/64 + declaring classes) via the
-// precomputed base closure.
+// itself) declares m. Cost: one walk up c's bases, O(bases of c +
+// their direct edges), plus a visited set of |N| bits.
 func Lookup(g *chg.Graph, c chg.ClassID, m chg.MemberID) (chg.ClassID, bool) {
 	if !g.Valid(c) || m < 0 || int(m) >= g.NumMemberNames() {
 		return 0, false
@@ -27,10 +30,10 @@ func Lookup(g *chg.Graph, c chg.ClassID, m chg.MemberID) (chg.ClassID, bool) {
 	}
 	best := chg.Omega
 	bestPos := -1
-	g.Bases(c).ForEach(func(x int) {
-		if g.Declares(chg.ClassID(x), m) && g.TopoPos(chg.ClassID(x)) > bestPos {
-			best = chg.ClassID(x)
-			bestPos = g.TopoPos(chg.ClassID(x))
+	g.EachAncestor(c, new(bitset.Set), nil, func(x chg.ClassID) {
+		if g.Declares(x, m) && g.TopoPos(x) > bestPos {
+			best = x
+			bestPos = g.TopoPos(x)
 		}
 	})
 	if best == chg.Omega {

@@ -17,6 +17,7 @@ import (
 	"sort"
 	"strings"
 
+	"cpplookup/internal/bitset"
 	"cpplookup/internal/chg"
 	"cpplookup/internal/core"
 )
@@ -88,6 +89,9 @@ func NewBuilder(g *chg.Graph) *Builder {
 func (b *Builder) Build(c chg.ClassID) VTable {
 	g := b.g
 	vt := VTable{Class: c}
+	self := bitset.New(g.NumClasses()) // c and its bases
+	self.Add(int(c))
+	g.EachAncestor(c, new(bitset.Set), nil, func(x chg.ClassID) { self.Add(int(x)) })
 	for m := 0; m < g.NumMemberNames(); m++ {
 		if !b.virtualName[m] {
 			continue
@@ -100,7 +104,7 @@ func (b *Builder) Build(c chg.ClassID) VTable {
 		// The slot exists only if the introducing class is c or a base
 		// of c — a same-named non-virtual member elsewhere must not
 		// create a slot.
-		if slot.Introduced != c && !g.IsBase(slot.Introduced, c) {
+		if !self.Has(int(slot.Introduced)) {
 			continue
 		}
 		if r.Kind() == core.BlueKind {
