@@ -2,7 +2,10 @@ package chg
 
 import (
 	"fmt"
+	"maps"
 	"slices"
+
+	"cpplookup/internal/bitset"
 )
 
 // Builder accumulates classes, inheritance edges and member
@@ -16,23 +19,40 @@ import (
 //     ([class.mi]: "a class shall not be specified as a direct base
 //     class of a derived class more than once");
 //   - a class may not declare two members with the same name (we model
-//     names, not overload sets — overloads are one name for lookup).
+//     names, not overload sets — overloads are one name for lookup);
+//   - a built class's base clause is closed (C++ classes are closed at
+//     definition), so Base on a class a Graph holds is an error.
+//
+// A Builder may be edited and built again; successive Graphs share
+// every class an edit left alone, and none changes after Build: the
+// Builder copies what a Graph holds before writing it, and appends in
+// place only to arrays it made, past every Graph's length.
 type Builder struct {
-	classes []class
-	byName  map[string]ClassID
+	hierarchy
 
-	memberNames []string
-	memberIDs   map[string]MemberID
+	// last is the Graph this Builder built last, or the one it was made
+	// from; shared reports that classes still holds last's headers, and
+	// copied marks the classes of last whose declarations the Builder
+	// has copied since it copied the headers.
+	last   *Graph
+	shared bool
+	copied bitset.Set
 
 	err error // first structural error, reported by Build
 }
 
 // NewBuilder returns an empty Builder.
 func NewBuilder() *Builder {
-	return &Builder{
+	return &Builder{hierarchy: hierarchy{
 		byName:    make(map[string]ClassID),
 		memberIDs: make(map[string]MemberID),
-	}
+	}}
+}
+
+// NewBuilderFrom returns a Builder holding g's hierarchy and ids. It
+// shares g's storage and copies nothing before its first edit.
+func NewBuilderFrom(g *Graph) *Builder {
+	return &Builder{hierarchy: g.hierarchy, last: g, shared: true}
 }
 
 // Class adds a class with the given name (or returns the existing one),
@@ -45,6 +65,9 @@ func (b *Builder) Class(name string) ClassID {
 	if name == "" {
 		b.fail(fmt.Errorf("chg: empty class name"))
 	}
+	if b.last != nil && len(b.classes) == len(b.last.classes) {
+		b.byName = maps.Clone(b.byName) // last holds the map
+	}
 	id := ClassID(len(b.classes))
 	b.classes = append(b.classes, class{name: name, declared: make(map[MemberID]int)})
 	b.byName[name] = id
@@ -52,7 +75,8 @@ func (b *Builder) Class(name string) ClassID {
 }
 
 // Base records base as a direct base of derived with the given edge
-// kind. Both classes must already exist (create them with Class).
+// kind. Both classes must already exist (create them with Class), and
+// derived must not be built yet.
 func (b *Builder) Base(derived, base ClassID, kind Kind) *Builder {
 	if !b.valid(derived) || !b.valid(base) {
 		b.fail(fmt.Errorf("chg: Base(%d, %d): unknown class id", derived, base))
@@ -62,6 +86,10 @@ func (b *Builder) Base(derived, base ClassID, kind Kind) *Builder {
 		b.fail(fmt.Errorf("chg: class %s cannot be its own direct base", b.classes[derived].name))
 		return b
 	}
+	if b.last != nil && int(derived) < len(b.last.classes) {
+		b.fail(fmt.Errorf("chg: class %s is built, so its base clause is closed", b.classes[derived].name))
+		return b
+	}
 	for _, e := range b.classes[derived].bases {
 		if e.Base == base {
 			b.fail(fmt.Errorf("chg: class %s names %s as a direct base more than once",
@@ -69,8 +97,9 @@ func (b *Builder) Base(derived, base ClassID, kind Kind) *Builder {
 			return b
 		}
 	}
+	bc := b.header(base)
+	bc.derived = append(bc.derived, derived)
 	b.classes[derived].bases = append(b.classes[derived].bases, Edge{Base: base, Kind: kind})
-	b.classes[base].derived = append(b.classes[base].derived, derived)
 	return b
 }
 
@@ -85,13 +114,31 @@ func (b *Builder) Member(c ClassID, m Member) *Builder {
 		return b
 	}
 	id := b.internMember(m.Name)
-	cl := &b.classes[c]
-	if _, dup := cl.declared[id]; dup {
-		b.fail(fmt.Errorf("chg: class %s declares member %s more than once", cl.name, m.Name))
+	if b.Declares(c, id) {
+		b.fail(fmt.Errorf("chg: class %s declares member %s more than once", b.classes[c].name, m.Name))
 		return b
 	}
+	cl := b.decls(c)
 	cl.declared[id] = len(cl.members)
 	cl.members = append(cl.members, m)
+	return b
+}
+
+// RemoveMember deletes class c's declaration of member name m.
+func (b *Builder) RemoveMember(c ClassID, m MemberID) *Builder {
+	if !b.valid(c) || !b.Declares(c, m) {
+		b.fail(fmt.Errorf("chg: RemoveMember(%d, %d): no such declaration", c, m))
+		return b
+	}
+	cl := b.decls(c)
+	i := cl.declared[m]
+	delete(cl.declared, m)
+	cl.members = slices.Delete(cl.members, i, i+1)
+	for id, j := range cl.declared {
+		if j > i {
+			cl.declared[id] = j - 1
+		}
+	}
 	return b
 }
 
@@ -105,9 +152,6 @@ func (b *Builder) Method(c ClassID, name string) *Builder {
 // returns its id. Member ids are assigned in interning order, so a
 // caller that pre-interns names in a fixed order pins the Graph's
 // member-id assignment regardless of the order declarations arrive in.
-// internal/incremental relies on this to keep member ids stable across
-// successive freezes of the same workspace (the contract the engine's
-// warm-cache carry-over is built on).
 func (b *Builder) MemberName(name string) MemberID {
 	if name == "" {
 		b.fail(fmt.Errorf("chg: empty member name"))
@@ -118,18 +162,25 @@ func (b *Builder) MemberName(name string) MemberID {
 
 // Build validates the accumulated hierarchy and returns the immutable
 // Graph: it checks acyclicity, fixes the topological order, and
-// computes every class's virtual-base list.
+// computes every class's virtual-base list. Build may be called again
+// after further edits; it recomputes the order, as a fresh Builder
+// would, and the virtual-base lists of new classes only if one was added.
 func (b *Builder) Build() (*Graph, error) {
 	if b.err != nil {
 		return nil, b.err
 	}
 	n := len(b.classes)
-	g := &Graph{
-		classes:     b.classes,
-		byName:      b.byName,
-		memberNames: b.memberNames,
-		memberIDs:   b.memberIDs,
-		topoPos:     make([]int, n),
+	g := &Graph{hierarchy: b.hierarchy}
+	g.classes, g.memberNames = slices.Clip(g.classes), slices.Clip(g.memberNames)
+	var prev [][]ClassID
+	if last := b.last; last != nil {
+		if len(last.classes) == n { // no class added, so no edge either
+			g.topo, g.topoPos, g.vlists = last.topo, last.topoPos, last.vlists
+			g.numEdges, g.numVirtualEdges = last.numEdges, last.numVirtualEdges
+			b.last, b.shared = g, true
+			return g, nil
+		}
+		prev = last.vlists
 	}
 	for i := range g.classes {
 		g.numEdges += len(g.classes[i].bases)
@@ -140,28 +191,22 @@ func (b *Builder) Build() (*Graph, error) {
 		}
 	}
 
-	// Kahn's algorithm over base → derived edges: a class is ready
-	// once all its direct bases are placed.
+	// Kahn's algorithm over base → derived edges: a class is ready once
+	// all its direct bases are placed. The order doubles as the queue.
 	indeg := make([]int, n)
+	g.topo = make([]ClassID, 0, n)
 	for i := range g.classes {
-		indeg[i] = len(g.classes[i].bases)
-	}
-	queue := make([]ClassID, 0, n)
-	for i := 0; i < n; i++ {
-		if indeg[i] == 0 {
-			queue = append(queue, ClassID(i))
+		if indeg[i] = len(g.classes[i].bases); indeg[i] == 0 {
+			g.topo = append(g.topo, ClassID(i))
 		}
 	}
-	g.topo = make([]ClassID, 0, n)
-	for len(queue) > 0 {
-		c := queue[0]
-		queue = queue[1:]
-		g.topoPos[c] = len(g.topo)
-		g.topo = append(g.topo, c)
+	g.topoPos = make([]int, n)
+	for head := 0; head < len(g.topo); head++ {
+		c := g.topo[head]
+		g.topoPos[c] = head
 		for _, d := range g.classes[c].derived {
-			indeg[d]--
-			if indeg[d] == 0 {
-				queue = append(queue, d)
+			if indeg[d]--; indeg[d] == 0 {
+				g.topo = append(g.topo, d)
 			}
 		}
 	}
@@ -169,10 +214,8 @@ func (b *Builder) Build() (*Graph, error) {
 		return nil, fmt.Errorf("chg: inheritance graph has a cycle through %s", b.cycleWitness(indeg))
 	}
 
-	g.vlists = buildVirtualLists(g)
-	// Builder must not be reused: the Graph owns the slices now.
-	b.classes = nil
-	b.byName = nil
+	g.vlists = buildVirtualLists(g, prev)
+	b.last, b.shared = g, true
 	return g, nil
 }
 
@@ -197,11 +240,16 @@ func (b *Builder) MustBuild() *Graph {
 // single virtual edge X→D or factors through a direct base X with X'
 // already a virtual base of X. On realistic hierarchies the lists stay
 // a handful of entries long, so the whole relation is a few megabytes
-// at 100k classes, where an |N|²-bit matrix would be 1.25 GB.
-func buildVirtualLists(g *Graph) [][]ClassID {
+// at 100k classes, where an |N|²-bit matrix would be 1.25 GB. Classes
+// prev covers keep their lists: their bases are closed.
+func buildVirtualLists(g *Graph, prev [][]ClassID) [][]ClassID {
 	vlists := make([][]ClassID, len(g.classes))
+	copy(vlists, prev)
 	var scratch []ClassID
 	for _, d := range g.topo {
+		if int(d) < len(prev) {
+			continue
+		}
 		scratch = scratch[:0]
 		for _, e := range g.classes[d].bases {
 			scratch = append(scratch, vlists[e.Base]...)
@@ -222,6 +270,9 @@ func (b *Builder) internMember(name string) MemberID {
 	if id, ok := b.memberIDs[name]; ok {
 		return id
 	}
+	if b.last != nil && len(b.memberNames) == len(b.last.memberNames) {
+		b.memberIDs = maps.Clone(b.memberIDs) // last holds the map
+	}
 	id := MemberID(len(b.memberNames))
 	b.memberNames = append(b.memberNames, name)
 	b.memberIDs[name] = id
@@ -229,6 +280,34 @@ func (b *Builder) internMember(name string) MemberID {
 }
 
 func (b *Builder) valid(c ClassID) bool { return c >= 0 && int(c) < len(b.classes) }
+
+// header returns class c's header to write, first copying the header
+// array if the last Graph holds c. The copy clips derived lists, so
+// appends never write into an array another Builder may extend.
+func (b *Builder) header(c ClassID) *class {
+	if b.shared && int(c) < len(b.last.classes) {
+		b.classes = slices.Clone(b.classes)
+		for i := range b.last.classes {
+			b.classes[i].derived = slices.Clip(b.classes[i].derived)
+		}
+		b.copied.Clear()
+		b.shared = false
+	}
+	return &b.classes[c]
+}
+
+// decls returns class c's header to change its declarations, first
+// copying any members and declared map a Graph holds.
+func (b *Builder) decls(c ClassID) *class {
+	cl := b.header(c)
+	if b.last != nil && int(c) < len(b.last.classes) && !b.copied.Has(int(c)) {
+		cl.members = slices.Clone(cl.members)
+		cl.declared = maps.Clone(cl.declared)
+		b.copied.Grow(len(b.last.classes))
+		b.copied.Add(int(c))
+	}
+	return cl
+}
 
 func (b *Builder) fail(err error) {
 	if b.err == nil {

@@ -42,8 +42,9 @@ var malformedSeeds = []wireGraph{
 // FuzzDecodeGraph feeds every input to ReadJSON and UnmarshalBinary.
 // Each decode returns either an error or a graph, never a panic; a
 // decoded graph re-encodes to the same JSON through both wire forms;
-// and on graphs of at most 64 classes the ancestry accessors match a
-// test-local base relation.
+// a Builder made from it builds it again and edits it without changing
+// it; and on graphs of at most 64 classes the ancestry accessors match
+// a test-local base relation.
 func FuzzDecodeGraph(f *testing.F) {
 	for _, g := range []*chg.Graph{
 		hiergen.Figure1(), hiergen.Figure2(), hiergen.Figure3(), hiergen.Figure9(),
@@ -92,6 +93,7 @@ func FuzzDecodeGraph(f *testing.F) {
 			}
 			if d.g != nil {
 				checkReencode(t, d.g)
+				checkRebuild(t, d.g)
 				checkClosures(t, d.g)
 			}
 		}
@@ -119,6 +121,51 @@ func checkReencode(t *testing.T, g *chg.Graph) {
 		if got := jsonOf(t, h); !bytes.Equal(got, want) {
 			t.Fatalf("re-encoded JSON differs:\n%s\nwant:\n%s", got, want)
 		}
+	}
+}
+
+// checkRebuild asserts that chg.NewBuilderFrom(g) builds a graph with
+// g's JSON, order and virtual-base lists, and that the same builder can
+// then add a class deriving from class 0, remove a declaration and
+// build again, leaving g's JSON as it was.
+func checkRebuild(t *testing.T, g *chg.Graph) {
+	t.Helper()
+	want := jsonOf(t, g)
+	b := chg.NewBuilderFrom(g)
+	h, err := b.Build()
+	if err != nil {
+		t.Fatalf("rebuilding a decoded graph: %v", err)
+	}
+	if got := jsonOf(t, h); !bytes.Equal(got, want) {
+		t.Fatalf("rebuilt JSON differs:\n%s\nwant:\n%s", got, want)
+	}
+	if !slices.Equal(h.Topo(), g.Topo()) {
+		t.Fatalf("rebuilt order %v, want %v", h.Topo(), g.Topo())
+	}
+	for c := chg.ClassID(0); int(c) < g.NumClasses(); c++ {
+		if !slices.Equal(h.VirtualBases(c), g.VirtualBases(c)) {
+			t.Fatalf("rebuilt VirtualBases(%s) = %v, want %v", g.Name(c), h.VirtualBases(c), g.VirtualBases(c))
+		}
+	}
+	if g.NumClasses() == 0 {
+		return
+	}
+	name := "added"
+	for _, taken := g.ID(name); taken; _, taken = g.ID(name) {
+		name += "'"
+	}
+	b.Base(b.Class(name), 0, chg.Virtual)
+	for c := chg.ClassID(0); int(c) < g.NumClasses(); c++ {
+		if ms := g.DeclaredMembers(c); len(ms) > 0 {
+			b.RemoveMember(c, g.MustMemberID(ms[0].Name))
+			break
+		}
+	}
+	if _, err := b.Build(); err != nil {
+		t.Fatalf("building a decoded graph again after edits: %v", err)
+	}
+	if got := jsonOf(t, g); !bytes.Equal(got, want) {
+		t.Fatalf("editing a builder made from a decoded graph changed it:\n%s\nwant:\n%s", got, want)
 	}
 }
 

@@ -18,6 +18,9 @@
 // answered by walking the direct lists — EachAncestor and
 // EachDescendant visit a class's cone, and IsBase walks up from the
 // derived class — so no structure grows as |N|².
+//
+// The Builder is the one mutable form of the hierarchy: it may keep
+// editing and build again, sharing every untouched class between Graphs.
 package chg
 
 import (
@@ -119,13 +122,19 @@ type class struct {
 	declared map[MemberID]int
 }
 
-// Graph is an immutable class hierarchy graph.
-type Graph struct {
+// hierarchy is the store a Graph shares with the Builder that made it:
+// the classes in id order and the interned member names.
+type hierarchy struct {
 	classes []class
 	byName  map[string]ClassID
 
 	memberNames []string
 	memberIDs   map[string]MemberID
+}
+
+// Graph is an immutable class hierarchy graph.
+type Graph struct {
+	hierarchy
 
 	topo    []ClassID // bases strictly before derived
 	topoPos []int     // topoPos[c] = index of c in topo
@@ -153,7 +162,7 @@ func containsClass(xs []ClassID, c ClassID) bool {
 }
 
 // NumClasses returns |N|.
-func (g *Graph) NumClasses() int { return len(g.classes) }
+func (h *hierarchy) NumClasses() int { return len(h.classes) }
 
 // NumEdges returns |E| (virtual + non-virtual).
 func (g *Graph) NumEdges() int { return g.numEdges }
@@ -168,8 +177,8 @@ func (g *Graph) NumMemberNames() int { return len(g.memberNames) }
 func (g *Graph) Name(c ClassID) string { return g.classes[c].name }
 
 // ID returns the class with the given name.
-func (g *Graph) ID(name string) (ClassID, bool) {
-	id, ok := g.byName[name]
+func (h *hierarchy) ID(name string) (ClassID, bool) {
+	id, ok := h.byName[name]
 	return id, ok
 }
 
@@ -211,8 +220,8 @@ func (g *Graph) Edge(base, derived ClassID) (Kind, bool) {
 func (g *Graph) DeclaredMembers(c ClassID) []Member { return g.classes[c].members }
 
 // MemberID returns the interned id for a member name.
-func (g *Graph) MemberID(name string) (MemberID, bool) {
-	id, ok := g.memberIDs[name]
+func (h *hierarchy) MemberID(name string) (MemberID, bool) {
+	id, ok := h.memberIDs[name]
 	return id, ok
 }
 
@@ -234,8 +243,8 @@ func (g *Graph) MemberNames() []string { return g.memberNames }
 
 // Declares reports whether class c directly declares member name m
 // (the paper's test "m ∈ M[c]").
-func (g *Graph) Declares(c ClassID, m MemberID) bool {
-	_, ok := g.classes[c].declared[m]
+func (h *hierarchy) Declares(c ClassID, m MemberID) bool {
+	_, ok := h.classes[c].declared[m]
 	return ok
 }
 

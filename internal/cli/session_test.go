@@ -104,10 +104,12 @@ func TestLintSessionReplay(t *testing.T) {
 		}
 	}
 	// The replay is deterministic: same shape, seed, and script length
-	// reproduce the transcript byte for byte.
+	// reproduce the transcript byte for byte, and the transcript is
+	// pinned, so every workspace freeze the session reads is too.
 	if out2 := runSession(t, cfg); out2 != out {
 		t.Error("session replay is not deterministic")
 	}
+	checkGolden(t, filepath.Join("testdata", "golden", "session-realistic-6x4.txt"), out)
 
 	jcfg := cfg
 	jcfg.Format = "json"

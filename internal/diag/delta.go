@@ -3,9 +3,9 @@ package diag
 import (
 	"bufio"
 	"fmt"
-	"hash/fnv"
 	"io"
 	"sort"
+	"strconv"
 	"strings"
 )
 
@@ -15,12 +15,16 @@ import (
 // must not churn a baseline — and so is severity, which is a property
 // of the rule, not of the instance. Two findings with equal
 // fingerprints are "the same finding" for delta and baseline
-// purposes.
+// purposes. Each field is hashed after a zero byte and a tag byte, as
+// hash/fnv's New64a would, but inline, so nothing is allocated.
 func Fingerprint(d Diagnostic) uint64 {
-	h := fnv.New64a()
+	const prime = 1099511628211
+	h := uint64(14695981039346656037) // the FNV-1a 64 offset basis
 	field := func(tag byte, s string) {
-		h.Write([]byte{0, tag})
-		io.WriteString(h, s)
+		h = (h*prime ^ uint64(tag)) * prime // h ^ 0 == h
+		for i := 0; i < len(s); i++ {
+			h = (h ^ uint64(s[i])) * prime
+		}
 	}
 	field('r', d.Rule)
 	field('f', d.File)
@@ -38,13 +42,14 @@ func Fingerprint(d Diagnostic) uint64 {
 		field('G', w.Gxx)
 		field('M', w.Mro)
 		if w.Visited != 0 {
-			field('n', fmt.Sprint(w.Visited))
+			var buf [20]byte
+			field('n', string(strconv.AppendInt(buf[:0], int64(w.Visited), 10)))
 		}
 		for _, a := range w.Abstractions {
 			field('a', a)
 		}
 	}
-	return h.Sum64()
+	return h
 }
 
 // FingerprintString is the rendered form used in baselines, SARIF
@@ -70,9 +75,11 @@ func (d Delta) Empty() bool { return len(d.Added) == 0 && len(d.Fixed) == 0 }
 // Diff computes the delta from before to after. Both inputs should be
 // in canonical order (diag.Sort); the output slices then are too.
 func Diff(before, after []Diagnostic) Delta {
+	fps := make([]uint64, len(before))
 	old := make(map[uint64]int, len(before))
-	for _, d := range before {
-		old[Fingerprint(d)]++
+	for i, d := range before {
+		fps[i] = Fingerprint(d)
+		old[fps[i]]++
 	}
 	var delta Delta
 	for _, d := range after {
@@ -84,10 +91,9 @@ func Diff(before, after []Diagnostic) Delta {
 			delta.Added = append(delta.Added, d)
 		}
 	}
-	for _, d := range before {
-		fp := Fingerprint(d)
-		if old[fp] > 0 {
-			old[fp]--
+	for i, d := range before {
+		if old[fps[i]] > 0 {
+			old[fps[i]]--
 			delta.Fixed = append(delta.Fixed, d)
 		}
 	}

@@ -54,8 +54,7 @@ func GiantDefaults(classes int) GiantConfig {
 // attached virtually with VirtualProb — the Section 7.1 shape that
 // makes subobject graphs explode while the CHG stays linear) with an
 // override chain off each apex, repeated until Classes is reached.
-// Base ids always precede derived ids, so the result is acyclic and
-// freeze-order compatible with an incremental.Workspace replay.
+// Base ids always precede derived ids, so the result is acyclic.
 // Member declarations beyond the interface layer are power-law
 // (Zipf s=1.3) over the name universe and uniform over classes.
 func Giant(cfg GiantConfig) *chg.Graph {

@@ -16,16 +16,16 @@
 //   - adding or removing a declaration of m in class X invalidates
 //     exactly the entries (D, m) with D = X or D a descendant of X.
 //
-// The workspace keeps each class's direct-derived list and logs every
-// edit; InvalidationConeSince replays the log into the exact
+// The hierarchy is one chg.Builder; the workspace adds the edit log
+// and InvalidationConeSince, which replays the log into the exact
 // per-member cones between two generations — one multi-source walk
-// down the derived lists per edited member name — which is what the
-// engine's warm carry clears.
+// down the current freeze's derived lists per edited member name —
+// which is what the engine's warm carry clears.
 //
 // A Workspace is single-writer; Snapshot freezes the current hierarchy
-// into an immutable chg.Graph with class and member ids stable across
-// freezes, so the engine can copy cached cells between successive
-// snapshots by (class, member) index.
+// into an immutable chg.Graph with the builder's class and member ids,
+// stable across freezes, so the engine can copy cached cells between
+// successive snapshots by (class, member) index.
 package incremental
 
 import (
@@ -99,14 +99,7 @@ type MemberCone struct {
 
 // Workspace is a mutable hierarchy with a bounded edit log.
 type Workspace struct {
-	names   []string
-	byName  map[string]chg.ClassID
-	bases   [][]chg.Edge
-	derived [][]chg.ClassID
-	members []map[chg.MemberID]chg.Member
-
-	memberNames []string
-	memberIDs   map[string]chg.MemberID
+	b *chg.Builder
 
 	// bfsQueue is coneFrom's queue, reused across calls.
 	bfsQueue []chg.ClassID
@@ -119,34 +112,29 @@ type Workspace struct {
 	logFloor uint64
 
 	// gen counts hierarchy edits; frozen caches the graph built by the
-	// last Snapshot call, reusable until the next edit. The pair gives
-	// Snapshot copy-on-write behaviour: repeated snapshots of an
-	// unchanged workspace return the same immutable graph, and an edit
-	// merely invalidates the cache — it never touches a graph already
-	// handed out, so readers of earlier snapshots are unaffected.
+	// last Snapshot call, reusable until the next edit. Repeated
+	// snapshots of an unchanged workspace return the same immutable
+	// graph, and an edit never touches a graph already handed out (the
+	// builder copies what a graph holds before changing it), so readers
+	// of earlier snapshots are unaffected.
 	gen       uint64
 	frozen    *chg.Graph
 	frozenGen uint64
 }
 
 // New returns an empty workspace.
-func New() *Workspace { return newWorkspace(0, 0) }
+func New() *Workspace { return &Workspace{b: chg.NewBuilder()} }
 
-// newWorkspace returns an empty workspace with room for the given
-// numbers of classes and member names.
-func newWorkspace(classes, memberNames int) *Workspace {
-	return &Workspace{
-		names:     make([]string, 0, classes),
-		byName:    make(map[string]chg.ClassID, classes),
-		bases:     make([][]chg.Edge, 0, classes),
-		derived:   make([][]chg.ClassID, 0, classes),
-		members:   make([]map[chg.MemberID]chg.Member, 0, classes),
-		memberIDs: make(map[string]chg.MemberID, memberNames),
-	}
+// FromGraph returns a workspace holding g's hierarchy and ids, through
+// chg.NewBuilderFrom(g), which shares g's storage and never changes g.
+// The error is always nil. Edit-storm benchmarks generate a large
+// hierarchy once and lift it into a workspace this way.
+func FromGraph(g *chg.Graph) (*Workspace, error) {
+	return &Workspace{b: chg.NewBuilderFrom(g)}, nil
 }
 
 // NumClasses returns the number of classes defined so far.
-func (w *Workspace) NumClasses() int { return len(w.names) }
+func (w *Workspace) NumClasses() int { return w.b.NumClasses() }
 
 // Generation counts the edits applied so far (class additions, member
 // additions and removals). Publishers — e.g. an engine workspace
@@ -155,10 +143,7 @@ func (w *Workspace) NumClasses() int { return len(w.names) }
 func (w *Workspace) Generation() uint64 { return w.gen }
 
 // ID returns the class named name.
-func (w *Workspace) ID(name string) (chg.ClassID, bool) {
-	id, ok := w.byName[name]
-	return id, ok
-}
+func (w *Workspace) ID(name string) (chg.ClassID, bool) { return w.b.ID(name) }
 
 // AddClass defines a new class with the given (already defined)
 // direct bases. Like C++, a class's base clause is fixed at
@@ -169,41 +154,34 @@ func (w *Workspace) AddClass(name string, bases []BaseDecl) (chg.ClassID, error)
 	if name == "" {
 		return 0, fmt.Errorf("incremental: empty class name")
 	}
-	if _, dup := w.byName[name]; dup {
+	if _, dup := w.b.ID(name); dup {
 		return 0, fmt.Errorf("incremental: class %s already defined", name)
 	}
-	for i, b := range bases {
-		if int(b.Class) < 0 || int(b.Class) >= len(w.names) {
-			return 0, fmt.Errorf("incremental: base %d of %s is not defined", b.Class, name)
+	for i, bd := range bases {
+		if int(bd.Class) < 0 || int(bd.Class) >= w.b.NumClasses() {
+			return 0, fmt.Errorf("incremental: base %d of %s is not defined", bd.Class, name)
 		}
-		if slices.ContainsFunc(bases[:i], func(prev BaseDecl) bool { return prev.Class == b.Class }) {
-			return 0, fmt.Errorf("incremental: class %s repeats direct base %s", name, w.names[b.Class])
+		if slices.ContainsFunc(bases[:i], func(prev BaseDecl) bool { return prev.Class == bd.Class }) {
+			return 0, fmt.Errorf("incremental: class %s repeats direct base %s", name, w.className(bd.Class))
 		}
 	}
-	id := chg.ClassID(len(w.names))
-	w.names = append(w.names, name)
-	w.byName[name] = id
-	edges := make([]chg.Edge, 0, len(bases))
-	for _, b := range bases {
+	id := w.b.Class(name)
+	for _, bd := range bases {
 		kind := chg.NonVirtual
-		if b.Virtual {
+		if bd.Virtual {
 			kind = chg.Virtual
 		}
-		edges = append(edges, chg.Edge{Base: b.Class, Kind: kind})
-		w.derived[b.Class] = append(w.derived[b.Class], id)
+		w.b.Base(id, bd.Class, kind)
 	}
-	w.bases = append(w.bases, edges)
-	w.derived = append(w.derived, nil)
-	w.members = append(w.members, nil) // made by the class's first AddMember
 	w.logEdit(EditAddClass, id, 0)
 	return id, nil
 }
 
-// coneFrom unions {seeds} ∪ descendants(seeds) into out: a
+// coneFrom unions {seeds} ∪ descendants(seeds) in g into out: a
 // multi-source walk down the derived lists, with out doubling as the
 // visited set, so each class is queued once however many seeds reach
 // it. The queue is reused across calls.
-func (w *Workspace) coneFrom(out *bitset.Set, seeds ...chg.ClassID) {
+func (w *Workspace) coneFrom(g *chg.Graph, out *bitset.Set, seeds ...chg.ClassID) {
 	q := w.bfsQueue[:0]
 	for _, s := range seeds {
 		if !out.Has(int(s)) {
@@ -214,7 +192,7 @@ func (w *Workspace) coneFrom(out *bitset.Set, seeds ...chg.ClassID) {
 	for len(q) > 0 {
 		c := q[len(q)-1]
 		q = q[:len(q)-1]
-		for _, d := range w.derived[c] {
+		for _, d := range g.DirectDerived(c) {
 			if !out.Has(int(d)) {
 				out.Add(int(d))
 				q = append(q, d)
@@ -232,14 +210,11 @@ func (w *Workspace) AddMember(c chg.ClassID, m chg.Member) error {
 	if m.Name == "" {
 		return fmt.Errorf("incremental: empty member name")
 	}
-	id := w.internMember(m.Name)
-	if _, dup := w.members[c][id]; dup {
-		return fmt.Errorf("incremental: %s::%s already declared", w.names[c], m.Name)
+	id := w.b.MemberName(m.Name)
+	if w.b.Declares(c, id) {
+		return fmt.Errorf("incremental: %s::%s already declared", w.className(c), m.Name)
 	}
-	if w.members[c] == nil {
-		w.members[c] = make(map[chg.MemberID]chg.Member)
-	}
-	w.members[c][id] = m
+	w.b.Member(c, m)
 	w.logEdit(EditAddMember, c, id)
 	return nil
 }
@@ -249,14 +224,14 @@ func (w *Workspace) RemoveMember(c chg.ClassID, name string) error {
 	if err := w.checkClass(c); err != nil {
 		return err
 	}
-	id, ok := w.memberIDs[name]
+	id, ok := w.b.MemberID(name)
 	if !ok {
 		return fmt.Errorf("incremental: unknown member name %s", name)
 	}
-	if _, declared := w.members[c][id]; !declared {
-		return fmt.Errorf("incremental: %s does not declare %s", w.names[c], name)
+	if !w.b.Declares(c, id) {
+		return fmt.Errorf("incremental: %s does not declare %s", w.className(c), name)
 	}
-	delete(w.members[c], id)
+	w.b.RemoveMember(c, id)
 	w.logEdit(EditRemoveMember, c, id)
 	return nil
 }
@@ -276,8 +251,8 @@ func (w *Workspace) logEdit(kind EditKind, c chg.ClassID, m chg.MemberID) {
 
 // InvalidationConeSince returns, per member name edited after
 // generation since, the union of the edit cones: the classes whose
-// (class, member) entries may have changed. Cones are walked at call
-// time, so they can only over-approximate (classes added
+// (class, member) entries may have changed. Cones are walked over the
+// current freeze, so they can only over-approximate (classes added
 // after an edit appear; they never had valid old entries, so clearing
 // them is harmless). ok is false when the edit log no longer covers
 // the window (or since is in the future) — the caller must then treat
@@ -285,6 +260,10 @@ func (w *Workspace) logEdit(kind EditKind, c chg.ClassID, m chg.MemberID) {
 // nothing and produce an empty cone list with ok true.
 func (w *Workspace) InvalidationConeSince(since uint64) ([]MemberCone, bool) {
 	if since > w.gen || since < w.logFloor {
+		return nil, false
+	}
+	g, err := w.Snapshot()
+	if err != nil {
 		return nil, false
 	}
 	// Group the window's edits by member first, so each member's cone
@@ -300,8 +279,8 @@ func (w *Workspace) InvalidationConeSince(since uint64) ([]MemberCone, bool) {
 	}
 	out := make([]MemberCone, 0, len(seedsByMember))
 	for m, seeds := range seedsByMember {
-		s := bitset.New(len(w.names))
-		w.coneFrom(s, seeds...)
+		s := bitset.New(g.NumClasses())
+		w.coneFrom(g, s, seeds...)
 		out = append(out, MemberCone{Member: m, Classes: s})
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Member < out[j].Member })
@@ -331,74 +310,43 @@ func (w *Workspace) DeclaresName(c chg.ClassID, name string) bool {
 	if err := w.checkClass(c); err != nil {
 		return false
 	}
-	id, ok := w.memberIDs[name]
-	if !ok {
-		return false
-	}
-	_, declared := w.members[c][id]
-	return declared
+	id, ok := w.b.MemberID(name)
+	return ok && w.b.Declares(c, id)
 }
 
 func (w *Workspace) checkClass(c chg.ClassID) error {
-	if int(c) < 0 || int(c) >= len(w.names) {
+	if int(c) < 0 || int(c) >= w.b.NumClasses() {
 		return fmt.Errorf("incremental: invalid class id %d", c)
 	}
 	return nil
 }
 
-func (w *Workspace) internMember(name string) chg.MemberID {
-	if id, ok := w.memberIDs[name]; ok {
-		return id
+// className names class c in an error message, from the current freeze
+// (which the next Snapshot returns, as error paths edit nothing).
+func (w *Workspace) className(c chg.ClassID) string {
+	g, err := w.Snapshot()
+	if err != nil {
+		return fmt.Sprint(c)
 	}
-	id := chg.MemberID(len(w.memberNames))
-	w.memberNames = append(w.memberNames, name)
-	w.memberIDs[name] = id
-	return id
+	return g.Name(c)
 }
 
-// Snapshot freezes the current hierarchy into an immutable chg.Graph.
-// Class ids match the workspace's (classes are appended in definition
-// order on both sides) and member ids match too: every member name is
-// pre-interned into the builder in workspace id order, so successive
-// freezes of an evolving workspace agree on every id they share.
-// That stability is the foundation of the engine's warm-cache
-// carry-over, which copies packed cells between snapshots by
-// (class, member) index.
+// Snapshot freezes the current hierarchy into an immutable chg.Graph
+// by building the workspace's builder again. Class and member ids are
+// the builder's, so successive freezes of an evolving workspace agree
+// on every id they share. That stability is the foundation of the
+// engine's warm-cache carry-over, which copies packed cells between
+// snapshots by (class, member) index.
 //
-// The frozen graph is cached copy-on-write: while no edit intervenes,
-// repeated calls return the same graph, and an edit only drops the
-// cache — graphs already returned stay valid for their readers.
+// The frozen graph is cached: while no edit intervenes, repeated calls
+// return the same graph. A new freeze shares with the previous one
+// every class the edits between them left alone, and graphs already
+// returned stay valid for their readers.
 func (w *Workspace) Snapshot() (*chg.Graph, error) {
 	if w.frozen != nil && w.frozenGen == w.gen {
 		return w.frozen, nil
 	}
-	b := chg.NewBuilder()
-	for i, name := range w.memberNames {
-		if id := b.MemberName(name); id != chg.MemberID(i) {
-			return nil, fmt.Errorf("incremental: snapshot member id drift")
-		}
-	}
-	for i, name := range w.names {
-		id := b.Class(name)
-		if id != chg.ClassID(i) {
-			return nil, fmt.Errorf("incremental: snapshot id drift")
-		}
-	}
-	var mids []chg.MemberID
-	for i := range w.names {
-		for _, e := range w.bases[i] {
-			b.Base(chg.ClassID(i), e.Base, e.Kind)
-		}
-		mids = mids[:0]
-		for mid := range w.members[i] {
-			mids = append(mids, mid)
-		}
-		slices.Sort(mids)
-		for _, mid := range mids {
-			b.Member(chg.ClassID(i), w.members[i][mid])
-		}
-	}
-	g, err := b.Build()
+	g, err := w.b.Build()
 	if err != nil {
 		return nil, err
 	}

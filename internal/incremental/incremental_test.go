@@ -18,8 +18,12 @@ func coneOf(t *testing.T, w *Workspace, since uint64, name string) []int {
 	if !ok {
 		t.Fatalf("window since generation %d is unanswerable", since)
 	}
+	m, ok := w.b.MemberID(name)
+	if !ok {
+		return nil
+	}
 	for _, mc := range cones {
-		if w.memberNames[mc.Member] == name {
+		if mc.Member == m {
 			return mc.Classes.Elems()
 		}
 	}
