@@ -69,7 +69,7 @@ func (b *Builder) Class(name string) ClassID {
 		b.byName = maps.Clone(b.byName) // last holds the map
 	}
 	id := ClassID(len(b.classes))
-	b.classes = append(b.classes, class{name: name, declared: make(map[MemberID]int)})
+	b.classes = append(b.classes, class{name: name})
 	b.byName[name] = id
 	return id
 }
@@ -119,8 +119,7 @@ func (b *Builder) Member(c ClassID, m Member) *Builder {
 		return b
 	}
 	cl := b.decls(c)
-	cl.declared[id] = len(cl.members)
-	cl.members = append(cl.members, m)
+	cl.decls = append(cl.decls, Decl{Member: m, ID: id})
 	return b
 }
 
@@ -131,14 +130,7 @@ func (b *Builder) RemoveMember(c ClassID, m MemberID) *Builder {
 		return b
 	}
 	cl := b.decls(c)
-	i := cl.declared[m]
-	delete(cl.declared, m)
-	cl.members = slices.Delete(cl.members, i, i+1)
-	for id, j := range cl.declared {
-		if j > i {
-			cl.declared[id] = j - 1
-		}
-	}
+	cl.decls = slices.DeleteFunc(cl.decls, func(d Decl) bool { return d.ID == m })
 	return b
 }
 
@@ -297,12 +289,11 @@ func (b *Builder) header(c ClassID) *class {
 }
 
 // decls returns class c's header to change its declarations, first
-// copying any members and declared map a Graph holds.
+// copying any declarations a Graph holds.
 func (b *Builder) decls(c ClassID) *class {
 	cl := b.header(c)
 	if b.last != nil && int(c) < len(b.last.classes) && !b.copied.Has(int(c)) {
-		cl.members = slices.Clone(cl.members)
-		cl.declared = maps.Clone(cl.declared)
+		cl.decls = slices.Clone(cl.decls)
 		b.copied.Grow(len(b.last.classes))
 		b.copied.Add(int(c))
 	}

@@ -25,9 +25,10 @@ func describe(g *Graph) string {
 // from a Graph with NewBuilderFrom, changes a Graph already built.
 func TestBuilderBuildsAgain(t *testing.T) {
 	// Five classes and three member names, added one at a time, leave
-	// spare room in the header and member-name arrays, and A's three
-	// derived classes in its derived list: room a builder made from g1
-	// must not write into.
+	// spare room in the header and member-name arrays, A's three
+	// derived classes in its derived list, and F's three declarations
+	// in its declaration list: room a builder made from g1 must not
+	// write into.
 	b := NewBuilder()
 	a := b.Class("A")
 	bb := b.Class("B")
@@ -40,6 +41,8 @@ func TestBuilderBuildsAgain(t *testing.T) {
 	b.Method(a, "m")
 	b.Method(a, "n")
 	b.Method(f, "o")
+	b.Method(f, "m")
+	b.Method(f, "n")
 	g1 := b.MustBuild()
 	want1 := describe(g1)
 
@@ -49,10 +52,18 @@ func TestBuilderBuildsAgain(t *testing.T) {
 	b.Base(d, c, NonVirtual)
 	b.Method(d, "m")
 	b.RemoveMember(a, g1.MustMemberID("m"))
+	b.RemoveMember(f, g1.MustMemberID("m")) // the middle one of three
 	b.Method(bb, "k")
 	g2 := b.MustBuild()
 	if got := describe(g1); got != want1 {
 		t.Fatalf("the first graph changed:\n%s\nwant:\n%s", got, want1)
+	}
+	o, m, n := Decl{Member{Name: "o"}, 2}, Decl{Member{Name: "m"}, 0}, Decl{Member{Name: "n"}, 1}
+	if got := g2.DeclaredMembers(f); !slices.Equal(got, []Decl{o, n}) {
+		t.Errorf("F declares %v after removing m, want %v", got, []Decl{o, n})
+	}
+	if got := g1.DeclaredMembers(f); !slices.Equal(got, []Decl{o, m, n}) {
+		t.Errorf("the first graph's F declares %v, want %v", got, []Decl{o, m, n})
 	}
 	if got := g2.DeclaredMembers(a); len(got) != 1 || got[0].Name != "n" || g2.Declares(a, g2.MustMemberID("m")) {
 		t.Errorf("A declares %v after removing m", got)

@@ -17,9 +17,9 @@ func (g *Graph) WriteDOT(w io.Writer, title string) error {
 	for i := range g.classes {
 		c := &g.classes[i]
 		label := c.name
-		if len(c.members) > 0 {
-			names := make([]string, len(c.members))
-			for j, m := range c.members {
+		if len(c.decls) > 0 {
+			names := make([]string, len(c.decls))
+			for j, m := range c.decls {
 				if m.StaticForLookup() {
 					names[j] = "static " + m.Name
 				} else {

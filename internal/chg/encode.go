@@ -56,7 +56,10 @@ func (g *Graph) wire() graphWire {
 	w := graphWire{Classes: make([]classWire, len(g.classes))}
 	for i := range g.classes {
 		c := &g.classes[i]
-		cw := classWire{Name: c.name, Members: append([]Member(nil), c.members...)}
+		cw := classWire{Name: c.name}
+		for _, d := range c.decls {
+			cw.Members = append(cw.Members, d.Member)
+		}
 		for _, e := range c.bases {
 			cw.Bases = append(cw.Bases, edgeWire{Base: int32(e.Base), Virtual: e.Kind == Virtual})
 		}

@@ -42,9 +42,11 @@ var malformedSeeds = []wireGraph{
 // FuzzDecodeGraph feeds every input to ReadJSON and UnmarshalBinary.
 // Each decode returns either an error or a graph, never a panic; a
 // decoded graph re-encodes to the same JSON through both wire forms;
-// a Builder made from it builds it again and edits it without changing
-// it; and on graphs of at most 64 classes the ancestry accessors match
-// a test-local base relation.
+// every declaration carries its name's member id, and Declares and
+// DeclaredMember agree with the declaration list; a Builder made from
+// it builds it again and edits it without changing it; and on graphs
+// of at most 64 classes the ancestry accessors match a test-local base
+// relation.
 func FuzzDecodeGraph(f *testing.F) {
 	for _, g := range []*chg.Graph{
 		hiergen.Figure1(), hiergen.Figure2(), hiergen.Figure3(), hiergen.Figure9(),
@@ -93,6 +95,7 @@ func FuzzDecodeGraph(f *testing.F) {
 			}
 			if d.g != nil {
 				checkReencode(t, d.g)
+				checkDecls(t, d.g)
 				checkRebuild(t, d.g)
 				checkClosures(t, d.g)
 			}
@@ -120,6 +123,29 @@ func checkReencode(t *testing.T, g *chg.Graph) {
 	for _, h := range []*chg.Graph{viaJSON, viaGob} {
 		if got := jsonOf(t, h); !bytes.Equal(got, want) {
 			t.Fatalf("re-encoded JSON differs:\n%s\nwant:\n%s", got, want)
+		}
+	}
+}
+
+// checkDecls asserts that each class's declarations carry the ids
+// MemberID gives their names, and that Declares and DeclaredMember
+// answer every (class, member id) pair as a scan of DeclaredMembers.
+func checkDecls(t *testing.T, g *chg.Graph) {
+	t.Helper()
+	for c := chg.ClassID(0); int(c) < g.NumClasses(); c++ {
+		ds := g.DeclaredMembers(c)
+		for i, d := range ds {
+			if id, ok := g.MemberID(d.Name); !ok || id != d.ID {
+				t.Fatalf("%s's declaration %d (%s) has id %d; MemberID gives %d, %v", g.Name(c), i, d.Name, d.ID, id, ok)
+			}
+		}
+		for m := chg.MemberID(0); int(m) < g.NumMemberNames(); m++ {
+			i := slices.IndexFunc(ds, func(d chg.Decl) bool { return d.ID == m })
+			mem, ok := g.DeclaredMember(c, m)
+			if g.Declares(c, m) != (i >= 0) || ok != (i >= 0) || ok && mem != ds[i].Member {
+				t.Fatalf("%s, %s: Declares %v, DeclaredMember %+v, %v; declarations %v",
+					g.Name(c), g.MemberName(m), g.Declares(c, m), mem, ok, ds)
+			}
 		}
 	}
 }

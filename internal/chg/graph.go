@@ -5,7 +5,11 @@
 // The CHG is a directed acyclic graph (N, E) whose nodes are classes
 // and whose edges are inheritance relations. An edge X → Y means X is
 // a *direct base* of Y; each edge is either virtual (E_v) or
-// non-virtual (E_nv). Every class declares a set of members M[X].
+// non-virtual (E_nv). Every class declares a set of members M[X],
+// which the graph keeps as one list of Decls in declaration order,
+// each carrying the MemberID its name was interned at: the paper's
+// test "m ∈ M[X]" (Declares) is a scan of that short list, and no
+// reader hashes a declaration's name back to its id.
 //
 // A Graph is immutable once constructed via Builder.Build, which also
 // fixes the topological order and computes, for every class D, the
@@ -89,7 +93,7 @@ func (k MemberKind) String() string {
 	return fmt.Sprintf("MemberKind(%d)", uint8(k))
 }
 
-// Member is one directly declared member of a class.
+// Member is one member declaration of a class, as written.
 type Member struct {
 	Name    string
 	Kind    MemberKind
@@ -112,14 +116,18 @@ type MemberID int32
 // NoMember is returned by MemberID lookups for unknown names.
 const NoMember MemberID = -1
 
+// Decl is one member declared directly in a class, with the id the
+// Builder interned for its name.
+type Decl struct {
+	Member
+	ID MemberID
+}
+
 type class struct {
 	name    string
 	bases   []Edge
 	derived []ClassID // classes that list this class as a direct base
-	// members declared directly in this class, position-indexed by
-	// declaration order; declared[m] indexes into members for name m.
-	members  []Member
-	declared map[MemberID]int
+	decls   []Decl    // members declared directly here, in declaration order
 }
 
 // hierarchy is the store a Graph shares with the Builder that made it:
@@ -216,8 +224,9 @@ func (g *Graph) Edge(base, derived ClassID) (Kind, bool) {
 }
 
 // DeclaredMembers returns the members declared directly in c (the
-// paper's M[c]) in declaration order. Shared slice; do not modify.
-func (g *Graph) DeclaredMembers(c ClassID) []Member { return g.classes[c].members }
+// paper's M[c]) in declaration order, each with its member id. Shared
+// slice; do not modify.
+func (g *Graph) DeclaredMembers(c ClassID) []Decl { return g.classes[c].decls }
 
 // MemberID returns the interned id for a member name.
 func (h *hierarchy) MemberID(name string) (MemberID, bool) {
@@ -244,17 +253,20 @@ func (g *Graph) MemberNames() []string { return g.memberNames }
 // Declares reports whether class c directly declares member name m
 // (the paper's test "m ∈ M[c]").
 func (h *hierarchy) Declares(c ClassID, m MemberID) bool {
-	_, ok := h.classes[c].declared[m]
+	_, ok := h.DeclaredMember(c, m)
 	return ok
 }
 
-// DeclaredMember returns the declaration of member name m in class c.
-func (g *Graph) DeclaredMember(c ClassID, m MemberID) (Member, bool) {
-	i, ok := g.classes[c].declared[m]
-	if !ok {
-		return Member{}, false
+// DeclaredMember returns the declaration of member name m in class c,
+// by a scan of c's declarations: a class declares a few dozen members
+// at most, so the scan is the whole index.
+func (h *hierarchy) DeclaredMember(c ClassID, m MemberID) (Member, bool) {
+	for _, d := range h.classes[c].decls {
+		if d.ID == m {
+			return d.Member, true
+		}
 	}
-	return g.classes[c].members[i], true
+	return Member{}, false
 }
 
 // IsBase reports whether b is a (strict, possibly indirect) base of d:
@@ -355,8 +367,8 @@ func (g *Graph) walk(start ClassID, up bool, visited *bitset.Set, queue []ClassI
 func (g *Graph) VisibleMembers(c ClassID) []MemberID {
 	vis := bitset.New(len(g.memberNames))
 	addDecls := func(x ClassID) {
-		for m := range g.classes[x].declared {
-			vis.Add(int(m))
+		for _, d := range g.classes[x].decls {
+			vis.Add(int(d.ID))
 		}
 	}
 	addDecls(c)

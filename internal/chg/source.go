@@ -29,11 +29,11 @@ func (g *Graph) WriteSource(w io.Writer) error {
 			}
 		}
 		b.WriteString(" {")
-		if len(cl.members) > 0 {
+		if len(cl.decls) > 0 {
 			b.WriteString("\n")
-			for _, m := range cl.members {
+			for _, m := range cl.decls {
 				b.WriteString("\t")
-				b.WriteString(memberSource(m))
+				b.WriteString(memberSource(m.Member))
 				b.WriteString("\n")
 			}
 		}
@@ -94,7 +94,7 @@ func (g *Graph) ComputeStats() Stats {
 	depth := make([]int, g.NumClasses())
 	for _, c := range g.topo {
 		cl := &g.classes[c]
-		s.Declarations += len(cl.members)
+		s.Declarations += len(cl.decls)
 		if len(cl.bases) > s.MaxBases {
 			s.MaxBases = len(cl.bases)
 		}

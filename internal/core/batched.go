@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/bits"
+	"slices"
 
 	"cpplookup/internal/bitset"
 	"cpplookup/internal/chg"
@@ -42,10 +43,11 @@ func newBlockScratch(n int) *blockScratch {
 // entries and the payload pool is concurrency-safe, so workers holding
 // their own scratch fill blocks of one table concurrently.
 //
-// mm and decl hold the membership and declaration bits of a chunk
-// window starting at block wordOff: block b is word b−wordOff of each
-// row.
-func (k *Kernel) fillBlock(t *Table, mm, decl *bitset.Matrix, b int, sc *blockScratch, wordOff int) {
+// mm holds the membership bits of a chunk window starting at block
+// wordOff: block b is word b−wordOff of each row. The line-[12]
+// declaration bits of a visited class come from a scan of its
+// declarations, a few dozen at most.
+func (k *Kernel) fillBlock(t *Table, mm *bitset.Matrix, b int, sc *blockScratch, wordOff int) {
 	g := k.g
 	n := g.NumClasses()
 	first := chg.MemberID(b * blockBits)
@@ -56,10 +58,15 @@ func (k *Kernel) fillBlock(t *Table, mm, decl *bitset.Matrix, b int, sc *blockSc
 			continue
 		}
 		sc.touched = append(sc.touched, c)
-		dw := decl.Row(int(c)).Word(b - wordOff)
+		var dw uint64 // the block's members c declares
+		for _, d := range g.DeclaredMembers(c) {
+			if j := uint(d.ID - first); j < blockBits {
+				dw |= 1 << j
+			}
+		}
 		bases := g.DirectBases(c)
 		rs := t.results[c]
-		idx := memberLowerBound(t.members[c], first)
+		idx, _ := slices.BinarySearch(t.members[c], first)
 		for ; w != 0; w &= w - 1 {
 			j := bits.TrailingZeros64(w)
 			declared := dw&(1<<uint(j)) != 0
@@ -129,21 +136,6 @@ func singleRedFastPath(col []Cell, bases []chg.Edge) Cell {
 		return found | Cell(vf)
 	}
 	return found
-}
-
-// memberLowerBound returns the first index of a sorted member list
-// whose id is ≥ m (len(ms) if none).
-func memberLowerBound(ms []chg.MemberID, m chg.MemberID) int {
-	lo, hi := 0, len(ms)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if ms[mid] < m {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return lo
 }
 
 // TableBuildWork quantifies, analytically, what each whole-table

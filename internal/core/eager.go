@@ -69,9 +69,8 @@ func MemberMatrix(g *chg.Graph) *bitset.Matrix {
 	mm := bitset.NewMatrixRect(g.NumClasses(), g.NumMemberNames())
 	for _, c := range g.Topo() {
 		row := mm.Row(int(c))
-		for _, mem := range g.DeclaredMembers(c) {
-			id, _ := g.MemberID(mem.Name)
-			row.Add(int(id))
+		for _, d := range g.DeclaredMembers(c) {
+			row.Add(int(d.ID))
 		}
 		for _, e := range g.DirectBases(c) {
 			mm.OrRow(int(c), int(e.Base))

@@ -187,8 +187,8 @@ func (k *Kernel) resolve(c chg.ClassID, m chg.MemberID, get func(chg.ClassID) Re
 }
 
 // resolveDeclared is resolve with the line-[12] "c declares m" test
-// precomputed — the batched build answers it from the declaration
-// bit matrix instead of a per-entry map probe.
+// precomputed — the batched build answers it for a whole 64-member
+// block from one scan of c's declarations instead of a scan per entry.
 func (k *Kernel) resolveDeclared(c chg.ClassID, m chg.MemberID, declared bool, get func(chg.ClassID) Result, sc *resolveScratch) Result {
 	// Line [12]: a definition generated at c trivially dominates
 	// everything that reaches c.

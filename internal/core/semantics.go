@@ -62,12 +62,14 @@ type Semantics interface {
 	Resolve(c chg.ClassID, m chg.MemberID, get func(chg.ClassID) Result) Result
 }
 
-// ClassResolver is the batched table-fill hook: a backend whose
-// answers for one class are cheap to produce together (C3 resolves
-// every member by one scan of the class's linearization; gxx amortizes
-// one subobject graph per context class) implements it, and
-// BuildSemTableStreamed fills tables class-parallel through it instead
-// of entry-by-entry.
+// ClassResolver is the batched table-fill hook, which whole-table
+// builds require of every backend but the dominance *Kernel:
+// BuildSemTableStreamed fills such a backend's tables class-parallel
+// through it, one call per class and chunk window, and panics on a
+// backend that is neither. Its answers for one class are cheap to
+// produce together (C3 resolves every member by one scan of the
+// class's linearization; gxx amortizes one subobject graph per context
+// class).
 type ClassResolver interface {
 	Semantics
 	// ResolveClass fills out[i] with the packed cell of

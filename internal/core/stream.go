@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"slices"
 	"time"
 
@@ -14,14 +15,14 @@ import (
 // tabulated member-major in word-batched 64-member blocks, with a
 // bounded working set.
 //
-// Materializing the full classes × member-names membership and
-// declaration matrices before filling a single entry costs
-// 2·|N|·|M|/8 bytes of transient bits — 2.5 GB at 100k classes × 100k
-// member names, dwarfing the table being built. The build instead
-// slices the member universe into chunks of whole 64-member blocks
-// sized to a memory budget, and for each chunk (1) re-runs the lines
-// [6]–[9] membership sweep restricted to the chunk's column window,
-// reusing one pair of chunk-wide matrices across all chunks, (2)
+// Materializing the full classes × member-names membership matrix
+// before filling a single entry costs |N|·|M|/8 bytes of transient
+// bits — 1.25 GB at 100k classes × 100k member names, dwarfing the
+// table being built. The build instead slices the member universe into
+// chunks of whole 64-member blocks sized to a memory budget, and for
+// each chunk (1) re-runs the lines [6]–[9] membership sweep restricted
+// to the chunk's column window, reusing one chunk-wide matrix across
+// all chunks, (2)
 // extends each class's member list and result row (chunks ascend by
 // member id, so the lists stay sorted), and (3) fills the chunk's
 // blocks through fillBlock, with the block index offset into the chunk
@@ -33,8 +34,8 @@ import (
 // budget holds every block, and the build is a single chunk.
 
 // DefaultStreamBudget is the working-set budget a build uses when
-// StreamOptions.MemoryBudget is unset: enough for ~250 blocks of chunk
-// matrices at 100k classes after one worker's scratch.
+// StreamOptions.MemoryBudget is unset: at 100k classes, one worker's
+// 51.2 MB of scratch leaves room for 19 blocks of the chunk matrix.
 const DefaultStreamBudget int64 = 64 << 20
 
 // StreamOptions configures a whole-table build.
@@ -44,10 +45,10 @@ type StreamOptions struct {
 	// fraction of build time.
 	Workers int
 	// MemoryBudget caps the transient working set in bytes: the chunk
-	// matrices plus all worker scratch columns (≤ 0 means
+	// matrix plus all worker scratch columns (≤ 0 means
 	// DefaultStreamBudget). The chunk width is derived from it. The
 	// floor is one 64-member block and one worker — a budget below
-	// ~592 bytes/class is exceeded rather than made infeasible, and
+	// 520 bytes/class is exceeded rather than made infeasible, and
 	// StreamStats.WorkingSetBytes reports the overrun.
 	MemoryBudget int64
 }
@@ -64,7 +65,7 @@ type StreamStats struct {
 	Workers     int // fill workers used
 
 	BudgetBytes     int64 // the configured (or default) budget
-	WorkingSetBytes int64 // chunk matrices + worker scratch actually held
+	WorkingSetBytes int64 // chunk matrix + worker scratch actually held
 
 	SweepTime time.Duration // total membership-sweep (+ list append) time
 	FillTime  time.Duration // total block-fill time
@@ -81,15 +82,20 @@ func BuildSemTable(s Semantics, workers int) *Table {
 
 // BuildSemTableStreamed builds any backend's whole table chunk by
 // chunk under opts' memory budget. Dominance kernels fill through the
-// word-batched block walk, workers stealing blocks; ClassResolver
-// backends (C3, gxx) resolve each class's chunk-window members in one
-// call, workers stealing classes; any other backend falls back to a
-// chunked topological walk over Resolve, handing it its bases' finished
-// rows. The Table is identical in shape, cell packing and read path
-// for every backend — one packed Cell per entry over the backend's
-// pool — and, whatever the budget and worker count, cell-for-cell the
-// table BuildTable computes.
+// word-batched block walk, workers stealing blocks; every other
+// backend must be a ClassResolver (C3, gxx), which resolves each
+// class's chunk-window members in one call, workers stealing classes.
+// A backend that is neither is a programming error, and panics. The
+// Table is identical in shape, cell packing and read path for every
+// backend — one packed Cell per entry over the backend's pool — and,
+// whatever the budget and worker count, cell-for-cell the table
+// BuildTable computes.
 func BuildSemTableStreamed(s Semantics, opts StreamOptions) (*Table, StreamStats) {
+	k, isKernel := s.(*Kernel)
+	cr, isCR := s.(ClassResolver)
+	if !isKernel && !isCR {
+		panic(fmt.Sprintf("core: backend %s is neither a *Kernel nor a ClassResolver", s.ID()))
+	}
 	g := s.Graph()
 	n := g.NumClasses()
 	t := &Table{
@@ -104,27 +110,19 @@ func BuildSemTableStreamed(s Semantics, opts StreamOptions) (*Table, StreamStats
 		return t, stats
 	}
 
-	k, isKernel := s.(*Kernel)
-	cr, isCR := s.(ClassResolver)
-
-	workers := 1
-	switch {
-	case isKernel:
-		workers = par.Workers(nb, opts.Workers)
-	case isCR:
-		workers = par.Workers(n, opts.Workers)
-	}
+	workers := par.Workers(n, opts.Workers)
 	budget := opts.MemoryBudget
 	if budget <= 0 {
 		budget = DefaultStreamBudget
 	}
-	// Bytes per chunk block: one word-column of each of the two
-	// matrices across all classes. Kernel scratch: 64 Cell columns per
-	// worker. Prefer shrinking the worker count over busting the
-	// budget when scratch alone would.
-	perBlock := int64(2 * 8 * n)
+	// Bytes per chunk block: one word-column of the membership matrix
+	// across all classes. Kernel scratch: 64 Cell columns per worker.
+	// Prefer shrinking the worker count over busting the budget when
+	// scratch alone would.
+	perBlock := int64(8 * n)
 	var perWorker int64
 	if isKernel {
+		workers = par.Workers(nb, opts.Workers)
 		perWorker = int64(blockBits * 8 * n)
 		for workers > 1 && int64(workers)*perWorker+perBlock > budget {
 			workers--
@@ -139,8 +137,6 @@ func BuildSemTableStreamed(s Semantics, opts StreamOptions) (*Table, StreamStats
 
 	chunkBits := cb * blockBits
 	mm := bitset.NewMatrixRect(n, chunkBits)
-	decl := bitset.NewMatrixRect(n, chunkBits)
-	declIDs := sortedDeclIDs(g)
 	var scs []*blockScratch
 	if isKernel {
 		scs = make([]*blockScratch, workers)
@@ -159,18 +155,13 @@ func BuildSemTableStreamed(s Semantics, opts StreamOptions) (*Table, StreamStats
 		// just the window's words) keep the final, narrower chunk from
 		// reading the previous chunk's bits out of the reused rows.
 		for _, c := range g.Topo() {
-			drow := decl.Row(int(c))
 			row := mm.Row(int(c))
-			drow.ClearWords(0, drow.NumWords())
 			row.ClearWords(0, row.NumWords())
-			ids := declIDs[c]
-			for _, id := range ids[memberLowerBound(ids, firstID):] {
-				if id >= lastID {
-					break
+			for _, d := range g.DeclaredMembers(c) {
+				if d.ID >= firstID && d.ID < lastID {
+					row.Add(int(d.ID - firstID))
 				}
-				drow.Add(int(id - firstID))
 			}
-			row.UnionWith(drow)
 			for _, e := range g.DirectBases(c) {
 				row.UnionWith(mm.Row(int(e.Base)))
 			}
@@ -195,53 +186,20 @@ func BuildSemTableStreamed(s Semantics, opts StreamOptions) (*Table, StreamStats
 		// Fill the window's entries: in each class's lists they start at
 		// the first member id ≥ firstID.
 		start = time.Now()
-		switch {
-		case isKernel:
+		if isKernel {
 			par.For(b1-b0, workers, func(w, i int) {
-				k.fillBlock(t, mm, decl, b0+i, scs[w], b0)
+				k.fillBlock(t, mm, b0+i, scs[w], b0)
 			})
-		case isCR:
+		} else {
 			par.For(n, workers, func(_, i int) {
-				lo := memberLowerBound(t.members[i], firstID)
+				lo, _ := slices.BinarySearch(t.members[i], firstID)
 				if ms := t.members[i][lo:]; len(ms) > 0 {
 					cr.ResolveClass(chg.ClassID(i), ms, t.results[i][lo:])
 				}
 			})
-		default:
-			for _, c := range g.Topo() {
-				lo := memberLowerBound(t.members[c], firstID)
-				ms := t.members[c][lo:]
-				rs := t.results[c][lo:]
-				for i, m := range ms {
-					rs[i] = s.Resolve(c, m, func(x chg.ClassID) Result { return t.Lookup(x, m) }).Cell()
-				}
-			}
 		}
 		stats.FillTime += time.Since(start)
 		stats.Chunks++
 	}
 	return t, stats
-}
-
-// sortedDeclIDs returns each class's directly declared member ids in
-// ascending order — the per-window declaration source the sweep
-// binary-searches instead of re-walking DeclaredMembers per chunk. The
-// lists share one arena, so the build allocates for them once, not
-// once per declaring class.
-func sortedDeclIDs(g *chg.Graph) [][]chg.MemberID {
-	out := make([][]chg.MemberID, g.NumClasses())
-	total := 0
-	for c := range out {
-		total += len(g.DeclaredMembers(chg.ClassID(c)))
-	}
-	arena := make([]chg.MemberID, 0, total)
-	for c := range out {
-		start := len(arena)
-		for _, m := range g.DeclaredMembers(chg.ClassID(c)) {
-			arena = append(arena, g.MustMemberID(m.Name))
-		}
-		out[c] = arena[start:len(arena):len(arena)]
-		slices.Sort(out[c])
-	}
-	return out
 }

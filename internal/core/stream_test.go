@@ -1,7 +1,9 @@
 package core
 
 import (
+	"fmt"
 	"math/rand"
+	"strings"
 	"sync"
 	"testing"
 
@@ -99,8 +101,8 @@ func TestStreamedBudgetFloor(t *testing.T) {
 // Under a feasible budget the reported working set must respect it.
 func TestStreamedWorkingSetWithinBudget(t *testing.T) {
 	g := hiergen.SparseMembers(100, 900, 3, 7)
-	// Two workers' scratch (2·64·8·n) plus five blocks of chunk
-	// matrices (5·16·n): forces ⌈15/5⌉ = 3 chunks.
+	// Two workers' scratch (2·64·8·n) plus 80·n bytes, ten blocks of
+	// the chunk matrix (8·n each): forces ⌈15/10⌉ = 2 chunks.
 	budget := int64(2*64*8*100 + 5*16*100)
 	_, st := BuildSemTableStreamed(NewKernel(g), StreamOptions{Workers: 2, MemoryBudget: budget})
 	if st.WorkingSetBytes > budget {
@@ -109,6 +111,19 @@ func TestStreamedWorkingSetWithinBudget(t *testing.T) {
 	if st.Chunks < 2 {
 		t.Errorf("expected a multi-chunk build, got %d chunks", st.Chunks)
 	}
+}
+
+// Whole-table builds fill every backend but the kernel through
+// ClassResolver; a backend that is neither is a programming error, and
+// the build panics naming it.
+func TestStreamedPanicsOnPerEntryBackend(t *testing.T) {
+	s := struct{ Semantics }{NewKernel(hiergen.Figure2())}
+	defer func() {
+		if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), string(SemDominance)) {
+			t.Errorf("BuildSemTableStreamed recovered %v, want a panic naming %s", r, SemDominance)
+		}
+	}()
+	BuildSemTableStreamed(s, StreamOptions{})
 }
 
 func TestStreamedNoMembers(t *testing.T) {

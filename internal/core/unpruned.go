@@ -1,6 +1,8 @@
 package core
 
 import (
+	"slices"
+
 	"cpplookup/internal/chg"
 )
 
@@ -45,7 +47,7 @@ func (k *Kernel) fillMember(t *Table, m chg.MemberID) {
 
 // memberIndex finds m in a sorted member list, or -1.
 func memberIndex(ms []chg.MemberID, m chg.MemberID) int {
-	if i := memberLowerBound(ms, m); i < len(ms) && ms[i] == m {
+	if i, ok := slices.BinarySearch(ms, m); ok {
 		return i
 	}
 	return -1

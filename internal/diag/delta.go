@@ -2,8 +2,10 @@ package diag
 
 import (
 	"bufio"
+	"cmp"
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -74,30 +76,68 @@ func (d Delta) Empty() bool { return len(d.Added) == 0 && len(d.Fixed) == 0 }
 
 // Diff computes the delta from before to after. Both inputs should be
 // in canonical order (diag.Sort); the output slices then are too.
+//
+// Each input is fingerprinted once. Sorting the fingerprints, each
+// tagged with its input's position, groups the occurrences of every
+// fingerprint, before's ahead of after's and each in input order. In
+// a group of b occurrences before and a after, the first min(a, b) of
+// after's persist and the rest are added, and the first b − min(a, b)
+// of before's are fixed. The counts are known before any output is
+// written, so each output slice is one allocation of its exact size,
+// and Diff allocates as often at any input size: a map's tables would
+// be allocated one by one as it grew.
 func Diff(before, after []Diagnostic) Delta {
-	fps := make([]uint64, len(before))
-	old := make(map[uint64]int, len(before))
+	nb := len(before)
+	keys := make([]diffKey, nb+len(after))
 	for i, d := range before {
-		fps[i] = Fingerprint(d)
-		old[fps[i]]++
+		keys[i] = diffKey{Fingerprint(d), i}
 	}
-	var delta Delta
-	for _, d := range after {
-		fp := Fingerprint(d)
-		if old[fp] > 0 {
-			old[fp]--
+	for i, d := range after {
+		keys[nb+i] = diffKey{Fingerprint(d), nb + i}
+	}
+	slices.SortFunc(keys, func(x, y diffKey) int {
+		return cmp.Or(cmp.Compare(x.fp, y.fp), cmp.Compare(x.pos, y.pos))
+	})
+	matched := make([]bool, len(keys)) // a fixed input of before, a persisting one of after
+	persisting := 0
+	for lo, hi := 0, 0; lo < len(keys); lo = hi {
+		mid := lo // keys[lo:mid] are before's occurrences, keys[mid:hi] after's
+		for hi = lo; hi < len(keys) && keys[hi].fp == keys[lo].fp; hi++ {
+			if keys[hi].pos < nb {
+				mid++
+			}
+		}
+		p := min(mid-lo, hi-mid)
+		for i := lo; i < hi; i++ {
+			matched[keys[i].pos] = i < mid-p || mid <= i && i < mid+p
+		}
+		persisting += p
+	}
+	delta := Delta{
+		Added:      make([]Diagnostic, 0, len(after)-persisting),
+		Fixed:      make([]Diagnostic, 0, nb-persisting),
+		Persisting: make([]Diagnostic, 0, persisting),
+	}
+	for i, d := range before {
+		if matched[i] {
+			delta.Fixed = append(delta.Fixed, d)
+		}
+	}
+	for i, d := range after {
+		if matched[nb+i] {
 			delta.Persisting = append(delta.Persisting, d)
 		} else {
 			delta.Added = append(delta.Added, d)
 		}
 	}
-	for i, d := range before {
-		if old[fps[i]] > 0 {
-			old[fps[i]]--
-			delta.Fixed = append(delta.Fixed, d)
-		}
-	}
 	return delta
+}
+
+// diffKey is one input of Diff: its fingerprint and its position, with
+// after's inputs placed after before's.
+type diffKey struct {
+	fp  uint64
+	pos int
 }
 
 // WriteDeltaText renders a delta in compiler style: added findings in

@@ -3,6 +3,9 @@ package diag
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
+	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -112,6 +115,71 @@ func TestDiff(t *testing.T) {
 	dup := Diff([]Diagnostic{a, a}, []Diagnostic{a})
 	if len(dup.Fixed) != 1 || len(dup.Persisting) != 1 || len(dup.Added) != 0 {
 		t.Fatalf("dup delta = %+v", dup)
+	}
+}
+
+// Diff matches findings as a multiset: against a counting reference,
+// on inputs with repeated fingerprints, the same inputs land in each
+// slice, in input order.
+func TestDiffMatchesMultisetReference(t *testing.T) {
+	reference := func(before, after []Diagnostic) Delta {
+		old := map[uint64]int{}
+		for _, d := range before {
+			old[Fingerprint(d)]++
+		}
+		var delta Delta
+		for _, d := range after {
+			if fp := Fingerprint(d); old[fp] > 0 {
+				old[fp]--
+				delta.Persisting = append(delta.Persisting, d)
+			} else {
+				delta.Added = append(delta.Added, d)
+			}
+		}
+		for _, d := range before {
+			if fp := Fingerprint(d); old[fp] > 0 {
+				old[fp]--
+				delta.Fixed = append(delta.Fixed, d)
+			}
+		}
+		return delta
+	}
+	rng := rand.New(rand.NewSource(1))
+	gen := func() []Diagnostic {
+		ds := make([]Diagnostic, rng.Intn(12))
+		for i := range ds {
+			// Line sets duplicates apart: it is not fingerprinted.
+			ds[i] = mkDiag("r", fmt.Sprint(rng.Intn(4)), "m", "msg")
+			ds[i].Pos.Line = i
+		}
+		return ds
+	}
+	same := func(x, y []Diagnostic) bool {
+		return slices.EqualFunc(x, y, func(a, b Diagnostic) bool { return a.Class == b.Class && a.Pos == b.Pos })
+	}
+	for i := 0; i < 1000; i++ {
+		before, after := gen(), gen()
+		got, want := Diff(before, after), reference(before, after)
+		if !same(got.Added, want.Added) || !same(got.Fixed, want.Fixed) || !same(got.Persisting, want.Persisting) {
+			t.Fatalf("Diff(%v, %v) = %+v, want %+v", before, after, got, want)
+		}
+	}
+}
+
+// Diff allocates as often at 10,000 findings as at 1,000: its scratch
+// and each output slice are sized before they are filled, never grown
+// by append.
+func TestDiffAllocationsConstant(t *testing.T) {
+	allocs := func(n int) float64 {
+		before, after := make([]Diagnostic, n), make([]Diagnostic, n)
+		for i := range before {
+			before[i] = mkDiag("dead-member", fmt.Sprintf("C%d", i), "m", "dead m")
+			after[i] = mkDiag("dead-member", fmt.Sprintf("C%d", i+n/4), "m", "dead m")
+		}
+		return testing.AllocsPerRun(5, func() { Diff(before, after) })
+	}
+	if small, large := allocs(1000), allocs(10000); small != large {
+		t.Errorf("Diff allocated %v times at 1,000 findings and %v at 10,000, want the same", small, large)
 	}
 }
 

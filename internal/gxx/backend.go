@@ -40,6 +40,9 @@ type Backend struct {
 	scans map[chg.ClassID]*Scan // nil entry = over limit
 }
 
+// Whole-table builds fill a non-kernel backend through ResolveClass.
+var _ core.ClassResolver = (*Backend)(nil)
+
 // NewBackend returns a g++ backend over g, packing results into pool
 // (nil gets a fresh private pool). limit bounds each context class's
 // subobject graph (0 = subobject.DefaultLimit); classes beyond it

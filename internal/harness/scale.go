@@ -7,8 +7,8 @@ package harness
 // the default budget) against the monolithic batched build (the same
 // builder with an unbounded budget). Both produce cell-for-cell identical
 // tables; the axis is transient memory — the batched build
-// materializes 2·|N|·|M|/8 bytes of membership matrices (quadratic
-// when |M| tracks |N|), the streamed build holds a fixed
+// materializes a |N|·|M|/8-byte membership matrix (quadratic when
+// |M| tracks |N|), the streamed build holds a fixed
 // budget-bounded working set, so its peak-heap bytes per class stay
 // flat from 20k to 100k classes.
 //

@@ -285,7 +285,7 @@ func TestGiantShape(t *testing.T) {
 
 // as maps declared members to their ids via the graph-independent name
 // convention m<k>.
-func as(ms []chg.Member) []int {
+func as(ms []chg.Decl) []int {
 	out := make([]int, len(ms))
 	for i, m := range ms {
 		var k int

@@ -51,8 +51,7 @@ func Bytes(s *engine.Snapshot) ([]byte, error) {
 			w.u32(word)
 		}
 		for _, m := range members {
-			mid := g.MustMemberID(m.Name)
-			word := uint32(uint16(mid)) | uint32(m.Kind)<<16
+			word := uint32(uint16(m.ID)) | uint32(m.Kind)<<16
 			if m.Static {
 				word |= 1 << 18
 			}

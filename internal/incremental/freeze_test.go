@@ -23,11 +23,12 @@ import (
 
 // record is the test's own account of a workspace's hierarchy, kept
 // edit by edit: class names, base clauses, declarations in declaration
-// order, and member names in interning order.
+// order with the ids their names were interned at, and member names in
+// interning order.
 type record struct {
 	names       []string
 	bases       [][]chg.Edge
-	decls       [][]chg.Member
+	decls       [][]chg.Decl
 	memberNames []string
 }
 
@@ -43,7 +44,7 @@ func recordOf(g *chg.Graph) *record {
 
 // coldBuild replays r through a fresh chg.NewBuilder: member names in
 // id order, then classes, then each class's bases and declarations in
-// id order.
+// id order. The cold build must give every declaration the id r holds.
 func (r *record) coldBuild(t *testing.T) *chg.Graph {
 	t.Helper()
 	b := chg.NewBuilder()
@@ -57,13 +58,18 @@ func (r *record) coldBuild(t *testing.T) *chg.Graph {
 		for _, e := range r.bases[c] {
 			b.Base(chg.ClassID(c), e.Base, e.Kind)
 		}
-		for _, m := range r.decls[c] {
-			b.Member(chg.ClassID(c), m)
+		for _, d := range r.decls[c] {
+			b.Member(chg.ClassID(c), d.Member)
 		}
 	}
 	g, err := b.Build()
 	if err != nil {
 		t.Fatal(err)
+	}
+	for c, want := range r.decls {
+		if got := g.DeclaredMembers(chg.ClassID(c)); !slices.Equal(got, want) {
+			t.Fatalf("cold build: DeclaredMembers(%s) = %v, want %v", r.names[c], got, want)
+		}
 	}
 	return g
 }
@@ -181,10 +187,12 @@ func editStep(t *testing.T, rng *rand.Rand, w *incremental.Workspace, r *record,
 		if err := w.AddMember(c, m); err != nil {
 			t.Fatal(err)
 		}
-		if !slices.Contains(r.memberNames, name) {
+		id := slices.Index(r.memberNames, name)
+		if id < 0 {
+			id = len(r.memberNames)
 			r.memberNames = append(r.memberNames, name)
 		}
-		r.decls[c] = append(r.decls[c], m)
+		r.decls[c] = append(r.decls[c], chg.Decl{Member: m, ID: chg.MemberID(id)})
 	}
 }
 

@@ -124,10 +124,9 @@ func (l *Layout) computeClassSlots(x chg.ClassID) {
 	l.ownDataStart[x] = start
 	slots := make(map[chg.MemberID]int)
 	n := 0
-	for _, m := range l.g.DeclaredMembers(x) {
-		if m.Kind == chg.Field && !m.Static {
-			id := l.g.MustMemberID(m.Name)
-			slots[id] = n
+	for _, d := range l.g.DeclaredMembers(x) {
+		if d.Kind == chg.Field && !d.Static {
+			slots[d.ID] = n
 			n++
 		}
 	}

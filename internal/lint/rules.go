@@ -128,10 +128,10 @@ func (r *runner) dominanceShadowing(w *walker, out []diag.Diagnostic, c chg.Clas
 	}
 	var hidden []string
 	for _, b := range w.topoOrdered(r.g, r.g.EachAncestor, c) {
-		if !r.g.Declares(b, m) {
+		bm, ok := r.g.DeclaredMember(b, m)
+		if !ok {
 			continue
 		}
-		bm, _ := r.g.DeclaredMember(b, m)
 		if mem.Kind == chg.Method && mem.Virtual && bm.Kind == chg.Method && bm.Virtual {
 			continue // override, not hiding
 		}

@@ -18,14 +18,15 @@
 // on a class whose linearization fails returns a core.FailKind result
 // blaming the class where the merge first broke.
 //
-// The Backend implements core.Semantics (and the batched
-// core.ClassResolver hook), packing results into the same word-sized
-// Cells and interned payload pools as the dominance kernel, so engine
-// snapshots, eager tables, and warm carry serve C3 unchanged.
+// The Backend implements core.Semantics and core.ClassResolver, the
+// batched hook whole-table builds fill through, packing results into
+// the same word-sized Cells and interned payload pools as the
+// dominance kernel, so engine snapshots, eager tables, and warm carry
+// serve C3 unchanged.
 package mro
 
 import (
-	"sort"
+	"slices"
 
 	"cpplookup/internal/bitset"
 	"cpplookup/internal/chg"
@@ -221,6 +222,9 @@ type Backend struct {
 	lin  *Linearization
 }
 
+// Whole-table builds fill a non-kernel backend through ResolveClass.
+var _ core.ClassResolver = (*Backend)(nil)
+
 // New returns a C3 backend over g, packing results into pool (a nil
 // pool gets a fresh private one).
 func New(g *chg.Graph, pool *core.Pool) *Backend {
@@ -291,13 +295,8 @@ func (b *Backend) ResolveClass(c chg.ClassID, ms []chg.MemberID, out []core.Cell
 		if filled == len(out) {
 			break
 		}
-		for _, mem := range b.g.DeclaredMembers(x) {
-			id, ok := b.g.MemberID(mem.Name)
-			if !ok {
-				continue
-			}
-			i := sort.Search(len(ms), func(j int) bool { return ms[j] >= id })
-			if i < len(ms) && ms[i] == id && out[i].Zero() {
+		for _, d := range b.g.DeclaredMembers(x) {
+			if i, ok := slices.BinarySearch(ms, d.ID); ok && out[i].Zero() {
 				out[i] = b.pool.Red(core.Def{L: x, V: chg.Omega}).Cell()
 				filled++
 			}

@@ -83,10 +83,9 @@ func Compute(g *chg.Graph, criteria []Criterion) (*Slice, error) {
 			// Every base of a kept class is kept (ancestor closure).
 			b.Base(nid, kept[e.Base], e.Kind)
 		}
-		for _, mem := range g.DeclaredMembers(c) {
-			id := g.MustMemberID(mem.Name)
-			if wantMember.Has(int(id)) {
-				b.Member(nid, mem)
+		for _, d := range g.DeclaredMembers(c) {
+			if wantMember.Has(int(d.ID)) {
+				b.Member(nid, d.Member)
 			}
 		}
 	}

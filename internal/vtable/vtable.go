@@ -68,14 +68,10 @@ func NewBuilder(g *chg.Graph) *Builder {
 		b.introducer[i] = chg.Omega
 	}
 	for _, c := range g.Topo() {
-		for _, mem := range g.DeclaredMembers(c) {
-			if !mem.Virtual {
-				continue
-			}
-			id := g.MustMemberID(mem.Name)
-			if !b.virtualName[id] {
-				b.virtualName[id] = true
-				b.introducer[id] = c
+		for _, d := range g.DeclaredMembers(c) {
+			if d.Virtual && !b.virtualName[d.ID] {
+				b.virtualName[d.ID] = true
+				b.introducer[d.ID] = c
 			}
 		}
 	}
