@@ -117,11 +117,10 @@ func (s *Set) UnionWith(t *Set) bool {
 }
 
 // ClearWords zeroes the backing words in [lo, hi) — elements
-// [64·lo, 64·hi) leave the set. It is the range form of Clear used by
-// reusable chunk-local matrices (internal/core's streaming builder)
-// and by parallel cone zeroing, where each worker owns a disjoint word
-// range of one set. The range is clamped to the set's words, so
-// callers may pass hi = NumWords() of a conservatively sized peer.
+// [64·lo, 64·hi) leave the set. It is the range form of Clear, used to
+// reset the rows of internal/core's reusable membership matrices. The
+// range is clamped to the set's words, so callers may pass
+// hi = NumWords() of a conservatively sized peer.
 func (s *Set) ClearWords(lo, hi int) {
 	if lo < 0 {
 		lo = 0
@@ -254,6 +253,3 @@ func NewMatrixRect(rows, cols int) *Matrix {
 
 // Row returns row i. The returned set is shared, not a copy.
 func (m *Matrix) Row(i int) *Set { return m.rows[i] }
-
-// OrRow ors row src into row dst and reports whether dst changed.
-func (m *Matrix) OrRow(dst, src int) bool { return m.rows[dst].UnionWith(m.rows[src]) }

@@ -166,11 +166,11 @@ func TestUniverseMismatchPanics(t *testing.T) {
 }
 
 func TestMatrixClosureShape(t *testing.T) {
-	// 0 -> 1 -> 2, plus 0 -> 2 via OrRow-based propagation.
+	// 0 -> 1 -> 2, plus 0 -> 2 via row-union propagation.
 	m := NewMatrixRect(3, 3)
 	m.Row(1).Add(0) // row i = ancestors of i
 	m.Row(2).Add(1)
-	m.OrRow(2, 1)
+	m.Row(2).UnionWith(m.Row(1))
 	if !m.Row(2).Has(0) || !m.Row(2).Has(1) || !m.Row(1).Has(0) {
 		t.Error("closure rows wrong")
 	}
@@ -306,9 +306,9 @@ func TestMatrixRect(t *testing.T) {
 	if !m.Row(0).Has(199) || !m.Row(1).Has(0) || m.Row(2).Has(0) {
 		t.Error("rect matrix entries wrong")
 	}
-	// OrRow works across rows of the shared (non-square) universe.
-	if !m.OrRow(2, 0) || !m.Row(2).Has(199) {
-		t.Error("OrRow on rect matrix wrong")
+	// Rows of the shared (non-square) universe union with each other.
+	if !m.Row(2).UnionWith(m.Row(0)) || !m.Row(2).Has(199) {
+		t.Error("row union on rect matrix wrong")
 	}
 	if m.Row(0).Len() != 200 {
 		t.Errorf("row universe = %d", m.Row(0).Len())

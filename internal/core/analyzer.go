@@ -9,20 +9,27 @@ import (
 // order, virtual-base lists) already lives in the chg.Graph.
 //
 // An Analyzer memoizes lazy lookups (Lookup) and can also tabulate
-// eagerly (BuildTable).
+// eagerly (BuildTable). Its memo is one run of packed cells per member
+// name, allocated at that member's first lookup and filled through
+// FillRun, the same recursion internal/engine's snapshot columns fill
+// through: a hit is one array index and one word load, and a miss
+// allocates nothing in the steady state.
 //
 // Thread-safety contract: the lazy memo is deliberately
-// unsynchronized, so an Analyzer must be confined to a single
-// goroutine (or externally serialized) while Lookup is in use. The
-// Table returned by BuildTable or BuildSemTable is immutable once
+// unsynchronized — allocating a member's run on first lookup and
+// filling it take no lock — so an Analyzer must be confined to a
+// single goroutine (or externally serialized) while Lookup is in use.
+// The Table returned by BuildTable or BuildSemTable is immutable once
 // built and safe for any number of concurrent readers, as is the
 // underlying Kernel. To serve lookups from many goroutines without a
-// table build, use internal/engine's Snapshot, which drives the same
-// Kernel through a sharded concurrency-safe cache.
+// table build, use internal/engine's Snapshot, which fills the same
+// runs under per-member shard locks and reads them lock-free.
 type Analyzer struct {
-	k    *Kernel // nil when the analyzer drives a non-dominance backend
-	sem  Semantics
-	memo []map[chg.MemberID]Result
+	k   *Kernel // nil when the analyzer drives a non-dominance backend
+	sem Semantics
+	// runs[m][c] is the packed lookup[c,m], 0 until filled; runs and
+	// each runs[m] stay nil until the first lookup that needs them.
+	runs [][]uint64
 }
 
 // Option configures a Kernel at construction time (and hence every
@@ -106,11 +113,7 @@ func New(g *chg.Graph, opts ...Option) *Analyzer {
 		panic("core: New requires a non-nil *chg.Graph (build one with chg.NewBuilder().Build())")
 	}
 	k := NewKernel(g, opts...)
-	return &Analyzer{
-		k:    k,
-		sem:  k,
-		memo: make([]map[chg.MemberID]Result, g.NumClasses()),
-	}
+	return &Analyzer{k: k, sem: k}
 }
 
 // NewFor returns an Analyzer driving an arbitrary resolution backend
@@ -121,10 +124,7 @@ func NewFor(s Semantics) *Analyzer {
 	if s == nil {
 		panic("core: NewFor requires a non-nil Semantics")
 	}
-	a := &Analyzer{
-		sem:  s,
-		memo: make([]map[chg.MemberID]Result, s.Graph().NumClasses()),
-	}
+	a := &Analyzer{sem: s}
 	if k, ok := s.(*Kernel); ok {
 		a.k = k
 	}

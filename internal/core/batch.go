@@ -1,63 +1,8 @@
 package core
 
-// Reusable, caller-owned scratch for hot loops that must not allocate
-// per item:
-//
-//   - ResolveScratch / Kernel.ResolveWith expose the resolve
-//     temporaries the batched table build already reuses internally,
-//     so a lazy fill (internal/engine's snapshot miss path) can
-//     recycle its buffers across misses instead of allocating per
-//     cell;
-//   - ScratchStack hands out one ResolveScratch per recursion depth,
-//     because a lazy fill's resolve calls back into resolve for its
-//     base classes and a mid-flight scratch must not be clobbered;
-//   - BatchScratch owns the key/permutation buffers of a radix sort
-//     that groups (class, member) keys member-major, which
-//     internal/devirt's ResolveBatch uses to deduplicate call sites.
-
-import (
-	"cpplookup/internal/chg"
-)
-
-// ResolveScratch is an opaque, caller-owned buffer set for
-// Kernel.ResolveWith. The zero value is ready to use; a scratch
-// reused across calls keeps its capacity, which is what makes
-// steady-state fills allocation-free. A scratch is
-// single-goroutine state, and a resolve call that recursively
-// re-enters the kernel (a lazy fill's get callback) must use a
-// different scratch per recursion depth — see ScratchStack. Nothing a
-// resolve call returns aliases its scratch.
-type ResolveScratch struct {
-	sc resolveScratch
-}
-
-// ResolveWith is Resolve with a caller-owned scratch: identical
-// results, but the temporaries the computation needs live in rs and
-// survive for the next call instead of being allocated per call.
-func (k *Kernel) ResolveWith(c chg.ClassID, m chg.MemberID, get func(chg.ClassID) Result, rs *ResolveScratch) Result {
-	return k.resolve(c, m, get, &rs.sc)
-}
-
-// ScratchStack hands out one ResolveScratch per recursion depth of a
-// lazy fill. resolve's rotating buffers are mid-flight state: when a
-// resolve at depth d calls get and get recursively resolves a base
-// class, the nested call needs scratch frame d+1 — frame d is still
-// holding the outer call's partial join. Frames are created on first
-// use and reused for every later fill at the same depth, so a stack
-// reused across a million misses allocates a handful of frames total
-// (one per hierarchy-depth level), not one per miss.
-type ScratchStack struct {
-	frames []*ResolveScratch
-}
-
-// At returns the scratch frame for recursion depth d (0-based),
-// growing the stack on first use.
-func (st *ScratchStack) At(d int) *ResolveScratch {
-	for len(st.frames) <= d {
-		st.frames = append(st.frames, &ResolveScratch{})
-	}
-	return st.frames[d]
-}
+// Reusable, caller-owned scratch for a hot loop that must not allocate
+// per item: BatchScratch radix-sorts (class, member) keys member-major,
+// which internal/devirt's ResolveBatch uses to deduplicate call sites.
 
 // BatchScratch holds the reusable buffers of a sorted batch: the
 // packed keys, the permutation that maps sorted positions back to

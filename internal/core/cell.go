@@ -6,10 +6,11 @@ import (
 
 // Cell is the packed, word-sized form of one lookup result — the
 // storage representation behind every Result view. A cell is a single
-// uint64, so a memo table is a flat []Cell (or []atomic.Uint64 in
-// internal/engine) instead of a slice of pointers to heap structs:
-// a warm cache hit is one array index and one word load, with no
-// pointer chase and no per-result allocation.
+// uint64, so a memo is flat words instead of a slice of pointers to
+// heap structs — a Table row is a []Cell, and a lazy cache holds one
+// []uint64 run per member name that FillRun fills with sync/atomic word
+// operations: a warm cache hit is one array index and one word load,
+// with no pointer chase and no per-result allocation.
 //
 // Layout (bit 63 = most significant):
 //

@@ -60,23 +60,35 @@ func (k *Kernel) BuildTable() *Table {
 }
 
 // MemberMatrix computes the membership matrix of Figure 8 lines
-// [6]–[9] in one topological sweep: row C is Members[C] = M[C] ∪
-// ⋃ Members[X] over direct bases X — each class sets the names it
-// declares and ors in its bases' rows, 64 names per word. Column m is
-// exactly supp(m) = {C : m ∈ Members[C]}, the support cone the block
-// fill prunes with.
+// [6]–[9] in one topological sweep over the whole member-name
+// universe: row C is Members[C]. Column m is exactly supp(m) =
+// {C : m ∈ Members[C]}, the support cone the block fill prunes with.
 func MemberMatrix(g *chg.Graph) *bitset.Matrix {
 	mm := bitset.NewMatrixRect(g.NumClasses(), g.NumMemberNames())
+	sweepMembers(g, mm, 0)
+	return mm
+}
+
+// sweepMembers runs lines [6]–[9] in one topological sweep over the
+// member ids [first, first+w), w the width of mm's rows: row C becomes
+// Members[C] = M[C] ∪ ⋃ Members[X] over direct bases X within that
+// window, bit i standing for member first+i. Each class clears its row,
+// sets the window's names it declares and ors in its bases' rows, 64
+// names per word, so mm can be reused from one window to the next.
+func sweepMembers(g *chg.Graph, mm *bitset.Matrix, first chg.MemberID) {
 	for _, c := range g.Topo() {
 		row := mm.Row(int(c))
+		row.ClearWords(0, row.NumWords())
+		last := first + chg.MemberID(row.Len())
 		for _, d := range g.DeclaredMembers(c) {
-			row.Add(int(d.ID))
+			if d.ID >= first && d.ID < last {
+				row.Add(int(d.ID - first))
+			}
 		}
 		for _, e := range g.DirectBases(c) {
-			mm.OrRow(int(c), int(e.Base))
+			row.UnionWith(mm.Row(int(e.Base)))
 		}
 	}
-	return mm
 }
 
 // memberUniverse expands Members[C] into the per-class sorted member

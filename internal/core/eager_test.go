@@ -74,26 +74,44 @@ func TestTableLookupOutsideMembers(t *testing.T) {
 	}
 }
 
+// The lazy memo must agree with the eager table on every cell, payload
+// included, under each option set. hiergen.Random derives class i only
+// from classes j < i, so querying each member's classes in descending
+// id order makes its first query recurse from the last class towards
+// the roots through scratch frames at depth; later queries then hit or
+// extend the run that fill left.
 func TestEagerMatchesLazyOnRandom(t *testing.T) {
-	rng := rand.New(rand.NewSource(777))
-	for i := 0; i < 50; i++ {
-		g := hiergen.Random(hiergen.RandomConfig{
-			Classes: 4 + rng.Intn(25), MaxBases: 3, VirtualProb: 0.4,
-			MemberNames: 4, MemberProb: 0.4, Seed: rng.Int63(),
-		})
-		lazy := New(g)
-		table := New(g).BuildTable()
-		for c := 0; c < g.NumClasses(); c++ {
-			for m := 0; m < g.NumMemberNames(); m++ {
-				lr := lazy.Lookup(chg.ClassID(c), chg.MemberID(m))
-				er := table.Lookup(chg.ClassID(c), chg.MemberID(m))
-				if lr.Kind() != er.Kind() || lr.Def() != er.Def() {
-					t.Fatalf("iter %d: lazy %s != eager %s at (%s,%s)",
-						i, lr.Format(g), er.Format(g),
-						g.Name(chg.ClassID(c)), g.MemberName(chg.MemberID(m)))
+	optSets := []struct {
+		name string
+		opts []Option
+	}{
+		{"plain", nil},
+		{"static", []Option{WithStaticRule()}},
+		{"paths", []Option{WithTrackPaths()}},
+		{"static+paths", []Option{WithStaticRule(), WithTrackPaths()}},
+	}
+	for _, set := range optSets {
+		t.Run(set.name, func(t *testing.T) {
+			rng := rand.New(rand.NewSource(777))
+			for i := 0; i < 50; i++ {
+				g := hiergen.Random(hiergen.RandomConfig{
+					Classes: 4 + rng.Intn(25), MaxBases: 3, VirtualProb: 0.4,
+					MemberNames: 4, MemberProb: 0.4, StaticProb: 0.3, Seed: rng.Int63(),
+				})
+				lazy := New(g, set.opts...)
+				table := New(g, set.opts...).BuildTable()
+				for m := 0; m < g.NumMemberNames(); m++ {
+					for c := g.NumClasses() - 1; c >= 0; c-- {
+						lr := lazy.Lookup(chg.ClassID(c), chg.MemberID(m))
+						er := table.Lookup(chg.ClassID(c), chg.MemberID(m))
+						if !lr.Equal(er) {
+							t.Fatalf("iter %d: lazy %v != eager %v at (%s,%s)",
+								i, lr, er, g.Name(chg.ClassID(c)), g.MemberName(chg.MemberID(m)))
+						}
+					}
 				}
 			}
-		}
+		})
 	}
 }
 

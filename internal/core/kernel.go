@@ -10,12 +10,12 @@ import (
 // configuration (the graph and the option flags), never intermediate
 // state, so one Kernel may be shared by any number of goroutines.
 //
-// Memoization policy lives in the callers: Analyzer adds a
-// single-goroutine memo (the paper's memoising lazy variant), Table
-// construction adds the eager topological tabulation, and
-// internal/engine's Snapshot adds a sharded concurrency-safe cache.
-// All of them drive this same kernel, so the algorithm exists exactly
-// once.
+// Memoization policy lives in the callers: FillRun is the paper's
+// memoising lazy variant, filling one member's run of packed cells,
+// which Analyzer drives from a single goroutine and internal/engine's
+// Snapshot under per-member shard locks; Table construction adds the
+// eager topological tabulation. All of them drive this same kernel, so
+// the algorithm exists exactly once.
 type Kernel struct {
 	g          *chg.Graph
 	pool       *Pool
@@ -146,7 +146,8 @@ func (k *Kernel) blueDef(d Def) Def {
 // the next call never corrupts an earlier result.
 //
 // A scratch is single-goroutine state; concurrent resolve calls each
-// need their own (Resolve allocates a fresh one per call).
+// need their own (Resolve allocates a fresh one per call), and so does
+// each recursion depth of a lazy fill (FillRun's pooled frames).
 type resolveScratch struct {
 	cover [2][]chg.ClassID // rotating candCover/dCover buffers
 	redv  [2][]chg.ClassID // rotating candRed/dRed buffers

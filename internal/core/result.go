@@ -25,9 +25,10 @@
 // The package provides an eager, whole-table construction
 // (Analyzer.BuildTable — the paper's tabulating algorithm), a lazy
 // memoizing variant (Analyzer.Lookup — the paper's "memoising lazy
-// algorithm"), the static-member extension of Definitions 16–17
-// (WithStaticRule), and reference/naive variants used for the
-// figures and the ablation benchmarks.
+// algorithm", filled by FillRun, the recursion internal/engine's
+// concurrent snapshots fill through too), the static-member extension
+// of Definitions 16–17 (WithStaticRule), and reference/naive variants
+// used for the figures and the ablation benchmarks.
 package core
 
 import (
@@ -97,8 +98,8 @@ type Result struct {
 }
 
 // Cell returns the packed word. Together with the originating pool
-// (Pool.View) it round-trips the result exactly; this is what
-// internal/engine stores in its atomic cells.
+// (Pool.View) it round-trips the result exactly; this is what FillRun
+// stores in a lazy cache's runs.
 func (r Result) Cell() Cell { return r.cell }
 
 // Kind returns the outcome: Undefined, RedKind, or BlueKind.

@@ -148,24 +148,12 @@ func BuildSemTableStreamed(s Semantics, opts StreamOptions) (*Table, StreamStats
 	for b0 := 0; b0 < nb; b0 += cb {
 		b1 := min(b0+cb, nb)
 		firstID := chg.MemberID(b0 * blockBits)
-		lastID := chg.MemberID(b1 * blockBits)
 		start := time.Now()
 
-		// Window-restricted membership sweep. Full-row clears (not
-		// just the window's words) keep the final, narrower chunk from
-		// reading the previous chunk's bits out of the reused rows.
-		for _, c := range g.Topo() {
-			row := mm.Row(int(c))
-			row.ClearWords(0, row.NumWords())
-			for _, d := range g.DeclaredMembers(c) {
-				if d.ID >= firstID && d.ID < lastID {
-					row.Add(int(d.ID - firstID))
-				}
-			}
-			for _, e := range g.DirectBases(c) {
-				row.UnionWith(mm.Row(int(e.Base)))
-			}
-		}
+		// Window-restricted membership sweep. The final chunk may be
+		// narrower than mm, but no member id reaches past it, so the
+		// window's extra columns stay clear.
+		sweepMembers(g, mm, firstID)
 		// Extend the member lists and result rows with this window's
 		// entries, each grown once to its exact new length. Windows
 		// ascend by member id, so appending keeps each list sorted.

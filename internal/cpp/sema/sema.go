@@ -271,8 +271,13 @@ func Analyze(file *ast.File) (*Unit, error) {
 		for _, bi := range ci.bases {
 			u.Access.SetEdge(cid, g.MustID(bi.name), bi.access)
 		}
-		for _, mi := range ci.members {
-			mid := g.MustMemberID(mi.decl.Name)
+		// buildGraph declared ci.members in order, and their names are
+		// unique (collectClasses collapses overloads, resolveUsings
+		// rejects a using that repeats a name), so declaration j is
+		// member j.
+		decls := g.DeclaredMembers(cid)
+		for j, mi := range ci.members {
+			mid := decls[j].ID
 			u.Access.SetMember(cid, mid, mi.access)
 			u.memberPos[typeKey{cid, mid}] = mi.pos
 			if mi.hasTyp {

@@ -3,6 +3,8 @@ package sema
 import (
 	"strings"
 	"testing"
+
+	"cpplookup/internal/access"
 )
 
 // The classic use of a using-declaration: disambiguating a lookup by
@@ -292,5 +294,58 @@ void f() { m(); }   // m is not a global function
 `)
 	if len(diagsOf(u, ErrUnknownName)) != 1 {
 		t.Fatalf("diags: %v", u.Diags)
+	}
+}
+
+// Every member a class declares gets its own position and access
+// entry, under the member id its declaration carries: an overload set
+// is one member at its first declaration, and a resolved using is a
+// declaration after the class's own members. D's members are interned
+// in an order (y, f, s after A's m and z) unlike their declaration
+// order, so reading the wrong declaration's id shows up as a wrong
+// line or level.
+func TestMemberPositionsAndAccessPerDeclaration(t *testing.T) {
+	u := analyze(t, `struct A { void m(); int z; };
+class D : public A {
+  int y;
+  void f(int);
+  void f(double);
+protected:
+  static int s;
+  using A::m;
+public:
+  int z;
+};
+`)
+	if len(u.Diags) != 0 {
+		t.Fatalf("diags: %v", u.Diags)
+	}
+	d := u.Graph.MustID("D")
+	want := []struct {
+		name  string
+		line  int
+		level access.Level
+	}{
+		{"y", 3, access.Private},
+		{"f", 4, access.Private},
+		{"s", 7, access.Protected},
+		{"z", 10, access.Public},
+		{"m", 8, access.Protected},
+	}
+	decls := u.Graph.DeclaredMembers(d)
+	if len(decls) != len(want) {
+		t.Fatalf("D declares %d members, want %d", len(decls), len(want))
+	}
+	for i, w := range want {
+		if decls[i].Name != w.name {
+			t.Errorf("declaration %d is %s, want %s", i, decls[i].Name, w.name)
+		}
+		m := u.Graph.MustMemberID(w.name)
+		if p, ok := u.MemberPos(d, m); !ok || p.Line != w.line {
+			t.Errorf("MemberPos(D, %s) = %v, %v; want line %d", w.name, p, ok, w.line)
+		}
+		if got := u.Access.Member(d, m); got != w.level {
+			t.Errorf("access of D::%s = %s, want %s", w.name, got, w.level)
+		}
 	}
 }

@@ -227,15 +227,18 @@ func (s *Snapshot) Graph() *chg.Graph { return s.k.Graph() }
 func (s *Snapshot) Kernel() *core.Kernel { return s.k }
 
 // Lookup resolves member m in the context of class c — the same
-// memoising lazy algorithm as core.Analyzer.Lookup, but safe for
-// concurrent callers: hits are answered from an atomically published
-// cell without locking, and a miss takes only its member's shard lock
-// while it fills the cell (and the recursive cells it needed) once.
+// memoising lazy algorithm as core.Analyzer.Lookup, filled by the same
+// core.FillRun, but safe for concurrent callers: hits are answered from
+// an atomically published cell without locking, and a miss takes only
+// its member's shard lock while it fills the cell (and the recursive
+// cells it needed) once.
 func (s *Snapshot) Lookup(c chg.ClassID, m chg.MemberID) core.Result {
 	return s.lookup(s.cols[0], c, m)
 }
 
-// lookup is Lookup against any column.
+// lookup is Lookup against any column. A miss fills member m's run
+// under m's shard lock, which covers FillRun's whole recursion, and
+// adds the words the fill published to the run's count.
 func (s *Snapshot) lookup(col *column, c chg.ClassID, m chg.MemberID) core.Result {
 	if uint(m) >= uint(len(col.runs)) {
 		return core.UndefinedResult()
@@ -247,88 +250,14 @@ func (s *Snapshot) lookup(col *column, c chg.ClassID, m chg.MemberID) core.Resul
 	if w := atomic.LoadUint64(&r.words[c]); w != 0 {
 		return s.pool.View(core.Cell(w))
 	}
-	st := scratchPool.Get().(*core.ScratchStack)
 	sh := &col.fillLocks[uint32(m)%shardCount]
 	sh.Lock()
-	res := s.fill(col.sem, r, c, m, st)
-	sh.Unlock()
-	scratchPool.Put(st)
-	return res
-}
-
-// scratchPool recycles the fill scratch frames across misses and
-// goroutines, so steady-state misses are allocation-free.
-var scratchPool = sync.Pool{New: func() any { return new(core.ScratchStack) }}
-
-// fill computes lookup[c,m] into r, member m's run of a column served
-// by sem, publishing every cell the computation produced as it goes;
-// the caller holds m's shard lock in that column. All recursive
-// dependencies of (c,m) are entries for the same member name, hence in
-// the same run and under the same lock: one acquisition covers the
-// whole recursion, and the re-check of each cell makes its computation
-// happen once per snapshot even under contention. Publishing a cell is
-// an atomic word store of the packed result; any rare payload was
-// interned in the snapshot's pool before the word existed, so readers
-// that observe the word also observe the fully initialised payload
-// behind its index.
-//
-// The dominance column threads st through the kernel's recursion, one
-// scratch frame per depth, so fills allocate nothing per miss, and adds
-// the cells it published to the run's count once, at the end. Its
-// closure calls the kernel directly: handed to a backend through the
-// core.Semantics interface, the closure would escape to the heap on
-// every miss. Other backends (C3 and gxx ignore get) fill through
-// Resolve and count each cell as they publish it.
-func (s *Snapshot) fill(sem core.Semantics, r run, c chg.ClassID, m chg.MemberID, st *core.ScratchStack) core.Result {
-	if k, ok := sem.(*core.Kernel); ok {
-		depth, published := 0, 0
-		var lookup func(x chg.ClassID) core.Result
-		lookup = func(x chg.ClassID) core.Result {
-			if w := atomic.LoadUint64(&r.words[x]); w != 0 {
-				// Already published — possibly by a writer ahead of us
-				// while we waited on the lock.
-				return s.pool.View(core.Cell(w))
-			}
-			depth++
-			res := k.ResolveWith(x, m, lookup, st.At(depth-1))
-			depth--
-			if r.publish(x, res) {
-				published++
-			}
-			return res
-		}
-		res := lookup(c)
-		r.count(published)
-		return res
-	}
-	var lookup func(x chg.ClassID) core.Result
-	lookup = func(x chg.ClassID) core.Result {
-		if w := atomic.LoadUint64(&r.words[x]); w != 0 {
-			return s.pool.View(core.Cell(w))
-		}
-		res := sem.Resolve(x, m, lookup)
-		if r.publish(x, res) {
-			r.count(1)
-		}
-		return res
-	}
-	return lookup(c)
-}
-
-// publish stores res's packed word at class c of r and reports whether
-// the word was still unfilled, so that a word two versions sharing r
-// both fill is counted once. Versions share a run only while they share
-// the pool and agree on every entry in it (carry.go), so both store the
-// same word.
-func (r run) publish(c chg.ClassID, res core.Result) bool {
-	return atomic.SwapUint64(&r.words[c], uint64(res.Cell())) == 0
-}
-
-// count adds n newly published words to r's count.
-func (r run) count(n int) {
+	res, n := core.FillRun(col.sem, r.words, c, m)
 	if n > 0 && r.st != nil {
 		r.st.filled.Add(int64(n))
 	}
+	sh.Unlock()
+	return res
 }
 
 // LookupByName resolves a member by class and member name; it returns
