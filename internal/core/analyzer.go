@@ -119,7 +119,9 @@ func New(g *chg.Graph, opts ...Option) *Analyzer {
 // NewFor returns an Analyzer driving an arbitrary resolution backend
 // through the same lazy memo the dominance analyzer uses. A *Kernel
 // backend yields exactly New's analyzer (Kernel() is non-nil); any
-// other backend memoizes its Resolve answers per (class, member).
+// other backend must be a ClassResolver, and FillRun fills each of its
+// cells as a row of one member. A backend that is neither panics at
+// the first lookup that fills a cell.
 func NewFor(s Semantics) *Analyzer {
 	if s == nil {
 		panic("core: NewFor requires a non-nil Semantics")

@@ -52,7 +52,7 @@ func (k *Kernel) BuildTable() *Table {
 		ms := t.members[c]
 		rs := make([]Cell, len(ms))
 		for i, m := range ms {
-			rs[i] = k.Resolve(c, m, func(x chg.ClassID) Result { return t.Lookup(x, m) }).Cell()
+			rs[i] = k.resolve(c, m, func(x chg.ClassID) Result { return t.Lookup(x, m) }, new(resolveScratch)).Cell()
 		}
 		t.results[c] = rs
 	}

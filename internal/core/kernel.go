@@ -6,7 +6,7 @@ import (
 
 // Kernel is the pure per-entry propagation step of Figure 8: given a
 // class, a member name, and the lookup results at the class's direct
-// bases, Resolve computes lookup[c,m]. It holds only immutable
+// bases, resolve computes lookup[c,m]. It holds only immutable
 // configuration (the graph and the option flags), never intermediate
 // state, so one Kernel may be shared by any number of goroutines.
 //
@@ -146,8 +146,8 @@ func (k *Kernel) blueDef(d Def) Def {
 // the next call never corrupts an earlier result.
 //
 // A scratch is single-goroutine state; concurrent resolve calls each
-// need their own (Resolve allocates a fresh one per call), and so does
-// each recursion depth of a lazy fill (FillRun's pooled frames).
+// need their own, and so does each recursion depth of a lazy fill
+// (FillRun's pooled frames).
 type resolveScratch struct {
 	cover [2][]chg.ClassID // rotating candCover/dCover buffers
 	redv  [2][]chg.ClassID // rotating candRed/dRed buffers
@@ -169,20 +169,15 @@ func appendBlue(blue []Def, d Def, staticRule bool) []Def {
 	return append(blue, d)
 }
 
-// Resolve computes lookup[c,m] from the results at c's direct bases —
+// resolve computes lookup[c,m] from the results at c's direct bases —
 // the body of Figure 8's doLookup loop (lines [11]–[45]). get supplies
 // lookup[X,m] for each direct base X; Undefined stands for
-// "m ∉ Members[X]". Resolve touches no kernel state beyond the
+// "m ∉ Members[X]". sc holds the call's reusable temporaries: the
+// batched table build passes one long-lived scratch per worker and
+// FillRun one per recursion depth, so steady-state entry fills
+// allocate nothing. resolve touches no kernel state beyond the
 // immutable configuration, so concurrent calls are safe as long as
-// each call's get function is.
-func (k *Kernel) Resolve(c chg.ClassID, m chg.MemberID, get func(chg.ClassID) Result) Result {
-	var sc resolveScratch
-	return k.resolve(c, m, get, &sc)
-}
-
-// resolve is Resolve with caller-supplied scratch buffers; the batched
-// table build passes one long-lived scratch per worker so steady-state
-// entry fills allocate nothing.
+// each has its own scratch and each call's get function is safe.
 func (k *Kernel) resolve(c chg.ClassID, m chg.MemberID, get func(chg.ClassID) Result, sc *resolveScratch) Result {
 	return k.resolveDeclared(c, m, k.g.Declares(c, m), get, sc)
 }

@@ -56,16 +56,23 @@ func (a *Analyzer) Lookup(c chg.ClassID, m chg.MemberID) Result {
 //
 // The kernel's closure calls resolve directly with one pooled scratch
 // frame per recursion depth, so a miss allocates nothing; handed to a
-// backend through the Semantics interface it would escape to the heap
-// on every miss. Other backends (C3 and gxx ignore get) fill through
-// Resolve; their closure does escape, so the count lives in the pooled
-// scratch, not in a local the closure would move to the heap.
+// backend through an interface it would escape to the heap on every
+// miss. Any other backend must be a ClassResolver (resolverOf panics
+// otherwise), and FillRun resolves each cell as a row of one member,
+// kept with its cell in the pooled scratch so that the interface call
+// allocates nothing either. Such a backend fails every name on a class
+// it cannot resolve, so FillRun decides membership itself, by Figure
+// 8's lines [6]–[9]: a failed cell of a class that does not declare m
+// keeps the failure only when some direct base's cell, read through
+// the same recursion, is not Undefined; otherwise m ∉ Members[c], and
+// the cell is Undefined, as in the backend's table.
 func FillRun(sem Semantics, words []uint64, c chg.ClassID, m chg.MemberID) (Result, int) {
+	k, cr := resolverOf(sem)
 	pool := sem.Pool()
 	st := fillScratch.Get().(*fillStack)
 	st.published = 0
 	var res Result
-	if k, ok := sem.(*Kernel); ok {
+	if k != nil {
 		var get func(x chg.ClassID) Result
 		get = func(x chg.ClassID) Result {
 			if w := atomic.LoadUint64(&words[x]); w != 0 {
@@ -81,12 +88,30 @@ func FillRun(sem Semantics, words []uint64, c chg.ClassID, m chg.MemberID) (Resu
 		}
 		res = get(c)
 	} else {
+		g := sem.Graph()
+		st.name[0] = m
 		var get func(x chg.ClassID) Result
 		get = func(x chg.ClassID) Result {
 			if w := atomic.LoadUint64(&words[x]); w != 0 {
 				return pool.View(Cell(w))
 			}
-			r := sem.Resolve(x, m, get)
+			// The row is reused by the recursion below, so r keeps
+			// this class's cell.
+			st.cell[0] = 0
+			cr.ResolveClass(x, st.name[:], st.cell[:])
+			r := pool.View(st.cell[0])
+			if r.Kind() == FailKind && !g.Declares(x, m) {
+				member := false
+				for _, e := range g.DirectBases(x) {
+					if get(e.Base).Kind() != Undefined {
+						member = true
+						break
+					}
+				}
+				if !member {
+					r = UndefinedResult()
+				}
+			}
 			st.publish(words, x, r)
 			return r
 		}
@@ -97,16 +122,19 @@ func FillRun(sem Semantics, words []uint64, c chg.ClassID, m chg.MemberID) (Resu
 	return res, n
 }
 
-// fillStack is one fill's scratch: a resolve frame per recursion depth
-// and the count of words the fill published. resolve's rotating buffers
-// are mid-flight state: when a resolve at depth d calls get and get
-// resolves a base class, the nested call needs frame d+1 — frame d
-// still holds the outer call's partial join. Frames are created on
-// first use and kept, so a stack reused across a million misses
-// allocates one frame per hierarchy-depth level, not one per miss.
+// fillStack is one fill's scratch: a resolve frame per recursion depth,
+// the one-member row a ClassResolver fills, and the count of words the
+// fill published. resolve's rotating buffers are mid-flight state: when
+// a resolve at depth d calls get and get resolves a base class, the
+// nested call needs frame d+1 — frame d still holds the outer call's
+// partial join. Frames are created on first use and kept, so a stack
+// reused across a million misses allocates one frame per
+// hierarchy-depth level, not one per miss.
 type fillStack struct {
 	frames    []*resolveScratch
 	depth     int
+	name      [1]chg.MemberID
+	cell      [1]Cell
 	published int
 }
 

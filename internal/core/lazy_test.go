@@ -34,10 +34,25 @@ func TestAnalyzerAllocsPerMember(t *testing.T) {
 	}
 }
 
-// viaResolve hides a kernel behind the Semantics interface, so that
-// FillRun takes the Resolve branch, which recurses through get like
-// the kernel branch does.
-type viaResolve struct{ *Kernel }
+// rowResolver is a test-local ClassResolver that answers rows from a
+// dominance table, except on the classes in failed, where it fails
+// every name, as C3 does on a failed merge and gxx over its subobject
+// limit.
+type rowResolver struct {
+	*Kernel
+	table  *Table
+	failed map[chg.ClassID]bool
+}
+
+func (r rowResolver) ResolveClass(c chg.ClassID, ms []chg.MemberID, out []Cell) {
+	for i, m := range ms {
+		if r.failed[c] {
+			out[i] = r.Pool().Fail(c).Cell()
+		} else {
+			out[i] = r.table.Lookup(c, m).Cell()
+		}
+	}
+}
 
 // TestFillRunCountsPublishedWords pins FillRun's count, which the
 // engine adds to a run's filled total (CarryStats.Carried reads it): a
@@ -45,22 +60,49 @@ type viaResolve struct{ *Kernel }
 // that is already filled, by itself or as a base of an earlier fill,
 // reports 0. Classes are filled in reverse topological order, so the
 // first fill of each member recurses through the ancestors of a most
-// derived class.
+// derived class. A resolver's cell reads no other cell, except where
+// the resolver fails a class that does not declare the member: the
+// fill then asks the direct bases whether the member is one at all,
+// and publishes Undefined where it is not.
 func TestFillRunCountsPublishedWords(t *testing.T) {
 	g := hiergen.Realistic(8, 3)
 	k := NewKernel(g)
 	table := k.BuildTable()
 	topo := g.Topo()
-	for _, sem := range []Semantics{k, viaResolve{k}} {
+	failed := map[chg.ClassID]bool{}
+	for c := 0; c < g.NumClasses(); c += 3 {
+		failed[chg.ClassID(c)] = true
+	}
+	failedNonMembers := 0
+	for _, tc := range []struct {
+		name     string
+		sem      Semantics
+		recurses bool
+		want     func(chg.ClassID, chg.MemberID) Result
+	}{
+		{"kernel", k, true, table.Lookup},
+		{"resolver", rowResolver{k, table, nil}, false, table.Lookup},
+		{"failing resolver", rowResolver{k, table, failed}, true, func(c chg.ClassID, m chg.MemberID) Result {
+			r := table.Lookup(c, m)
+			if !failed[c] {
+				return r
+			}
+			if r.Kind() == Undefined {
+				failedNonMembers++
+				return r
+			}
+			return k.Pool().Fail(c)
+		}},
+	} {
 		recursed := false
 		for m := chg.MemberID(0); int(m) < g.NumMemberNames(); m++ {
 			words := make([]uint64, g.NumClasses())
 			filled := 0
 			for i := len(topo) - 1; i >= 0; i-- {
 				c := topo[i]
-				r, n := FillRun(sem, words, c, m)
-				if !r.Equal(table.Lookup(c, m)) {
-					t.Fatalf("%T: fill of (%s,%s) = %v, table %v", sem, g.Name(c), g.MemberName(m), r, table.Lookup(c, m))
+				r, n := FillRun(tc.sem, words, c, m)
+				if want := tc.want(c, m); !r.Equal(want) {
+					t.Fatalf("%s: fill of (%s,%s) = %v, want %v", tc.name, g.Name(c), g.MemberName(m), r, want)
 				}
 				now := 0
 				for _, w := range words {
@@ -69,20 +111,23 @@ func TestFillRunCountsPublishedWords(t *testing.T) {
 					}
 				}
 				if n != now-filled {
-					t.Fatalf("%T: fill of (%s,%s) reported %d words, published %d", sem, g.Name(c), g.MemberName(m), n, now-filled)
+					t.Fatalf("%s: fill of (%s,%s) reported %d words, published %d", tc.name, g.Name(c), g.MemberName(m), n, now-filled)
 				}
 				recursed = recursed || n > 1
 				filled = now
-				if _, again := FillRun(sem, words, c, m); again != 0 {
-					t.Fatalf("%T: second fill of (%s,%s) reported %d words, want 0", sem, g.Name(c), g.MemberName(m), again)
+				if _, again := FillRun(tc.sem, words, c, m); again != 0 {
+					t.Fatalf("%s: second fill of (%s,%s) reported %d words, want 0", tc.name, g.Name(c), g.MemberName(m), again)
 				}
 			}
 			if filled != g.NumClasses() {
-				t.Fatalf("%T: member %s: %d of %d words filled", sem, g.MemberName(m), filled, g.NumClasses())
+				t.Fatalf("%s: member %s: %d of %d words filled", tc.name, g.MemberName(m), filled, g.NumClasses())
 			}
 		}
-		if !recursed {
-			t.Fatalf("%T: no fill published more than its own word", sem)
+		if recursed != tc.recurses {
+			t.Fatalf("%s: some fill published more than its own word: %v, want %v", tc.name, recursed, tc.recurses)
 		}
+	}
+	if failedNonMembers == 0 {
+		t.Fatal("no failed class was asked about a name it does not see")
 	}
 }

@@ -12,6 +12,8 @@ package core
 // warm carry — serves any backend unchanged.
 
 import (
+	"fmt"
+
 	"cpplookup/internal/chg"
 )
 
@@ -37,18 +39,16 @@ const (
 
 // Semantics is a resolution backend: a pure, concurrency-safe lookup
 // rule over one CHG, producing packed-cell Results over one payload
-// Pool. The contract mirrors Kernel exactly — Resolve computes
-// lookup[c,m] given the results at c's direct bases — so memoization
-// policy (lazy analyzer memo, eager table, engine snapshot cache)
-// stays in the callers and is shared by every backend.
+// Pool. It names only what every caching layer reads — the backend's
+// id, graph and pool — and how a backend resolves is settled by
+// resolverOf: the dominance *Kernel resolves one cell from the results
+// at the class's direct bases, and every other backend is a
+// ClassResolver. Memoization policy (FillRun's lazy runs, whole-table
+// builds, engine snapshot columns) stays in the callers and is shared
+// by every backend.
 //
-// Backends whose rule is not inductive over direct bases (gxx searches
-// subobject graphs, C3 consults a whole-closure linearization) simply
-// ignore get; the caller's memo still works because the answer depends
-// only on (c, m).
-//
-// Implementations must be safe for concurrent Resolve calls, like the
-// kernel they generalize.
+// Implementations must be safe for concurrent use, like the kernel
+// they generalize.
 type Semantics interface {
 	// ID names the backend.
 	ID() SemanticsID
@@ -56,28 +56,42 @@ type Semantics interface {
 	Graph() *chg.Graph
 	// Pool returns the payload pool every Result is packed over.
 	Pool() *Pool
-	// Resolve computes lookup[c,m]. get supplies lookup[X,m] for any
-	// direct base X of c; backends that do not recurse over bases may
-	// ignore it.
-	Resolve(c chg.ClassID, m chg.MemberID, get func(chg.ClassID) Result) Result
 }
 
-// ClassResolver is the batched table-fill hook, which whole-table
-// builds require of every backend but the dominance *Kernel:
-// BuildSemTableStreamed fills such a backend's tables class-parallel
-// through it, one call per class and chunk window, and panics on a
-// backend that is neither. Its answers for one class are cheap to
-// produce together (C3 resolves every member by one scan of the
-// class's linearization; gxx amortizes one subobject graph per context
-// class).
+// ClassResolver is how every backend but the dominance *Kernel
+// resolves: whole-table builds call it once per class and chunk
+// window, and FillRun once per lazily filled cell, as a row of one
+// member. Its answers for one class are cheap to produce together (C3
+// resolves every member by one scan of the class's linearization; gxx
+// amortizes one subobject graph per context class). Neither rule is
+// inductive over direct bases, so the resolver reads no other cell.
 type ClassResolver interface {
 	Semantics
 	// ResolveClass fills out[i] with the packed cell of
-	// lookup[c, ms[i]] for every i. len(out) == len(ms); ms is sorted
-	// and every ms[i] ∈ Members[c].
+	// lookup[c, ms[i]] for every i. len(out) == len(ms), ms is sorted,
+	// and out arrives zeroed. A whole-table build asks only about
+	// ms[i] ∈ Members[c]; FillRun asks about any name, and a name c
+	// does not see must come back Undefined. A class the backend
+	// cannot resolve at all (a failed C3 merge, a gxx subobject graph
+	// over its limit) fails every name: FillRun then applies Figure
+	// 8's membership rule to decide which of its cells keep the
+	// failure.
 	ResolveClass(c chg.ClassID, ms []chg.MemberID, out []Cell)
 }
 
+// resolverOf splits s into the two ways a backend resolves: the
+// dominance kernel, or a ClassResolver. A backend that is neither is a
+// programming error, and panics naming it.
+func resolverOf(s Semantics) (*Kernel, ClassResolver) {
+	if k, ok := s.(*Kernel); ok {
+		return k, nil
+	}
+	if cr, ok := s.(ClassResolver); ok {
+		return nil, cr
+	}
+	panic(fmt.Sprintf("core: backend %s is neither a *Kernel nor a ClassResolver", s.ID()))
+}
+
 // ID identifies the kernel as the dominance backend, completing the
-// Semantics interface (Graph, Pool, and Resolve predate it).
+// Semantics interface (Graph and Pool predate it).
 func (k *Kernel) ID() SemanticsID { return SemDominance }

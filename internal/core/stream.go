@@ -1,7 +1,6 @@
 package core
 
 import (
-	"fmt"
 	"slices"
 	"time"
 
@@ -91,11 +90,7 @@ func BuildSemTable(s Semantics, workers int) *Table {
 // whatever the budget and worker count, cell-for-cell the table
 // BuildTable computes.
 func BuildSemTableStreamed(s Semantics, opts StreamOptions) (*Table, StreamStats) {
-	k, isKernel := s.(*Kernel)
-	cr, isCR := s.(ClassResolver)
-	if !isKernel && !isCR {
-		panic(fmt.Sprintf("core: backend %s is neither a *Kernel nor a ClassResolver", s.ID()))
-	}
+	k, cr := resolverOf(s)
 	g := s.Graph()
 	n := g.NumClasses()
 	t := &Table{
@@ -121,7 +116,7 @@ func BuildSemTableStreamed(s Semantics, opts StreamOptions) (*Table, StreamStats
 	// scratch alone would.
 	perBlock := int64(8 * n)
 	var perWorker int64
-	if isKernel {
+	if k != nil {
 		workers = par.Workers(nb, opts.Workers)
 		perWorker = int64(blockBits * 8 * n)
 		for workers > 1 && int64(workers)*perWorker+perBlock > budget {
@@ -138,7 +133,7 @@ func BuildSemTableStreamed(s Semantics, opts StreamOptions) (*Table, StreamStats
 	chunkBits := cb * blockBits
 	mm := bitset.NewMatrixRect(n, chunkBits)
 	var scs []*blockScratch
-	if isKernel {
+	if k != nil {
 		scs = make([]*blockScratch, workers)
 		for i := range scs {
 			scs[i] = newBlockScratch(n)
@@ -174,7 +169,7 @@ func BuildSemTableStreamed(s Semantics, opts StreamOptions) (*Table, StreamStats
 		// Fill the window's entries: in each class's lists they start at
 		// the first member id ≥ firstID.
 		start = time.Now()
-		if isKernel {
+		if k != nil {
 			par.For(b1-b0, workers, func(w, i int) {
 				k.fillBlock(t, mm, b0+i, scs[w], b0)
 			})

@@ -113,17 +113,24 @@ func TestStreamedWorkingSetWithinBudget(t *testing.T) {
 	}
 }
 
-// Whole-table builds fill every backend but the kernel through
-// ClassResolver; a backend that is neither is a programming error, and
-// the build panics naming it.
+// Whole-table builds and lazy fills resolve every backend but the
+// kernel through ClassResolver; a backend that is neither is a
+// programming error, and both panic naming it, with one message.
 func TestStreamedPanicsOnPerEntryBackend(t *testing.T) {
 	s := struct{ Semantics }{NewKernel(hiergen.Figure2())}
-	defer func() {
-		if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), string(SemDominance)) {
-			t.Errorf("BuildSemTableStreamed recovered %v, want a panic naming %s", r, SemDominance)
-		}
-	}()
-	BuildSemTableStreamed(s, StreamOptions{})
+	recovered := func(f func()) (r any) {
+		defer func() { r = recover() }()
+		f()
+		return nil
+	}
+	built := recovered(func() { BuildSemTableStreamed(s, StreamOptions{}) })
+	if built == nil || !strings.Contains(fmt.Sprint(built), string(SemDominance)) {
+		t.Errorf("BuildSemTableStreamed recovered %v, want a panic naming %s", built, SemDominance)
+	}
+	looked := recovered(func() { NewFor(s).Lookup(0, 0) })
+	if fmt.Sprint(looked) != fmt.Sprint(built) {
+		t.Errorf("NewFor(s).Lookup recovered %v, want %v", looked, built)
+	}
 }
 
 func TestStreamedNoMembers(t *testing.T) {

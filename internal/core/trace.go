@@ -52,7 +52,7 @@ func (a *Analyzer) TraceMember(m chg.MemberID) []ClassTrace {
 				tr.Incoming = append(tr.Incoming, flow)
 			}
 		}
-		results[c] = a.k.Resolve(c, m, func(x chg.ClassID) Result { return results[x] })
+		results[c] = a.k.resolve(c, m, func(x chg.ClassID) Result { return results[x] }, new(resolveScratch))
 		tr.Result = results[c]
 		traces[c] = tr
 	}

@@ -39,9 +39,9 @@ func (k *Kernel) fillMember(t *Table, m chg.MemberID) {
 		if i < 0 {
 			continue
 		}
-		t.results[c][i] = k.Resolve(c, m, func(x chg.ClassID) Result {
+		t.results[c][i] = k.resolve(c, m, func(x chg.ClassID) Result {
 			return t.Lookup(x, m)
-		}).Cell()
+		}, new(resolveScratch)).Cell()
 	}
 }
 

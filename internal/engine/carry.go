@@ -7,6 +7,7 @@ import (
 	"cpplookup/internal/bitset"
 	"cpplookup/internal/chg"
 	"cpplookup/internal/core"
+	"cpplookup/internal/incremental"
 )
 
 // Warm-cache carry-over. An engine Update normally publishes a
@@ -43,18 +44,6 @@ var (
 		return garbage >= carryCompactMinGarbage && garbage > live
 	}
 )
-
-// ConeEntry is one member name's invalidation cone, as computed by
-// incremental.Workspace.InvalidationConeSince: the classes whose
-// entries for Member may have changed since the predecessor snapshot.
-// Classes may be over-approximate (extra bits cost extra refills, not
-// wrong answers) but must never miss a changed entry — that is the
-// caller's contract, which engine.WorkspaceBinding discharges with the
-// workspace's edit log.
-type ConeEntry struct {
-	Member  chg.MemberID
-	Classes *bitset.Set
-}
 
 // CarryStats reports what a carried snapshot inherited — the
 // observability the benchmarks and experiments use to assert the
@@ -99,7 +88,9 @@ func (s *Snapshot) Carry() CarryStats { return s.carry }
 // member names the cone does not list, copied for those it does — so
 // only entries an edit could have changed refill lazily. The caller
 // guarantees the cone covers every (class, member) entry whose
-// declarations changed between the two graphs; structural
+// declarations changed between the two graphs, as
+// incremental.Workspace.InvalidationConeSince computes it; extra
+// classes cost refills, not wrong answers. Structural
 // compatibility (class/member-name prefixes and inheritance edges
 // unchanged, counts monotone) is verified here, and any mismatch falls
 // back to a cold snapshot — carried and cold snapshots are
@@ -107,7 +98,7 @@ func (s *Snapshot) Carry() CarryStats { return s.carry }
 //
 // Like Update, earlier snapshots are untouched; concurrent readers
 // keep the version they hold.
-func (e *Engine) UpdateCarried(name string, g *chg.Graph, cone []ConeEntry) (*Snapshot, error) {
+func (e *Engine) UpdateCarried(name string, g *chg.Graph, cone []incremental.MemberCone) (*Snapshot, error) {
 	if g == nil {
 		return nil, fmt.Errorf("engine: UpdateCarried(%q) with a nil graph", name)
 	}
@@ -175,7 +166,7 @@ func carryCompatible(old, new *chg.Graph) bool {
 // the cone does not list keeps every old entry. Sharing such a run is
 // sound while both versions read one pool: a lazy fill into a shared
 // word lands in both, and both compute the same word for it.
-func carriedSnapshot(name string, version uint64, g *chg.Graph, opts []core.Option, prev *Snapshot, cone []ConeEntry) (*Snapshot, bool) {
+func carriedSnapshot(name string, version uint64, g *chg.Graph, opts []core.Option, prev *Snapshot, cone []incremental.MemberCone) (*Snapshot, bool) {
 	if prev == nil || !carryCompatible(prev.Graph(), g) {
 		return nil, false
 	}

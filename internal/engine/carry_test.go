@@ -393,7 +393,7 @@ func TestCarryDuplicateMemberCone(t *testing.T) {
 	warmSnapshot(snap)
 	cone := bitset.New(g2.NumClasses())
 	cone.Add(int(c2))
-	dup := []ConeEntry{
+	dup := []incremental.MemberCone{
 		{Member: 0, Classes: cone},
 		{Member: 0, Classes: cone},
 	}

@@ -174,11 +174,7 @@ func TestCarryForkedSuccessorsMatchColdBuild(t *testing.T) {
 		if !ok {
 			t.Fatal("edit log did not cover the window")
 		}
-		entries := make([]ConeEntry, len(cone))
-		for j, mc := range cone {
-			entries[j] = ConeEntry{Member: mc.Member, Classes: mc.Classes}
-		}
-		s, err := e.UpdateCarried("fork", g, entries)
+		s, err := e.UpdateCarried("fork", g, cone)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -59,7 +59,7 @@ type SyncResult struct {
 	// Carried is true when the republish seeded the new snapshot from
 	// its predecessor's warm cache (the cone was answerable).
 	Carried bool
-	Cone    []ConeEntry
+	Cone    []incremental.MemberCone
 	Edits   []incremental.Edit
 }
 
@@ -105,16 +105,12 @@ func (b *WorkspaceBinding) SyncDetail() (SyncResult, error) {
 	res := SyncResult{Republished: true}
 	var snap *Snapshot
 	if cone, ok := b.ws.InvalidationConeSince(b.lastGen); ok {
-		entries := make([]ConeEntry, len(cone))
-		for i, mc := range cone {
-			entries[i] = ConeEntry{Member: mc.Member, Classes: mc.Classes}
-		}
 		// Edits and cone come from the same log over the same window,
 		// so when the cone is answerable the edit list is too.
 		res.Edits, _ = b.ws.EditsSince(b.lastGen)
-		res.Cone = entries
+		res.Cone = cone
 		res.Carried = true
-		snap, err = b.e.UpdateCarried(b.name, g, entries)
+		snap, err = b.e.UpdateCarried(b.name, g, cone)
 	} else {
 		snap, err = b.e.Update(b.name, g)
 	}

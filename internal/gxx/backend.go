@@ -16,7 +16,9 @@ import (
 	"cpplookup/internal/subobject"
 )
 
-// Backend serves g++-style lookups as a core.Semantics. Outcomes map
+// Backend serves g++-style lookups as a core.Semantics and resolves
+// through core.ClassResolver alone: whole-table builds fill its rows,
+// and lazy caches fill each cell as a row of one member. Outcomes map
 // onto result kinds as:
 //
 //	NotFound          → Undefined
@@ -24,13 +26,15 @@ import (
 //	ReportedAmbiguous → Blue {(c1, Ω), (c2, Ω)} — the incomparable
 //	                    subobject pair's classes, the scan's quitting
 //	                    witness (possibly a *false* ambiguity)
-//	graph over limit  → FailKind blaming the context class: the
-//	                    baseline is exponential in the subobject
-//	                    graph, and beyond the limit it has no answer
+//	graph over limit  → FailKind blaming the context class, for every
+//	                    name: the baseline is exponential in the
+//	                    subobject graph, and beyond the limit it has
+//	                    no answer; core keeps the failure only for
+//	                    the class's members
 //
 // Subobject graphs and their scan orders are built once per context
-// class and cached, so a whole table row costs one graph, one scan
-// order, and one walk along that order per member.
+// class and cached, so a row costs one graph, one scan order, and one
+// walk along that order per member.
 type Backend struct {
 	g     *chg.Graph
 	pool  *core.Pool
@@ -40,7 +44,7 @@ type Backend struct {
 	scans map[chg.ClassID]*Scan // nil entry = over limit
 }
 
-// Whole-table builds fill a non-kernel backend through ResolveClass.
+// Every cache resolves a non-kernel backend through ResolveClass.
 var _ core.ClassResolver = (*Backend)(nil)
 
 // NewBackend returns a g++ backend over g, packing results into pool
@@ -106,20 +110,7 @@ func (b *Backend) pack(r Result, tr Trace, sg *subobject.Graph) core.Result {
 	}
 }
 
-// Resolve answers lookup[c,m] with the g++ scan. The get callback is
-// ignored: the baseline searches c's subobject graph directly rather
-// than recursing over direct bases.
-func (b *Backend) Resolve(c chg.ClassID, m chg.MemberID, _ func(chg.ClassID) core.Result) core.Result {
-	s, ok := b.scanFor(c)
-	if !ok {
-		return b.pool.Fail(c)
-	}
-	r, tr := s.LookupTrace(m)
-	return b.pack(r, tr, s.Graph())
-}
-
-// ResolveClass fills a whole table row from one cached subobject
-// graph scan — the batched core.ClassResolver hook.
+// ResolveClass fills a row from one cached subobject graph scan.
 func (b *Backend) ResolveClass(c chg.ClassID, ms []chg.MemberID, out []core.Cell) {
 	s, ok := b.scanFor(c)
 	if !ok {

@@ -57,11 +57,12 @@ func TestBackendFigure9(t *testing.T) {
 
 // TestBackendMatchesDirectLookup cross-checks the backend's packed
 // results against the raw Lookup outcomes on a hierarchy with
-// resolutions, ambiguities, and absent members, entry-at-a-time and
-// through the batched row fill.
+// resolutions, ambiguities, and absent members, lazily (one-member
+// rows) and through the batched row fill.
 func TestBackendMatchesDirectLookup(t *testing.T) {
 	g := hiergen.Figure1()
 	be := NewBackend(g, nil, 0)
+	lazy := core.NewFor(be)
 	tab := core.BuildSemTable(be, 0)
 	for cid := 0; cid < g.NumClasses(); cid++ {
 		for mid := 0; mid < g.NumMemberNames(); mid++ {
@@ -70,10 +71,10 @@ func TestBackendMatchesDirectLookup(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			rr := be.Resolve(c, m, nil)
+			rr := lazy.Lookup(c, m)
 			rt := tab.Lookup(c, m)
 			if !rr.Equal(rt) {
-				t.Errorf("%s::%s: Resolve %s != table %s",
+				t.Errorf("%s::%s: lazy %s != table %s",
 					g.Name(c), g.MemberName(m), rr.Format(g), rt.Format(g))
 			}
 			switch want.Outcome {
@@ -99,33 +100,33 @@ func TestBackendMatchesDirectLookup(t *testing.T) {
 
 // TestBackendOverLimit pins the FailKind path: a context class whose
 // subobject graph exceeds the limit resolves to fail blaming that
-// class, for every member, without panicking.
+// class, for every member, without panicking. A name the class cannot
+// see is no member, so it stays Undefined, lazily as in the table.
 func TestBackendOverLimit(t *testing.T) {
 	// DiamondChain stacks non-virtual diamonds; subobject count grows
-	// exponentially with depth.
-	g := hiergen.DiamondChain(12, chg.NonVirtual)
+	// exponentially with depth. The unrelated U declares u, which the
+	// apex cannot see.
+	b := chg.NewBuilderFrom(hiergen.DiamondChain(12, chg.NonVirtual))
+	b.Method(b.Class("U"), "u")
+	g := b.MustBuild()
 	be := NewBackend(g, nil, 64)
-	leaves := g.Leaves()
-	c := leaves[len(leaves)-1]
-	var failed bool
-	for mid := 0; mid < g.NumMemberNames(); mid++ {
-		r := be.Resolve(c, chg.MemberID(mid), nil)
-		if r.Failed() {
-			failed = true
-			if r.Def().L != c {
-				t.Errorf("fail blames %s, want %s", g.Name(r.Def().L), g.Name(c))
-			}
-		}
-	}
-	if !failed {
-		t.Fatal("no FailKind result on an over-limit class")
-	}
-	// The batched row fill agrees.
+	c := hiergen.DiamondChainTop(g, 12)
+	lazy := core.NewFor(be)
 	tab := core.BuildSemTable(be, 0)
 	for mid := 0; mid < g.NumMemberNames(); mid++ {
 		m := chg.MemberID(mid)
-		if !tab.Lookup(c, m).Equal(be.Resolve(c, m, nil)) {
-			t.Errorf("table/backend disagree on %s::%s", g.Name(c), g.MemberName(m))
+		r := lazy.Lookup(c, m)
+		switch {
+		case g.MemberName(m) == "u":
+			if r.Kind() != core.Undefined {
+				t.Errorf("%s::u = %s, want undefined", g.Name(c), r.Format(g))
+			}
+		case !r.Failed() || r.Def().L != c:
+			t.Errorf("%s::%s = %s, want fail blaming %s", g.Name(c), g.MemberName(m), r.Format(g), g.Name(c))
+		}
+		if !tab.Lookup(c, m).Equal(r) {
+			t.Errorf("%s::%s: table %s, lazy %s", g.Name(c), g.MemberName(m),
+				tab.Lookup(c, m).Format(g), r.Format(g))
 		}
 	}
 }

@@ -95,11 +95,7 @@ func TestCarryFromMappedImage(t *testing.T) {
 	if !ok {
 		t.Fatal("edit log did not cover the window")
 	}
-	entries := make([]engine.ConeEntry, len(cone))
-	for i, mc := range cone {
-		entries[i] = engine.ConeEntry{Member: mc.Member, Classes: mc.Classes}
-	}
-	succ, err := e.UpdateCarried("ws", g2, entries)
+	succ, err := e.UpdateCarried("ws", g2, cone)
 	if err != nil {
 		t.Fatalf("UpdateCarried: %v", err)
 	}

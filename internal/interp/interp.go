@@ -78,7 +78,7 @@ func errf(format string, args ...interface{}) *RuntimeError {
 type Machine struct {
 	unit *sema.Unit
 	g    *chg.Graph
-	an   *core.Analyzer // non-static-rule analyzer for dispatch paths
+	an   *core.Analyzer
 
 	layouts map[chg.ClassID]*layout.Layout
 	globals map[string]*Value
@@ -129,7 +129,7 @@ func New(src string, opts ...Option) (*Machine, error) {
 	m := &Machine{
 		unit:     unit,
 		g:        unit.Graph,
-		an:       core.New(unit.Graph, core.WithTrackPaths(), core.WithStaticRule()),
+		an:       unit.Analyzer,
 		layouts:  make(map[chg.ClassID]*layout.Layout),
 		globals:  make(map[string]*Value),
 		statics:  make(map[staticKey]*int64),

@@ -153,10 +153,15 @@ func (s *Session) bindRunner() *runner {
 				return res
 			}
 		}
-		// Local fallback: resolve off the linearization per cell
-		// (Backend methods are concurrency-safe).
+		// Local fallback: a one-member row off the linearization
+		// (Backend methods are concurrency-safe). The rules ask only
+		// about members: checkMember skips Undefined dominance cells,
+		// and the formation filter asks a base only when its
+		// dominance verdict matches.
 		return func(c chg.ClassID, m chg.MemberID) core.Result {
-			return b.Resolve(c, m, nil)
+			var cell [1]core.Cell
+			b.ResolveClass(c, []chg.MemberID{m}, cell[:])
+			return b.Pool().View(cell[0])
 		}
 	})
 }

@@ -19,16 +19,16 @@
 // blaming the class where the merge first broke.
 //
 // The Backend implements core.Semantics and core.ClassResolver, the
-// batched hook whole-table builds fill through, packing results into
-// the same word-sized Cells and interned payload pools as the
-// dominance kernel, so engine snapshots, eager tables, and warm carry
-// serve C3 unchanged.
+// one way it resolves: whole-table builds fill its rows through
+// ResolveClass, and lazy caches fill each cell as a row of one member.
+// Results pack into the same word-sized Cells and interned payload
+// pools as the dominance kernel, so engine snapshots, eager tables,
+// and warm carry serve C3 unchanged.
 package mro
 
 import (
 	"slices"
 
-	"cpplookup/internal/bitset"
 	"cpplookup/internal/chg"
 	"cpplookup/internal/core"
 )
@@ -212,8 +212,9 @@ func (l *Linearization) BlockedHeads(c chg.ClassID) []chg.ClassID {
 
 // Backend serves C3 lookups as a core.Semantics: resolved members are
 // Red (declaring class, Ω) — linearization never produces ambiguity —
-// undeclared members are Undefined, and lookups on classes that fail
-// to linearize are core.FailKind blaming the origin class. All state
+// names no class in L(c) declares are Undefined, and every name on a
+// class that fails to linearize is core.FailKind blaming the origin
+// class (core decides which of those names are members). All state
 // is computed at construction and immutable, so every method is safe
 // for concurrent use.
 type Backend struct {
@@ -222,7 +223,7 @@ type Backend struct {
 	lin  *Linearization
 }
 
-// Whole-table builds fill a non-kernel backend through ResolveClass.
+// Every cache resolves a non-kernel backend through ResolveClass.
 var _ core.ClassResolver = (*Backend)(nil)
 
 // New returns a C3 backend over g, packing results into pool (a nil
@@ -247,40 +248,10 @@ func (b *Backend) Pool() *core.Pool { return b.pool }
 // diagnostics).
 func (b *Backend) Linearization() *Linearization { return b.lin }
 
-// Resolve answers lookup[c,m] under C3. The get callback is ignored:
-// the answer reads directly off the precomputed linearization.
-// m ∉ Members[c] is Undefined even on classes that fail to linearize,
-// matching the table's membership rule.
-func (b *Backend) Resolve(c chg.ClassID, m chg.MemberID, _ func(chg.ClassID) core.Result) core.Result {
-	if blame, failed := b.lin.Failure(c); failed {
-		if !b.memberOf(c, m) {
-			return core.UndefinedResult()
-		}
-		return b.pool.Fail(blame)
-	}
-	order, _ := b.lin.Order(c)
-	for _, x := range order {
-		if b.g.Declares(x, m) {
-			return b.pool.Red(core.Def{L: x, V: chg.Omega})
-		}
-	}
-	return core.UndefinedResult()
-}
-
-// memberOf reports m ∈ Members[c] — declared by c or any of its
-// bases. Used only on failed classes, whose linearization cannot
-// answer the membership question.
-func (b *Backend) memberOf(c chg.ClassID, m chg.MemberID) bool {
-	found := b.g.Declares(c, m)
-	if !found {
-		b.g.EachAncestor(c, new(bitset.Set), nil, func(x chg.ClassID) { found = found || b.g.Declares(x, m) })
-	}
-	return found
-}
-
-// ResolveClass fills a whole table row in one scan of L(c): walking
-// the linearization front to back, the first declarer of each member
-// wins, so each slot is written at most once.
+// ResolveClass fills a row in one scan of L(c): walking the
+// linearization front to back, the first declarer of each member wins,
+// so each slot is written at most once. A class that fails to
+// linearize fails every name.
 func (b *Backend) ResolveClass(c chg.ClassID, ms []chg.MemberID, out []core.Cell) {
 	if blame, failed := b.lin.Failure(c); failed {
 		cell := b.pool.Fail(blame).Cell()

@@ -66,9 +66,8 @@ func TestDiamond(t *testing.T) {
 	// C3 resolves it to C, the first declarer in [D B C A] after B
 	// (which declares nothing). That asymmetry is the divergence the
 	// dominance-vs-mro lint rule reports.
-	be := New(g, nil)
 	f, _ := g.MemberID("f")
-	r := be.Resolve(d, f, nil)
+	r := core.NewFor(New(g, nil)).Lookup(d, f)
 	if !r.Found() || g.Name(r.Class()) != "C" {
 		t.Fatalf("C3 D::f = %s, want red at C", r.Format(g))
 	}
@@ -153,9 +152,8 @@ func TestBoatExample(t *testing.T) {
 
 	// Under C3, Pedalo.scuttle comes from DayBoat (before WheelBoat);
 	// dominance finds neither declaration dominant.
-	be := New(g, nil)
 	m, _ := g.MemberID("scuttle")
-	if r := be.Resolve(pedalo, m, nil); !r.Found() || r.Class() != day {
+	if r := core.NewFor(New(g, nil)).Lookup(pedalo, m); !r.Found() || r.Class() != day {
 		t.Fatalf("C3 Pedalo::scuttle = %s, want red at DayBoat", r.Format(g))
 	}
 	dom := core.New(g)
@@ -212,9 +210,9 @@ func TestFailsToLinearize(t *testing.T) {
 	}
 
 	// Lookups on Z are first-class failures, not panics.
-	be := New(g, nil)
+	c3 := core.NewFor(New(g, nil))
 	f, _ := g.MemberID("f")
-	r := be.Resolve(z, f, nil)
+	r := c3.Lookup(z, f)
 	if !r.Failed() || r.Def().L != z {
 		t.Fatalf("C3 Z::f = %s, want fail blaming Z", r.Format(g))
 	}
@@ -222,21 +220,24 @@ func TestFailsToLinearize(t *testing.T) {
 		t.Fatalf("FailKind renders %q", r.Kind().String())
 	}
 	// X still answers: first declarer in [X A B] is A.
-	if r := be.Resolve(x, f, nil); !r.Found() || r.Class() != a {
+	if r := c3.Lookup(x, f); !r.Found() || r.Class() != a {
 		t.Fatalf("C3 X::f = %s, want red at A", r.Format(g))
 	}
 }
 
-// TestResolveClassMatchesResolve cross-checks the batched row fill
-// against entry-at-a-time Resolve on every (class, member) pair of a
-// mixed hierarchy (including a failing class).
-func TestResolveClassMatchesResolve(t *testing.T) {
+// TestResolveClassMatchesLazy cross-checks the batched row fill
+// against lazy one-member rows (core.NewFor) on every (class, member)
+// pair of a mixed hierarchy. Z fails to linearize, so its row fails
+// every name; the lazy fill must keep the failure for Z's members only,
+// and answer Undefined for u, which only the unrelated U declares.
+func TestResolveClassMatchesLazy(t *testing.T) {
 	b := chg.NewBuilder()
 	a := b.Class("A")
 	bb := b.Class("B")
 	x := b.Class("X")
 	y := b.Class("Y")
 	z := b.Class("Z")
+	u := b.Class("U")
 	b.Base(x, a, chg.NonVirtual)
 	b.Base(x, bb, chg.NonVirtual)
 	b.Base(y, bb, chg.NonVirtual)
@@ -247,19 +248,27 @@ func TestResolveClassMatchesResolve(t *testing.T) {
 	b.Method(bb, "f")
 	b.Method(bb, "g")
 	b.Method(x, "h")
+	b.Method(u, "u")
 	g := b.MustBuild()
 
 	be := New(g, nil)
 	tab := core.BuildSemTable(be, 0)
-	for c := 0; c < g.NumClasses(); c++ {
+	lazy := core.NewFor(be)
+	for c := g.NumClasses() - 1; c >= 0; c-- {
 		for m := 0; m < g.NumMemberNames(); m++ {
 			cid, mid := chg.ClassID(c), chg.MemberID(m)
-			want := be.Resolve(cid, mid, nil)
+			want := lazy.Lookup(cid, mid)
 			got := tab.Lookup(cid, mid)
 			if !got.Equal(want) {
-				t.Errorf("%s::%s: table %s, resolve %s",
+				t.Errorf("%s::%s: table %s, lazy %s",
 					g.Name(cid), g.MemberName(mid), got.Format(g), want.Format(g))
 			}
 		}
+	}
+	if r := lazy.Lookup(z, g.MustMemberID("u")); r.Kind() != core.Undefined {
+		t.Errorf("Z::u = %s, want undefined", r.Format(g))
+	}
+	if r := lazy.Lookup(z, g.MustMemberID("h")); !r.Failed() {
+		t.Errorf("Z::h = %s, want fail", r.Format(g))
 	}
 }

@@ -9,8 +9,8 @@ import (
 	"cpplookup/internal/hiergen"
 )
 
-// The whole-table build must agree cell-for-cell with per-entry lazy
-// resolution (core.NewFor's memoized Resolve) under every registered
+// The whole-table build must agree cell-for-cell with lazy resolution
+// (core.NewFor's memoising fill) under every registered
 // backend — the dominance kernel through the offset block fill, C3 and
 // gxx through the per-chunk ResolveClass path — across chunk regimes,
 // on fixtures and seeded random graphs.
