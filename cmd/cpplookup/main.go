@@ -26,9 +26,11 @@
 //
 // -save-image analyzes the unit, fills every cell of every requested
 // backend, and writes the snapshot as a relocatable image.
-// -load-image serves queries straight from the memory-mapped file —
-// no source argument, no re-analysis, no per-cell deserialization;
-// -semantics then selects among the backends baked into the image.
+// -load-image serves queries from the memory-mapped file, with no
+// source argument: -lookup reads the mapped cells, with no per-cell
+// deserialization, while -table and -ambiguities tabulate the mapped
+// hierarchy again, as they would from source; -semantics then selects
+// among the backends baked into the image.
 //
 // The file may be "-" for stdin. Exit status 1 if any diagnostics
 // were produced.
@@ -73,7 +75,7 @@ func main() {
 	clean := true
 	if *loadImage != "" {
 		// Image mode: the hierarchy, pool, and warm cells come off the
-		// mapped file; there is no source file and no re-analysis.
+		// mapped file; there is no source file to analyze.
 		if flag.NArg() != 0 {
 			fmt.Fprintln(os.Stderr, "usage: cpplookup -load-image file.img [-lookup C::m | -table | -ambiguities]")
 			os.Exit(2)

@@ -54,14 +54,34 @@ func (s *Snapshot) CopyColumns() []CellColumn {
 
 // WarmAll fills every (class, member) cell of every backend column —
 // the eager warm-up an image save performs so the persisted cache
-// answers the whole table without a single miss. It walks member
-// outer, class inner, so each member's fills stay inside its one
-// run. Safe for concurrent use (it is just lookups).
+// answers the whole table without a single miss. Each column is filled
+// from one whole-table build of its backend, the same streamed build
+// Table and TableSem run: every word still 0 takes the table's cell
+// (Undefined for a name its class cannot see) by a compare-and-swap
+// from 0, and the swaps won are added to the run's count. The build
+// runs on one worker, because a parallel build interns payloads in
+// scheduling order and an image's bytes would then vary from save to
+// save; the table is dropped once its column is filled.
+//
+// Safe for concurrent use with lookups and with other WarmAll calls. A
+// table word equals what a lazy fill would publish — both intern into
+// the column's pool, which dedups payloads by content — so a swap lost
+// to a concurrent fill, or a fill's swap landing after it, leaves the
+// same answer, counted once. That holds for a run shared with a carried
+// predecessor or successor too: the words it gains serve both.
 func (s *Snapshot) WarmAll() {
 	for _, col := range s.cols {
-		for m := 0; m < s.numMembers; m++ {
-			for c := 0; c < s.numClasses; c++ {
-				s.lookup(col, chg.ClassID(c), chg.MemberID(m))
+		t := core.BuildSemTable(col.sem, 1)
+		for m, r := range col.runs {
+			n := 0
+			for c := range r.words {
+				w := uint64(t.Lookup(chg.ClassID(c), chg.MemberID(m)).Cell())
+				if atomic.CompareAndSwapUint64(&r.words[c], 0, w) {
+					n++
+				}
+			}
+			if n > 0 && r.st != nil {
+				r.st.filled.Add(int64(n))
 			}
 		}
 	}

@@ -94,7 +94,7 @@ func RunE12(w io.Writer) error {
 		})
 
 		t.add(workers, mutexT, snapT,
-			fmt.Sprintf("%.2f×", float64(mutexT)/float64(max64(int64(snapT), 1))))
+			fmt.Sprintf("%.2f×", float64(mutexT)/float64(max(int64(snapT), 1))))
 	}
 	t.write(w)
 	fmt.Fprintln(w, "  → a warm snapshot hit is one array index plus one atomic load, so it beats the")
@@ -103,11 +103,4 @@ func RunE12(w io.Writer) error {
 	fmt.Fprintln(w, "    further, since the global lock serializes every hit while snapshot reads")
 	fmt.Fprintln(w, "    never contend.")
 	return nil
-}
-
-func max64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
 }

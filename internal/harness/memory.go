@@ -144,7 +144,7 @@ func RunE13(w io.Writer) error {
 			st := snap.Pool().Stats()
 			t.add(fmt.Sprintf("Realistic(%d,3) |N|=%d", depth, numC), os.name, entries,
 				formatBytes(pointerB), formatBytes(packedB),
-				fmt.Sprintf("%.2f×", float64(pointerB)/float64(maxU64(packedB, 1))),
+				fmt.Sprintf("%.2f×", float64(pointerB)/float64(max(packedB, 1))),
 				st.Entries, st.Hits, fmt.Sprintf("%.2f", warmAllocs))
 			runtime.KeepAlive(ptrBuilt)
 		}
@@ -168,11 +168,4 @@ func formatBytes(b uint64) string {
 		return fmt.Sprintf("%.1fKiB", float64(b)/(1<<10))
 	}
 	return fmt.Sprintf("%.2fMiB", float64(b)/(1<<20))
-}
-
-func maxU64(a, b uint64) uint64 {
-	if a > b {
-		return a
-	}
-	return b
 }

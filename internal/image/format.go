@@ -56,6 +56,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math/bits"
 	"unsafe"
 )
 
@@ -154,6 +155,15 @@ type header struct {
 
 func (h *header) trackPaths() bool { return h.flags&flagTrackPaths != 0 }
 func (h *header) staticRule() bool { return h.flags&flagStaticRule != 0 }
+
+// cellBytes returns the size in bytes of the cell section h describes,
+// numColumns × numClasses × numMembers words, and false when that size
+// does not fit in 64 bits: a plain product would wrap, and a crafted
+// header could then match a short section.
+func (h *header) cellBytes() (uint64, bool) {
+	hi, lo := bits.Mul64(8*uint64(h.numColumns), uint64(h.numClasses)*uint64(h.numMembers))
+	return lo, hi == 0
+}
 
 // section is one section-table entry.
 type section struct {

@@ -2,9 +2,12 @@ package image
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"errors"
 	"fmt"
+	"math"
 	"path/filepath"
+	"strconv"
 	"testing"
 
 	"cpplookup/internal/chg"
@@ -270,6 +273,100 @@ func TestImageRejectsOversizedMemberSpace(t *testing.T) {
 	}
 	if err := g.WriteJSON(&bytes.Buffer{}); !errors.As(err, &mse) {
 		t.Fatalf("json encode: got %v, want *chg.MemberSpaceError", err)
+	}
+}
+
+// TestImageRejectsWrappingCellCounts loads a crafted image whose
+// header counts make the cell section's size, columns × classes ×
+// member names × 8 bytes, wrap to 0 in 64 bits: 2^21 backends (the
+// first dominance, the rest empty), 2^20 classes and 2^20 member names
+// with well-formed tables, an empty topology for every class, empty
+// pool arenas and an empty cell section, under a valid hash. Load must
+// refuse it with a typed error rather than slice past the section.
+func TestImageRejectsWrappingCellCounts(t *testing.T) {
+	const numC, numM, numCols = 1 << 20, 1 << 20, 1 << 21
+	names := func(prefix string, n int) []string {
+		out := make([]string, n)
+		for i := range out {
+			out[i] = prefix + strconv.FormatInt(int64(i), 36)
+		}
+		return out
+	}
+	backends := make([]string, numCols)
+	backends[0] = string(core.SemDominance)
+
+	w := newImageBuf()
+	w.beginSection(secClassNames)
+	w.stringTable(names("c", numC))
+	w.beginSection(secMemberNames)
+	w.stringTable(names("m", numM))
+	w.beginSection(secTopology)
+	for c := 0; c < numC; c++ {
+		w.u32(0) // no bases
+		w.u32(0) // no members
+	}
+	w.beginSection(secBackends)
+	w.stringTable(backends)
+	for _, id := range []uint32{secPoolRecs, secPoolIDs, secPoolDefs, secCells} {
+		w.beginSection(id)
+	}
+	data := w.finish(header{
+		version:      Version,
+		numClasses:   numC,
+		numMembers:   numM,
+		numColumns:   numCols,
+		sectionCount: numSections,
+	})
+	_, err := Load(data)
+	var mse *chg.MemberSpaceError
+	if !errors.As(err, &mse) || mse.NumMemberNames != numM {
+		t.Fatalf("%d-byte image: got %v, want *chg.MemberSpaceError for %d names", len(data), err, numM)
+	}
+}
+
+// TestCellBytesDetectsWrap pins the cell-section size check on counts
+// no test image could reach, including products that wrap with member
+// names within chg.MaxMemberNames.
+func TestCellBytesDetectsWrap(t *testing.T) {
+	for _, tc := range []struct {
+		cols, classes, members uint32
+		size                   uint64
+		ok                     bool
+	}{
+		{3, 9, 2, 3 * 9 * 2 * 8, true},
+		{1, math.MaxUint32, chg.MaxMemberNames, math.MaxUint32 * chg.MaxMemberNames * 8, true},
+		{1 << 21, 1 << 20, 1 << 20, 0, false},
+		{1 << 23, 1 << 22, chg.MaxMemberNames, 0, false},
+		{1<<23 + 1, 1 << 22, chg.MaxMemberNames, 0, false}, // wraps to 2^41, not 0
+		{math.MaxUint32, math.MaxUint32, chg.MaxMemberNames, 0, false},
+	} {
+		h := header{numColumns: tc.cols, numClasses: tc.classes, numMembers: tc.members}
+		size, ok := h.cellBytes()
+		if ok != tc.ok || ok && size != tc.size {
+			t.Errorf("%d columns × %d classes × %d names: cellBytes = %d, %v; want %d, %v",
+				tc.cols, tc.classes, tc.members, size, ok, tc.size, tc.ok)
+		}
+	}
+}
+
+// TestWarmImageDeterministic pins that a warmed snapshot's image is a
+// pure function of the hierarchy: two fresh snapshots warmed by
+// WarmAll intern their pooled payloads in the same order, so their
+// images are byte-identical.
+func TestWarmImageDeterministic(t *testing.T) {
+	g := hiergen.SparseMembers(200, 1000, 3, 7)
+	var first []byte
+	for i := 0; i < 2; i++ {
+		data, err := Bytes(warmSnapshot(g, core.WithSemantics(allBackends...)))
+		if err != nil {
+			t.Fatalf("Bytes: %v", err)
+		}
+		if i == 0 {
+			first = data
+		} else if !bytes.Equal(first, data) {
+			t.Fatalf("two warm saves of one hierarchy differ: %d and %d bytes, SHA-256 %x and %x",
+				len(first), len(data), sha256.Sum256(first), sha256.Sum256(data))
+		}
 	}
 }
 

@@ -110,6 +110,9 @@ func load(data []byte, release func() error) (*Image, error) {
 	if err != nil {
 		return nil, err
 	}
+	if h.numMembers > chg.MaxMemberNames {
+		return nil, &chg.MemberSpaceError{NumMemberNames: int(h.numMembers)}
+	}
 
 	classNames, err := readStringTable(data, secs[secClassNames], "class-name table")
 	if err != nil {
@@ -142,9 +145,9 @@ func load(data []byte, release func() error) (*Image, error) {
 	}
 
 	pool, err := core.PoolFromImage(core.PoolImage{
-		Recs: aliasInt32(data, secs[secPoolRecs]),
-		IDs:  aliasClassIDs(data, secs[secPoolIDs]),
-		Defs: aliasDefs(data, secs[secPoolDefs]),
+		Recs: alias[int32](data, secs[secPoolRecs]),
+		IDs:  alias[chg.ClassID](data, secs[secPoolIDs]),
+		Defs: alias[core.Def](data, secs[secPoolDefs]),
 	})
 	if err != nil {
 		return nil, formatErrf("pool arenas: %v", err)
@@ -152,10 +155,10 @@ func load(data []byte, release func() error) (*Image, error) {
 
 	cellsSec := secs[secCells]
 	colWords := int(h.numClasses) * int(h.numMembers)
-	if cellsSec.size != uint64(h.numColumns)*uint64(colWords)*8 {
+	if size, ok := h.cellBytes(); !ok || cellsSec.size != size {
 		return nil, formatErrf("cell section holds %d bytes, want %d columns × %d cells", cellsSec.size, h.numColumns, colWords)
 	}
-	allCells := aliasUint64(data, cellsSec)
+	allCells := alias[uint64](data, cellsSec)
 	cols := make([]engine.CellColumn, h.numColumns)
 	for i := range cols {
 		cols[i] = engine.CellColumn{
@@ -308,37 +311,17 @@ func rebuildGraph(data []byte, s section, classNames, memberNames []string) (*ch
 	return g, nil
 }
 
-// The alias helpers serve a section's bytes as a typed slice without
-// copying. Sections are 8-aligned within the file and the buffer base
-// is 8-aligned (load realigns otherwise), so every element type here
-// (4- and 8-byte) is properly aligned. Sizes were bounds-checked by
-// parseHeader; element-size divisibility is the caller's contract with
-// the writer and is enforced by truncating division (the hash check
-// makes a genuinely torn section unreachable).
-func aliasInt32(data []byte, s section) []int32 {
+// alias serves a section's bytes as a []T without copying. Sections
+// are 8-aligned within the file and the buffer base is 8-aligned (load
+// realigns otherwise), so every element type the loader aliases (4- and
+// 8-byte) is properly aligned. Sizes were bounds-checked by
+// parseSections; element-size divisibility is the caller's contract
+// with the writer and is enforced by truncating division (the hash
+// check makes a genuinely torn section unreachable).
+func alias[T any](data []byte, s section) []T {
 	if s.size == 0 {
 		return nil
 	}
-	return unsafe.Slice((*int32)(unsafe.Pointer(&data[s.off])), s.size/4)
-}
-
-func aliasClassIDs(data []byte, s section) []chg.ClassID {
-	if s.size == 0 {
-		return nil
-	}
-	return unsafe.Slice((*chg.ClassID)(unsafe.Pointer(&data[s.off])), s.size/4)
-}
-
-func aliasDefs(data []byte, s section) []core.Def {
-	if s.size == 0 {
-		return nil
-	}
-	return unsafe.Slice((*core.Def)(unsafe.Pointer(&data[s.off])), s.size/uint64(unsafe.Sizeof(core.Def{})))
-}
-
-func aliasUint64(data []byte, s section) []uint64 {
-	if s.size == 0 {
-		return nil
-	}
-	return unsafe.Slice((*uint64)(unsafe.Pointer(&data[s.off])), s.size/8)
+	var zero T
+	return unsafe.Slice((*T)(unsafe.Pointer(&data[s.off])), s.size/uint64(unsafe.Sizeof(zero)))
 }

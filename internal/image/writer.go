@@ -7,7 +7,6 @@ import (
 	"unsafe"
 
 	"cpplookup/internal/chg"
-	"cpplookup/internal/core"
 	"cpplookup/internal/engine"
 )
 
@@ -70,11 +69,11 @@ func Bytes(s *engine.Snapshot) ([]byte, error) {
 	w.stringTable(ids)
 
 	w.beginSection(secPoolRecs)
-	w.rawInt32(pool.Recs)
+	w.b = appendRaw(w.b, pool.Recs)
 	w.beginSection(secPoolIDs)
-	w.rawClassIDs(pool.IDs)
+	w.b = appendRaw(w.b, pool.IDs)
 	w.beginSection(secPoolDefs)
-	w.rawDefs(pool.Defs)
+	w.b = appendRaw(w.b, pool.Defs)
 
 	w.beginSection(secCells)
 	wantCells := g.NumClasses() * g.NumMemberNames()
@@ -82,7 +81,7 @@ func Bytes(s *engine.Snapshot) ([]byte, error) {
 		if len(col.Cells) != wantCells {
 			return nil, fmt.Errorf("image: column %q has %d cells, want %d", col.ID, len(col.Cells), wantCells)
 		}
-		w.rawUint64(col.Cells)
+		w.b = appendRaw(w.b, col.Cells)
 	}
 
 	return w.finish(header{
@@ -170,28 +169,12 @@ func (w *imageBuf) stringTable(ss []string) {
 	}
 }
 
-func (w *imageBuf) rawInt32(s []int32) {
-	if len(s) > 0 {
-		w.b = append(w.b, unsafe.Slice((*byte)(unsafe.Pointer(&s[0])), len(s)*4)...)
+// appendRaw appends s's in-memory bytes to b.
+func appendRaw[T any](b []byte, s []T) []byte {
+	if len(s) == 0 {
+		return b
 	}
-}
-
-func (w *imageBuf) rawClassIDs(s []chg.ClassID) {
-	if len(s) > 0 {
-		w.b = append(w.b, unsafe.Slice((*byte)(unsafe.Pointer(&s[0])), len(s)*4)...)
-	}
-}
-
-func (w *imageBuf) rawDefs(s []core.Def) {
-	if len(s) > 0 {
-		w.b = append(w.b, unsafe.Slice((*byte)(unsafe.Pointer(&s[0])), len(s)*int(unsafe.Sizeof(core.Def{})))...)
-	}
-}
-
-func (w *imageBuf) rawUint64(s []uint64) {
-	if len(s) > 0 {
-		w.b = append(w.b, unsafe.Slice((*byte)(unsafe.Pointer(&s[0])), len(s)*8)...)
-	}
+	return append(b, unsafe.Slice((*byte)(unsafe.Pointer(&s[0])), len(s)*int(unsafe.Sizeof(s[0])))...)
 }
 
 // finish closes the last section, writes the header and section
