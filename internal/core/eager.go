@@ -130,6 +130,12 @@ func (t *Table) LookupByName(class, member string) Result {
 	return t.Lookup(c, m)
 }
 
+// Row returns class c's row: Members[c], sorted, and the packed cells
+// parallel to it, over the table's pool — for a caller that walks
+// every entry of a row in member order instead of probing one member
+// at a time. Shared storage; do not modify.
+func (t *Table) Row(c chg.ClassID) ([]chg.MemberID, []Cell) { return t.members[c], t.results[c] }
+
 // Members returns Members[c]: every member name visible in class c,
 // sorted by id. Shared slice; do not modify.
 func (t *Table) Members(c chg.ClassID) []chg.MemberID { return t.members[c] }

@@ -35,16 +35,62 @@ const PoolRecWords = poolRecWords
 // pool only grows by republishing fresh arrays, so later interning
 // never mutates what Image returned. Safe for concurrent use.
 //
-// Consistency note for writers serializing a live snapshot: take the
-// cell columns FIRST and the pool image after — the pool is
-// append-only, so an image taken later covers every payload any
-// earlier-copied cell references.
+// Consistency note for writers serializing a live snapshot: a cell
+// published after the image was taken may reference a payload interned
+// after it too. Copy cells after the image, and save every word the
+// image does not Cover as unfilled (0): the cell refills after a load,
+// and no saved word dangles.
 func (p *Pool) Image() PoolImage {
 	return PoolImage{
 		Recs: *p.recs.Load(),
 		IDs:  *p.ids.Load(),
 		Defs: *p.defs.Load(),
 	}
+}
+
+// Covers reports whether c reads correctly against img: c carries no
+// payload (the zero word, Undefined, an inline Red), or the payload it
+// indexes is one of img's records.
+func (img PoolImage) Covers(c Cell) bool {
+	return c.tag() != cellTagPooled || int(c.poolIndex()) < len(img.Recs)/poolRecWords
+}
+
+// CheckCells returns an error naming the first word of cells that no
+// cache over a graph of numClasses classes, packed over a pool imaged
+// as img, can hold: each word must be 0 (unfilled), the canonical
+// Undefined, an inline Red whose L is a class and whose V is a class
+// or Ω, or a pooled word with its unused bits clear whose payload img
+// Covers and backs. Together with PoolFromImage's checks it lets every
+// word of a loaded cache be viewed, and read by a fill, without
+// indexing out of range.
+func CheckCells(cells []uint64, img PoolImage, numClasses int) error {
+	n := uint64(numClasses)
+	for i, w := range cells {
+		if w < cellTagRed<<cellTagShift {
+			// 0 or Undefined: no bit below the tag is set.
+			if w<<2 == 0 {
+				continue
+			}
+		} else if w < cellTagPooled<<cellTagShift {
+			// Inline Red: L, biased by one, is a class; V a class or Ω.
+			if w>>cellLShift&cellFieldMask-1 < n && w&cellFieldMask <= n {
+				continue
+			}
+		} else if c := Cell(w); img.Covers(c) && w>>32&(1<<(cellKindShift-32)-1) == 0 && img.backs(c) {
+			continue
+		}
+		return fmt.Errorf("cell %d: word %#x is not a cell of %d classes over %d payloads", i, w, numClasses, len(img.Recs)/poolRecWords)
+	}
+	return nil
+}
+
+// backs reports whether the payload img holds at pooled cell c's index
+// can back c: it is of c's kind, and its static set is nil or not
+// empty — a resolution reads a first abstraction from the set, and
+// the kernel stores one only with two or more.
+func (img PoolImage) backs(c Cell) bool {
+	r := img.Recs[int(c.poolIndex())*poolRecWords:]
+	return Kind(r[recKind]) == c.Kind() && r[recSSLen] != 0
 }
 
 // PoolImageError reports a structurally invalid pool image — the
@@ -66,17 +112,29 @@ func (e *PoolImageError) Error() string {
 // without copying them: record handles resolve straight into the
 // given arenas, so a memory-mapped image is served from the mapped
 // bytes. The arrays are validated structurally (stride, kinds, every
-// handle in bounds) — O(payloads), independent of any cell cache —
-// and must not be mutated by the caller afterwards.
+// handle in bounds, every Def and arena class id Ω or below
+// numClasses, a class as every red or failed payload's L) —
+// O(payloads + arenas), independent of any cell cache — and must not
+// be mutated by the caller afterwards.
 //
 // The returned pool supports interning on top of the frozen base:
 // the first intern rebuilds the dedup index lazily and the first
 // arena growth copies onto the heap (copy-on-write promotion), so
 // read-only serving stays zero-copy while carried successors of a
 // mapped snapshot behave like any other pool sharer.
-func PoolFromImage(img PoolImage) (*Pool, error) {
+func PoolFromImage(img PoolImage, numClasses int) (*Pool, error) {
 	if len(img.Recs)%poolRecWords != 0 {
 		return nil, &PoolImageError{Rec: -1, Reason: fmt.Sprintf("record array length %d is not a multiple of the %d-word stride", len(img.Recs), poolRecWords)}
+	}
+	for i, c := range img.IDs {
+		if !classOrOmega(c, numClasses) {
+			return nil, &PoolImageError{Rec: -1, Reason: fmt.Sprintf("class-id arena entry %d is %d, not a class of %d or Ω", i, c, numClasses)}
+		}
+	}
+	for i, d := range img.Defs {
+		if !classOrOmega(d.L, numClasses) || !classOrOmega(d.V, numClasses) {
+			return nil, &PoolImageError{Rec: -1, Reason: fmt.Sprintf("def arena entry %d is (%d, %d), not classes of %d or Ω", i, d.L, d.V, numClasses)}
+		}
 	}
 	n := len(img.Recs) / poolRecWords
 	checkSeg := func(rec int, what string, off, ln int32, arena int) error {
@@ -92,6 +150,13 @@ func PoolFromImage(img PoolImage) (*Pool, error) {
 		r := img.Recs[i*poolRecWords : (i+1)*poolRecWords]
 		if k := r[recKind]; k < int32(Undefined) || k > int32(FailKind) {
 			return nil, &PoolImageError{Rec: i, Reason: fmt.Sprintf("unknown payload kind %d", k)}
+		}
+		l, v := chg.ClassID(r[recL]), chg.ClassID(r[recV])
+		if !classOrOmega(l, numClasses) || !classOrOmega(v, numClasses) {
+			return nil, &PoolImageError{Rec: i, Reason: fmt.Sprintf("def (%d, %d) is not classes of %d or Ω", l, v, numClasses)}
+		}
+		if k := Kind(r[recKind]); l == chg.Omega && (k == RedKind || k == FailKind) {
+			return nil, &PoolImageError{Rec: i, Reason: fmt.Sprintf("%s payload names no class", k)}
 		}
 		if err := checkSeg(i, "StaticSet", r[recSSOff], r[recSSLen], len(img.IDs)); err != nil {
 			return nil, err
@@ -121,6 +186,11 @@ func PoolFromImage(img PoolImage) (*Pool, error) {
 	p.ids.Store(&ids)
 	p.defs.Store(&defs)
 	return p, nil
+}
+
+// classOrOmega reports whether c is Ω or one of numClasses class ids.
+func classOrOmega(c chg.ClassID, numClasses int) bool {
+	return c >= chg.Omega && int64(c) < int64(numClasses)
 }
 
 // EqualPayloads reports whether two pools hold logically identical

@@ -6,6 +6,10 @@ import (
 	"cpplookup/internal/chg"
 )
 
+// populatedClasses is one more than the largest class id populatePool
+// interns: the class count its pool images are checked against.
+const populatedClasses = 12
+
 // populate interns a representative payload mix and returns the cells.
 func populatePool(p *Pool) []Cell {
 	var cells []Cell
@@ -22,7 +26,7 @@ func TestPoolImageRoundTrip(t *testing.T) {
 	p := NewPool()
 	cells := populatePool(p)
 
-	thawed, err := PoolFromImage(p.Image())
+	thawed, err := PoolFromImage(p.Image(), populatedClasses)
 	if err != nil {
 		t.Fatalf("PoolFromImage: %v", err)
 	}
@@ -47,7 +51,7 @@ func TestPoolImageRoundTrip(t *testing.T) {
 func TestPoolImageCopyOnWritePromotion(t *testing.T) {
 	src := NewPool()
 	cells := populatePool(src)
-	thawed, err := PoolFromImage(src.Image())
+	thawed, err := PoolFromImage(src.Image(), populatedClasses)
 	if err != nil {
 		t.Fatalf("PoolFromImage: %v", err)
 	}
@@ -85,6 +89,8 @@ func TestPoolFromImageRejectsCorruptRecords(t *testing.T) {
 	good := p.Image()
 
 	cloneRecs := func() []int32 { return append([]int32(nil), good.Recs...) }
+	cloneIDs := func(img *PoolImage) { img.IDs = append([]chg.ClassID(nil), img.IDs...) }
+	cloneDefs := func(img *PoolImage) { img.Defs = append([]Def(nil), img.Defs...) }
 
 	cases := []struct {
 		name   string
@@ -101,12 +107,23 @@ func TestPoolFromImageRejectsCorruptRecords(t *testing.T) {
 		{"defs-overrun", func(img *PoolImage) {
 			img.Recs[recBLen] = int32(len(img.Defs)) + 1
 		}},
+		{"def-class", func(img *PoolImage) { img.Recs[3*poolRecWords+recL] = populatedClasses }},
+		{"def-below-omega", func(img *PoolImage) { img.Recs[1*poolRecWords+recV] = -2 }},
+		{"red-without-class", func(img *PoolImage) { img.Recs[1*poolRecWords+recL] = -1 }},
+		{"ids-arena-class", func(img *PoolImage) {
+			cloneIDs(img)
+			img.IDs[len(img.IDs)-1] = populatedClasses
+		}},
+		{"defs-arena-class", func(img *PoolImage) {
+			cloneDefs(img)
+			img.Defs[0].V = -2
+		}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			img := PoolImage{Recs: cloneRecs(), IDs: good.IDs, Defs: good.Defs}
 			tc.mutate(&img)
-			if _, err := PoolFromImage(img); err == nil {
+			if _, err := PoolFromImage(img, populatedClasses); err == nil {
 				t.Fatal("corrupt image accepted")
 			} else if _, ok := err.(*PoolImageError); !ok {
 				t.Fatalf("want *PoolImageError, got %T: %v", err, err)

@@ -373,23 +373,29 @@ func TestSnapshotFromPartsColumns(t *testing.T) {
 	g := hiergen.Figure9()
 	src := NewSnapshot(g, core.WithSemantics(core.SemC3, core.SemGxx))
 	src.WarmAll()
-	cols := src.CopyColumns()
-	domCol, c3Col, gxxCol := cols[0], cols[1], cols[2]
-	bad := map[string][]CellColumn{
-		"no columns":          {},
-		"repeated backend":    {domCol, c3Col, c3Col},
-		"repeated dominance":  {domCol, domCol},
-		"dominance not first": {c3Col, domCol},
-		"short column":        {domCol, {ID: core.SemC3, Cells: c3Col.Cells[1:]}},
-		"unknown backend":     {domCol, {ID: "no-such-backend", Cells: c3Col.Cells}},
+	size := g.NumClasses() * g.NumMemberNames()
+	plane := make([]uint64, 3*size)
+	src.CopyCells(plane, src.Pool().Image())
+	domCol, c3Col, gxxCol := plane[:size], plane[size:2*size], plane[2*size:]
+	dom, c3 := core.SemDominance, core.SemC3
+	bad := map[string]struct {
+		ids   []core.SemanticsID
+		cells []uint64
+	}{
+		"no columns":          {nil, nil},
+		"repeated backend":    {[]core.SemanticsID{dom, c3, c3}, slices.Concat(domCol, c3Col, c3Col)},
+		"repeated dominance":  {[]core.SemanticsID{dom, dom}, slices.Concat(domCol, domCol)},
+		"dominance not first": {[]core.SemanticsID{c3, dom}, slices.Concat(c3Col, domCol)},
+		"short column":        {[]core.SemanticsID{dom, c3}, slices.Concat(domCol, c3Col[1:])},
+		"unknown backend":     {[]core.SemanticsID{dom, "no-such-backend"}, slices.Concat(domCol, c3Col)},
 	}
-	for name, cs := range bad {
-		if s, err := NewSnapshotFromParts(g, src.Pool(), cs, false, false); err == nil {
+	for name, tc := range bad {
+		if s, err := NewSnapshotFromParts(g, src.Pool(), tc.ids, tc.cells, false, false); err == nil {
 			t.Errorf("%s: accepted, serving %v", name, s.Semantics())
 		}
 	}
 
-	got, err := NewSnapshotFromParts(g, src.Pool(), []CellColumn{domCol, c3Col, gxxCol}, false, false)
+	got, err := NewSnapshotFromParts(g, src.Pool(), src.Semantics(), slices.Concat(domCol, c3Col, gxxCol), false, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -397,7 +403,7 @@ func TestSnapshotFromPartsColumns(t *testing.T) {
 		t.Fatalf("Semantics() = %v, want %v", got.Semantics(), src.Semantics())
 	}
 	for _, id := range got.Semantics() {
-		if n, want := got.SemCachedEntries(id), len(domCol.Cells); n != want {
+		if n, want := got.SemCachedEntries(id), len(domCol); n != want {
 			t.Fatalf("%s column holds %d cells, want the %d it was given", id, n, want)
 		}
 		for c := 0; c < g.NumClasses(); c++ {
@@ -415,15 +421,16 @@ func TestSnapshotFromPartsColumns(t *testing.T) {
 // TestColumnsAreMemberMajor pins the cell layout without timing:
 // resolving one member name at every class of a cold snapshot must
 // fill exactly that member's contiguous run of NumClasses words in
-// every backend's column, and nothing outside it. Fills, devirt's
-// cone walks and carry's cone clear stay inside one member's run only
-// because of this contiguity.
+// every backend's column of the cell plane, and nothing outside it.
+// Fills, devirt's cone walks and carry's cone clear stay inside one
+// member's run only because of this contiguity.
 func TestColumnsAreMemberMajor(t *testing.T) {
 	g := hiergen.Random(hiergen.RandomConfig{
 		Classes: 40, MaxBases: 3, VirtualProb: 0.35,
 		MemberNames: 5, MemberProb: 0.2, Seed: 11,
 	})
 	n := g.NumClasses()
+	size := n * g.NumMemberNames()
 	for m := 0; m < g.NumMemberNames(); m++ {
 		snap := NewSnapshot(g, core.WithSemantics(core.SemC3))
 		for _, id := range snap.Semantics() {
@@ -431,17 +438,63 @@ func TestColumnsAreMemberMajor(t *testing.T) {
 				snap.LookupSem(id, chg.ClassID(c), chg.MemberID(m))
 			}
 		}
-		cols := snap.CopyColumns()
-		if len(cols) != 2 {
-			t.Fatalf("snapshot serves %d columns, want dominance and c3", len(cols))
+		ids := snap.Semantics()
+		if len(ids) != 2 {
+			t.Fatalf("snapshot serves %d columns, want dominance and c3", len(ids))
 		}
-		for _, col := range cols {
-			for i, w := range col.Cells {
+		plane := make([]uint64, len(ids)*size)
+		snap.CopyCells(plane, snap.Pool().Image())
+		for k, id := range ids {
+			for i, w := range plane[k*size : (k+1)*size] {
 				if inRun := i/n == m; inRun != (w != 0) {
 					t.Fatalf("member %d, %s column: word %d = %#x, want nonzero exactly in [%d, %d)",
-						m, col.ID, i, w, m*n, (m+1)*n)
+						m, id, i, w, m*n, (m+1)*n)
 				}
 			}
 		}
+	}
+}
+
+// TestCopyCellsSkipsUncoveredPayloads pins the rule an image writer
+// relies on when it images the pool before copying the cells: a cell
+// whose payload was interned after the pool image was taken is copied
+// as unfilled, and a snapshot assembled from that plane over that pool
+// image (what a loader builds) refills the cell to the same answer.
+func TestCopyCellsSkipsUncoveredPayloads(t *testing.T) {
+	g := hiergen.Figure1()
+	src := NewSnapshot(g)
+	cut := src.Pool().Image()
+	e, m := chg.ClassID(4), chg.MemberID(0) // E::m, blue {Ω}
+	want := src.Lookup(e, m)
+	if !want.Ambiguous() || src.Pool().Len() == 0 {
+		t.Fatalf("E::m = %s over %d payloads, want a pooled blue cell", want.Format(g), src.Pool().Len())
+	}
+	// Figure 1 has one member name, so the plane is m's run.
+	plane := make([]uint64, g.NumClasses())
+	src.CopyCells(plane, cut)
+	if plane[e] != 0 {
+		t.Fatalf("E::m's word copied as %#x over a pool image without its payload, want 0", plane[e])
+	}
+	for c := range plane {
+		if r := src.Lookup(chg.ClassID(c), m); chg.ClassID(c) != e && plane[c] != uint64(r.Cell()) {
+			t.Fatalf("%s::m copied as %#x, want its inline word %#x", g.Name(chg.ClassID(c)), plane[c], uint64(r.Cell()))
+		}
+	}
+
+	pool, err := core.PoolFromImage(cut, g.NumClasses())
+	if err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := NewSnapshotFromParts(g, pool, src.Semantics(), plane, false, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := loaded.Lookup(e, m); !got.Equal(want) {
+		t.Fatalf("loaded E::m = %s, want %s", got.Format(g), want.Format(g))
+	}
+
+	src.CopyCells(plane, src.Pool().Image())
+	if plane[e] != uint64(want.Cell()) {
+		t.Fatalf("E::m copied as %#x over the current pool image, want %#x", plane[e], uint64(want.Cell()))
 	}
 }

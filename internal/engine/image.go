@@ -3,9 +3,9 @@ package engine
 // Image-backed snapshots. internal/image persists a snapshot's warm
 // state — graph, payload pool, and every backend's packed-cell
 // column — as a relocatable flat-buffer file; this file is the engine
-// side of that contract: exporting a live snapshot's columns as flat
-// member-major arrays for the writer, and reassembling a Snapshot
-// whose runs alias memory-mapped bytes. A snapshot built from mapped
+// side of that contract: copying a live snapshot's cell plane for the
+// writer, and carving a loaded plane back into a Snapshot whose runs
+// alias memory-mapped bytes. A snapshot built from mapped
 // columns serves warm hits straight out of the map (one atomic word
 // load, zero deserialization); misses fill cells with the usual atomic
 // stores, which land in the map's private copy-on-write pages. A carried
@@ -21,35 +21,30 @@ import (
 	"cpplookup/internal/core"
 )
 
-// CellColumn is one resolution backend's cells as one flat array, in
-// the snapshot's member-major layout: member m's run is the NumClasses
-// contiguous words from m·NumClasses. The dominance column is always
-// present and always first.
-type CellColumn struct {
-	ID    core.SemanticsID
-	Cells []uint64
-}
-
-// CopyColumns returns an atomic copy of every cache column the
-// snapshot serves, dominance first, each assembled from its runs into
-// one flat CellColumn — the consistent read an image writer needs while
-// concurrent fills may be publishing cells. Each word is loaded
-// atomically; a torn column is impossible, and any pooled payload a
-// copied word references is already fully interned (cells publish after
-// their payloads).
-func (s *Snapshot) CopyColumns() []CellColumn {
-	out := make([]CellColumn, len(s.cols))
-	for i, col := range s.cols {
-		cells := make([]uint64, s.numMembers*s.numClasses)
-		for m, r := range col.runs {
-			dst := cells[m*s.numClasses:]
-			for c := range r.words {
-				dst[c] = atomic.LoadUint64(&r.words[c])
-			}
-		}
-		out[i] = CellColumn{ID: col.id, Cells: cells}
+// CopyCells copies the snapshot's cell plane into dst: every column in
+// Semantics order, each member-major (member m's NumClasses words from
+// m·NumClasses), so len(dst) must be len(Semantics())·NumClasses·
+// NumMemberNames. Words are loaded atomically, and a word whose payload
+// cut does not cover is copied as 0 (unfilled): a writer that images
+// the pool first may meet cells whose payloads a concurrent fill
+// interned after cut, and such a cell refills after a load instead of
+// indexing past the saved pool.
+func (s *Snapshot) CopyCells(dst []uint64, cut core.PoolImage) {
+	if want := len(s.cols) * s.numMembers * s.numClasses; len(dst) != want {
+		panic(fmt.Sprintf("engine: CopyCells into %d words, want %d", len(dst), want))
 	}
-	return out
+	for _, col := range s.cols {
+		for _, r := range col.runs {
+			for c := range r.words {
+				w := atomic.LoadUint64(&r.words[c])
+				if !cut.Covers(core.Cell(w)) {
+					w = 0
+				}
+				dst[c] = w
+			}
+			dst = dst[s.numClasses:]
+		}
+	}
 }
 
 // WarmAll fills every (class, member) cell of every backend column —
@@ -70,12 +65,22 @@ func (s *Snapshot) CopyColumns() []CellColumn {
 // same answer, counted once. That holds for a run shared with a carried
 // predecessor or successor too: the words it gains serve both.
 func (s *Snapshot) WarmAll() {
+	undefined := uint64(core.UndefinedResult().Cell())
+	// next[c] indexes the first entry of class c's row not yet
+	// scattered: runs ascend by member id and rows are sorted, so each
+	// cursor only advances, and no cell is searched for.
+	next := make([]int, s.numClasses)
 	for _, col := range s.cols {
 		t := core.BuildSemTable(col.sem, 1)
+		clear(next)
 		for m, r := range col.runs {
 			n := 0
 			for c := range r.words {
-				w := uint64(t.Lookup(chg.ClassID(c), chg.MemberID(m)).Cell())
+				w := undefined
+				if ms, cells := t.Row(chg.ClassID(c)); next[c] < len(ms) && ms[next[c]] == chg.MemberID(m) {
+					w = uint64(cells[next[c]])
+					next[c]++
+				}
 				if atomic.CompareAndSwapUint64(&r.words[c], 0, w) {
 					n++
 				}
@@ -88,26 +93,22 @@ func (s *Snapshot) WarmAll() {
 }
 
 // NewSnapshotFromParts assembles a standalone snapshot (version 1, no
-// engine) around externally produced cache columns — the image
-// loader's constructor. The columns must be dominance-first, each
-// backend at most once, each of length NumClasses×NumMemberNames in
-// CellColumn's member-major layout, packed over pool; each is sliced
-// into its runs without copying, so mapped columns serve from the
-// mapped bytes. trackPaths/staticRule must match the flags the cells
-// were resolved under (the image header records them).
-func NewSnapshotFromParts(g *chg.Graph, pool *core.Pool, cols []CellColumn, trackPaths, staticRule bool) (*Snapshot, error) {
+// engine) around an externally produced cell plane — the image
+// loader's constructor. ids lists the plane's backends, dominance
+// first, each once; cells holds their columns in CopyCells' layout,
+// packed over pool, and is carved into runs without copying, so a
+// mapped plane serves from the mapped bytes. trackPaths/staticRule
+// must match the flags the cells were resolved under (the image header
+// records them).
+func NewSnapshotFromParts(g *chg.Graph, pool *core.Pool, ids []core.SemanticsID, cells []uint64, trackPaths, staticRule bool) (*Snapshot, error) {
 	if g == nil {
 		return nil, fmt.Errorf("engine: snapshot from parts: nil graph")
 	}
 	if pool == nil {
 		return nil, fmt.Errorf("engine: snapshot from parts: nil pool")
 	}
-	if len(cols) == 0 {
+	if len(ids) == 0 {
 		return nil, fmt.Errorf("engine: snapshot from parts: no columns")
-	}
-	ids := make([]core.SemanticsID, len(cols))
-	for i, col := range cols {
-		ids[i] = col.ID
 	}
 	opts := []core.Option{core.WithPool(pool), core.WithSemantics(ids...)}
 	if trackPaths {
@@ -116,16 +117,16 @@ func NewSnapshotFromParts(g *chg.Graph, pool *core.Pool, cols []CellColumn, trac
 	if staticRule {
 		opts = append(opts, core.WithStaticRule())
 	}
-	k := core.NewKernel(g, opts...)
 	numN, numM := g.NumClasses(), g.NumMemberNames()
-	if err := checkColumns(cols, columnIDs(k), numN*numM); err != nil {
-		return nil, fmt.Errorf("engine: snapshot from parts: %w", err)
+	size := numN * numM
+	if len(cells) != len(ids)*size {
+		return nil, fmt.Errorf("engine: snapshot from parts: cell plane has %d words, want %d columns × %d", len(cells), len(ids), size)
 	}
-	runCols := make([]*column, len(cols))
-	for i, col := range cols {
-		runCols[i] = &column{id: col.ID, runs: carve(col.Cells, numN, numM, false)}
+	cols := make([]*column, len(ids))
+	for i, id := range ids {
+		cols[i] = &column{id: id, runs: carve(cells[i*size:(i+1)*size], numN, numM, false)}
 	}
-	s, err := newSnapshot("", 1, k, runCols)
+	s, err := newSnapshot("", 1, core.NewKernel(g, opts...), cols)
 	if err != nil {
 		return nil, fmt.Errorf("engine: snapshot from parts: %w", err)
 	}

@@ -195,23 +195,6 @@ func columnIDs(k *core.Kernel) []core.SemanticsID {
 	return append([]core.SemanticsID{core.SemDominance}, k.ExtraSemantics()...)
 }
 
-// checkColumns verifies that cells holds one column of size cells per
-// backend in ids, in the same order, and names any repeated backend.
-func checkColumns(cells []CellColumn, ids []core.SemanticsID, size int) error {
-	for i, col := range cells {
-		if slices.ContainsFunc(cells[:i], func(prev CellColumn) bool { return prev.ID == col.ID }) {
-			return fmt.Errorf("duplicate %q column", col.ID)
-		}
-		if len(col.Cells) != size {
-			return fmt.Errorf("column %q has %d cells, want %d", col.ID, len(col.Cells), size)
-		}
-	}
-	if !slices.EqualFunc(cells, ids, func(col CellColumn, id core.SemanticsID) bool { return col.ID == id }) {
-		return fmt.Errorf("columns must be the backends %v, in order", ids)
-	}
-	return nil
-}
-
 // Name returns the engine registration name ("" for standalone
 // snapshots).
 func (s *Snapshot) Name() string { return s.name }

@@ -133,14 +133,14 @@ func setupColdWarmAll(g *chg.Graph, _ string) (*Session, error) {
 
 // gobSnapshot is the conventional-serialization wire form the
 // gob-decode baseline round-trips: identical information to the
-// image (graph, backends, flags, columns, pool arenas), paid for
+// image (graph, backends, flags, cell plane, pool arenas), paid for
 // cell by cell at decode time.
 type gobSnapshot struct {
 	Graph      []byte
-	Backends   []string
+	Backends   []core.SemanticsID
 	TrackPaths bool
 	StaticRule bool
-	Columns    [][]uint64
+	Cells      []uint64
 	PoolRecs   []int32
 	PoolIDs    []chg.ClassID
 	PoolDefs   []core.Def
@@ -149,7 +149,6 @@ type gobSnapshot struct {
 func setupGobDecode(g *chg.Graph, dir string) (*Session, error) {
 	snap := engine.NewSnapshot(g, imageOpts()...)
 	snap.WarmAll()
-	cols := snap.CopyColumns()
 	pi := snap.Pool().Image()
 	gb, err := g.MarshalBinary()
 	if err != nil {
@@ -157,12 +156,11 @@ func setupGobDecode(g *chg.Graph, dir string) (*Session, error) {
 	}
 	wire := gobSnapshot{
 		Graph:    gb,
+		Backends: snap.Semantics(),
+		Cells:    make([]uint64, len(snap.Semantics())*g.NumClasses()*g.NumMemberNames()),
 		PoolRecs: pi.Recs, PoolIDs: pi.IDs, PoolDefs: pi.Defs,
 	}
-	for _, col := range cols {
-		wire.Backends = append(wire.Backends, string(col.ID))
-		wire.Columns = append(wire.Columns, col.Cells)
-	}
+	snap.CopyCells(wire.Cells, pi)
 	var buf bytes.Buffer
 	if err := gob.NewEncoder(&buf).Encode(wire); err != nil {
 		return nil, err
@@ -186,15 +184,11 @@ func setupGobDecode(g *chg.Graph, dir string) (*Session, error) {
 			if err != nil {
 				panic(err)
 			}
-			pool, err := core.PoolFromImage(core.PoolImage{Recs: w.PoolRecs, IDs: w.PoolIDs, Defs: w.PoolDefs})
+			pool, err := core.PoolFromImage(core.PoolImage{Recs: w.PoolRecs, IDs: w.PoolIDs, Defs: w.PoolDefs}, g2.NumClasses())
 			if err != nil {
 				panic(err)
 			}
-			cols := make([]engine.CellColumn, len(w.Columns))
-			for i := range w.Columns {
-				cols[i] = engine.CellColumn{ID: core.SemanticsID(w.Backends[i]), Cells: w.Columns[i]}
-			}
-			s2, err := engine.NewSnapshotFromParts(g2, pool, cols, w.TrackPaths, w.StaticRule)
+			s2, err := engine.NewSnapshotFromParts(g2, pool, w.Backends, w.Cells, w.TrackPaths, w.StaticRule)
 			if err != nil {
 				panic(err)
 			}
@@ -208,8 +202,9 @@ func printE18(w io.Writer, rows []*Row) {
 	fmt.Fprintln(w, "Warm start from a snapshot image: every strategy restores a fully")
 	fmt.Fprintln(w, "warmed multi-backend cache (dominance, c3, gxx) and serves a probe of")
 	fmt.Fprintln(w, "warm lookups. mmap-load maps the relocatable image and serves straight")
-	fmt.Fprintln(w, "from the mapped bytes (no per-cell work); cold-rebuild recomputes the")
-	fmt.Fprintln(w, "table; gob-decode re-allocates it through conventional serialization.")
+	fmt.Fprintln(w, "from the mapped bytes (each cell checked, none decoded); cold-rebuild")
+	fmt.Fprintln(w, "recomputes the table; gob-decode re-allocates it through conventional")
+	fmt.Fprintln(w, "serialization.")
 	fmt.Fprintln(w)
 
 	t := newTable("hierarchy", "|N|", "|M|", "image KiB", "mmap-load", "cold-rebuild", "gob-decode", "vs cold", "vs gob")
@@ -221,6 +216,7 @@ func printE18(w io.Writer, rows []*Row) {
 	t.write(w)
 
 	fmt.Fprintln(w)
-	fmt.Fprintln(w, "mmap-load cost is O(header + content hash) in the file size and")
-	fmt.Fprintln(w, "independent of how many cells are warm; both baselines pay per cell.")
+	fmt.Fprintln(w, "mmap-load cost is O(header + content hash + cell check) in the file")
+	fmt.Fprintln(w, "size and independent of how many cells are warm; both baselines pay")
+	fmt.Fprintln(w, "per cell.")
 }

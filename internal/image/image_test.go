@@ -6,8 +6,12 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/rand"
 	"path/filepath"
+	"runtime"
 	"strconv"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"cpplookup/internal/chg"
@@ -45,18 +49,22 @@ func assertSameWarmState(t *testing.T, want, got *engine.Snapshot) {
 			t.Fatalf("member id %d renamed: %q -> %q", m, gw.MemberName(chg.MemberID(m)), gg.MemberName(chg.MemberID(m)))
 		}
 	}
-	wc, gc := want.CopyColumns(), got.CopyColumns()
-	if len(wc) != len(gc) {
-		t.Fatalf("column count drift: %d -> %d", len(wc), len(gc))
+	wi, gi := want.Semantics(), got.Semantics()
+	if len(wi) != len(gi) {
+		t.Fatalf("column count drift: %d -> %d", len(wi), len(gi))
 	}
-	for i := range wc {
-		if wc[i].ID != gc[i].ID {
-			t.Fatalf("column %d backend drift: %q -> %q", i, wc[i].ID, gc[i].ID)
+	size := gw.NumClasses() * gw.NumMemberNames()
+	wc, gc := make([]uint64, len(wi)*size), make([]uint64, len(gi)*size)
+	want.CopyCells(wc, want.Pool().Image())
+	got.CopyCells(gc, got.Pool().Image())
+	for i := range wi {
+		if wi[i] != gi[i] {
+			t.Fatalf("column %d backend drift: %q -> %q", i, wi[i], gi[i])
 		}
-		for j := range wc[i].Cells {
-			if wc[i].Cells[j] != gc[i].Cells[j] {
+		for j := i * size; j < (i+1)*size; j++ {
+			if wc[j] != gc[j] {
 				t.Fatalf("column %q cell %d: packed word %#x loaded as %#x",
-					wc[i].ID, j, wc[i].Cells[j], gc[i].Cells[j])
+					wi[i], j-i*size, wc[j], gc[j])
 			}
 		}
 	}
@@ -366,6 +374,85 @@ func TestWarmImageDeterministic(t *testing.T) {
 		} else if !bytes.Equal(first, data) {
 			t.Fatalf("two warm saves of one hierarchy differ: %d and %d bytes, SHA-256 %x and %x",
 				len(first), len(data), sha256.Sum256(first), sha256.Sum256(data))
+		}
+	}
+}
+
+// TestBytesAllocatesOnce pins that a save copies the cells once,
+// straight into the image: the bytes Bytes allocates stay within 1.1
+// times the image it returns, on a warmed three-backend snapshot whose
+// cells are nearly all of its image.
+func TestBytesAllocatesOnce(t *testing.T) {
+	snap := warmSnapshot(hiergen.SparseMembers(400, 2000, 3, 7), core.WithSemantics(allBackends...))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	data, err := Bytes(snap)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if alloc := after.TotalAlloc - before.TotalAlloc; float64(alloc) > 1.1*float64(len(data)) {
+		t.Fatalf("Bytes allocated %d bytes for a %d-byte image (%.2f×), want at most 1.1×",
+			alloc, len(data), float64(alloc)/float64(len(data)))
+	}
+}
+
+// TestBytesUnderConcurrentFills saves a snapshot while goroutines fill
+// its cells through LookupSem and WarmAll. Every save must load, and
+// every cell of every loaded image must equal a cold table's: a word
+// whose payload the save's pool image lacks is saved unfilled and
+// refills, never served dangling.
+func TestBytesUnderConcurrentFills(t *testing.T) {
+	g := hiergen.SparseMembers(60, 300, 3, 7)
+	opts := []core.Option{core.WithSemantics(allBackends...), core.WithStaticRule()}
+	snap := engine.NewSnapshot(g, opts...)
+	ids := snap.Semantics()
+	var stop atomic.Bool
+	var wg sync.WaitGroup
+	for w := 0; w < 3; w++ {
+		wg.Add(1)
+		go func(seed int64) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(seed))
+			for !stop.Load() {
+				snap.LookupSem(ids[rng.Intn(len(ids))], chg.ClassID(rng.Intn(g.NumClasses())), chg.MemberID(rng.Intn(g.NumMemberNames())))
+			}
+		}(int64(w + 1))
+	}
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		snap.WarmAll()
+	}()
+	var images [][]byte
+	for i := 0; i < 4; i++ {
+		data, err := Bytes(snap)
+		if err != nil {
+			t.Error(err)
+			break
+		}
+		images = append(images, data)
+	}
+	stop.Store(true)
+	wg.Wait()
+
+	cold := engine.NewSnapshot(g, opts...)
+	for i, data := range images {
+		im, err := Load(data)
+		if err != nil {
+			t.Fatalf("save %d: Load: %v", i, err)
+		}
+		for _, id := range ids {
+			table, _ := cold.TableSem(id)
+			for c := 0; c < g.NumClasses(); c++ {
+				for m := 0; m < g.NumMemberNames(); m++ {
+					want := table.Lookup(chg.ClassID(c), chg.MemberID(m))
+					if got, _ := im.Snapshot().LookupSem(id, chg.ClassID(c), chg.MemberID(m)); !got.Equal(want) {
+						t.Fatalf("save %d: %s %s::%s = %s, want %s", i, id,
+							g.Name(chg.ClassID(c)), g.MemberName(chg.MemberID(m)), got.Format(g), want.Format(g))
+					}
+				}
+			}
 		}
 	}
 }

@@ -62,9 +62,12 @@ func (im *Image) Close() error {
 
 // Load validates data as a snapshot image and serves it in place.
 // The work is O(header) parsing + O(file) content-hash verification +
-// O(N+E+M) graph rebuild; the pool arenas and every cell column are
-// aliased, never decoded — no per-cell or per-payload deserialization
-// happens, which is what keeps loading a large warm table cheap.
+// O(N+E+M) graph rebuild + one read-only check of every payload and
+// every cell word (core.PoolFromImage, core.CheckCells), so that a
+// hash-valid but malformed image is rejected with a *FormatError
+// rather than served; the pool arenas and the cell plane are aliased,
+// never decoded — no per-cell or per-payload deserialization happens,
+// which is what keeps loading a large warm table cheap.
 //
 // data must not be mutated while the image is in use. If data is not
 // 8-byte aligned (mapped files always are), one aligned copy of the
@@ -144,36 +147,31 @@ func load(data []byte, release func() error) (*Image, error) {
 		return nil, err
 	}
 
-	pool, err := core.PoolFromImage(core.PoolImage{
+	pi := core.PoolImage{
 		Recs: alias[int32](data, secs[secPoolRecs]),
 		IDs:  alias[chg.ClassID](data, secs[secPoolIDs]),
 		Defs: alias[core.Def](data, secs[secPoolDefs]),
-	})
+	}
+	pool, err := core.PoolFromImage(pi, g.NumClasses())
 	if err != nil {
 		return nil, formatErrf("pool arenas: %v", err)
 	}
 
 	cellsSec := secs[secCells]
-	colWords := int(h.numClasses) * int(h.numMembers)
 	if size, ok := h.cellBytes(); !ok || cellsSec.size != size {
-		return nil, formatErrf("cell section holds %d bytes, want %d columns × %d cells", cellsSec.size, h.numColumns, colWords)
+		return nil, formatErrf("cell section holds %d bytes, want %d columns × %d cells", cellsSec.size, h.numColumns, uint64(h.numClasses)*uint64(h.numMembers))
 	}
-	allCells := alias[uint64](data, cellsSec)
-	cols := make([]engine.CellColumn, h.numColumns)
-	for i := range cols {
-		cols[i] = engine.CellColumn{
-			ID:    core.SemanticsID(backendNames[i]),
-			Cells: allCells[i*colWords : (i+1)*colWords : (i+1)*colWords],
-		}
-	}
-
-	snap, err := engine.NewSnapshotFromParts(g, pool, cols, h.trackPaths(), h.staticRule())
-	if err != nil {
-		return nil, formatErrf("assembling snapshot: %v", err)
+	cells := alias[uint64](data, cellsSec)
+	if err := core.CheckCells(cells, pi, g.NumClasses()); err != nil {
+		return nil, formatErrf("cell section: %v", err)
 	}
 	backends := make([]core.SemanticsID, len(backendNames))
 	for i, n := range backendNames {
 		backends[i] = core.SemanticsID(n)
+	}
+	snap, err := engine.NewSnapshotFromParts(g, pool, backends, cells, h.trackPaths(), h.staticRule())
+	if err != nil {
+		return nil, formatErrf("assembling snapshot: %v", err)
 	}
 	return &Image{
 		snap: snap,

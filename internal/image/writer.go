@@ -2,7 +2,6 @@ package image
 
 import (
 	"crypto/sha256"
-	"fmt"
 	"os"
 	"unsafe"
 
@@ -11,11 +10,12 @@ import (
 )
 
 // Bytes serializes the snapshot's current warm state into an image of
-// the current Version. Consistency under concurrent fills comes from
-// ordering: the cell columns are copied atomically FIRST and the pool
-// image is taken after, so (the pool being append-only) every payload
-// any copied cell references is covered. Cells not yet filled are
-// written as zero words and fill lazily after a load.
+// the current Version. The pool image is taken FIRST and the cells are
+// copied once, straight into the image, by Snapshot.CopyCells, which
+// saves any word whose payload that pool image lacks as unfilled: a
+// fill racing the save costs one refill after a load, never a dangling
+// payload index. Cells not yet filled are written as zero words and
+// fill lazily after a load.
 //
 // Graphs whose member-name universe exceeds chg.MaxMemberNames cannot
 // be imaged (the topology section stores 16-bit member ids) and return
@@ -25,9 +25,9 @@ func Bytes(s *engine.Snapshot) ([]byte, error) {
 	if g.NumMemberNames() > chg.MaxMemberNames {
 		return nil, &chg.MemberSpaceError{NumMemberNames: g.NumMemberNames()}
 	}
-	cols := s.CopyColumns()
 	pool := s.Pool().Image()
 	k := s.Kernel()
+	backends := s.Semantics()
 
 	w := newImageBuf()
 
@@ -62,9 +62,9 @@ func Bytes(s *engine.Snapshot) ([]byte, error) {
 	}
 
 	w.beginSection(secBackends)
-	ids := make([]string, len(cols))
-	for i, col := range cols {
-		ids[i] = string(col.ID)
+	ids := make([]string, len(backends))
+	for i, id := range backends {
+		ids[i] = string(id)
 	}
 	w.stringTable(ids)
 
@@ -76,20 +76,14 @@ func Bytes(s *engine.Snapshot) ([]byte, error) {
 	w.b = appendRaw(w.b, pool.Defs)
 
 	w.beginSection(secCells)
-	wantCells := g.NumClasses() * g.NumMemberNames()
-	for _, col := range cols {
-		if len(col.Cells) != wantCells {
-			return nil, fmt.Errorf("image: column %q has %d cells, want %d", col.ID, len(col.Cells), wantCells)
-		}
-		w.b = appendRaw(w.b, col.Cells)
-	}
+	s.CopyCells(w.grow(len(backends)*g.NumClasses()*g.NumMemberNames()), pool)
 
 	return w.finish(header{
 		version:      Version,
 		flags:        packFlags(k.TrackPaths(), k.StaticRule()),
 		numClasses:   uint32(g.NumClasses()),
 		numMembers:   uint32(g.NumMemberNames()),
-		numColumns:   uint32(len(cols)),
+		numColumns:   uint32(len(backends)),
 		sectionCount: numSections,
 	}), nil
 }
@@ -169,6 +163,20 @@ func (w *imageBuf) stringTable(ss []string) {
 	}
 }
 
+// grow extends the buffer by n words and returns them, to be written
+// through as a []uint64 view of the new bytes. Such a view must be
+// 8-aligned: the buffer moves into a fresh []uint64 backing array,
+// which is, and the new words start at an 8-aligned offset because
+// every section does (beginSection).
+func (w *imageBuf) grow(n int) []uint64 {
+	off := len(w.b) / 8
+	words := make([]uint64, off+n)
+	b := unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(words))), 8*len(words))
+	copy(b, w.b)
+	w.b = b
+	return words[off:]
+}
+
 // appendRaw appends s's in-memory bytes to b.
 func appendRaw[T any](b []byte, s []T) []byte {
 	if len(s) == 0 {
@@ -178,8 +186,7 @@ func appendRaw[T any](b []byte, s []T) []byte {
 }
 
 // finish closes the last section, writes the header and section
-// table into the reserved prefix, computes the content hash (the hash
-// field is still zero), and stamps it in.
+// table into the reserved prefix, and stamps the content hash.
 func (w *imageBuf) finish(h header) []byte {
 	w.closeSection()
 
@@ -197,7 +204,14 @@ func (w *imageBuf) finish(h header) []byte {
 		nativeOrder.PutUint64(e[8:], s.off)
 		nativeOrder.PutUint64(e[16:], s.size)
 	}
-	sum := sha256.Sum256(w.b)
-	copy(w.b[hashOff:hashOff+hashSize], sum[:])
+	stampHash(w.b)
 	return w.b
+}
+
+// stampHash writes the content hash of image b, SHA-256 of b with the
+// hash field zeroed, into the hash field.
+func stampHash(b []byte) {
+	clear(b[hashOff : hashOff+hashSize])
+	sum := sha256.Sum256(b)
+	copy(b[hashOff:hashOff+hashSize], sum[:])
 }
