@@ -3,6 +3,8 @@ package chg
 import (
 	"bytes"
 	"math/rand"
+	"runtime"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -49,7 +51,7 @@ func graphsIsomorphic(t *testing.T, a, b *Graph) {
 	}
 }
 
-func TestGobRoundTrip(t *testing.T) {
+func TestBinaryRoundTrip(t *testing.T) {
 	g := figure2(t)
 	data, err := g.MarshalBinary()
 	if err != nil {
@@ -115,7 +117,7 @@ func TestRoundTripAllMemberKinds(t *testing.T) {
 }
 
 func TestUnmarshalRejectsGarbage(t *testing.T) {
-	if _, err := UnmarshalBinary([]byte("not gob at all")); err == nil {
+	if _, err := UnmarshalBinary([]byte("not a graph at all")); err == nil {
 		t.Error("garbage should fail to decode")
 	}
 	if _, err := ReadJSON(strings.NewReader("{")); err == nil {
@@ -136,5 +138,59 @@ func TestUnmarshalRejectsInvalidStructure(t *testing.T) {
 	if _, err := ReadJSON(strings.NewReader(
 		`{"Classes":[{"Name":"A","Bases":[{"Base":1}]},{"Name":"B","Bases":[{"Base":0}]}]}`)); err == nil {
 		t.Error("cycle should fail")
+	}
+	// A listed member-name universe must name every declared member,
+	// once each.
+	for what, js := range map[string]string{
+		"an unlisted declared member": `{"MemberNames":["m"],"Classes":[{"Name":"A","Members":[{"Name":"n"}]}]}`,
+		"a name listed twice":         `{"MemberNames":["m","m"],"Classes":[{"Name":"A","Members":[{"Name":"m"}]}]}`,
+		"an empty listed name":        `{"MemberNames":[""],"Classes":[{"Name":"A"}]}`,
+	} {
+		if _, err := ReadJSON(strings.NewReader(js)); err == nil {
+			t.Errorf("MemberNames with %s should fail", what)
+		}
+	}
+	// JSON cannot carry invalid UTF-8, so neither does the binary form:
+	// a member name no class declares is checked too.
+	b := NewBuilder()
+	b.Class("A")
+	b.MemberName("m\xff")
+	data, err := b.MustBuild().MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := UnmarshalBinary(data); err == nil {
+		t.Error("an invalid UTF-8 member name should fail")
+	}
+}
+
+// TestReadJSONWithoutMemberNames reads JSON written before the
+// member-name universe was stored: names are interned in
+// first-declaration order.
+func TestReadJSONWithoutMemberNames(t *testing.T) {
+	g, err := ReadJSON(strings.NewReader(`{"Classes":[{"Name":"A","Members":[{"Name":"b"},{"Name":"a"}]},{"Name":"B","Bases":[{"Base":0}],"Members":[{"Name":"c"}]}]}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := g.MemberNames(); !slices.Equal(got, []string{"b", "a", "c"}) {
+		t.Fatalf("MemberNames() = %q, want [b a c]", got)
+	}
+}
+
+// TestUnmarshalBinaryChecksCountsFirst decodes a 20-byte binary graph
+// whose header claims 2^31 classes: the decoder must reject it before
+// allocating anything for them.
+func TestUnmarshalBinaryChecksCountsFirst(t *testing.T) {
+	data := append([]byte(binaryMagic), make([]byte, 16)...)
+	le.PutUint32(data[4:], 1<<31)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := UnmarshalBinary(data)
+	runtime.ReadMemStats(&after)
+	if err == nil {
+		t.Fatal("a 20-byte graph of 2^31 classes decoded")
+	}
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= 1024 {
+		t.Fatalf("rejecting it allocated %d bytes, want under 1 KB", alloc)
 	}
 }

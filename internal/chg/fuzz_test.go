@@ -2,8 +2,7 @@ package chg_test
 
 import (
 	"bytes"
-	"encoding/gob"
-	"encoding/json"
+	"encoding/binary"
 	"slices"
 	"testing"
 
@@ -12,41 +11,84 @@ import (
 	"cpplookup/internal/hiergen"
 )
 
-// wireGraph mirrors the field names of chg's unexported wire form, so
-// malformed hierarchies can be encoded for both decoders.
-type wireGraph struct{ Classes []wireClass }
-
-type wireClass struct {
-	Name    string
-	Bases   []wireEdge
-	Members []chg.Member
+// binGraph spells out MarshalBinary's form: names in id order and,
+// per class, raw base words (base<<1 | virtual) and declaration words
+// (member id | kind<<16 | static<<18 | virtual<<19). encode writes it
+// without checking anything, so malformed graphs can be encoded.
+type binGraph struct {
+	classes, members []string
+	bases, decls     [][]uint32
 }
 
-type wireEdge struct {
-	Base    int32
-	Virtual bool
+func (b binGraph) encode() []byte {
+	out := append([]byte(nil), "chg\x01"...)
+	out = binary.LittleEndian.AppendUint32(out, uint32(len(b.classes)))
+	out = binary.LittleEndian.AppendUint32(out, uint32(len(b.members)))
+	names := append(slices.Clone(b.classes), b.members...)
+	for _, n := range names {
+		out = binary.LittleEndian.AppendUint32(out, uint32(len(n)))
+	}
+	for _, n := range names {
+		out = append(out, n...)
+	}
+	for c := range b.classes {
+		var bases, decls []uint32
+		if c < len(b.bases) {
+			bases = b.bases[c]
+		}
+		if c < len(b.decls) {
+			decls = b.decls[c]
+		}
+		out = binary.LittleEndian.AppendUint32(out, uint32(len(bases)))
+		out = binary.LittleEndian.AppendUint32(out, uint32(len(decls)))
+		for _, w := range append(bases, decls...) {
+			out = binary.LittleEndian.AppendUint32(out, w)
+		}
+	}
+	return out
 }
 
-// malformedSeeds are hierarchies decoding must reject: a cycle, an
-// out-of-range base, a duplicate class, a duplicate member, and two
-// class names that differ only in bytes JSON cannot carry (which the
-// gob decoder once accepted, though the graph's JSON did not read back).
-var malformedSeeds = []wireGraph{
-	{[]wireClass{{Name: "A", Bases: []wireEdge{{Base: 1}}}, {Name: "B", Bases: []wireEdge{{Base: 0}}}}},
-	{[]wireClass{{Name: "A", Bases: []wireEdge{{Base: 7, Virtual: true}}}}},
-	{[]wireClass{{Name: "A"}, {Name: "A"}}},
-	{[]wireClass{{Name: "A", Members: []chg.Member{{Name: "m"}, {Name: "m", Kind: chg.Field}}}}},
-	{[]wireClass{{Name: "A\xff"}, {Name: "A\xfe"}}},
+// malformedBinary are binary graphs UnmarshalBinary must reject: a
+// cycle, an out-of-range base, a duplicate class, a duplicate
+// declaration, class and member names that are not valid UTF-8, a
+// member name listed twice, a declaration word with a reserved bit or
+// an out-of-range member id, a trailing byte, and a 20-byte header
+// claiming 2^31 classes.
+var malformedBinary = [][]byte{
+	binGraph{classes: []string{"A", "B"}, bases: [][]uint32{{1 << 1}, {0 << 1}}}.encode(),
+	binGraph{classes: []string{"A"}, bases: [][]uint32{{7<<1 | 1}}}.encode(),
+	binGraph{classes: []string{"A", "A"}}.encode(),
+	binGraph{classes: []string{"A"}, members: []string{"m"}, decls: [][]uint32{{0, 0 | 1<<16}}}.encode(),
+	binGraph{classes: []string{"A\xff", "A\xfe"}}.encode(),
+	binGraph{classes: []string{"A"}, members: []string{"m\xff"}}.encode(),
+	binGraph{classes: []string{"A"}, members: []string{"m", "m"}}.encode(),
+	binGraph{classes: []string{"A"}, members: []string{"m"}, decls: [][]uint32{{1 << 20}}}.encode(),
+	binGraph{classes: []string{"A"}, members: []string{"m"}, decls: [][]uint32{{5}}}.encode(),
+	append(binGraph{classes: []string{"A"}}.encode(), 0),
+	append([]byte("chg\x01\x00\x00\x00\x80"), make([]byte, 12)...),
+}
+
+// malformedJSON are JSON graphs ReadJSON must reject: a cycle, an
+// out-of-range base, a duplicate class, a duplicate declaration, and a
+// member-name list that leaves out a declared name or lists one twice.
+var malformedJSON = []string{
+	`{"Classes":[{"Name":"A","Bases":[{"Base":1}]},{"Name":"B","Bases":[{"Base":0}]}]}`,
+	`{"Classes":[{"Name":"A","Bases":[{"Base":7,"Virtual":true}]}]}`,
+	`{"Classes":[{"Name":"A"},{"Name":"A"}]}`,
+	`{"Classes":[{"Name":"A","Members":[{"Name":"m"},{"Name":"m","Kind":1}]}]}`,
+	`{"MemberNames":["m"],"Classes":[{"Name":"A","Members":[{"Name":"n"}]}]}`,
+	`{"MemberNames":["m","m"],"Classes":[{"Name":"A","Members":[{"Name":"m"}]}]}`,
 }
 
 // FuzzDecodeGraph feeds every input to ReadJSON and UnmarshalBinary.
 // Each decode returns either an error or a graph, never a panic; a
-// decoded graph re-encodes to the same JSON through both wire forms;
-// every declaration carries its name's member id, and Declares and
-// DeclaredMember agree with the declaration list; a Builder made from
-// it builds it again and edits it without changing it; and on graphs
-// of at most 64 classes the ancestry accessors match a test-local base
-// relation.
+// graph UnmarshalBinary accepts re-encodes to the same bytes; a decoded
+// graph re-encodes to the same JSON, with the same member names at the
+// same ids, through both forms; every declaration carries its name's
+// member id, and Declares and DeclaredMember agree with the
+// declaration list; a Builder made from it builds it again and edits
+// it without changing it; and on graphs of at most 64 classes the
+// ancestry accessors match a test-local base relation.
 func FuzzDecodeGraph(f *testing.F) {
 	for _, g := range []*chg.Graph{
 		hiergen.Figure1(), hiergen.Figure2(), hiergen.Figure3(), hiergen.Figure9(),
@@ -70,17 +112,11 @@ func FuzzDecodeGraph(f *testing.F) {
 		f.Add(js.Bytes())
 		f.Add(bin)
 	}
-	for _, w := range malformedSeeds {
-		js, err := json.Marshal(w)
-		if err != nil {
-			f.Fatal(err)
-		}
-		var bin bytes.Buffer
-		if err := gob.NewEncoder(&bin).Encode(w); err != nil {
-			f.Fatal(err)
-		}
-		f.Add(js)
-		f.Add(bin.Bytes())
+	for _, bin := range malformedBinary {
+		f.Add(bin)
+	}
+	for _, js := range malformedJSON {
+		f.Add([]byte(js))
 	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -100,11 +136,21 @@ func FuzzDecodeGraph(f *testing.F) {
 				checkClosures(t, d.g)
 			}
 		}
+		if g2 != nil {
+			bin, err := g2.MarshalBinary()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(bin, data) {
+				t.Fatalf("an accepted binary graph re-encodes to other bytes:\n%x\nwant:\n%x", bin, data)
+			}
+		}
 	})
 }
 
 // checkReencode asserts that g's JSON decodes, through JSON and
-// through gob, to graphs with the same JSON.
+// through the binary form, to graphs with the same JSON and the same
+// member name at every id.
 func checkReencode(t *testing.T, g *chg.Graph) {
 	t.Helper()
 	want := jsonOf(t, g)
@@ -116,13 +162,16 @@ func checkReencode(t *testing.T, g *chg.Graph) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	viaGob, err := chg.UnmarshalBinary(bin)
+	viaBinary, err := chg.UnmarshalBinary(bin)
 	if err != nil {
-		t.Fatalf("re-reading a decoded graph's gob: %v", err)
+		t.Fatalf("re-reading a decoded graph's binary form: %v", err)
 	}
-	for _, h := range []*chg.Graph{viaJSON, viaGob} {
+	for _, h := range []*chg.Graph{viaJSON, viaBinary} {
 		if got := jsonOf(t, h); !bytes.Equal(got, want) {
 			t.Fatalf("re-encoded JSON differs:\n%s\nwant:\n%s", got, want)
+		}
+		if !slices.Equal(h.MemberNames(), g.MemberNames()) {
+			t.Fatalf("re-decoded member names %q, want %q", h.MemberNames(), g.MemberNames())
 		}
 	}
 }

@@ -48,8 +48,10 @@ type LintConfig struct {
 }
 
 // RunLint lints every input — C++ sources (.cpp, .cc, .cxx, .hpp, .h),
-// encoded hierarchies (.json from chg.WriteJSON, .chg/.bin from
-// chg.MarshalBinary), or directories of those — writes the merged
+// encoded hierarchies (.json from chg.WriteJSON, .chg/.bin in chg's
+// binary form from chg.MarshalBinary, the bytes a snapshot image's
+// graph section holds; both keep every class and member id), or
+// directories of those — writes the merged
 // diagnostics to w in the configured format, and returns how many
 // findings reach the FailOn threshold.
 //

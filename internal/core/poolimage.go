@@ -55,20 +55,24 @@ func (img PoolImage) Covers(c Cell) bool {
 	return c.tag() != cellTagPooled || int(c.poolIndex()) < len(img.Recs)/poolRecWords
 }
 
-// CheckCells returns an error naming the first word of cells that no
-// cache over a graph of numClasses classes, packed over a pool imaged
-// as img, can hold: each word must be 0 (unfilled), the canonical
-// Undefined, an inline Red whose L is a class and whose V is a class
-// or Ω, or a pooled word with its unused bits clear whose payload img
-// Covers and backs. Together with PoolFromImage's checks it lets every
-// word of a loaded cache be viewed, and read by a fill, without
-// indexing out of range.
-func CheckCells(cells []uint64, img PoolImage, numClasses int) error {
+// CheckCells returns how many words of cells are filled (nonzero), or
+// an error naming the first word that no cache over a graph of
+// numClasses classes, packed over a pool imaged as img, can hold: each
+// word must be 0 (unfilled), the canonical Undefined, an inline Red
+// whose L is a class and whose V is a class or Ω, or a pooled word
+// with its unused bits clear whose payload img Covers and backs.
+// Together with PoolFromImage's checks it lets every word of a loaded
+// cache be viewed, and read by a fill, without indexing out of range.
+func CheckCells(cells []uint64, img PoolImage, numClasses int) (int, error) {
 	n := uint64(numClasses)
+	unfilled := 0
 	for i, w := range cells {
 		if w < cellTagRed<<cellTagShift {
 			// 0 or Undefined: no bit below the tag is set.
 			if w<<2 == 0 {
+				if w == 0 {
+					unfilled++
+				}
 				continue
 			}
 		} else if w < cellTagPooled<<cellTagShift {
@@ -79,9 +83,9 @@ func CheckCells(cells []uint64, img PoolImage, numClasses int) error {
 		} else if c := Cell(w); img.Covers(c) && w>>32&(1<<(cellKindShift-32)-1) == 0 && img.backs(c) {
 			continue
 		}
-		return fmt.Errorf("cell %d: word %#x is not a cell of %d classes over %d payloads", i, w, numClasses, len(img.Recs)/poolRecWords)
+		return 0, fmt.Errorf("cell %d: word %#x is not a cell of %d classes over %d payloads", i, w, numClasses, len(img.Recs)/poolRecWords)
 	}
-	return nil
+	return len(cells) - unfilled, nil
 }
 
 // backs reports whether the payload img holds at pooled cell c's index

@@ -286,11 +286,11 @@ func carriedSnapshot(name string, version uint64, g *chg.Graph, opts []core.Opti
 // share returns r for a successor with n classes — the same words,
 // extended in place over zero words when n exceeds r's length — and
 // the count of r's published words, or ok=false when r must be copied:
-// its words came from outside the engine (uncounted), its backing
+// its words came from outside the engine (adopted), its backing
 // array lacks room for n words, or another successor of r's version
 // already claimed the words past r's end.
 func (r run) share(n int) (shared run, filled int, ok bool) {
-	if r.st == nil {
+	if r.st.adopted {
 		return run{}, 0, false
 	}
 	// claimed only grows, so finding it at len(r.words) after loading

@@ -10,8 +10,8 @@ package engine
 // load, zero deserialization); misses fill cells with the usual atomic
 // stores, which land in the map's private copy-on-write pages. A carried
 // successor copies each mapped run the first time it carries it (the
-// run's published words were never counted), and from then on shares
-// or extends its own copies like any heap run.
+// run is marked adopted), and from then on shares or extends its own
+// copies like any heap run.
 
 import (
 	"fmt"
@@ -85,7 +85,7 @@ func (s *Snapshot) WarmAll() {
 					n++
 				}
 			}
-			if n > 0 && r.st != nil {
+			if n > 0 {
 				r.st.filled.Add(int64(n))
 			}
 		}
@@ -97,8 +97,12 @@ func (s *Snapshot) WarmAll() {
 // loader's constructor. ids lists the plane's backends, dominance
 // first, each once; cells holds their columns in CopyCells' layout,
 // packed over pool, and is carved into runs without copying, so a
-// mapped plane serves from the mapped bytes. trackPaths/staticRule
-// must match the flags the cells were resolved under (the image header
+// mapped plane serves from the mapped bytes. Every word is checked
+// against g and pool (core.CheckCells) in the same pass that counts
+// each run's filled words, so a malformed plane is an error and
+// CachedEntries reads counts; the runs are marked adopted, so a carry
+// copies them rather than sharing them. trackPaths/staticRule must
+// match the flags the cells were resolved under (the image header
 // records them).
 func NewSnapshotFromParts(g *chg.Graph, pool *core.Pool, ids []core.SemanticsID, cells []uint64, trackPaths, staticRule bool) (*Snapshot, error) {
 	if g == nil {
@@ -122,9 +126,19 @@ func NewSnapshotFromParts(g *chg.Graph, pool *core.Pool, ids []core.SemanticsID,
 	if len(cells) != len(ids)*size {
 		return nil, fmt.Errorf("engine: snapshot from parts: cell plane has %d words, want %d columns × %d", len(cells), len(ids), size)
 	}
+	img := pool.Image()
 	cols := make([]*column, len(ids))
 	for i, id := range ids {
-		cols[i] = &column{id: id, runs: carve(cells[i*size:(i+1)*size], numN, numM, false)}
+		runs := carve(cells[i*size:(i+1)*size], numN, numM)
+		for m, r := range runs {
+			n, err := core.CheckCells(r.words, img, numN)
+			if err != nil {
+				return nil, fmt.Errorf("engine: snapshot from parts: column %s, member %d: %w", id, m, err)
+			}
+			r.st.filled.Store(int64(n))
+			r.st.adopted = true
+		}
+		cols[i] = &column{id: id, runs: runs}
 	}
 	s, err := newSnapshot("", 1, core.NewKernel(g, opts...), cols)
 	if err != nil {

@@ -78,21 +78,19 @@ func (col *column) eagerTable() *core.Table {
 
 // filled counts the column's published cells. A run whose view spans
 // its store's claimed words reads the store's count, which fills,
-// WarmAll's swaps and carry's copies and clears keep exact for the
-// whole array; only a run with no store (mapped) or a predecessor's
-// view, shorter than a successor extended the array to, is scanned.
+// WarmAll's swaps, carry's copies and clears, and an adopted plane's
+// check keep exact for the whole array; only a predecessor's view,
+// shorter than a successor extended the array to, is scanned.
 func (col *column) filled() int {
 	n := 0
 	for _, r := range col.runs {
-		if r.st != nil {
-			// As in share: claimed only grows, so finding it at
-			// len(r.words) after loading the count means the count
-			// covers exactly r's words.
-			f := r.st.filled.Load()
-			if r.st.claimed.Load() == int64(len(r.words)) {
-				n += int(f)
-				continue
-			}
+		// As in share: claimed only grows, so finding it at
+		// len(r.words) after loading the count means the count covers
+		// exactly r's words.
+		f := r.st.filled.Load()
+		if r.st.claimed.Load() == int64(len(r.words)) {
+			n += int(f)
+			continue
 		}
 		for c := range r.words {
 			if atomic.LoadUint64(&r.words[c]) != 0 {

@@ -88,9 +88,7 @@ type column struct {
 // name, so a fill's recursion over bases, devirt's walk over a cone and
 // carry's cone clear each stay inside one run. Successive versions
 // share a run whose member no edit touched (carry.go), so st, the
-// bookkeeping of the words' backing array, is shared with it; st is nil
-// for words adopted from outside the engine (an image's mapped cells),
-// which carry copies instead of sharing.
+// bookkeeping of the words' backing array, is shared with it.
 type run struct {
 	words []uint64
 	st    *runStore
@@ -109,6 +107,10 @@ type runStore struct {
 	// in place only by moving claimed from the predecessor's length
 	// with a compare-and-swap, so one successor at most owns them.
 	claimed atomic.Int64
+	// adopted marks words adopted from outside the engine (an image's
+	// mapped cells), which carry copies instead of sharing. It is set
+	// before the run is published and never changes.
+	adopted bool
 }
 
 // newRun returns a run of n zero words with room to grow in place by
@@ -122,20 +124,14 @@ func newRun(n int) run {
 
 // carve slices a flat member-major column of numM·n words into its
 // numM runs, capping each at its own end so that no run can grow into
-// the next. Counted runs get fresh bookkeeping over words the caller
-// knows are all zero; the others (st nil) are copied by any carry.
-func carve(cells []uint64, n, numM int, counted bool) []run {
+// the next. Each run gets a store that claims its n words and counts
+// none filled.
+func carve(cells []uint64, n, numM int) []run {
 	runs := make([]run, numM)
-	var stores []runStore
-	if counted {
-		stores = make([]runStore, numM)
-	}
+	stores := make([]runStore, numM)
 	for m := range runs {
-		runs[m].words = cells[m*n : (m+1)*n : (m+1)*n]
-		if counted {
-			stores[m].claimed.Store(int64(n))
-			runs[m].st = &stores[m]
-		}
+		stores[m].claimed.Store(int64(n))
+		runs[m] = run{words: cells[m*n : (m+1)*n : (m+1)*n], st: &stores[m]}
 	}
 	return runs
 }
@@ -162,7 +158,7 @@ func newSnapshot(name string, version uint64, k *core.Kernel, cols []*column) (*
 	ids := columnIDs(k)
 	if cols == nil {
 		for _, id := range ids {
-			cols = append(cols, &column{id: id, runs: carve(make([]uint64, numN*numM), numN, numM, true)})
+			cols = append(cols, &column{id: id, runs: carve(make([]uint64, numN*numM), numN, numM)})
 		}
 	} else if !slices.EqualFunc(cols, ids, func(col *column, id core.SemanticsID) bool { return col.id == id }) {
 		return nil, fmt.Errorf("columns must be the backends %v, in order", ids)
@@ -236,7 +232,7 @@ func (s *Snapshot) lookup(col *column, c chg.ClassID, m chg.MemberID) core.Resul
 	sh := &col.fillLocks[uint32(m)%shardCount]
 	sh.Lock()
 	res, n := core.FillRun(col.sem, r.words, c, m)
-	if n > 0 && r.st != nil {
+	if n > 0 {
 		r.st.filled.Add(int64(n))
 	}
 	sh.Unlock()

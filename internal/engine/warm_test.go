@@ -33,8 +33,7 @@ func c3OrderConflict() *chg.Graph {
 }
 
 // assertWarmRuns checks that every word of every column of s is
-// published and that each counted run counts exactly the words it
-// holds.
+// published and that each run counts exactly the words it holds.
 func assertWarmRuns(t *testing.T, label string, s *Snapshot) {
 	t.Helper()
 	for _, col := range s.cols {
@@ -48,7 +47,7 @@ func assertWarmRuns(t *testing.T, label string, s *Snapshot) {
 			if filled != len(r.words) {
 				t.Fatalf("%s: %s run %d has %d of %d words filled", label, col.id, m, filled, len(r.words))
 			}
-			if r.st != nil && r.st.filled.Load() != int64(filled) {
+			if r.st.filled.Load() != int64(filled) {
 				t.Fatalf("%s: %s run %d counts %d words, holds %d", label, col.id, m, r.st.filled.Load(), filled)
 			}
 		}

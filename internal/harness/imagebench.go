@@ -6,17 +6,19 @@ package harness
 // hierarchy shapes:
 //
 //   - mmap-load:    image.OpenFile — map the snapshot image, verify
-//     its content hash, rebuild the (small) graph from the name
-//     tables, and alias the pool arenas and cell columns out of the
-//     mapped bytes. No per-cell deserialization; load work is
-//     O(header + hash) regardless of how many cells are warm;
+//     its content hash, decode the (small) graph section, check every
+//     payload and cell word, and alias the pool arenas and cell columns
+//     out of the mapped bytes. No per-cell deserialization; load work
+//     is O(header + hash + cell check) regardless of how many cells are
+//     warm;
 //   - cold-rebuild: engine.NewSnapshot + WarmAll — recompute the
 //     whole table from the in-memory graph, the cost the image
 //     replaces (and a lower bound on any restart that re-analyzes
 //     source);
 //   - gob-decode:   the conventional serialization alternative — the
-//     same graph, columns and pool arenas through encoding/gob, which
-//     walks and re-allocates every cell and payload on decode.
+//     same graph (in chg's binary form), columns and pool arenas
+//     through encoding/gob, which walks and re-allocates every cell and
+//     payload on decode.
 //
 // Alongside wall-clock per restart it reports each strategy's
 // artifact size, making the trade explicit: the image is the largest
@@ -95,11 +97,17 @@ func probeServe(s *engine.Snapshot) {
 	}
 }
 
-func setupMmapLoad(g *chg.Graph, dir string) (*Session, error) {
+// warmImageSnapshot returns the fully warmed three-backend snapshot
+// every strategy restores.
+func warmImageSnapshot(g *chg.Graph) *engine.Snapshot {
 	snap := engine.NewSnapshot(g, imageOpts()...)
 	snap.WarmAll()
+	return snap
+}
+
+func setupMmapLoad(g *chg.Graph, dir string) (*Session, error) {
 	path := filepath.Join(dir, "snap.img")
-	if err := image.WriteFile(path, snap); err != nil {
+	if err := image.WriteFile(path, warmImageSnapshot(g)); err != nil {
 		return nil, err
 	}
 	st, err := os.Stat(path)
@@ -124,9 +132,7 @@ func setupMmapLoad(g *chg.Graph, dir string) (*Session, error) {
 
 func setupColdWarmAll(g *chg.Graph, _ string) (*Session, error) {
 	return settle(&Session{Step: func() int {
-		snap := engine.NewSnapshot(g, imageOpts()...)
-		snap.WarmAll()
-		probeServe(snap)
+		probeServe(warmImageSnapshot(g))
 		return 1
 	}})
 }
@@ -134,7 +140,8 @@ func setupColdWarmAll(g *chg.Graph, _ string) (*Session, error) {
 // gobSnapshot is the conventional-serialization wire form the
 // gob-decode baseline round-trips: identical information to the
 // image (graph, backends, flags, cell plane, pool arenas), paid for
-// cell by cell at decode time.
+// cell by cell at decode time. Graph is chg's binary form, which keeps
+// the class and member ids the cell plane is indexed by.
 type gobSnapshot struct {
 	Graph      []byte
 	Backends   []core.SemanticsID
@@ -146,13 +153,14 @@ type gobSnapshot struct {
 	PoolDefs   []core.Def
 }
 
-func setupGobDecode(g *chg.Graph, dir string) (*Session, error) {
-	snap := engine.NewSnapshot(g, imageOpts()...)
-	snap.WarmAll()
+// writeGob saves snap to path in the gob-decode baseline's form and
+// returns the artifact's size.
+func writeGob(snap *engine.Snapshot, path string) (int, error) {
+	g := snap.Graph()
 	pi := snap.Pool().Image()
 	gb, err := g.MarshalBinary()
 	if err != nil {
-		return nil, err
+		return 0, err
 	}
 	wire := gobSnapshot{
 		Graph:    gb,
@@ -163,36 +171,47 @@ func setupGobDecode(g *chg.Graph, dir string) (*Session, error) {
 	snap.CopyCells(wire.Cells, pi)
 	var buf bytes.Buffer
 	if err := gob.NewEncoder(&buf).Encode(wire); err != nil {
+		return 0, err
+	}
+	return buf.Len(), os.WriteFile(path, buf.Bytes(), 0o644)
+}
+
+// readGob restores a snapshot from writeGob's artifact, decoding every
+// cell and payload.
+func readGob(path string) (*engine.Snapshot, error) {
+	data, err := os.ReadFile(path)
+	if err != nil {
 		return nil, err
 	}
+	var w gobSnapshot
+	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&w); err != nil {
+		return nil, err
+	}
+	g, err := chg.UnmarshalBinary(w.Graph)
+	if err != nil {
+		return nil, err
+	}
+	pool, err := core.PoolFromImage(core.PoolImage{Recs: w.PoolRecs, IDs: w.PoolIDs, Defs: w.PoolDefs}, g.NumClasses())
+	if err != nil {
+		return nil, err
+	}
+	return engine.NewSnapshotFromParts(g, pool, w.Backends, w.Cells, w.TrackPaths, w.StaticRule)
+}
+
+func setupGobDecode(g *chg.Graph, dir string) (*Session, error) {
 	path := filepath.Join(dir, "snap.gob")
-	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+	size, err := writeGob(warmImageSnapshot(g), path)
+	if err != nil {
 		return nil, err
 	}
 	return settle(&Session{
-		Done: artifactSize("gob-decode", int64(buf.Len())),
+		Done: artifactSize("gob-decode", int64(size)),
 		Step: func() int {
-			data, err := os.ReadFile(path)
+			s, err := readGob(path)
 			if err != nil {
 				panic(err)
 			}
-			var w gobSnapshot
-			if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&w); err != nil {
-				panic(err)
-			}
-			g2, err := chg.UnmarshalBinary(w.Graph)
-			if err != nil {
-				panic(err)
-			}
-			pool, err := core.PoolFromImage(core.PoolImage{Recs: w.PoolRecs, IDs: w.PoolIDs, Defs: w.PoolDefs}, g2.NumClasses())
-			if err != nil {
-				panic(err)
-			}
-			s2, err := engine.NewSnapshotFromParts(g2, pool, w.Backends, w.Cells, w.TrackPaths, w.StaticRule)
-			if err != nil {
-				panic(err)
-			}
-			probeServe(s2)
+			probeServe(s)
 			return 1
 		},
 	})

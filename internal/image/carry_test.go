@@ -67,6 +67,8 @@ func TestCarryFromMappedImage(t *testing.T) {
 	}
 	defer im.Close()
 
+	assertCachedEntries(t, "after the load", im.Snapshot())
+
 	e := engine.New()
 	if err := e.Adopt("ws", im.Snapshot()); err != nil {
 		t.Fatalf("Adopt: %v", err)
@@ -106,6 +108,10 @@ func TestCarryFromMappedImage(t *testing.T) {
 	if !st.PoolShared && !st.PoolCompacted {
 		t.Fatalf("successor neither shared nor compacted the mapped pool: %+v", st)
 	}
+	if words := len(warm.Semantics()) * frozen.NumMemberNames() * frozen.NumClasses(); st.Copied != words && !st.PoolCompacted {
+		t.Fatalf("successor copied %d words, want every mapped run's %d", st.Copied, words)
+	}
+	assertCachedEntries(t, "on the carried successor", succ)
 
 	// New fills on the successor intern into the (possibly still
 	// mapped) pool — copy-on-write promotion must make that safe, and
@@ -123,6 +129,8 @@ func TestCarryFromMappedImage(t *testing.T) {
 		}
 	}
 
+	assertCachedEntries(t, "after lazy fills into the carried successor", succ)
+
 	// The mapped predecessor must still answer its own hierarchy
 	// untouched (immutability across republish).
 	imGraph := im.Snapshot().Graph()
@@ -133,6 +141,30 @@ func TestCarryFromMappedImage(t *testing.T) {
 			if got := im.Snapshot().Lookup(chg.ClassID(c), chg.MemberID(m)); !want.Equal(got) {
 				t.Fatalf("predecessor drifted after carry: [%d,%d] = %v, want %v", c, m, got, want)
 			}
+		}
+	}
+}
+
+// assertCachedEntries checks CachedEntries and SemCachedEntries of s
+// against a direct count of the nonzero words of its cell plane.
+func assertCachedEntries(t *testing.T, label string, s *engine.Snapshot) {
+	t.Helper()
+	ids := s.Semantics()
+	size := s.Graph().NumClasses() * s.Graph().NumMemberNames()
+	plane := make([]uint64, len(ids)*size)
+	s.CopyCells(plane, s.Pool().Image())
+	for i, id := range ids {
+		want := 0
+		for _, w := range plane[i*size : (i+1)*size] {
+			if w != 0 {
+				want++
+			}
+		}
+		if got := s.SemCachedEntries(id); got != want {
+			t.Fatalf("%s: SemCachedEntries(%s) = %d, holds %d words", label, id, got, want)
+		}
+		if i == 0 && s.CachedEntries() != want {
+			t.Fatalf("%s: CachedEntries = %d, holds %d words", label, s.CachedEntries(), want)
 		}
 	}
 }

@@ -7,49 +7,50 @@
 // integer-indexed (class ids, member ids, pool payload indices,
 // offset-based pool arenas), so the on-disk form is the in-memory
 // form: the loader validates the header, checks the content hash,
-// rebuilds the (small) graph from the name tables and topology
-// section, and then *aliases* the pool arenas and cell columns
-// straight out of the mapped bytes. A warm lookup against a mapped
-// image is the same one atomic word load it is against a heap
-// snapshot; cells never filled before the save fill lazily on first
-// miss, with the atomic store landing in the mapping's private
-// copy-on-write pages.
+// decodes the (small) graph section with chg.UnmarshalBinary, which
+// keeps every class and member id, and then *aliases* the pool arenas
+// and cell columns straight out of the mapped bytes. A warm lookup
+// against a mapped image is the same one atomic word load it is
+// against a heap snapshot; cells never filled before the save fill
+// lazily on first miss, with the atomic store landing in the mapping's
+// private copy-on-write pages.
 //
-// # File layout (version 2)
+// # File layout (version 3)
 //
 //	offset  size  field
 //	     0     8  magic "cppLkImg"
-//	     8     4  format version (2)
+//	     8     4  format version (3)
 //	    12     4  flags: bit0 TrackPaths, bit1 StaticRule
 //	    16     4  byte-order marker 0x01020304, written natively
 //	    20     4  number of classes
 //	    24     4  number of member names
 //	    28     4  number of cell columns (resolution backends)
-//	    32     4  section count
+//	    32     4  section count (6)
 //	    36     4  reserved (0)
 //	    40    32  SHA-256 of the whole file with this field zeroed
 //	    72   24n  section table: {id u32, reserved u32, off u64, size u64}
 //	     …        sections, each 8-byte aligned
 //
-// Sections: class-name table, member-name table, topology (u32 words;
-// member ids are 16-bit — see chg.MaxMemberNames), backend-id table,
-// the three pool arenas (records / class-id arena / def arena), and
-// the cell columns (dominance first, each NumClasses×NumMemberNames
-// u64 words). Cell columns are member-major, the engine's in-memory
-// layout: member m's NumClasses words are contiguous from
-// m·NumClasses.
+// Sections: the graph (chg.Graph.MarshalBinary's bytes: names,
+// bases and declarations, member ids in 16 bits — see
+// chg.MaxMemberNames), the backend ids (core.SemanticsID, column
+// order, comma-separated), the three pool arenas (records / class-id
+// arena / def arena), and the cell columns (dominance first, each
+// NumClasses×NumMemberNames u64 words). Cell columns are member-major,
+// the engine's in-memory layout: member m's NumClasses words are
+// contiguous from m·NumClasses.
 //
 // # Versioning and portability
 //
 // The version field gates layout: readers accept exactly the versions
-// they know (currently 2) and reject anything else with a
+// they know (currently 3) and reject anything else with a
 // *VersionError — there is no in-place migration, a stale image is
-// simply rebuilt from source. Integers are stored in the writing
-// machine's byte order so that loading can alias rather than decode;
-// the byte-order marker makes a cross-endian load fail fast with
-// ErrByteOrder instead of serving garbage. Images are a warm-start
-// cache, not an interchange format — chg's gob/JSON codecs remain the
-// portable forms.
+// simply rebuilt from source. Integers outside the graph section are
+// stored in the writing machine's byte order so that loading can
+// alias rather than decode; the byte-order marker makes a cross-endian
+// load fail fast with ErrByteOrder instead of serving garbage. Images
+// are a warm-start cache, not an interchange format — chg's binary and
+// JSON forms remain the portable ones.
 package image
 
 import (
@@ -64,7 +65,7 @@ const (
 	// Magic identifies a snapshot image file.
 	Magic = "cppLkImg"
 	// Version is the current format version.
-	Version uint32 = 2
+	Version uint32 = 3
 
 	byteOrderMark uint32 = 0x01020304
 
@@ -79,17 +80,15 @@ const (
 
 // Section ids, in file order.
 const (
-	secClassNames  uint32 = 1 // string table, class-id order
-	secMemberNames uint32 = 2 // string table, member-id order (pins ids on load)
-	secTopology    uint32 = 3 // u32 words: per class, bases then declared members
-	secBackends    uint32 = 4 // string table of core.SemanticsID, column order
-	secPoolRecs    uint32 = 5 // []int32 payload records (core.PoolImage.Recs)
-	secPoolIDs     uint32 = 6 // []chg.ClassID arena (core.PoolImage.IDs)
-	secPoolDefs    uint32 = 7 // []core.Def arena (core.PoolImage.Defs)
-	secCells       uint32 = 8 // numColumns × numMemberNames × numClasses u64 cells
+	secGraph    uint32 = 1 // chg.Graph.MarshalBinary (pins class and member ids on load)
+	secBackends uint32 = 2 // core.SemanticsID of each column, comma-separated, column order
+	secPoolRecs uint32 = 3 // []int32 payload records (core.PoolImage.Recs)
+	secPoolIDs  uint32 = 4 // []chg.ClassID arena (core.PoolImage.IDs)
+	secPoolDefs uint32 = 5 // []core.Def arena (core.PoolImage.Defs)
+	secCells    uint32 = 6 // numColumns × numMemberNames × numClasses u64 cells
 )
 
-const numSections = 8
+const numSections = 6
 
 // nativeOrder is the running machine's byte order; images are written
 // and aliased in it.
@@ -130,7 +129,7 @@ func (e *HashError) Error() string {
 }
 
 // FormatError reports a structurally invalid image — truncation, a
-// section out of bounds, a table that does not decode. The header was
+// section out of bounds, a graph section that does not decode. The header was
 // plausible but the body is not trustworthy.
 type FormatError struct {
 	Reason string

@@ -9,7 +9,7 @@ import (
 	"math/rand"
 	"path/filepath"
 	"runtime"
-	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -132,6 +132,14 @@ func TestImageRoundTripRandom(t *testing.T) {
 				if !core.EqualPayloads(snap.Pool(), im.Snapshot().Pool()) {
 					t.Fatal("pool payloads drifted through the image")
 				}
+				gs := sectionOf(t, data, secGraph)
+				section := data[gs.off : gs.off+gs.size]
+				if _, err := chg.UnmarshalBinary(section); err != nil {
+					t.Fatalf("graph section does not decode: %v", err)
+				}
+				if loaded, err := im.Snapshot().Graph().MarshalBinary(); err != nil || !bytes.Equal(loaded, section) {
+					t.Fatalf("loaded graph encodes as %d bytes (%v), not as its %d-byte graph section", len(loaded), err, len(section))
+				}
 				assertSameWarmState(t, snap, im.Snapshot())
 			})
 		}
@@ -179,6 +187,7 @@ func TestImageLazyFillAfterLoad(t *testing.T) {
 		t.Fatalf("OpenFile: %v", err)
 	}
 	defer im.Close()
+	assertCachedEntries(t, "after the load", im.Snapshot())
 	oracle := engine.NewSnapshot(g, core.WithSemantics(allBackends...))
 	for _, id := range oracle.Semantics() {
 		for c := 0; c < g.NumClasses(); c++ {
@@ -189,6 +198,7 @@ func TestImageLazyFillAfterLoad(t *testing.T) {
 					t.Fatalf("%s: lazy fill of [%d,%d] got %v, want %v", id, c, m, got, want)
 				}
 			}
+			assertCachedEntries(t, "after lazy fills into mapped runs", im.Snapshot())
 		}
 	}
 }
@@ -209,18 +219,37 @@ func TestImageTypedErrors(t *testing.T) {
 		}
 	})
 	t.Run("version", func(t *testing.T) {
-		// Version 1 stored the same cell words class-major; reading one
-		// as member-major would serve wrong answers, so it is rejected.
-		for _, v := range []uint32{1, Version + 7} {
+		// Version 1 stored the same cell words class-major, and version
+		// 2 the hierarchy as name tables and topology words; reading
+		// either as version 3 would serve wrong answers, so both are
+		// rejected.
+		for _, v := range []uint32{1, 2, Version + 7} {
 			b := clone()
 			nativeOrder.PutUint32(b[8:], v)
 			_, err := Load(b)
 			var ve *VersionError
-			if !errors.As(err, &ve) || *ve != (VersionError{Got: v, Want: 2}) {
-				t.Fatalf("version %d: got %v, want *VersionError{Got: %d, Want: 2}", v, err, v)
+			if !errors.As(err, &ve) || *ve != (VersionError{Got: v, Want: 3}) {
+				t.Fatalf("version %d: got %v, want *VersionError{Got: %d, Want: 3}", v, err, v)
 			}
 		}
 	})
+	for name, patch := range map[string]func(b []byte){
+		// The graph section's magic, so that the section does not decode.
+		"graph-section-garbage": func(b []byte) { b[sectionOf(t, b, secGraph).off] ^= 0xFF },
+		// The header's class count, so that a graph that decodes holds
+		// one class fewer than the header says.
+		"graph-counts-disagree": func(b []byte) { nativeOrder.PutUint32(b[20:], nativeOrder.Uint32(b[20:])+1) },
+	} {
+		t.Run(name, func(t *testing.T) {
+			b := clone()
+			patch(b)
+			_, err := Load(restamped(b))
+			var fe *FormatError
+			if !errors.As(err, &fe) || !strings.Contains(fe.Reason, "graph section") {
+				t.Fatalf("got %v, want a *FormatError about the graph section", err)
+			}
+		})
+	}
 	t.Run("byte-order", func(t *testing.T) {
 		b := clone()
 		bom := nativeOrder.Uint32(b[16:])
@@ -287,34 +316,22 @@ func TestImageRejectsOversizedMemberSpace(t *testing.T) {
 // TestImageRejectsWrappingCellCounts loads a crafted image whose
 // header counts make the cell section's size, columns × classes ×
 // member names × 8 bytes, wrap to 0 in 64 bits: 2^21 backends (the
-// first dominance, the rest empty), 2^20 classes and 2^20 member names
-// with well-formed tables, an empty topology for every class, empty
-// pool arenas and an empty cell section, under a valid hash. Load must
-// refuse it with a typed error rather than slice past the section.
+// first dominance, the rest empty), 2^20 classes and 2^20 member
+// names, over an empty graph section, empty pool arenas and an empty
+// cell section, under a valid hash. The member-name count is checked
+// before any section is read, so Load must refuse it with a
+// *chg.MemberSpaceError rather than slice past the cell section.
 func TestImageRejectsWrappingCellCounts(t *testing.T) {
 	const numC, numM, numCols = 1 << 20, 1 << 20, 1 << 21
-	names := func(prefix string, n int) []string {
-		out := make([]string, n)
-		for i := range out {
-			out[i] = prefix + strconv.FormatInt(int64(i), 36)
-		}
-		return out
+	empty, err := chg.NewBuilder().MustBuild().MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
 	}
-	backends := make([]string, numCols)
-	backends[0] = string(core.SemDominance)
-
 	w := newImageBuf()
-	w.beginSection(secClassNames)
-	w.stringTable(names("c", numC))
-	w.beginSection(secMemberNames)
-	w.stringTable(names("m", numM))
-	w.beginSection(secTopology)
-	for c := 0; c < numC; c++ {
-		w.u32(0) // no bases
-		w.u32(0) // no members
-	}
+	w.beginSection(secGraph)
+	w.b = append(w.b, empty...)
 	w.beginSection(secBackends)
-	w.stringTable(backends)
+	w.b = append(w.b, string(core.SemDominance)+strings.Repeat(",", numCols-1)...)
 	for _, id := range []uint32{secPoolRecs, secPoolIDs, secPoolDefs, secCells} {
 		w.beginSection(id)
 	}
@@ -325,7 +342,7 @@ func TestImageRejectsWrappingCellCounts(t *testing.T) {
 		numColumns:   numCols,
 		sectionCount: numSections,
 	})
-	_, err := Load(data)
+	_, err = Load(data)
 	var mse *chg.MemberSpaceError
 	if !errors.As(err, &mse) || mse.NumMemberNames != numM {
 		t.Fatalf("%d-byte image: got %v, want *chg.MemberSpaceError for %d names", len(data), err, numM)

@@ -40,8 +40,9 @@ func sectionOf(t testing.TB, data []byte, id uint32) section {
 // malformedImages returns hash-valid images that the loader must
 // reject: three of Figure 1, each one word away from an image Bytes
 // wrote, whose lookups would otherwise read past the pool or the class
-// table, and one whose only filled cell is a red result with an empty
-// static set, which a fill reads a first abstraction from.
+// table, and one of a two-class chain, one word away from a cold image
+// of it, whose only filled cell is a red result with an empty static
+// set, which a fill reads a first abstraction from.
 func malformedImages(t testing.TB) map[string][]byte {
 	g := hiergen.Figure1()
 	cold, err := Bytes(engine.NewSnapshot(g))
@@ -79,20 +80,17 @@ func malformedImages(t testing.TB) map[string][]byte {
 	b.Method(base, "m")
 	chain := b.MustBuild()
 	pool := core.NewPool()
-	plane := []uint64{uint64(pool.RedDetailed(core.Def{L: base, V: chg.Omega}, []chg.ClassID{}, nil, nil).Cell()), 0}
-	snap, err := engine.NewSnapshotFromParts(chain, pool, []core.SemanticsID{core.SemDominance}, plane, false, false)
+	red := uint64(pool.RedDetailed(core.Def{L: base, V: chg.Omega}, []chg.ClassID{}, nil, nil).Cell())
+	emptySet, err := Bytes(engine.NewSnapshot(chain, core.WithPool(pool)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	emptySet, err := Bytes(snap)
-	if err != nil {
-		t.Fatal(err)
-	}
+	nativeOrder.PutUint64(emptySet[sectionOf(t, emptySet, secCells).off:], red)
 	return map[string][]byte{
 		"pooled-cell-past-empty-pool": restamped(pooled),
 		"inline-red-class-999":        restamped(inline),
 		"blue-def-class-999":          restamped(arena),
-		"red-empty-static-set":        emptySet,
+		"red-empty-static-set":        restamped(emptySet),
 	}
 }
 

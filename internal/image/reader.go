@@ -2,6 +2,7 @@ package image
 
 import (
 	"crypto/sha256"
+	"strings"
 	"unsafe"
 
 	"cpplookup/internal/chg"
@@ -24,8 +25,8 @@ type Meta struct {
 // Image is a loaded snapshot image: a servable engine.Snapshot whose
 // pool arenas and per-member cell runs alias the image bytes. A carried
 // successor never reads the mapped runs: its first carry copies every
-// one of them (they carry no count of published cells), and only its
-// heap copies are shared onward. It does share the payload pool, whose
+// one of them (the engine marks them adopted), and only its heap
+// copies are shared onward. It does share the payload pool, whose
 // arenas stay mapped until the pool's first new payload copies them to
 // the heap or a compaction chains to a fresh pool. Keep the image (or
 // at least don't Close it) as long as any snapshot obtained from it —
@@ -62,9 +63,10 @@ func (im *Image) Close() error {
 
 // Load validates data as a snapshot image and serves it in place.
 // The work is O(header) parsing + O(file) content-hash verification +
-// O(N+E+M) graph rebuild + one read-only check of every payload and
-// every cell word (core.PoolFromImage, core.CheckCells), so that a
-// hash-valid but malformed image is rejected with a *FormatError
+// O(N+E+M) graph decode (chg.UnmarshalBinary) + one read-only check of
+// every payload and every cell word (core.PoolFromImage, and
+// engine.NewSnapshotFromParts' cell check), so that a hash-valid but
+// malformed image is rejected with a *FormatError
 // rather than served; the pool arenas and the cell plane are aliased,
 // never decoded — no per-cell or per-payload deserialization happens,
 // which is what keeps loading a large warm table cheap.
@@ -117,34 +119,25 @@ func load(data []byte, release func() error) (*Image, error) {
 		return nil, &chg.MemberSpaceError{NumMemberNames: int(h.numMembers)}
 	}
 
-	classNames, err := readStringTable(data, secs[secClassNames], "class-name table")
+	gs := secs[secGraph]
+	g, err := chg.UnmarshalBinary(data[gs.off : gs.off+gs.size])
 	if err != nil {
-		return nil, err
+		return nil, formatErrf("graph section: %v", err)
 	}
-	memberNames, err := readStringTable(data, secs[secMemberNames], "member-name table")
-	if err != nil {
-		return nil, err
+	if g.NumClasses() != int(h.numClasses) || g.NumMemberNames() != int(h.numMembers) {
+		return nil, formatErrf("graph section holds %d classes and %d member names, header says %d and %d",
+			g.NumClasses(), g.NumMemberNames(), h.numClasses, h.numMembers)
 	}
-	backendNames, err := readStringTable(data, secs[secBackends], "backend table")
-	if err != nil {
-		return nil, err
+	bs := secs[secBackends]
+	var backends []core.SemanticsID
+	for _, id := range strings.Split(string(data[bs.off:bs.off+bs.size]), ",") {
+		backends = append(backends, core.SemanticsID(id))
 	}
-	if len(classNames) != int(h.numClasses) {
-		return nil, formatErrf("class-name table has %d entries, header says %d", len(classNames), h.numClasses)
+	if len(backends) != int(h.numColumns) {
+		return nil, formatErrf("backend section lists %d backends, header says %d columns", len(backends), h.numColumns)
 	}
-	if len(memberNames) != int(h.numMembers) {
-		return nil, formatErrf("member-name table has %d entries, header says %d", len(memberNames), h.numMembers)
-	}
-	if len(backendNames) != int(h.numColumns) || len(backendNames) == 0 {
-		return nil, formatErrf("backend table has %d entries, header says %d columns", len(backendNames), h.numColumns)
-	}
-	if backendNames[0] != string(core.SemDominance) {
-		return nil, formatErrf("first cell column is %q, must be %q", backendNames[0], core.SemDominance)
-	}
-
-	g, err := rebuildGraph(data, secs[secTopology], classNames, memberNames)
-	if err != nil {
-		return nil, err
+	if backends[0] != core.SemDominance {
+		return nil, formatErrf("first cell column is %q, must be %q", backends[0], core.SemDominance)
 	}
 
 	pi := core.PoolImage{
@@ -162,13 +155,6 @@ func load(data []byte, release func() error) (*Image, error) {
 		return nil, formatErrf("cell section holds %d bytes, want %d columns × %d cells", cellsSec.size, h.numColumns, uint64(h.numClasses)*uint64(h.numMembers))
 	}
 	cells := alias[uint64](data, cellsSec)
-	if err := core.CheckCells(cells, pi, g.NumClasses()); err != nil {
-		return nil, formatErrf("cell section: %v", err)
-	}
-	backends := make([]core.SemanticsID, len(backendNames))
-	for i, n := range backendNames {
-		backends[i] = core.SemanticsID(n)
-	}
 	snap, err := engine.NewSnapshotFromParts(g, pool, backends, cells, h.trackPaths(), h.staticRule())
 	if err != nil {
 		return nil, formatErrf("assembling snapshot: %v", err)
@@ -203,110 +189,6 @@ func verifyHash(data []byte, h *header) error {
 		return &HashError{Got: got, Want: h.hash}
 	}
 	return nil
-}
-
-// readStringTable decodes a u32-count, u32-lengths, blob section.
-func readStringTable(data []byte, s section, what string) ([]string, error) {
-	sec := data[s.off : s.off+s.size]
-	if len(sec) < 4 {
-		return nil, formatErrf("%s shorter than its count field", what)
-	}
-	n := int(nativeOrder.Uint32(sec))
-	if n < 0 || 4+4*int64(n) > int64(len(sec)) {
-		return nil, formatErrf("%s claims %d entries in %d bytes", what, n, len(sec))
-	}
-	out := make([]string, n)
-	blob := 4 + 4*n
-	for i := 0; i < n; i++ {
-		l := int(nativeOrder.Uint32(sec[4+4*i:]))
-		if l < 0 || blob+l > len(sec) {
-			return nil, formatErrf("%s entry %d overruns the section", what, i)
-		}
-		out[i] = string(sec[blob : blob+l])
-		blob += l
-	}
-	return out, nil
-}
-
-// rebuildGraph replays the topology section through chg.Builder —
-// member names pre-interned in id order first, so the rebuilt graph's
-// member ids (which every stored cell is indexed by) match the writer's
-// exactly; class ids match because classes are created in id order.
-// Builder.Build re-validates the hierarchy (acyclicity, duplicate
-// bases/members) and recomputes the closures, so a structurally bad
-// topology is rejected, not served.
-func rebuildGraph(data []byte, s section, classNames, memberNames []string) (*chg.Graph, error) {
-	b := chg.NewBuilder()
-	for i, name := range memberNames {
-		if b.MemberName(name) != chg.MemberID(i) {
-			return nil, formatErrf("member-name table has a duplicate at id %d (%q)", i, name)
-		}
-	}
-	for i, name := range classNames {
-		if b.Class(name) != chg.ClassID(i) {
-			return nil, formatErrf("class-name table has a duplicate at id %d (%q)", i, name)
-		}
-	}
-	sec := data[s.off : s.off+s.size]
-	if len(sec)%4 != 0 {
-		return nil, formatErrf("topology section size %d is not a multiple of 4", len(sec))
-	}
-	pos := 0
-	next := func() (uint32, bool) {
-		if pos+4 > len(sec) {
-			return 0, false
-		}
-		v := nativeOrder.Uint32(sec[pos:])
-		pos += 4
-		return v, true
-	}
-	for c := range classNames {
-		nb, ok1 := next()
-		nm, ok2 := next()
-		if !ok1 || !ok2 {
-			return nil, formatErrf("topology truncated at class %d", c)
-		}
-		for i := uint32(0); i < nb; i++ {
-			word, ok := next()
-			if !ok {
-				return nil, formatErrf("topology truncated in class %d's bases", c)
-			}
-			base := chg.ClassID(word >> 1)
-			if int(base) >= len(classNames) {
-				return nil, formatErrf("class %d inherits from out-of-range class %d", c, base)
-			}
-			kind := chg.NonVirtual
-			if word&1 != 0 {
-				kind = chg.Virtual
-			}
-			b.Base(chg.ClassID(c), base, kind)
-		}
-		for i := uint32(0); i < nm; i++ {
-			word, ok := next()
-			if !ok {
-				return nil, formatErrf("topology truncated in class %d's members", c)
-			}
-			mid := int(word & 0xFFFF)
-			if mid >= len(memberNames) {
-				return nil, formatErrf("class %d declares out-of-range member id %d", c, mid)
-			}
-			kind := chg.MemberKind(word >> 16 & 0x3)
-			b.Member(chg.ClassID(c), chg.Member{
-				Name:    memberNames[mid],
-				Kind:    kind,
-				Static:  word&(1<<18) != 0,
-				Virtual: word&(1<<19) != 0,
-			})
-		}
-	}
-	if pos != len(sec) {
-		return nil, formatErrf("topology has %d trailing bytes", len(sec)-pos)
-	}
-	g, err := b.Build()
-	if err != nil {
-		return nil, formatErrf("rebuilding graph: %v", err)
-	}
-	return g, nil
 }
 
 // alias serves a section's bytes as a []T without copying. Sections

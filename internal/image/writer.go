@@ -5,7 +5,6 @@ import (
 	"os"
 	"unsafe"
 
-	"cpplookup/internal/chg"
 	"cpplookup/internal/engine"
 )
 
@@ -18,12 +17,13 @@ import (
 // fill lazily after a load.
 //
 // Graphs whose member-name universe exceeds chg.MaxMemberNames cannot
-// be imaged (the topology section stores 16-bit member ids) and return
+// be imaged (the graph section stores 16-bit member ids) and return
 // a *chg.MemberSpaceError.
 func Bytes(s *engine.Snapshot) ([]byte, error) {
 	g := s.Graph()
-	if g.NumMemberNames() > chg.MaxMemberNames {
-		return nil, &chg.MemberSpaceError{NumMemberNames: g.NumMemberNames()}
+	gb, err := g.MarshalBinary()
+	if err != nil {
+		return nil, err
 	}
 	pool := s.Pool().Image()
 	k := s.Kernel()
@@ -31,42 +31,15 @@ func Bytes(s *engine.Snapshot) ([]byte, error) {
 
 	w := newImageBuf()
 
-	w.beginSection(secClassNames)
-	w.stringTable(g.ClassNames())
-	w.beginSection(secMemberNames)
-	w.stringTable(g.MemberNames())
-
-	w.beginSection(secTopology)
-	for c := 0; c < g.NumClasses(); c++ {
-		bases := g.DirectBases(chg.ClassID(c))
-		members := g.DeclaredMembers(chg.ClassID(c))
-		w.u32(uint32(len(bases)))
-		w.u32(uint32(len(members)))
-		for _, e := range bases {
-			word := uint32(e.Base) << 1
-			if e.Kind == chg.Virtual {
-				word |= 1
-			}
-			w.u32(word)
-		}
-		for _, m := range members {
-			word := uint32(uint16(m.ID)) | uint32(m.Kind)<<16
-			if m.Static {
-				word |= 1 << 18
-			}
-			if m.Virtual {
-				word |= 1 << 19
-			}
-			w.u32(word)
-		}
-	}
-
+	w.beginSection(secGraph)
+	w.b = append(w.b, gb...)
 	w.beginSection(secBackends)
-	ids := make([]string, len(backends))
 	for i, id := range backends {
-		ids[i] = string(id)
+		if i > 0 {
+			w.b = append(w.b, ',')
+		}
+		w.b = append(w.b, id...)
 	}
-	w.stringTable(ids)
 
 	w.beginSection(secPoolRecs)
 	w.b = appendRaw(w.b, pool.Recs)
@@ -142,24 +115,6 @@ func (w *imageBuf) beginSection(id uint32) {
 func (w *imageBuf) closeSection() {
 	if n := len(w.secs); n > 0 {
 		w.secs[n-1].size = uint64(len(w.b)) - w.secs[n-1].off
-	}
-}
-
-func (w *imageBuf) u32(v uint32) {
-	var t [4]byte
-	nativeOrder.PutUint32(t[:], v)
-	w.b = append(w.b, t[:]...)
-}
-
-// stringTable writes: u32 count, count × u32 byte lengths, then the
-// concatenated UTF-8 bytes.
-func (w *imageBuf) stringTable(ss []string) {
-	w.u32(uint32(len(ss)))
-	for _, s := range ss {
-		w.u32(uint32(len(s)))
-	}
-	for _, s := range ss {
-		w.b = append(w.b, s...)
 	}
 }
 
